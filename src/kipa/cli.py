@@ -322,6 +322,9 @@ def _cmd_synth(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int
 
 
 def _hz_grid(start: float, stop: float, step: float, inclusive: bool = False):
+    if not (step > 0 and stop >= start):
+        raise InvalidParameter(f"grid {start:g}:{stop:g}:{step:g} needs stop >= start "
+                               "and step > 0")
     n = int(round((stop - start) / step)) + (1 if inclusive else 0)
     return start + step * np.arange(max(n, 1))
 

@@ -16,7 +16,7 @@ import numpy as np
 from .circuits import IDEAL_ENV, three_stage_design
 from .errors import InvalidParameter
 from .material import KineticInductorModel
-from .simulator import GainProfile, ReflectionEngine, bandwidth_report
+from .simulator import ReflectionEngine, drive_ladder, ramp
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,26 +168,11 @@ def _search_cell(design, ranges, z14, z12, z_nr, wp2, xi3_start, ratio,
     if ws.size < 16:
         return None
     engine = ReflectionEngine(design, IDEAL_ENV, ws, wp, 0.0)
-    best_bw, best_xi = 0.0, 0.0
-    xi3 = xi3_start
-    while True:
-        alpha = engine.alpha_for_xi3(xi3)
-        if alpha >= alpha_max:
-            break
-        gdb = engine.gain_db(alpha)
-        if not np.isfinite(gdb).all():
-            break
-        if gdb.max() > stop_db:
-            break
-        if gdb.max() >= threshold_db:
-            prof = GainProfile(ws, None, gdb, wp)
-            rep = bandwidth_report(prof, threshold_db, ripple_max_db,
-                                   require_two_peaks=True)
-            if rep.qualified and rep.bandwidth > best_bw:
-                best_bw, best_xi = rep.bandwidth, xi3
-        xi3 *= ratio
-    if best_bw <= 0.0:
+    ladder = drive_ladder(xi3_start, ratio, engine.alpha_for_xi3, alpha_max)
+    res = ramp(engine, *ladder, threshold_db, ripple_max_db, stop_db)
+    if res.report is None:
         return None
+    best_bw, best_xi = res.report.bandwidth, res.drive
     return DesignRecord(z14, z12, z_nr, wp2, best_bw, best_xi,
                         best_bw / best_xi, ranges.omega0)
 

@@ -13,7 +13,8 @@ shows the measured amplitude ripple, while an ideal real environment keeps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -90,12 +91,29 @@ def _resolve_drive(design: DesignSpec, pump: Pump):
     return alpha, l0, pump.omega_p, pump.i_dc
 
 
+class MobiusForm(NamedTuple):
+    """S11(α) = (p + q·α)/(r + s·α) at every grid frequency."""
+
+    p: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    pole_alphas: np.ndarray   # α at which D(α) = 0 at some grid frequency
+
+
 class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
     The line cascade, idler chain, and environment depend only on the
     frequency grid, so sweeping pump strength reduces to scalar-vector
     arithmetic per step.
+
+    With A = iω_i·l0·Y_idler*(ω_i), the pumped inductor presents
+    Y_eff = (A-1)/(iω_s·l0·D(α)), D(α) = (A-1) - αA, so S11 is a bilinear
+    (Möbius) map of α at every grid frequency:
+    S11(α) = (P + Qα)/(R + Sα), see :attr:`mobius`.  Ramps use it to find,
+    before evaluating any step, the α ranges where the gain can reach a
+    threshold; ``s11`` evaluates the network itself.
     """
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel, freqs,
@@ -116,43 +134,73 @@ class ReflectionEngine:
         self.l0 = design.inductance_at_bias(i_dc)
         self.c = design.c_shunt
         self.omega0 = 1.0 / np.sqrt(self.l0 * self.c)
+        self.jws, self.jwi = 1j * ws, 1j * wi
+        self.y_c = self.jws * self.c
         self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
         self.abcd = port_line_abcd(design, ws)
         self.z_env = np.asarray(environment_impedance(env, ws), dtype=complex)
-        if self.z_env.ndim == 0:
-            self.z_env = np.full(ws.shape, complex(self.z_env))
 
-    def alpha_for_xi3(self, xi3_mag: float) -> float:
-        return (xi3_mag / (2.0 * self.omega0)) ** 2
+    @cached_property
+    def mobius(self) -> MobiusForm:
+        """Coefficients of S11(α) = (P + Qα)/(R + Sα), built on first use."""
+        a, b, c, d = self.abcd
+        z = self.z_env
+        # node admittance (n0 + n1·α)/D(α) with D(α) = d0 + d1·α
+        a_idler = self.jwi * self.l0 * self.y_idler_conj
+        d0, d1 = a_idler - 1.0, -a_idler
+        n0 = d0 * (self.y_c + 1.0 / (self.jws * self.l0))
+        n1 = -self.y_c * a_idler
+        # S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y)
+        num_a, num_b = a - z * c, b - z * d
+        den_a, den_b = a + z * c, b + z * d
+        # D(α) has a real root only where A is real: α = 1 - 1/A
+        real_a = a_idler.imag == 0
+        with np.errstate(divide="ignore"):
+            pole_alphas = 1.0 - 1.0 / a_idler.real[real_a]
+        return MobiusForm(num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
+                          den_a * d0 + den_b * n0, den_a * d1 + den_b * n1,
+                          pole_alphas)
+
+    def alpha_for_xi3(self, xi3_mag):
+        """α = (|ξ3|/2ω0)² for a scalar drive or an array of drives."""
+        r = xi3_mag / (2.0 * self.omega0)
+        return r * r
 
     def s11(self, alpha: float) -> np.ndarray:
         if not 0 <= alpha < 1:
             raise InvalidParameter(f"alpha = {alpha:.4g} outside [0, 1)")
-        lp = self.l0 * (1.0 - alpha)
-        den = 1j * self.wi * lp * self.y_idler_conj - 1.0
-        pole = den == 0
+        y_eff, den = self._y_eff(alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_eff = (1.0 / (1j * self.ws * lp)) * (1.0 + alpha / den)
-            y_node = 1j * self.ws * self.c + y_eff
+            y_node = self.y_c + y_eff
             a, b, c, d = self.abcd
             p = a + b * y_node
-            q = c + d * y_node
-            s11 = (p - self.z_env * q) / (p + self.z_env * q)
+            zq = self.z_env * (c + d * y_node)
+            s11 = (p - zq) / (p + zq)
+        pole = den == 0
         if np.any(pole):
             s11 = np.where(pole, np.inf + 0j, s11)
         return s11
 
     def gain_db(self, alpha: float) -> np.ndarray:
-        mag = np.abs(self.s11(alpha))
-        with np.errstate(divide="ignore"):
-            g = 20.0 * np.log10(mag)
-        return np.where(np.isfinite(mag), g, np.inf)
+        return _to_db(self.s11(alpha))
 
     def y_eff(self, alpha: float) -> np.ndarray:
+        return self._y_eff(alpha)[0]
+
+    def _y_eff(self, alpha: float):
+        """Y_eff and its idler denominator iω_i·l0'·Y_idler* - 1 (0 at a pole)."""
         lp = self.l0 * (1.0 - alpha)
-        den = 1j * self.wi * lp * self.y_idler_conj - 1.0
+        den = self.jwi * lp * self.y_idler_conj - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (1.0 / (1j * self.ws * lp)) * (1.0 + alpha / den)
+            return (1.0 / (self.jws * lp)) * (1.0 + alpha / den), den
+
+
+def _to_db(s11: np.ndarray) -> np.ndarray:
+    """20 log10 |s11|, with +inf wherever s11 is not finite (poles)."""
+    mag = np.abs(s11)
+    with np.errstate(divide="ignore"):
+        g = 20.0 * np.log10(mag)
+    return np.where(np.isfinite(mag), g, np.inf)
 
 
 def gain_spectrum(design: DesignSpec, pump: Pump, env: Optional[EnvironmentModel],
@@ -168,28 +216,21 @@ def gain_spectrum(design: DesignSpec, pump: Pump, env: Optional[EnvironmentModel
     ModulatedInductor.from_alpha(l0, alpha)
     engine = ReflectionEngine(design, env, freqs, omega_p, i_dc)
     s11 = engine.s11(alpha)
-    mag = np.abs(s11)
-    with np.errstate(divide="ignore"):
-        gdb = 20.0 * np.log10(mag)
-    gdb = np.where(np.isfinite(mag), gdb, np.inf)
     return GainProfile(freqs=np.asarray(freqs, dtype=float), s11=s11,
-                       gain_db=gdb, omega_p=omega_p)
+                       gain_db=_to_db(s11), omega_p=omega_p)
 
 
 def _spans_above(freqs, gain, threshold):
     """Contiguous spans with gain >= threshold, linearly interpolated edges."""
     finite = np.isfinite(gain)
     above = finite & (gain >= threshold)
-    spans = []
     n = len(freqs)
-    i = 0
-    while i < n:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and above[j + 1]:
-            j += 1
+    # a span starts where `above` rises and ends before it falls again
+    padded = np.concatenate(([False], above, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    spans = []
+    for i, end in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        j = end - 1
         lo = freqs[i]
         if i > 0 and finite[i - 1] and gain[i - 1] < threshold:
             lo = np.interp(threshold, [gain[i - 1], gain[i]], [freqs[i - 1], freqs[i]])
@@ -197,7 +238,6 @@ def _spans_above(freqs, gain, threshold):
         if j + 1 < n and finite[j + 1] and gain[j + 1] < threshold:
             hi = np.interp(threshold, [gain[j + 1], gain[j]], [freqs[j + 1], freqs[j]])
         spans.append((lo, hi, i, j))
-        i = j + 1
     return spans
 
 
@@ -279,60 +319,153 @@ class MapCell:
     optimal_drive: float   # |I_p| (A) or |xi3| (rad/s) depending on policy mode
 
 
-def _ramp_cell(engine: ReflectionEngine, design: DesignSpec, policy: PumpRampPolicy,
-               threshold_db: float, ripple_max_db: float):
-    """Best qualifying (bandwidth, peaks, ripple, drive) along one pump ramp."""
-    step = 10.0 ** (policy.step_db / 20.0)
-    best = (0.0, 0, 0.0, 0.0)
-    if policy.mode == "current":
-        i_c = design.ki_model.i_c
-        istar2 = design.ki_model.i_star2
-        i_dc = engine.i_dc
-        drive = policy.start_current
-        if i_dc <= 0:
-            return best  # no three-wave mixing without bias
-        while True:
-            if i_c is not None and i_dc + drive >= i_c:
-                break
-            ratio = i_dc * drive / (istar2**2 + i_dc**2)
-            alpha = (9.0 / 16.0) * ratio**2
-            if alpha >= policy.alpha_max:
-                break
-            stop, best = _ramp_step(engine, alpha, drive, best,
-                                    threshold_db, ripple_max_db, policy.gain_stop_db)
-            if stop:
-                break
-            drive *= step
-    else:
-        drive = policy.start_xi3
-        while True:
-            if policy.xi3_cap is not None and drive > policy.xi3_cap:
-                break
-            alpha = engine.alpha_for_xi3(drive)
-            if alpha >= policy.alpha_max:
-                break
-            stop, best = _ramp_step(engine, alpha, drive, best,
-                                    threshold_db, ripple_max_db, policy.gain_stop_db)
-            if stop:
-                break
-            drive *= step
-    return best
+# Relative slack of the analytic step screen: the threshold is lowered and
+# every root interval widened by this fraction, far above the < 1e-13
+# relative gap between the coefficient form and an evaluated profile, so
+# no step that could reach the threshold is screened out.
+RAMP_SLACK = 1e-6
+_LADDER_CHUNK = 1024
 
 
-def _ramp_step(engine, alpha, drive, best, threshold_db, ripple_max_db, stop_db):
-    gdb = engine.gain_db(alpha)
-    finite = np.isfinite(gdb)
-    if not finite.all():
-        return True, best  # oscillation pole crossed
-    peak = gdb.max()
-    if peak > stop_db:
-        return True, best
-    if peak >= threshold_db:
-        prof = GainProfile(engine.ws, None, gdb, engine.omega_p)
-        rep = bandwidth_report(prof, threshold_db, ripple_max_db, require_two_peaks=True)
-        if rep.qualified and rep.bandwidth > best[0]:
-            best = (rep.bandwidth, rep.peak_count, rep.ripple_db, drive)
-    return False, best
+def drive_ladder(start: float, ratio: float, alpha_of: Callable, alpha_max: float,
+                 drive_ok: Optional[Callable] = None):
+    """(drives, alphas) of a geometric pump ramp, as arrays.
+
+    The drive grows by repeated multiplication from ``start`` (the same
+    floating-point sequence as ``drive *= ratio``) and the ladder ends
+    before the first step whose alpha reaches ``alpha_max`` or whose drive
+    fails the vectorized budget check ``drive_ok``.
+    """
+    if not ratio > 1:
+        raise InvalidParameter("ramp ratio must be > 1")
+    if alpha_max > 1:
+        raise InvalidParameter("alpha_max must be <= 1")
+    parts = []
+    drive = start
+    while True:
+        seq = np.full(_LADDER_CHUNK, ratio)
+        seq[0] = drive
+        drives = np.cumprod(seq)
+        ok = alpha_of(drives) < alpha_max
+        if drive_ok is not None:
+            ok &= drive_ok(drives)
+        stop = np.flatnonzero(~ok)
+        if stop.size:
+            parts.append(drives[:stop[0]])
+            break
+        parts.append(drives)
+        drive = drives[-1] * ratio
+    drives = np.concatenate(parts)
+    return drives, alpha_of(drives)
+
+
+@dataclass(frozen=True)
+class RampResult:
+    report: Optional[BandwidthReport]   # widest qualifying profile, if any
+    drive: float                        # its drive; 0.0 when none qualified
+
+
+def _quadratic_nonnegative(a2, a1, a0):
+    """Intervals of α where a2·α² + a1·α + a0 >= 0, for a2 != 0 elementwise.
+
+    Returns (lo, hi), each with two rows: the solution set of element i is
+    [lo[0, i], hi[0, i]] ∪ [lo[1, i], hi[1, i]]; an empty interval has
+    lo = +inf and hi = -inf.  Roots use the cancellation-free form.
+    """
+    disc = a1 * a1 - 4.0 * a2 * a0
+    real = disc >= 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = -0.5 * (a1 + np.copysign(np.sqrt(np.where(real, disc, 0.0)), a1))
+        r1, r2 = root / a2, a0 / root
+    r1, r2 = np.fmin(r1, r2), np.fmax(r1, r2)
+    up = a2 > 0
+    inf = np.full(np.shape(a2), np.inf)
+    # a2 > 0: (-inf, r1] and [r2, inf), or every α without real roots;
+    # a2 < 0: [r1, r2], or no α without real roots
+    lo = np.stack([np.where(up, -inf, np.where(real, r1, inf)),
+                   np.where(up & real, r2, inf)])
+    hi = np.stack([np.where(up, np.where(real, r1, inf), np.where(real, r2, -inf)),
+                   np.where(up & real, inf, -inf)])
+    return lo, hi
+
+
+def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray,
+                     db: float) -> np.ndarray:
+    """Ladder indices whose profile may reach ``db`` at some frequency.
+
+    Per frequency, |S11(α)|² >= G is the real quadratic
+    |P + Qα|² - G·|R + Sα|² >= 0, whose solution set is at most two
+    intervals of α.  Their union, mapped onto the ladder, holds every step
+    that can reach ``db`` or that sits on an idler pole; every other step
+    is finite and below ``db`` at every grid frequency.
+    """
+    m = alphas.size
+    g = 10.0 ** (db / 10.0) * (1.0 - RAMP_SLACK)
+    p, q, r, s, pole_alphas = engine.mobius
+    a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
+    a1 = 2.0 * ((p * q.conjugate()).real - g * (r * s.conjugate()).real)
+    a0 = p.real**2 + p.imag**2 - g * (r.real**2 + r.imag**2)
+    if not (np.all(np.isfinite(a1 * a1 - 4.0 * a2 * a0)) and np.all(a2 != 0)):
+        return np.arange(m)
+    lo, hi = _quadratic_nonnegative(a2, a1, a0)
+    lo = np.concatenate([lo.ravel(), pole_alphas])
+    hi = np.concatenate([hi.ravel(), pole_alphas])
+    lo = np.where(lo > 0, lo * (1.0 - RAMP_SLACK), lo * (1.0 + RAMP_SLACK))
+    hi = np.where(hi > 0, hi * (1.0 + RAMP_SLACK), hi * (1.0 - RAMP_SLACK))
+    first = np.searchsorted(alphas, lo, side="left")
+    stop = np.searchsorted(alphas, hi, side="right")
+    keep = first < stop
+    cover = np.cumsum(np.bincount(first[keep], minlength=m + 1)
+                      - np.bincount(stop[keep], minlength=m + 1))
+    return np.flatnonzero(cover[:m] > 0)
+
+
+def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
+         threshold_db: float, ripple_max_db: float, stop_db: float) -> RampResult:
+    """Widest qualifying two-peak profile along a pump ladder.
+
+    Steps run in ladder order until one crosses an oscillation pole or
+    exceeds ``stop_db``; profiles at or above ``threshold_db`` compete on
+    bandwidth.  Steps that can neither stop the ramp nor reach the
+    threshold (see :func:`_candidate_steps`) are skipped unevaluated, which
+    leaves the result identical to evaluating every step.
+    """
+    best, best_drive = None, 0.0
+    for k in _candidate_steps(engine, alphas, min(threshold_db, stop_db)):
+        gdb = engine.gain_db(float(alphas[k]))
+        if not np.isfinite(gdb).all():
+            break  # oscillation pole crossed
+        peak = gdb.max()
+        if peak > stop_db:
+            break
+        if peak >= threshold_db:
+            prof = GainProfile(engine.ws, None, gdb, engine.omega_p)
+            rep = bandwidth_report(prof, threshold_db, ripple_max_db, require_two_peaks=True)
+            if rep.qualified and rep.bandwidth > (best.bandwidth if best else 0.0):
+                best, best_drive = rep, float(drives[k])
+    return RampResult(best, best_drive)
+
+
+def policy_ladder(engine: ReflectionEngine, design: DesignSpec, policy: PumpRampPolicy):
+    """(drives, alphas) of the pump ramp that ``policy`` runs at one map cell."""
+    ratio = 10.0 ** (policy.step_db / 20.0)
+    if policy.mode == "xi3":
+        cap = policy.xi3_cap
+        budget = None if cap is None else (lambda drive: drive <= cap)
+        return drive_ladder(policy.start_xi3, ratio, engine.alpha_for_xi3,
+                            policy.alpha_max, budget)
+    i_c = design.ki_model.i_c
+    istar2 = design.ki_model.i_star2
+    i_dc = engine.i_dc
+    if i_dc <= 0:
+        return np.empty(0), np.empty(0)  # no three-wave mixing without bias
+
+    def alpha_of(drive):
+        r = i_dc * drive / (istar2**2 + i_dc**2)
+        return (9.0 / 16.0) * (r * r)
+
+    budget = None if i_c is None else (lambda drive: i_dc + drive < i_c)
+    return drive_ladder(policy.start_current, ratio, alpha_of, policy.alpha_max, budget)
 
 
 def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
@@ -361,9 +494,12 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
         wp, idc = point
         ws = np.arange(wp / 2 - freq_half_span, wp / 2 + freq_half_span, freq_step)
         engine = ReflectionEngine(design, env, ws, wp, idc)
-        bw, peaks, ripple, drive = _ramp_cell(engine, design, policy,
-                                              threshold_db, ripple_max_db)
-        return MapCell(wp, idc, bw, peaks, ripple, drive)
+        res = ramp(engine, *policy_ladder(engine, design, policy),
+                   threshold_db, ripple_max_db, policy.gain_stop_db)
+        if res.report is None:
+            return MapCell(wp, idc, 0.0, 0, 0.0, 0.0)
+        rep = res.report
+        return MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -47,7 +47,9 @@ from kipa.simulator import (
     PumpDrive,
     ReflectionEngine,
     bandwidth_report,
+    drive_ladder,
     gain_spectrum,
+    ramp,
     rnr_power_law,
 )
 from kipa.synthesis import synthesize_transformer
@@ -97,21 +99,9 @@ def _ramp_fabricated_device(freq_step_hz=1e6):
     design = paper_device()
     ws = TWO_PI * np.arange(7.35e9, 9.55e9, freq_step_hz)
     engine = ReflectionEngine(design, IDEAL_ENV, ws, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS)
-    best = None
-    xi3 = TWO_PI * 0.1e9
-    while True:
-        alpha = engine.alpha_for_xi3(xi3)
-        if alpha >= 0.9:
-            break
-        gdb = engine.gain_db(alpha)
-        if not np.isfinite(gdb).all() or gdb.max() > 40.0:
-            break
-        if gdb.max() >= 17.0:
-            rep = bandwidth_report(GainProfile(ws, None, gdb, PAPER_DEVICE_PUMP),
-                                   require_two_peaks=True)
-            if rep.qualified and (best is None or rep.bandwidth > best[0].bandwidth):
-                best = (rep, xi3)
-        xi3 *= 1.02
+    ladder = drive_ladder(TWO_PI * 0.1e9, 1.02, engine.alpha_for_xi3, 0.9)
+    res = ramp(engine, *ladder, threshold_db=17.0, ripple_max_db=5.0, stop_db=40.0)
+    best = None if res.report is None else (res.report, res.drive)
     return engine, best
 
 

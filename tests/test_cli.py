@@ -242,6 +242,20 @@ def test_map_command_small_grid(tmp_path):
     assert len(lines) == 1 + 3  # inclusive pump grid x one bias
 
 
+@pytest.mark.parametrize("start, stop, step", [("0.57mA", "0.6mA", "0mA"),
+                                               ("0.57mA", "0.6mA", "-0.01mA"),
+                                               ("0.6mA", "0.57mA", "0.01mA")])
+def test_map_rejects_bad_bias_grid(start, stop, step, capsys):
+    rc = main(["map", "--preset", "paper-device",
+               "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
+               "--set", f"idc_start={start}", "--set", f"idc_stop={stop}",
+               "--set", f"idc_step={step}"])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "stop >= start and step > 0" in err
+
+
 def test_search_command_single_point(tmp_path):
     out = tmp_path / "search.csv"
     cfg = tmp_path / "search.cfg"

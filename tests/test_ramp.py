@@ -1,0 +1,194 @@
+"""Exact identities of the pumped network and of the analytically screened ramp.
+
+S11 is a bilinear (Möbius) function of the modulation strength α, so the
+ramp can skip, unevaluated, every step whose gain stays below threshold.
+These properties check the coefficient form against the step-by-step
+network composition and the screened ramp against evaluating every step.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kipa.circuits import IDEAL_ENV, environment_impedance, idler_admittance, port_line_abcd
+from kipa.presets import NBTIN_NANOWIRE, paper_device, paper_env
+from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
+from kipa.search import _design_for, default_ranges, search_designs, SearchRanges
+from kipa.simulator import (
+    GainProfile,
+    PumpRampPolicy,
+    RampResult,
+    ReflectionEngine,
+    _candidate_steps,
+    _quadratic_nonnegative,
+    bandwidth_report,
+    drive_ladder,
+    policy_ladder,
+    ramp,
+)
+
+TWO_PI = 2 * math.pi
+ENVS = {"ideal": IDEAL_ENV, "rippled": paper_env()}
+
+
+def _axis(lo, hi, step):
+    return [lo + k * step for k in range(int(round((hi - lo) / step)) + 1)]
+
+
+@st.composite
+def search_cells(draw):
+    """A (design, z14, z12, z_nr, fp2) cell of the desk search grids."""
+    kind = draw(st.sampled_from(["three-stage", "conventional"]))
+    ranges = default_ranges(kind)
+    z14 = draw(st.sampled_from(_axis(*ranges.z_quarter_range)))
+    z12 = draw(st.sampled_from(_axis(*ranges.z_half_range)))
+    z_nr = draw(st.sampled_from(_axis(*ranges.z_nr_range)))
+    wp2 = draw(st.sampled_from(_axis(*ranges.omega_p_half_range)))
+    return ranges, _design_for(ranges, z14, z12, z_nr), z14, z12, z_nr, wp2
+
+
+def _composed_s11(design, env, ws, omega_p, i_dc, alpha):
+    """S11 built link by link: pump reduction, port lines, reflection."""
+    ind = ModulatedInductor.from_alpha(design.inductance_at_bias(i_dc), alpha)
+    y_idler = idler_admittance(design, env, omega_p - ws)
+    y_eff = np.array([effective_admittance(ind, SignalIdlerPair.from_pump(w, omega_p), y)
+                      for w, y in zip(ws, y_idler)])
+    y_node = 1j * ws * design.c_shunt + y_eff
+    a, b, c, d = port_line_abcd(design, ws)
+    z_in = (a + b * y_node) / (c + d * y_node)
+    z_env = environment_impedance(env, ws)
+    return (z_in - z_env) / (z_in + z_env)
+
+
+def _exhaustive_ramp(engine, drives, alphas, threshold_db, ripple_max_db, stop_db):
+    """The ramp evaluating every ladder step in turn."""
+    best, best_drive = None, 0.0
+    for drive, alpha in zip(drives, alphas):
+        gdb = engine.gain_db(float(alpha))
+        if not np.isfinite(gdb).all() or gdb.max() > stop_db:
+            break
+        if gdb.max() >= threshold_db:
+            rep = bandwidth_report(GainProfile(engine.ws, None, gdb, engine.omega_p),
+                                   threshold_db, ripple_max_db, require_two_peaks=True)
+            if rep.qualified and rep.bandwidth > (best.bandwidth if best else 0.0):
+                best, best_drive = rep, float(drive)
+    return RampResult(best, best_drive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)),
+       alpha=st.floats(0.0, 0.9, exclude_max=True))
+def test_s11_matches_composition_and_mobius_form(cell, env, alpha):
+    _, design, _, _, _, wp2 = cell
+    ws = wp2 + TWO_PI * np.arange(-1.2e9, 1.2e9, 20e6)
+    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    ref = _composed_s11(design, ENVS[env], ws, 2 * wp2, 0.0, alpha)
+    np.testing.assert_allclose(engine.s11(alpha), ref, rtol=1e-9)
+    m = engine.mobius
+    np.testing.assert_allclose((m.p + m.q * alpha) / (m.r + m.s * alpha), ref, rtol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=search_cells(), offset=st.floats(-1.3e9, 1.3e9))
+def test_pump_off_unitarity_ideal_environment(cell, offset):
+    _, design, _, _, _, wp2 = cell
+    ws = wp2 + TWO_PI * (offset + np.arange(-0.5e9, 0.5e9, 10e6))
+    engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+    np.testing.assert_allclose(np.abs(engine.s11(0.0)), 1.0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(np.abs(engine.mobius.p / engine.mobius.r), 1.0,
+                               rtol=0, atol=1e-9)
+
+
+coefficient = st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a2=coefficient.filter(lambda v: v != 0), a1=coefficient, a0=coefficient,
+       alpha=st.floats(-1e3, 1e3))
+def test_quadratic_intervals_hold_every_nonnegative_point(a2, a1, a0, alpha):
+    lo, hi = _quadratic_nonnegative(np.array([a2]), np.array([a1]), np.array([a0]))
+    inside = bool(np.any((lo[:, 0] <= alpha) & (alpha <= hi[:, 0])))
+    value = (a2 * alpha + a1) * alpha + a0
+    scale = abs(a2) * alpha * alpha + abs(a1 * alpha) + abs(a0)
+    if value > 1e-9 * scale:
+        assert inside
+    elif value < -1e-9 * scale:
+        assert not inside
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), db=st.floats(3.0, 45.0))
+def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
+    _, design, _, _, _, wp2 = cell
+    ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    _, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    peaks = np.array([engine.gain_db(float(a)).max() for a in alphas])  # inf at poles
+    kept = _candidate_steps(engine, alphas, db)
+    assert set(np.flatnonzero(peaks >= db)) <= set(kept)
+    assert np.all(peaks[kept] >= db - 1e-4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=search_cells())
+def test_screened_search_ramp_matches_exhaustive(cell):
+    ranges, design, z14, z12, z_nr, wp2 = cell
+    ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+    ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
+    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == full
+    # the search records exactly that best profile
+    point = SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (z_nr, z_nr, 1.0),
+                         (wp2, wp2, 1.0), ranges.z_ki, ranges.omega0, ranges.circuit_kind)
+    recs = list(search_designs(point))
+    if full.report is None:
+        assert recs == []
+    else:
+        assert [(r.max_bandwidth, r.optimal_xi3) for r in recs] == [
+            (full.report.bandwidth, full.drive)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(mode=st.sampled_from(["current", "xi3"]), env=st.sampled_from(sorted(ENVS)),
+       fp_hz=st.floats(16.7e9, 17.1e9), idc=st.floats(0.45e-3, 0.65e-3),
+       step_db=st.sampled_from([0.1, 0.25]))
+def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
+    # without a critical current the current ramp reaches the gain regime
+    design = dataclasses.replace(paper_device(),
+                                 ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=None))
+    wp = TWO_PI * fp_hz
+    ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, ENVS[env], ws, wp, idc)
+    ladder = policy_ladder(engine, design, PumpRampPolicy(mode=mode, step_db=step_db))
+    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == _exhaustive_ramp(
+        engine, *ladder, 17.0, 5.0, 40.0)
+
+
+@pytest.mark.parametrize("mode", ["current", "xi3"])
+def test_policy_ladder_repeats_the_multiplied_drive(mode):
+    design = paper_device()
+    engine = ReflectionEngine(design, IDEAL_ENV, TWO_PI * np.arange(8.0e9, 8.9e9, 10e6),
+                              TWO_PI * 16.9e9, 0.57e-3)
+    policy = PumpRampPolicy(mode=mode)
+    drives, alphas = policy_ladder(engine, design, policy)
+    # the loop the ladder replaces
+    ratio = 10.0 ** (policy.step_db / 20.0)
+    drive = policy.start_current if mode == "current" else policy.start_xi3
+    expected = []
+    while True:
+        if mode == "current":
+            if 0.57e-3 + drive >= design.ki_model.i_c:
+                break
+            alpha = (9.0 / 16.0) * (0.57e-3 * drive / (design.ki_model.i_star2**2
+                                                        + 0.57e-3**2)) ** 2
+        else:
+            alpha = engine.alpha_for_xi3(drive)
+        if alpha >= policy.alpha_max:
+            break
+        expected.append((drive, alpha))
+        drive *= ratio
+    assert drives.tolist() == [d for d, _ in expected]
+    np.testing.assert_allclose(alphas, [a for _, a in expected], rtol=1e-15, atol=0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kipa.circuits import IDEAL_ENV, three_stage_design
 from kipa.errors import InsufficientData, InvalidParameter
@@ -17,6 +18,7 @@ from kipa.simulator import (
     PumpDrive,
     PumpRampPolicy,
     ReflectionEngine,
+    _spans_above,
     bandwidth_report,
     gain_spectrum,
     pump_bias_map,
@@ -127,6 +129,40 @@ def test_bandwidth_report_ripple_rejection():
     rep = bandwidth_report(prof, ripple_max_db=5.0)
     assert not rep.qualified
     assert rep.rejection_reason == "ripple above limit"
+
+
+def _spans_above_loop(freqs, gain, threshold):
+    """Point-by-point span scan, the reference for ``_spans_above``."""
+    finite = np.isfinite(gain)
+    above = finite & (gain >= threshold)
+    spans = []
+    n = len(freqs)
+    i = 0
+    while i < n:
+        if not above[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and above[j + 1]:
+            j += 1
+        lo = freqs[i]
+        if i > 0 and finite[i - 1] and gain[i - 1] < threshold:
+            lo = np.interp(threshold, [gain[i - 1], gain[i]], [freqs[i - 1], freqs[i]])
+        hi = freqs[j]
+        if j + 1 < n and finite[j + 1] and gain[j + 1] < threshold:
+            hi = np.interp(threshold, [gain[j + 1], gain[j]], [freqs[j + 1], freqs[j]])
+        spans.append((lo, hi, i, j))
+        i = j + 1
+    return spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 10.0, 16.9, 17.0, 17.1, 25.0, np.inf]) | st.floats(0, 30),
+                min_size=1, max_size=40))
+def test_spans_above_matches_point_scan(values):
+    gain = np.array(values)
+    freqs = TWO_PI * (8e9 + 1e6 * np.arange(gain.size))
+    assert _spans_above(freqs, gain, 17.0) == _spans_above_loop(freqs, gain, 17.0)
 
 
 def test_oscillation_points_excluded():
