@@ -201,11 +201,8 @@ def _write_out(payload: str, path: Optional[str]):
     if path is None or path == "-":
         sys.stdout.write(payload)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload)
 
 
 # ---------------------------------------------------------------- design/env assembly
@@ -417,15 +414,10 @@ def _cmd_fit_ki(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> in
 
 def _cmd_fit_qubit(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
     _require(cfg, "input", "fq")
-    rows = []
-    text = _read_text(cfg["input"])
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].strip()
-    if header != "detuning_hz,p_vna_dbm,re_s21,im_s21":
-        raise InvalidParameter(f"expected header 'detuning_hz,p_vna_dbm,re_s21,im_s21', got {header!r}")
-    for ln in lines[1:]:
-        d, p, re_, im_ = (float(x) for x in ln.split(","))
-        rows.append((TWO_PI * d, 10.0 ** ((p - 30.0) / 10.0), re_ + 1j * im_))
+    table = material.parse_csv(_read_text(cfg["input"]),
+                               ("detuning_hz", "p_vna_dbm", "re_s21", "im_s21"))
+    rows = [(TWO_PI * d, 10.0 ** ((p - 30.0) / 10.0), re_ + 1j * im_)
+            for d, p, re_, im_ in table]
     res = noise_mod.fit_qubit_saturation(rows, omega_q=TWO_PI * cfg["fq"],
                                          p_ref=cfg.get("p_ref", 1e-11))
     rec = {
@@ -441,17 +433,14 @@ def _cmd_fit_qubit(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) ->
 
 def _cmd_noise(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
     _require(cfg, "input", "gs", "gsys_eff")
-    text = _read_text(cfg["input"])
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0].strip() != "freq_hz,p_on_dbm,p_off_dbm":
-        raise InvalidParameter(f"expected header 'freq_hz,p_on_dbm,p_off_dbm', got {lines[0]!r}")
+    table = material.parse_csv(_read_text(cfg["input"]),
+                               ("freq_hz", "p_on_dbm", "p_off_dbm"))
     g_s = cfg["gs"]
     g_sys_eff = cfg["gsys_eff"]
     bm = cfg.get("bm", 10.0)
     n1 = cfg.get("n1", 0.5)
     records = []
-    for ln in lines[1:]:
-        f_hz, p_on_dbm, p_off_dbm = (float(x) for x in ln.split(","))
+    for f_hz, p_on_dbm, p_off_dbm in table:
         omega = TWO_PI * f_hz
         n4 = noise_mod.power_to_quanta(10 ** ((p_on_dbm - 30) / 10), omega, bm)
         n4_off = noise_mod.power_to_quanta(10 ** ((p_off_dbm - 30) / 10), omega, bm)
@@ -505,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "structured"], default="csv")
         p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("KIPA_THREADS", "1")))
+                       help="worker threads (default: $KIPA_THREADS, else 1)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key")
         # common shorthand overrides
@@ -538,20 +527,28 @@ def _gather_config(args, schema) -> dict:
     return cfg
 
 
+def _env_threads() -> int:
+    text = os.environ.get("KIPA_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameter(f"KIPA_THREADS must be an integer, got {text!r}") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     schema = _SCHEMAS[args.command]
     try:
         cfg = _gather_config(args, schema)
-        return _HANDLERS[args.command](cfg, args.format, args.out,
-                                       max(args.threads, 1))
+        threads = args.threads if args.threads is not None else _env_threads()
+        return _HANDLERS[args.command](cfg, args.format, args.out, max(threads, 1))
     except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, RuntimeError) as exc:
+    except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -10,17 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.optimize import least_squares, minimize_scalar
 
 from .errors import (
     FitFailure,
     InvalidParameter,
     SuperconductivityBreakdown,
 )
+
+# Exact SI values (CODATA 2018).  scipy.constants gives the same floats,
+# but importing it costs a CLI process more than all of its own work.
+HBAR = 6.62607015e-34 / (2 * math.pi)   # J s
+K_B = 1.380649e-23                      # J/K
 
 MODEL_KINDS = ("parabolic", "quartic", "clem")
 
@@ -138,7 +141,7 @@ def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,
     alpha = (9.0 / 16.0) * ratio**2
     xi3 = -1.5 * ratio * omega0 * np.exp(-1j * op.phi_p)
     quart = (8.0 * op.i_dc**2 - istar2**2) / denom**2
-    kerr = 0.75 * quart * hbar * omega0**2 / l_i
+    kerr = 0.75 * quart * HBAR * omega0**2 / l_i
     pump_shift = 1.5 * quart * omega0 * op.i_p_mag**2
     return PumpCoefficients(complex(delta_l), float(alpha), complex(xi3),
                             float(kerr), float(pump_shift), float(l_i))
@@ -163,6 +166,7 @@ def xi3_upper_bound(i_c: float, omega0: float) -> dict:
         raise InvalidParameter("i_c must be > 0")
     if not omega0 > 0:
         raise InvalidParameter("omega0 must be > 0")
+    from scipy.optimize import minimize_scalar
 
     def ratio(x):  # x = |I_p|/I_c
         return 1.5 * (1.0 - x) * x / (5.7 + (1.0 - x) ** 2)
@@ -213,44 +217,36 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
     l_k0, l_geo : fixed inductance split; only the kinetic participation
         ratio l_k0/(l_k0+l_geo) affects the fit
 
-    Returns (model, rms_residual).  Damped least squares with analytic
-    Jacobians; a parabolic fit of flat data returns an infinite i_star2.
+    Returns (model, rms_residual).  The parabolic and quartic laws are
+    linear in their inverse scales and are solved exactly by linear least
+    squares; the clem law runs damped least squares with an analytic
+    Jacobian.  A fit of flat data returns an infinite i_star2.
     """
     pts = np.asarray(list(data), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
         raise InvalidParameter("need at least 4 (i_dc, dfrac) data points")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidParameter("shift data must be finite")
     if model_kind not in MODEL_KINDS:
         raise InvalidParameter(f"unknown model kind {model_kind!r}")
     i, y = pts[:, 0], pts[:, 1]
     part = l_k0 / (l_k0 + l_geo)  # kinetic participation of the resonator inductance
 
     if model_kind in ("parabolic", "quartic"):
-        # dfrac = -(part/2)(u2 I^2 + u4^2 I^4): linear in (u2, w4), u2 = 1/I*2^2
-        def resid(p):
-            u2 = p[0]
-            w4 = p[1] if model_kind == "quartic" else 0.0
-            return -0.5 * part * (u2 * i**2 + w4 * i**4) - y
-
-        def jac(p):
-            cols = [-0.5 * part * i**2]
-            if model_kind == "quartic":
-                cols.append(-0.5 * part * i**4)
-            return np.stack(cols, axis=1)
-
-        n_par = 2 if model_kind == "quartic" else 1
-        x0 = np.zeros(n_par)
-        res = least_squares(resid, x0, jac=jac, method="lm",
-                            xtol=tol, ftol=tol, gtol=tol, max_nfev=max_iter)
-        u2 = res.x[0]
+        # dfrac = -(part/2)(u2 I^2 + w4 I^4): linear in (u2, w4), u2 = 1/I*2^2
+        powers = (2, 4) if model_kind == "quartic" else (2,)
+        design = np.stack([-0.5 * part * i**k for k in powers], axis=1)
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        u2 = coef[0]
         istar2 = math.inf if abs(u2) < _SENTINEL_ZERO else 1.0 / math.sqrt(abs(u2))
         kwargs = dict(model_kind=model_kind, l_k0=l_k0, l_geo=l_geo, i_star2=istar2)
         if model_kind == "quartic":
-            w4 = res.x[1]
+            w4 = coef[1]
             kwargs["i_star4"] = math.inf if abs(w4) < _SENTINEL_ZERO else abs(w4) ** -0.25
             if not kwargs["i_star4"] > 0:
                 raise FitFailure("degenerate quartic scale", {"w4": w4})
         model = KineticInductorModel(**kwargs)
-        rms = float(np.sqrt(np.mean(res.fun**2)))
+        rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
         return model, rms
 
     # clem: dfrac = -(part/2)([1-(I v)^n]^(-1/n) - 1), fit v = 1/I**
@@ -280,6 +276,7 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
         dx_dv = n * (np.abs(i)) ** n * v ** (n - 1.0)
         return (-0.5 * part * (1.0 / n) * g * dx_dv).reshape(-1, 1)
 
+    from scipy.optimize import least_squares
     res = least_squares(resid, np.array([v0]), jac=jac, method="lm",
                         xtol=tol, ftol=tol, gtol=tol, max_nfev=max_iter)
     if not res.success:
@@ -293,18 +290,38 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
     return model, rms
 
 
-def parse_shift_csv(text: str) -> list:
-    """Parse two-column shift data with header ``i_dc_A,dfrac``."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def parse_csv(text: str, header: Sequence[str]) -> List[Tuple[float, ...]]:
+    """Rows of a numeric CSV table whose first non-blank line is ``header``.
+
+    Blank lines are skipped.  An empty table, a wrong header, a row with the
+    wrong column count and a cell that is not a finite number each raise
+    InvalidParameter naming the line.
+    """
+    want = ",".join(header)
+    lines = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1) if ln]
     if not lines:
-        raise InvalidParameter("empty shift data")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header != ["i_dc_A", "dfrac"]:
-        raise InvalidParameter(f"expected header 'i_dc_A,dfrac', got {lines[0]!r}")
-    out = []
-    for ln in lines[1:]:
-        cols = ln.split(",")
-        if len(cols) != 2:
-            raise InvalidParameter(f"expected two columns, got {ln!r}")
-        out.append((float(cols[0]), float(cols[1])))
-    return out
+        raise InvalidParameter(f"empty input: expected header {want!r}")
+    lineno, line = lines[0]
+    if [c.strip() for c in line.split(",")] != list(header):
+        raise InvalidParameter(f"line {lineno}: expected header {want!r}, got {line!r}")
+    if len(lines) == 1:
+        raise InvalidParameter(f"no data rows after header {want!r}")
+    rows: List[Tuple[float, ...]] = []
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise InvalidParameter(
+                f"line {lineno}: expected {len(header)} columns ({want}), got {len(cells)}")
+        try:
+            values = tuple(map(float, cells))
+        except ValueError:
+            raise InvalidParameter(f"line {lineno}: non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise InvalidParameter(f"line {lineno}: non-finite value in {line!r}")
+        rows.append(values)
+    return rows
+
+
+def parse_shift_csv(text: str) -> List[Tuple[float, float]]:
+    """Parse two-column shift data with header ``i_dc_A,dfrac``."""
+    return parse_csv(text, ("i_dc_A", "dfrac"))

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
-from scipy.optimize import least_squares
 
 from .errors import FitFailure, InvalidParameter
+from .material import HBAR, K_B
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise InvalidParameter("need omega > 0 and temperature >= 0")
     if temperature == 0:
         return 0.0
-    x = hbar * omega / (k_B * temperature)
+    x = HBAR * omega / (K_B * temperature)
     if x > 700:
         return 0.0
     return 1.0 / math.expm1(x)
@@ -121,14 +120,14 @@ def system_noise_temperature(n4_off: float, omega: float, g_sys_eff: float) -> f
     """T_sys = n4_off·ħω / (k_B·g_sys_eff), kelvin."""
     if not (n4_off > 0 and omega > 0 and g_sys_eff > 0):
         raise InvalidParameter("inputs must be > 0")
-    return n4_off * hbar * omega / (k_B * g_sys_eff)
+    return n4_off * HBAR * omega / (K_B * g_sys_eff)
 
 
 def power_to_quanta(power: float, omega: float, bandwidth_hz: float = 10.0) -> float:
     """Measured power (W) in an IF bandwidth (Hz) to photon quanta."""
     if not (omega > 0 and bandwidth_hz > 0):
         raise InvalidParameter("omega and bandwidth must be > 0")
-    return power / (hbar * omega * bandwidth_hz)
+    return power / (HBAR * omega * bandwidth_hz)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def drive_strength(gamma_1e: float, p_drive: float, omega_q: float) -> float:
     """Rabi drive Ω = sqrt(2·γ1e·P_d/(ħω_q)) for power P_d at the qubit."""
     if gamma_1e < 0 or p_drive < 0 or not omega_q > 0:
         raise InvalidParameter("rates/powers must be >= 0 and omega_q > 0")
-    return math.sqrt(2.0 * gamma_1e * p_drive / (hbar * omega_q))
+    return math.sqrt(2.0 * gamma_1e * p_drive / (HBAR * omega_q))
 
 
 def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
@@ -243,13 +242,14 @@ def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
     g2_guess = max((det[low].max() - det[low].min()) / 4.0, 1e3)
     g1_guess = max(2.0 * g2_guess * min(depth, 0.999), 1e3)
     x0 = np.log([g1_guess, max(g1_guess * 1e-3, 1.0), g2_guess * 0.3])
+    from scipy.optimize import least_squares
     res = least_squares(resid, x0, jac=jac, method="lm",
                         xtol=tol, ftol=tol, gtol=tol, max_nfev=max_iter * 4)
     if not res.success:
         raise FitFailure("qubit saturation fit did not converge",
                          {"status": res.status, "message": res.message})
     g1, gphi, om_ref = np.exp(res.x)
-    p_d = hbar * omega_q * om_ref**2 / (2.0 * g1)
+    p_d = HBAR * omega_q * om_ref**2 / (2.0 * g1)
     rms = float(np.sqrt(np.mean(res.fun**2)))
     return {
         "gamma_1": float(g1),

@@ -3,7 +3,7 @@
 "paper-device" is the fabricated three-stage amplifier (56-ohm resonator
 with a 330-fF shunt, 80/30/180-ohm lines); "paper-env" the rippled source
 impedance fitted to its measurement setup; "worked-synthesis" the textbook
-synthesis inputs; the search defaults are desk-scale sweep ranges.
+synthesis inputs.
 """
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ import math
 
 from .circuits import DesignSpec, EnvironmentModel, three_stage_design
 from .errors import InvalidParameter
-from .material import KineticInductorModel, PumpOperatingPoint
-from .search import SearchRanges, default_ranges
+from .material import KineticInductorModel
 from .synthesis import GETSINGER_17DB, PrototypeCoefficients
 
 TWO_PI = 2.0 * math.pi
@@ -24,16 +23,6 @@ NBTIN_NANOWIRE = KineticInductorModel(
     l_geo=0.2e-9,
     i_star2=3.25e-3,
     i_star4=1.7e-3,
-    i_c=1.15e-3,
-)
-
-# same film described by the single-parameter full expression
-NBTIN_NANOWIRE_CLEM = KineticInductorModel(
-    model_kind="clem",
-    l_k0=0.8e-9,
-    l_geo=0.2e-9,
-    i_star2=3.25e-3,
-    i_star_star=1.65e-3,
     i_c=1.15e-3,
 )
 
@@ -60,11 +49,6 @@ PAPER_DEVICE_BIAS = 0.57e-3           # A
 PAPER_DEVICE_PUMP = TWO_PI * 16.9e9   # rad/s
 
 
-def paper_device_operating_point(i_p_mag: float = 0.0) -> PumpOperatingPoint:
-    return PumpOperatingPoint(i_dc=PAPER_DEVICE_BIAS, i_p_mag=i_p_mag,
-                              omega_p=PAPER_DEVICE_PUMP)
-
-
 def paper_env() -> EnvironmentModel:
     """Two-tone ripple fitted to the measured reflection baseline."""
     return EnvironmentModel(
@@ -84,10 +68,6 @@ def worked_synthesis() -> dict:
         "z_ki": 180.0,
         "z0": 50.0,
     }
-
-
-def search_ranges(kind: str = "three-stage") -> SearchRanges:
-    return default_ranges(kind)
 
 
 _DESIGN_PRESETS = {

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .circuits import (
     DesignSpec,
@@ -253,6 +252,10 @@ def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
     f, g = profile.freqs, profile.gain_db
     if f.size == 0:
         raise InvalidParameter("empty gain profile")
+    # scipy.signal is imported here, not at module load: it is most of the
+    # start-up time of a CLI command that never reports a bandwidth
+    from scipy.signal import find_peaks
+
     n_osc = int(np.sum(~np.isfinite(g)))
     finite_g = np.where(np.isfinite(g), g, -np.inf)
     idx, _ = find_peaks(finite_g, prominence=PEAK_PROMINENCE_DB)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kipa import cli
 from kipa.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -139,6 +140,70 @@ def test_synth_numerical_exit_code(tmp_path):
 
 def test_missing_input_io_exit_code(tmp_path):
     assert main(["fit-ki", "--input", str(tmp_path / "nope.csv")]) == EXIT_IO
+
+
+def test_unwritable_output_io_exit_code(tmp_path, capsys):
+    rc = main(["synth", "--set", "epsilon=0.0625", "--set", "z_nr=60ohm",
+               "--set", "z_ki=180ohm", "--out", str(tmp_path)])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o failure:")
+
+
+def test_runtime_error_is_numerical_exit_code(monkeypatch, capsys):
+    def diverged(*args):
+        raise RuntimeError("solver diverged")
+
+    monkeypatch.setitem(cli._HANDLERS, "synth", diverged)
+    assert main(["synth"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: solver diverged\n"
+
+
+def test_non_integer_kipa_threads_is_validation_error(monkeypatch, capsys):
+    monkeypatch.setenv("KIPA_THREADS", "two")
+    rc = main(["synth", "--set", "epsilon=0.0625", "--set", "z_nr=60ohm",
+               "--set", "z_ki=180ohm"])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "KIPA_THREADS" in err
+
+
+# (argv, header, one valid row) of each command that reads a CSV input
+_CSV_COMMANDS = {
+    "fit-ki": ([], "i_dc_A,dfrac", "0.0001,-1e-06"),
+    "fit-qubit": (["--set", "fq=8.4GHz"], "detuning_hz,p_vna_dbm,re_s21,im_s21",
+                  "0,-90,0.5,0"),
+    "noise": (["--set", "gs=20dB", "--set", "gsys_eff=75dB"],
+              "freq_hz,p_on_dbm,p_off_dbm", "8.4e9,-62,-75"),
+}
+
+
+def _faulty_csv(header, row, fault):
+    if fault == "empty":
+        return ""
+    if fault == "header-only":
+        return header + "\n"
+    if fault == "short-row":
+        return f"{header}\n{row}\n{row.rsplit(',', 1)[0]}\n"
+    cells = row.split(",")
+    cells[-1] = "abc" if fault == "non-numeric" else "nan"
+    return f"{header}\n{row}\n{','.join(cells)}\n"
+
+
+@pytest.mark.parametrize("fault", ["empty", "header-only", "short-row", "non-numeric",
+                                   "non-finite"])
+@pytest.mark.parametrize("command", sorted(_CSV_COMMANDS))
+def test_malformed_csv_is_one_line_validation_error(command, fault, tmp_path, capsys):
+    extra, header, row = _CSV_COMMANDS[command]
+    data = tmp_path / "input.csv"
+    data.write_text(_faulty_csv(header, row, fault))
+    rc = main([command, "--input", str(data), *extra])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if fault not in ("empty", "header-only"):
+        assert "line 3" in err
 
 
 def test_simulate_command_with_preset_and_overrides(tmp_path):
