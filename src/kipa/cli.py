@@ -71,6 +71,8 @@ def parse_quantity(text: str) -> _Qty:
     if not m:
         raise InvalidParameter(f"cannot parse quantity {text!r}")
     value = float(m.group(1))
+    if not math.isfinite(value):
+        raise InvalidParameter(f"quantity {text!r} is not finite")
     unit = m.group(2)
     if not unit:
         return value, "none"
@@ -160,6 +162,8 @@ def _coerce(value: str, want: str):
 
 def format_number(x) -> str:
     """Serialize a value: numbers carry 12 significant digits."""
+    if isinstance(x, float):  # includes np.float64; "%.12g" spells inf, -inf, nan
+        return "%.12g" % x
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
@@ -189,7 +193,7 @@ def emit_results(records: Sequence[dict], columns: Sequence[str],
     if fmt == "csv":
         lines = [",".join(columns)]
         for rec in records:
-            lines.append(",".join(format_number(rec[c]) for c in columns))
+            lines.append(",".join([format_number(rec[c]) for c in columns]))
         return "\n".join(lines) + "\n"
     if fmt == "structured":
         rows = [{c: _json_value(rec[c]) for c in columns} for rec in records]
@@ -333,12 +337,20 @@ def _cmd_simulate(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> 
     start, stop, step = cfg.get("span", (7.9e9, 8.9e9, 1e6))
     freqs = TWO_PI * _hz_grid(start, stop, step)
     profile = simulator.gain_spectrum(design, pump, env, freqs)
-    records = [
-        {"freq_hz": f / TWO_PI, "re_s11": s.real, "im_s11": s.imag, "gain_db": g}
-        for f, s, g in zip(profile.freqs, profile.s11, profile.gain_db)
-    ]
-    _write_out(emit_results(records, ["freq_hz", "re_s11", "im_s11", "gain_db"], fmt), out)
+    _write_out(emit_results(_spectrum_records(profile), _SPECTRUM_COLUMNS, fmt), out)
     return EXIT_OK
+
+
+_SPECTRUM_COLUMNS = ["freq_hz", "re_s11", "im_s11", "gain_db"]
+
+
+def _spectrum_records(profile: simulator.GainProfile) -> list:
+    """One record per point, as Python floats: those take ``format_number``'s fast path."""
+    return [
+        {"freq_hz": f, "re_s11": re_, "im_s11": im_, "gain_db": g}
+        for f, re_, im_, g in zip((profile.freqs / TWO_PI).tolist(), profile.s11.real.tolist(),
+                                  profile.s11.imag.tolist(), profile.gain_db.tolist())
+    ]
 
 
 def _cmd_map(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
@@ -351,6 +363,8 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
     idcs = _hz_grid(idc_lo, idc_hi, idc_step, inclusive=True)
     policy = PumpRampPolicy(mode=cfg.get("policy", "current"))
     step = cfg.get("freq_step", 2e6)
+    if not step > 0:
+        raise InvalidParameter(f"freq_step must be positive, got {step:g}")
     cells = simulator.pump_bias_map(design, env, fps, idcs, policy,
                                     freq_step=TWO_PI * step, threads=threads)
     records = [
@@ -392,7 +406,11 @@ def _cmd_search(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> in
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParameter(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
+                                   f"at offset {exc.start})") from None
 
 
 def _cmd_fit_ki(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
@@ -481,28 +499,36 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors as one ``error:`` line and exit code 1."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key = value parameter file")
+    common.add_argument("--preset", help="named design preset")
+    common.add_argument("--out", help="output path (default stdout)")
+    common.add_argument("--format", choices=["csv", "structured"], default="csv")
+    common.add_argument("--threads", type=int,
+                        help="worker threads (default: $KIPA_THREADS, else 1)")
+    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config key")
+    # common shorthand overrides
+    common.add_argument("--idc", help="dc bias, e.g. 0.57mA")
+    common.add_argument("--fp", help="pump frequency, e.g. 16.9GHz")
+    common.add_argument("--xi3", help="amplification strength as a frequency, e.g. 1.3GHz")
+    common.add_argument("--span", help="frequency span start:stop:step")
+    common.add_argument("--input", help="input data file (fit/noise commands)")
+    parser = _Parser(
         prog="kipa",
         description="Kinetic-inductance parametric amplifier design toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key = value parameter file")
-        p.add_argument("--preset", help="named design preset")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "structured"], default="csv")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: $KIPA_THREADS, else 1)")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key")
-        # common shorthand overrides
-        p.add_argument("--idc", help="dc bias, e.g. 0.57mA")
-        p.add_argument("--fp", help="pump frequency, e.g. 16.9GHz")
-        p.add_argument("--xi3", help="amplification strength as a frequency, e.g. 1.3GHz")
-        p.add_argument("--span", help="frequency span start:stop:step")
-        p.add_argument("--input", help="input data file (fit/noise commands)")
+        sub.add_parser(name, parents=[common])
     return parser
 
 
@@ -535,8 +561,15 @@ def _env_threads() -> int:
         raise InvalidParameter(f"KIPA_THREADS must be an integer, got {text!r}") from None
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; the parser is built on the first call and reused."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     schema = _SCHEMAS[args.command]
     try:
         cfg = _gather_config(args, schema)
@@ -545,7 +578,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericalError, RuntimeError) as exc:
+    except (NumericalError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

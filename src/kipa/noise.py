@@ -195,6 +195,8 @@ def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
         raise InvalidParameter("need >= 2 powers and >= 5 detunings")
     if np.any(pw <= 0):
         raise InvalidParameter("powers must be > 0")
+    if not (omega_q > 0 and p_ref > 0):
+        raise InvalidParameter("omega_q and p_ref must be > 0")
     contrast = np.max(np.abs(1.0 - s21))
     if contrast < 1e-9:
         raise FitFailure("no dip contrast: saturation parameters unidentifiable",
@@ -250,6 +252,9 @@ def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
                          {"status": res.status, "message": res.message})
     g1, gphi, om_ref = np.exp(res.x)
     p_d = HBAR * omega_q * om_ref**2 / (2.0 * g1)
+    if not 0.0 < p_d < np.inf:
+        raise FitFailure("fitted drive power is zero or not finite",
+                         {"gamma_1": float(g1), "drive_ref": float(om_ref)})
     rms = float(np.sqrt(np.mean(res.fun**2)))
     return {
         "gamma_1": float(g1),

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,3 +337,97 @@ def test_search_command_single_point(tmp_path):
     assert len(lines) == 2
     row = dict(zip(lines[0].split(","), (float(x) for x in lines[1].split(","))))
     assert row["eta"] == pytest.approx(row["bandwidth_hz"] / row["xi3_hz"], rel=1e-9)
+
+
+# ---------------------------------------------------------------- the parser
+
+_HELP = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(_HELP))
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    # snapshot of every --help page, written by argparse at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    for _ in range(2):  # once more on the reused parser
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == _HELP[command]
+
+
+def test_reused_parser_keeps_no_state_between_calls(monkeypatch):
+    seen = []
+
+    def record(cfg, fmt, out, threads):
+        seen.append((cfg, fmt, out, threads))
+        return EXIT_OK
+
+    monkeypatch.setitem(cli._HANDLERS, "synth", record)
+    monkeypatch.delenv("KIPA_THREADS", raising=False)
+    assert main(["synth", "--set", "epsilon=0.25", "--set", "z_nr=60ohm",
+                 "--threads", "3", "--format", "structured", "--out", "a.json"]) == EXIT_OK
+    assert main(["synth", "--set", "z_ki=180ohm"]) == EXIT_OK
+    assert seen == [({"epsilon": 0.25, "z_nr": 60.0}, "structured", "a.json", 3),
+                    ({"z_ki": 180.0}, "csv", None, 1)]
+    assert cli._PARSER is not None
+    assert cli._PARSER.parse_args(["synth"]).set == []
+
+
+@pytest.mark.parametrize("argv", [["synth", "--threads", "two"], ["synth", "--bogus"],
+                                  [], ["transmogrify"], ["simulate", "--format", "xml"],
+                                  ["noise", "--input"]])
+def test_usage_error_is_one_line_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: kipa")
+
+
+@pytest.mark.parametrize("option", ["--input", "--config"])
+def test_non_utf8_file_is_validation_error(option, tmp_path, capsys):
+    data = tmp_path / "shift.csv"
+    data.write_bytes(b"i_dc_A,dfrac\n0.0001,-1e-06\xff\n")
+    assert main(["fit-ki", option, str(data)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: not UTF-8 text (byte 0xff at offset 26)\n"
+
+
+def test_non_finite_quantity_is_validation_error(capsys):
+    rc = main(["simulate", "--preset", "paper-device", "--fp", "16.9GHz",
+               "--span", "1:1e999:1"])
+    assert rc == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: quantity '1e999' is not finite\n"
+
+
+def test_arithmetic_overflow_is_numerical_failure(capsys):
+    rc = main(["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--idc", "1e96A",
+               "--span", "8.3GHz:8.4GHz:50MHz"])
+    assert rc == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("fq", ["0Hz", "-8.4GHz"])
+def test_fit_qubit_rejects_non_positive_frequency(fq, tmp_path, capsys):
+    data = tmp_path / "qubit.csv"
+    data.write_text("detuning_hz,p_vna_dbm,re_s21,im_s21\n" + "".join(
+        f"{d},{p},0.5,0\n" for p in (-90, -80) for d in (-2e6, -1e6, 0, 1e6, 2e6)))
+    assert main(["fit-qubit", "--input", str(data), "--set", f"fq={fq}"]) == EXIT_VALIDATION
+    assert "must be > 0" in capsys.readouterr().err
+
+
+def test_fit_qubit_underflowing_drive_is_numerical_failure(tmp_path, capsys):
+    # no saturation dip in these rows: the fitted drive underflows to zero
+    data = tmp_path / "qubit.csv"
+    data.write_text("detuning_hz,p_vna_dbm,re_s21,im_s21\n" + "".join(
+        f"{d},{p},{0.5 + 0.01 * d / 1e6},{0.02 * p / 90}\n"
+        for p in (-90, -80) for d in (-4e6, -2e6, 0.0, 2e6, 4e6))
+        + "-4000000.0,-70,0.46,-0\n")
+    with pytest.warns(RuntimeWarning):
+        rc = main(["fit-qubit", "--input", str(data), "--set", "fq=8.4GHz"])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err == \
+        "numerical failure: fitted drive power is zero or not finite\n"
