@@ -326,6 +326,7 @@ def _hz_grid(start: float, stop: float, step: float, inclusive: bool = False):
     if not (step > 0 and stop >= start):
         raise InvalidParameter(f"grid {start:g}:{stop:g}:{step:g} needs stop >= start "
                                "and step > 0")
+    simulator.check_grid_points((stop - start) / step, f"grid {start:g}:{stop:g}:{step:g}")
     n = int(round((stop - start) / step)) + (1 if inclusive else 0)
     return start + step * np.arange(max(n, 1))
 
@@ -362,11 +363,8 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
     fps = TWO_PI * _hz_grid(fp_lo, fp_hi, fp_step, inclusive=True)
     idcs = _hz_grid(idc_lo, idc_hi, idc_step, inclusive=True)
     policy = PumpRampPolicy(mode=cfg.get("policy", "current"))
-    step = cfg.get("freq_step", 2e6)
-    if not step > 0:
-        raise InvalidParameter(f"freq_step must be positive, got {step:g}")
     cells = simulator.pump_bias_map(design, env, fps, idcs, policy,
-                                    freq_step=TWO_PI * step, threads=threads)
+                                    freq_step=TWO_PI * cfg.get("freq_step", 2e6))
     records = [
         {"fp_hz": c.omega_p / TWO_PI, "idc_a": c.i_dc, "bandwidth_hz": c.bandwidth / TWO_PI,
          "peaks": c.peak_count, "ripple_db": c.ripple_db}
@@ -397,7 +395,7 @@ def _cmd_search(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> in
         {"z14": r.z_quarter, "z12": r.z_half, "znr": r.z_nr,
          "fp2_hz": r.omega_p_half / TWO_PI, "bandwidth_hz": r.max_bandwidth / TWO_PI,
          "xi3_hz": r.optimal_xi3 / TWO_PI, "eta": r.eta}
-        for r in search_mod.search_designs(ranges, threads=threads)
+        for r in search_mod.search_designs(ranges)
     ]
     _write_out(emit_results(records, ["z14", "z12", "znr", "fp2_hz",
                                       "bandwidth_hz", "xi3_hz", "eta"], fmt), out)
@@ -513,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--format", choices=["csv", "structured"], default="csv")
     common.add_argument("--threads", type=int,
-                        help="worker threads (default: $KIPA_THREADS, else 1)")
+                        help="accepted and ignored: commands run serially")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key")
     # common shorthand overrides

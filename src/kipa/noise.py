@@ -205,28 +205,31 @@ def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
     scale = np.sqrt(pw / p_ref)
 
     def model_and_grads(x):
-        g1, gphi, om_ref = np.exp(x)
-        g2 = gphi + g1 / 2.0
-        om = om_ref * scale
-        d = det / g2
-        den = 1.0 + d**2 + om**2 / (g1 * g2)
-        pref = g1 / (2.0 * g2)
-        num = 1.0 + 1j * d
-        s = 1.0 - pref * num / den
-        # partials wrt (g1, gphi, om_ref); gamma_2 depends on both rates
-        dden_dg2 = -2.0 * d**2 / g2 - om**2 / (g1 * g2**2)
-        dden_dg1_ex = -(om**2) / (g1**2 * g2)
-        dnum_dg2 = -1j * d / g2
-        dpref_dg2 = -g1 / (2.0 * g2**2)
-        dpref_dg1_ex = 1.0 / (2.0 * g2)
-        dS_dg2 = -(dpref_dg2 * num / den + pref * dnum_dg2 / den
-                   - pref * num * dden_dg2 / den**2)
-        dS_dg1 = -(dpref_dg1_ex * num / den - pref * num * dden_dg1_ex / den**2) \
-            + dS_dg2 * 0.5
-        dS_dgphi = dS_dg2
-        dden_dom = 2.0 * om * scale / (g1 * g2)
-        dS_dom = pref * num * dden_dom / den**2
-        return s, (dS_dg1 * g1, dS_dgphi * gphi, dS_dom * om_ref)
+        # rows without a dip drive the rates to extremes where these powers
+        # overflow; such a fit fails the drive check below (FitFailure)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g1, gphi, om_ref = np.exp(x)
+            g2 = gphi + g1 / 2.0
+            om = om_ref * scale
+            d = det / g2
+            den = 1.0 + d**2 + om**2 / (g1 * g2)
+            pref = g1 / (2.0 * g2)
+            num = 1.0 + 1j * d
+            s = 1.0 - pref * num / den
+            # partials wrt (g1, gphi, om_ref); gamma_2 depends on both rates
+            dden_dg2 = -2.0 * d**2 / g2 - om**2 / (g1 * g2**2)
+            dden_dg1_ex = -(om**2) / (g1**2 * g2)
+            dnum_dg2 = -1j * d / g2
+            dpref_dg2 = -g1 / (2.0 * g2**2)
+            dpref_dg1_ex = 1.0 / (2.0 * g2)
+            dS_dg2 = -(dpref_dg2 * num / den + pref * dnum_dg2 / den
+                       - pref * num * dden_dg2 / den**2)
+            dS_dg1 = -(dpref_dg1_ex * num / den - pref * num * dden_dg1_ex / den**2) \
+                + dS_dg2 * 0.5
+            dS_dgphi = dS_dg2
+            dden_dom = 2.0 * om * scale / (g1 * g2)
+            dS_dom = pref * num * dden_dom / den**2
+            return s, (dS_dg1 * g1, dS_dgphi * gphi, dS_dom * om_ref)
 
     def resid(x):
         s, _ = model_and_grads(x)

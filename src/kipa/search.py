@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .circuits import IDEAL_ENV, three_stage_design
 from .errors import InvalidParameter
 from .material import KineticInductorModel
-from .simulator import ReflectionEngine, drive_ladder, ramp
+from .simulator import ReflectionEngine, check_grid_points, drive_ladder, ramp
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,6 +24,7 @@ TWO_PI = 2.0 * math.pi
 def _grid(lo: float, hi: float, step: float) -> List[float]:
     if not (step > 0 and hi >= lo):
         raise InvalidParameter("range needs hi >= lo and step > 0")
+    check_grid_points((hi - lo) / step, "search axis")
     n = int(round((hi - lo) / step))
     vals = [lo + k * step for k in range(n + 1)]
     return [v for v in vals if v <= hi + 1e-9 * step]
@@ -116,65 +117,55 @@ def search_designs(ranges: SearchRanges,
                    ripple_max_db: float = 5.0,
                    freq_half_span: float = TWO_PI * 1.2e9,
                    freq_step: float = TWO_PI * 4e6,
-                   alpha_max: float = 0.9,
-                   threads: int = 1) -> Iterator[DesignRecord]:
+                   alpha_max: float = 0.9) -> Iterator[DesignRecord]:
     """Yield one record per qualifying grid point, in lexicographic order.
 
     At each grid point |xi3| grows multiplicatively from ``xi3_start`` until
     the maximum gain passes ``gain_stop_db`` (or an oscillation pole is
     crossed); profiles with >= 17 dB gain, two peaks, and ripple under 5 dB
-    along the way compete for the recorded maximum bandwidth.  Grid cells
-    are independent; with ``threads > 1`` they are evaluated concurrently
-    and merged back in grid order, so output is identical either way.
+    along the way compete for the recorded maximum bandwidth.  The cells of
+    one (z14, z12, z_nr) row share their design and drive ladder, so each
+    row builds its engines in one pass.
     """
     z14s, z12s, znrs, fp2s = ranges.axes()
-    cells = []
-    design_cache = {}
+    cells = _row_grids(fp2s, freq_half_span, freq_step)
     for z14 in z14s:
         for z12 in z12s:
             for z_nr in znrs:
-                key = (z14, z12, z_nr)
-                if key not in design_cache:
-                    design_cache[key] = _design_for(ranges, z14, z12, z_nr)
-                for wp2 in fp2s:
-                    cells.append((design_cache[key], z14, z12, z_nr, wp2))
-
-    def run(cell):
-        design, z14, z12, z_nr, wp2 = cell
-        return _search_cell(design, ranges, z14, z12, z_nr, wp2,
-                            xi3_start, xi3_step_ratio, gain_stop_db,
-                            threshold_db, ripple_max_db,
-                            freq_half_span, freq_step, alpha_max)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rec in pool.map(run, cells):
-                if rec is not None:
-                    yield rec
-    else:
-        for cell in cells:
-            rec = run(cell)
-            if rec is not None:
-                yield rec
+                yield from _search_row(ranges, z14, z12, z_nr, cells, xi3_start,
+                                       xi3_step_ratio, gain_stop_db, threshold_db,
+                                       ripple_max_db, alpha_max)
 
 
-def _search_cell(design, ranges, z14, z12, z_nr, wp2, xi3_start, ratio,
-                 stop_db, threshold_db, ripple_max_db, half_span, step,
-                 alpha_max) -> Optional[DesignRecord]:
-    wp = 2.0 * wp2
-    ws = np.arange(wp2 - half_span, wp2 + half_span, step)
-    ws = ws[(ws > 0) & (wp - ws > 0)]
-    if ws.size < 16:
-        return None
-    engine = ReflectionEngine(design, IDEAL_ENV, ws, wp, 0.0)
-    ladder = drive_ladder(xi3_start, ratio, engine.alpha_for_xi3, alpha_max)
-    res = ramp(engine, *ladder, threshold_db, ripple_max_db, stop_db)
-    if res.report is None:
-        return None
-    best_bw, best_xi = res.report.bandwidth, res.drive
-    return DesignRecord(z14, z12, z_nr, wp2, best_bw, best_xi,
-                        best_bw / best_xi, ranges.omega0)
+def _row_grids(fp2s, half_span, step) -> list:
+    """(wp2, ws, wp) of each pump-axis cell; cells under 16 grid points are dropped."""
+    cells = []
+    for wp2 in fp2s:
+        wp = 2.0 * wp2
+        ws = np.arange(wp2 - half_span, wp2 + half_span, step)
+        ws = ws[(ws > 0) & (wp - ws > 0)]
+        if ws.size >= 16:
+            cells.append((wp2, ws, wp))
+    return cells
+
+
+def _search_row(ranges, z14, z12, z_nr, cells, xi3_start, ratio, stop_db,
+                threshold_db, ripple_max_db, alpha_max) -> List[DesignRecord]:
+    """Records of the row (z14, z12, z_nr) over its pump-axis ``cells``."""
+    design = _design_for(ranges, z14, z12, z_nr)
+    if not cells:
+        return []
+    engines = ReflectionEngine.row(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells])
+    # the ladder depends on the resonance alone, which the row shares
+    ladder = drive_ladder(xi3_start, ratio, engines[0].alpha_for_xi3, alpha_max)
+    records = []
+    for (wp2, _, _), engine in zip(cells, engines):
+        res = ramp(engine, *ladder, threshold_db, ripple_max_db, stop_db)
+        if res.report is not None:
+            best_bw, best_xi = res.report.bandwidth, res.drive
+            records.append(DesignRecord(z14, z12, z_nr, wp2, best_bw, best_xi,
+                                        best_bw / best_xi, ranges.omega0))
+    return records
 
 
 @dataclass(frozen=True)

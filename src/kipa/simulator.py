@@ -32,6 +32,17 @@ from .pump import ModulatedInductor
 
 PEAK_PROMINENCE_DB = 0.5
 
+# Most points any frequency, bias or search-axis grid may hold: an engine
+# keeps about a dozen complex arrays per grid, ~200 MB at this size.
+MAX_GRID_POINTS = 1_000_000
+
+
+def check_grid_points(points: float, what: str) -> None:
+    """Reject a grid of ``points`` points (a float, possibly inf) above the cap."""
+    if not points <= MAX_GRID_POINTS:
+        raise InvalidParameter(f"{what} would hold {points:.3g} points; "
+                               f"at most {MAX_GRID_POINTS} are allowed")
+
 
 @dataclass(frozen=True)
 class PumpDrive:
@@ -100,6 +111,34 @@ class MobiusForm(NamedTuple):
     pole_alphas: np.ndarray   # α at which D(α) = 0 at some grid frequency
 
 
+class _SharedNetwork:
+    """Network arrays over the concatenated grids of one engine row."""
+
+    def __init__(self, design: DesignSpec, env: EnvironmentModel, ws, wi, l0: float):
+        self.l0 = l0
+        self.jws, self.jwi = 1j * ws, 1j * wi
+        self.y_c = self.jws * design.c_shunt
+        self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
+        self.abcd = port_line_abcd(design, ws)
+        self.z_env = np.asarray(environment_impedance(env, ws), dtype=complex)
+
+    @cached_property
+    def mobius(self):
+        """(P, Q, R, S, A) over the whole row, built on first use."""
+        a, b, c, d = self.abcd
+        z = self.z_env
+        # node admittance (n0 + n1·α)/D(α) with D(α) = d0 + d1·α
+        a_idler = self.jwi * self.l0 * self.y_idler_conj
+        d0, d1 = a_idler - 1.0, -a_idler
+        n0 = d0 * (self.y_c + 1.0 / (self.jws * self.l0))
+        n1 = -self.y_c * a_idler
+        # S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y)
+        num_a, num_b = a - z * c, b - z * d
+        den_a, den_b = a + z * c, b + z * d
+        return (num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
+                den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
+
+
 class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
@@ -113,52 +152,72 @@ class ReflectionEngine:
     S11(α) = (P + Qα)/(R + Sα), see :attr:`mobius`.  Ramps use it to find,
     before evaluating any step, the α ranges where the gain can reach a
     threshold; ``s11`` evaluates the network itself.
+
+    ``ReflectionEngine(...)`` builds one grid; :meth:`row` builds several
+    grids of one design, environment and bias in one pass.
     """
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel, freqs,
                  omega_p: float, i_dc: float = 0.0):
-        ws = np.asarray(freqs, dtype=float)
-        if ws.ndim != 1 or ws.size == 0:
-            raise InvalidParameter("frequency grid must be a non-empty 1-D array")
-        if np.any(np.diff(ws) <= 0):
-            raise InvalidParameter("frequency grid must be strictly increasing")
-        wi = omega_p - ws
-        if np.any(wi <= 0):
-            raise InvalidParameter("grid extends beyond the pump: omega_i must stay > 0")
-        self.design = design
-        self.ws = ws
-        self.wi = wi
-        self.omega_p = omega_p
-        self.i_dc = i_dc
-        self.l0 = design.inductance_at_bias(i_dc)
-        self.c = design.c_shunt
-        self.omega0 = 1.0 / np.sqrt(self.l0 * self.c)
-        self.jws, self.jwi = 1j * ws, 1j * wi
-        self.y_c = self.jws * self.c
-        self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
-        self.abcd = port_line_abcd(design, ws)
-        self.z_env = np.asarray(environment_impedance(env, ws), dtype=complex)
+        self._assemble([self], design, env, [(freqs, omega_p)], i_dc)
+
+    @classmethod
+    def row(cls, design: DesignSpec, env: EnvironmentModel,
+            grids: Sequence[Tuple[np.ndarray, float]], i_dc: float = 0.0) -> list:
+        """One engine per (freqs, omega_p) grid, all built in one pass.
+
+        The idler chain, line cascade, environment and Möbius coefficients
+        are elementwise in ω, so they are computed once over the
+        concatenated grids and each engine holds its slice, bit for bit
+        what building it alone gives.
+        """
+        engines = [cls.__new__(cls) for _ in grids]
+        cls._assemble(engines, design, env, grids, i_dc)
+        return engines
+
+    @staticmethod
+    def _assemble(engines, design, env, grids, i_dc):
+        checked = []
+        for freqs, omega_p in grids:
+            ws = np.asarray(freqs, dtype=float)
+            if ws.ndim != 1 or ws.size == 0:
+                raise InvalidParameter("frequency grid must be a non-empty 1-D array")
+            if np.any(np.diff(ws) <= 0):
+                raise InvalidParameter("frequency grid must be strictly increasing")
+            wi = omega_p - ws
+            if np.any(wi <= 0):
+                raise InvalidParameter("grid extends beyond the pump: omega_i must stay > 0")
+            checked.append((ws, wi, omega_p))
+        l0 = design.inductance_at_bias(i_dc)
+        shared = _SharedNetwork(design, env, np.concatenate([c[0] for c in checked]),
+                                np.concatenate([c[1] for c in checked]), l0)
+        stop = 0
+        for engine, (ws, wi, omega_p) in zip(engines, checked):
+            cells = slice(stop, stop + ws.size)
+            stop = cells.stop
+            engine._shared, engine._cells = shared, cells
+            engine.design = design
+            engine.ws, engine.wi = ws, wi
+            engine.omega_p = omega_p
+            engine.i_dc = i_dc
+            engine.l0 = l0
+            engine.c = design.c_shunt
+            engine.omega0 = 1.0 / np.sqrt(l0 * engine.c)
+            engine.jws, engine.jwi = shared.jws[cells], shared.jwi[cells]
+            engine.y_c = shared.y_c[cells]
+            engine.y_idler_conj = shared.y_idler_conj[cells]
+            engine.abcd = tuple(x[cells] for x in shared.abcd)
+            engine.z_env = shared.z_env[cells]
 
     @cached_property
     def mobius(self) -> MobiusForm:
         """Coefficients of S11(α) = (P + Qα)/(R + Sα), built on first use."""
-        a, b, c, d = self.abcd
-        z = self.z_env
-        # node admittance (n0 + n1·α)/D(α) with D(α) = d0 + d1·α
-        a_idler = self.jwi * self.l0 * self.y_idler_conj
-        d0, d1 = a_idler - 1.0, -a_idler
-        n0 = d0 * (self.y_c + 1.0 / (self.jws * self.l0))
-        n1 = -self.y_c * a_idler
-        # S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y)
-        num_a, num_b = a - z * c, b - z * d
-        den_a, den_b = a + z * c, b + z * d
+        p, q, r, s, a_idler = (x[self._cells] for x in self._shared.mobius)
         # D(α) has a real root only where A is real: α = 1 - 1/A
         real_a = a_idler.imag == 0
         with np.errstate(divide="ignore"):
             pole_alphas = 1.0 - 1.0 / a_idler.real[real_a]
-        return MobiusForm(num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
-                          den_a * d0 + den_b * n0, den_a * d1 + den_b * n1,
-                          pole_alphas)
+        return MobiusForm(p, q, r, s, pole_alphas)
 
     def alpha_for_xi3(self, xi3_mag):
         """α = (|ξ3|/2ω0)² for a scalar drive or an array of drives."""
@@ -240,6 +299,31 @@ def _spans_above(freqs, gain, threshold):
     return spans
 
 
+def _widest_span(freqs, gain, threshold):
+    """(lo, hi, ripple_db) of the widest span at or above ``threshold``, or None.
+
+    Of spans of equal width the first wins.
+    """
+    spans = _spans_above(freqs, gain, threshold)
+    if not spans:
+        return None
+    lo, hi, i, j = max(spans, key=lambda s: s[1] - s[0])
+    seg = gain[i:j + 1]
+    ripple = float(seg.max() - seg.min()) if j > i else 0.0
+    return lo, hi, ripple
+
+
+def _rising_maxima(gain, threshold) -> int:
+    """How many k in 1..n-2 have g[k-1] < g[k] >= g[k+1] and g[k] >= threshold.
+
+    Every ``find_peaks`` peak, the middle of a plateau included, has such a
+    k at the start of its rise with the peak's height, so the count bounds
+    the number of peaks at or above threshold.
+    """
+    mid = gain[1:-1]
+    return int(np.count_nonzero((gain[:-2] < mid) & (mid >= gain[2:]) & (mid >= threshold)))
+
+
 def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
                      ripple_max_db: float = 5.0,
                      require_two_peaks: bool = False) -> BandwidthReport:
@@ -262,14 +346,12 @@ def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
     peak_idx = [k for k in idx if finite_g[k] >= threshold_db]
     peaks = tuple(float(f[k]) for k in peak_idx)
 
-    spans = _spans_above(f, g, threshold_db)
-    if not spans:
+    widest = _widest_span(f, g, threshold_db)
+    if widest is None:
         return BandwidthReport(0.0, peaks, len(peaks), 0.0, threshold_db, None,
                                qualified=False, rejection_reason="below threshold",
                                oscillation_points=n_osc)
-    lo, hi, i, j = max(spans, key=lambda s: s[1] - s[0])
-    seg = g[i:j + 1]
-    ripple = float(seg.max() - seg.min()) if j > i else 0.0
+    lo, hi, ripple = widest
     reason = None
     if require_two_peaks and len(peaks) < 2:
         reason = "fewer than two peaks"
@@ -432,8 +514,15 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     bandwidth.  Steps that can neither stop the ramp nor reach the
     threshold (see :func:`_candidate_steps`) are skipped unevaluated, which
     leaves the result identical to evaluating every step.
+
+    An evaluated step gets a full :func:`bandwidth_report` only when it
+    passes three exact tests, cheapest first, each a condition under which
+    the report could not replace the best so far: at least two strict-rise
+    local maxima at or above threshold (every ``find_peaks`` peak, plateau
+    or not, begins with one), a widest span strictly wider than the best,
+    and ripple within ``ripple_max_db``.
     """
-    best, best_drive = None, 0.0
+    best, best_drive, best_bw = None, 0.0, 0.0
     for k in _candidate_steps(engine, alphas, min(threshold_db, stop_db)):
         gdb = engine.gain_db(float(alphas[k]))
         if not np.isfinite(gdb).all():
@@ -441,11 +530,17 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
         peak = gdb.max()
         if peak > stop_db:
             break
-        if peak >= threshold_db:
-            prof = GainProfile(engine.ws, None, gdb, engine.omega_p)
-            rep = bandwidth_report(prof, threshold_db, ripple_max_db, require_two_peaks=True)
-            if rep.qualified and rep.bandwidth > (best.bandwidth if best else 0.0):
-                best, best_drive = rep, float(drives[k])
+        if peak < threshold_db:
+            continue
+        if _rising_maxima(gdb, threshold_db) < 2:
+            continue
+        lo, hi, ripple = _widest_span(engine.ws, gdb, threshold_db)
+        if float(hi - lo) <= best_bw or ripple > ripple_max_db:
+            continue
+        prof = GainProfile(engine.ws, None, gdb, engine.omega_p)
+        rep = bandwidth_report(prof, threshold_db, ripple_max_db, require_two_peaks=True)
+        if rep.qualified:
+            best, best_drive, best_bw = rep, float(drives[k]), rep.bandwidth
     return RampResult(best, best_drive)
 
 
@@ -477,38 +572,34 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
                   freq_half_span: float = 2 * np.pi * 1.2e9,
                   freq_step: float = 2 * np.pi * 1e6,
                   threshold_db: float = 17.0,
-                  ripple_max_db: float = 5.0,
-                  threads: int = 1) -> list:
+                  ripple_max_db: float = 5.0) -> list:
     """Best qualifying bandwidth per (omega_p, i_dc) cell, in grid order.
 
     Cells without any qualifying profile report zero bandwidth.  Output
-    order is lexicographic in (omega_p, i_dc) regardless of evaluation
-    order; cells are pure and independent, so threaded evaluation returns
-    bit-identical results.
+    order is lexicographic in (omega_p, i_dc).
     """
     env = env if env is not None else IDEAL_ENV
     omega_p_grid = list(omega_p_grid)
     i_dc_grid = list(i_dc_grid)
     if not omega_p_grid or not i_dc_grid:
         raise InvalidParameter("map grids must be non-empty")
-    points = [(wp, idc) for wp in omega_p_grid for idc in i_dc_grid]
-
-    def run(point):
-        wp, idc = point
+    if not freq_step > 0:
+        raise InvalidParameter("freq_step must be > 0")
+    check_grid_points(2.0 * freq_half_span / freq_step, "map frequency grid")
+    cells = []
+    for wp in omega_p_grid:
         ws = np.arange(wp / 2 - freq_half_span, wp / 2 + freq_half_span, freq_step)
-        engine = ReflectionEngine(design, env, ws, wp, idc)
-        res = ramp(engine, *policy_ladder(engine, design, policy),
-                   threshold_db, ripple_max_db, policy.gain_stop_db)
-        if res.report is None:
-            return MapCell(wp, idc, 0.0, 0, 0.0, 0.0)
-        rep = res.report
-        return MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, points))
-    return [run(p) for p in points]
+        for idc in i_dc_grid:
+            engine = ReflectionEngine(design, env, ws, wp, idc)
+            res = ramp(engine, *policy_ladder(engine, design, policy),
+                       threshold_db, ripple_max_db, policy.gain_stop_db)
+            rep = res.report
+            if rep is None:
+                cells.append(MapCell(wp, idc, 0.0, 0, 0.0, 0.0))
+            else:
+                cells.append(MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db,
+                                     res.drive))
+    return cells
 
 
 def rnr_power_law(design: DesignSpec, xi3_grid: Sequence[float], omega_p: float,

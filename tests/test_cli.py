@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from kipa.cli import (
 from kipa.errors import ConfigError, InvalidParameter
 from kipa.material import frequency_shift
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, design_preset
+from kipa.simulator import MAX_GRID_POINTS
 
 TWO_PI = 2 * math.pi
 
@@ -426,8 +431,45 @@ def test_fit_qubit_underflowing_drive_is_numerical_failure(tmp_path, capsys):
         f"{d},{p},{0.5 + 0.01 * d / 1e6},{0.02 * p / 90}\n"
         for p in (-90, -80) for d in (-4e6, -2e6, 0.0, 2e6, 4e6))
         + "-4000000.0,-70,0.46,-0\n")
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["fit-qubit", "--input", str(data), "--set", "fq=8.4GHz"])
     assert rc == EXIT_NUMERICAL
     assert capsys.readouterr().err == \
         "numerical failure: fitted drive power is zero or not finite\n"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_fit_qubit_without_dip_prints_one_stderr_line(tmp_path):
+    # a fresh interpreter, so numpy warnings would reach stderr as they do for users
+    data = tmp_path / "qubit.csv"
+    data.write_text("detuning_hz,p_vna_dbm,re_s21,im_s21\n" + "".join(
+        f"{d},{p},{0.5 + 0.01 * d / 1e6},{0.02 * p / 90}\n"
+        for p in (-90, -80) for d in (-4e6, -2e6, 0.0, 2e6, 4e6))
+        + "-4000000.0,-70,0.46,-0\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "kipa.cli", "fit-qubit", "--input", str(data),
+                           "--set", "fq=8.4GHz"], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_NUMERICAL
+    assert proc.stderr == "numerical failure: fitted drive power is zero or not finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "0:1e300:1"],
+    ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "8GHz:9GHz:1e-3Hz"],
+    ["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:17GHz:1e-3Hz",
+     "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA", "--set", "idc_step=1mA"],
+    ["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
+     "--set", "idc_start=0.5mA", "--set", "idc_stop=0.6mA", "--set", "idc_step=1e-15A"],
+    ["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
+     "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA", "--set", "idc_step=1mA",
+     "--set", "freq_step=1Hz"],
+    ["search", "--set", "z14=30ohm:100ohm:1e-9ohm"],
+    ["search", "--set", "fp2=7.5GHz:8.5GHz:1Hz"],
+])
+def test_oversized_grid_is_validation_error(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"at most {MAX_GRID_POINTS} are allowed" in err

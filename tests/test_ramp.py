@@ -1,9 +1,11 @@
 """Exact identities of the pumped network and of the analytically screened ramp.
 
 S11 is a bilinear (Möbius) function of the modulation strength α, so the
-ramp can skip, unevaluated, every step whose gain stays below threshold.
+ramp can skip, unevaluated, every step whose gain stays below threshold,
+and it reports only the steps that could replace its best profile.
 These properties check the coefficient form against the step-by-step
-network composition and the screened ramp against evaluating every step.
+network composition, the screened ramp against evaluating and reporting
+every step, and row-built engines against engines built one grid at a time.
 """
 import dataclasses
 import math
@@ -11,18 +13,22 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks
 
 from kipa.circuits import IDEAL_ENV, environment_impedance, idler_admittance, port_line_abcd
-from kipa.presets import NBTIN_NANOWIRE, paper_device, paper_env
+from kipa.errors import InvalidParameter
+from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, paper_device, paper_env
 from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
-from kipa.search import _design_for, default_ranges, search_designs, SearchRanges
+from kipa.search import _design_for, _row_grids, default_ranges, search_designs, SearchRanges
 from kipa.simulator import (
+    PEAK_PROMINENCE_DB,
     GainProfile,
     PumpRampPolicy,
     RampResult,
     ReflectionEngine,
     _candidate_steps,
     _quadratic_nonnegative,
+    _rising_maxima,
     bandwidth_report,
     drive_ladder,
     policy_ladder,
@@ -192,3 +198,135 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
         drive *= ratio
     assert drives.tolist() == [d for d, _ in expected]
     np.testing.assert_allclose(alphas, [a for _, a in expected], rtol=1e-15, atol=0)
+
+
+levels = st.sampled_from([-3.0, 10.0, 16.5, 17.0, 17.0 + 1e-12, 17.3, 17.5, 18.0, 25.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.one_of(levels, st.floats(-40.0, 60.0)), max_size=60),
+       mirror=st.booleans(), threshold=st.sampled_from([16.5, 17.0, 20.0]))
+def test_rising_maxima_bound_the_peak_count(values, mirror, threshold):
+    # repeated levels make plateaus; a mirrored profile has equal-height peaks
+    g = np.array(values + values[::-1] if mirror else values, dtype=float)
+    idx, _ = find_peaks(g, prominence=PEAK_PROMINENCE_DB)
+    assert _rising_maxima(g, threshold) >= sum(1 for k in idx if g[k] >= threshold)
+
+
+LIMITS = dict(threshold_db=st.sampled_from([15.0, 17.0, 20.0]),
+              ripple_max_db=st.sampled_from([1.0, 3.0, 5.0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), symmetric=st.booleans(),
+       **LIMITS)
+def test_screened_ramp_matches_exhaustive_over_limits(cell, env, symmetric,
+                                                      threshold_db, ripple_max_db):
+    _, design, _, _, _, wp2 = cell
+    if symmetric:  # mirror-image grid about ω_p/2: equal-height peaks on the ideal environment
+        ws = wp2 + TWO_PI * 4e6 * np.arange(-300, 301)
+    else:
+        ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    assert ramp(engine, *ladder, threshold_db, ripple_max_db, 40.0) == _exhaustive_ramp(
+        engine, *ladder, threshold_db, ripple_max_db, 40.0)
+
+
+@pytest.mark.parametrize("kind, z14, z12, z_nr", [("three-stage", 70.0, 30.0, 80.0),
+                                                   ("conventional", 30.0, 70.0, 4.0)])
+def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
+    base = default_ranges(kind)
+    # fp2 = 10 MHz leaves fewer than 16 grid points, so the row drops that cell
+    ranges = SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (z_nr, z_nr, 1.0),
+                          (TWO_PI * 0.01e9, TWO_PI * 7.75e9, TWO_PI * 3.87e9),
+                          base.z_ki, base.omega0, kind)
+    design = _design_for(ranges, z14, z12, z_nr)
+    expected = []
+    for wp2 in ranges.axes()[3]:
+        ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+        ws = ws[(ws > 0) & (2 * wp2 - ws > 0)]
+        if ws.size < 16:
+            continue
+        engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+        ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+        full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
+        if full.report is not None:
+            expected.append((wp2, full.report.bandwidth, full.drive))
+    assert expected  # the row holds qualifying cells
+    assert [(r.omega_p_half, r.max_bandwidth, r.optimal_xi3)
+            for r in search_designs(ranges)] == expected
+
+
+ENGINE_ARRAYS = ("ws", "wi", "jws", "jwi", "y_c", "y_idler_conj", "z_env")
+
+
+def _row_designs():
+    for kind in ("three-stage", "conventional"):
+        ranges = default_ranges(kind)
+        yield kind, _design_for(ranges, 60.0, 80.0, ranges.z_nr_range[0]), 0.0
+    yield "paper-device", paper_device(), PAPER_DEVICE_BIAS
+
+
+@pytest.mark.parametrize("env", sorted(ENVS))
+@pytest.mark.parametrize("name, design, i_dc", list(_row_designs()))
+def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
+    # the first pump value leaves fewer than 16 grid points: the row drops it
+    fp2s = [TWO_PI * 5e6] + _axis(TWO_PI * 7.5e9, TWO_PI * 8.5e9, TWO_PI * 0.25e9)
+    cells = _row_grids(fp2s, TWO_PI * 1.2e9, TWO_PI * 4e6)
+    assert [wp2 for wp2, _, _ in cells] == fp2s[1:]
+    engines = ReflectionEngine.row(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], i_dc)
+    assert len(engines) == len(cells)
+    for (_, ws, wp), eng in zip(cells, engines):
+        ref = ReflectionEngine(design, ENVS[env], ws, wp, i_dc)
+        for field in ENGINE_ARRAYS:
+            assert np.array_equal(getattr(eng, field), getattr(ref, field)), field
+        for got, want in zip(eng.abcd, ref.abcd):
+            assert np.array_equal(got, want)
+        for field, got, want in zip(eng.mobius._fields, eng.mobius, ref.mobius):
+            assert np.array_equal(got, want), field
+        assert (eng.omega_p, eng.i_dc, eng.l0, eng.c, eng.omega0) == (
+            ref.omega_p, ref.i_dc, ref.l0, ref.c, ref.omega0)
+
+
+@pytest.mark.parametrize("bad", [
+    (np.array([]), TWO_PI * 16e9),
+    (np.ones((2, 20)), TWO_PI * 16e9),
+    (TWO_PI * np.array([8.0e9, 8.1e9, 8.1e9]), TWO_PI * 16e9),
+    (TWO_PI * np.array([8.0e9, 9.0e9, 10.0e9]), TWO_PI * 9.5e9),
+])
+def test_row_validates_each_grid_like_a_single_engine(bad):
+    design = paper_device()
+    good = (TWO_PI * np.arange(7.9e9, 8.1e9, 10e6), TWO_PI * 16.9e9)
+    with pytest.raises(InvalidParameter) as alone:
+        ReflectionEngine(design, IDEAL_ENV, *bad)
+    with pytest.raises(InvalidParameter) as in_row:
+        ReflectionEngine.row(design, IDEAL_ENV, [good, bad])
+    assert str(in_row.value) == str(alone.value)
+
+
+class _FixedProfileEngine:
+    """Engine stand-in whose gain is the same two-peak profile at every α."""
+
+    omega_p = 2.0
+
+    def __init__(self, gain_db):
+        self.ws = np.linspace(0.5, 1.5, gain_db.size)
+        self.gain = gain_db
+        zero = np.zeros(gain_db.size, dtype=complex)
+        # a2 = 0 everywhere: the α screen keeps every step
+        self.mobius = (zero, zero, zero, zero, np.empty(0))
+
+    def gain_db(self, alpha):
+        return self.gain.copy()
+
+
+def test_ramp_keeps_the_first_of_equal_width_profiles():
+    x = np.linspace(-1.0, 1.0, 101)
+    engine = _FixedProfileEngine(20.0 - 8.0 * (x * x - 0.25) ** 2 * 16.0)
+    drives = np.array([1.0, 2.0, 3.0])
+    alphas = np.array([0.1, 0.2, 0.3])
+    res = ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
+    assert res.report.qualified and res.report.peak_count == 2
+    assert res.drive == 1.0
+    assert res == _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)

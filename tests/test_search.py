@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kipa.cli import main
 from kipa.errors import InvalidParameter
 from kipa.search import (
     DesignRecord,
@@ -128,9 +129,16 @@ def test_conventional_single_point_qualifies_at_low_znr():
     assert recs[0].max_bandwidth > TWO_PI * 0.1e9
 
 
-def test_threaded_search_matches_serial():
+def test_threaded_search_matches_serial(tmp_path):
+    # --threads is accepted and ignored: rows run serially either way
+    argv = ["search", "--set", "z14=60ohm:80ohm:10ohm", "--set", "z12=50ohm:60ohm:10ohm",
+            "--set", "znr=50ohm:60ohm:10ohm", "--set", "fp2=7.9GHz:8.1GHz:0.1GHz"]
+    outputs = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"threads-{threads}.csv"
+        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        outputs.append(out.read_text())
     ranges = SearchRanges((60.0, 80.0, 10.0), (50.0, 60.0, 10.0), (50.0, 60.0, 10.0),
                           (TWO_PI * 7.9e9, TWO_PI * 8.1e9, TWO_PI * 0.1e9), 150.0, W8)
-    serial = list(search_designs(ranges, threads=1))
-    threaded = list(search_designs(ranges, threads=4))
-    assert serial == threaded
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + len(list(search_designs(ranges)))
