@@ -127,13 +127,28 @@ def three_stage_design(z0: float, z_quarter: float, z_half: float,
     )
 
 
+def _line_trig(segments, omega) -> list:
+    """(cos θ, sin θ) of each segment at ω, computed once per distinct length.
+
+    The two quarter-wave lines of the three-stage kind share θ.
+    """
+    trig = {}
+    for seg in segments:
+        key = (seg.length_fraction, seg.f_ref)
+        if key not in trig:
+            th = seg.electrical_length(omega)
+            trig[key] = (np.cos(th), np.sin(th))
+    return [trig[seg.length_fraction, seg.f_ref] for seg in segments]
+
+
 def chain_impedance_from_node(design: DesignSpec, env: EnvironmentModel, omega):
     """Impedance looking out from the resonator node toward the source at ω."""
     z = environment_impedance(env, omega)
     # walk outward-to-inward: transform the source through each line,
     # starting with the segment adjacent to the port
-    for seg in reversed(design.lines_node_to_port()):
-        z = input_impedance(seg, z, omega)
+    segments = design.lines_node_to_port()[::-1]
+    for seg, trig in zip(segments, _line_trig(segments, omega)):
+        z = input_impedance(seg, z, omega, trig)
     return z
 
 
@@ -157,14 +172,14 @@ def port_line_abcd(design: DesignSpec, omega):
     to the port as Z_in = (A·Z_N + B)/(C·Z_N + D).
     """
     w = np.asarray(omega, dtype=float)
-    a = np.ones(w.shape, dtype=complex)
-    b = np.zeros(w.shape, dtype=complex)
-    c = np.zeros(w.shape, dtype=complex)
-    d = np.ones(w.shape, dtype=complex)
-    # port-side segment first
-    for seg in reversed(design.lines_node_to_port()):
-        th = seg.electrical_length(w)
-        ca, sa = np.cos(th), np.sin(th)
+    segments = design.lines_node_to_port()[::-1]   # port-side segment first
+    trig = _line_trig(segments, w)
+    # the port-side segment starts the cascade; adding 0 gives every entry
+    # the +0 zero part that multiplying it into the identity would, so the
+    # bits are the same, signed zeros included
+    (ca, sa), z_c = trig[0], segments[0].z_c
+    a, b, c, d = ca + 0j, 1j * z_c * sa + 0, 1j * sa / z_c + 0, ca + 0j
+    for seg, (ca, sa) in zip(segments[1:], trig[1:]):
         la, lb, lc, ld = ca, 1j * seg.z_c * sa, 1j * sa / seg.z_c, ca
         a, b, c, d = (a * la + b * lc, a * lb + b * ld,
                       c * la + d * lc, c * lb + d * ld)

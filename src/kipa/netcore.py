@@ -125,21 +125,25 @@ def terminate(matrix: TwoPortMatrix, z_load: Immittance) -> Immittance:
     return num / den
 
 
-def input_impedance(line: TransmissionLineSegment, z_load: Immittance, omega) -> Immittance:
+def input_impedance(line: TransmissionLineSegment, z_load: Immittance, omega,
+                    trig=None) -> Immittance:
     """Impedance seen through ``line`` toward ``z_load`` at ω.
 
     General form z_c(Z_L + i z_c tanθ)/(z_c + i Z_L tanθ), evaluated in the
     cos/sin form for stability.  Within 1e-12 of a quarter wave the exact
     inverter limit z_c²/Z_L is returned; a shorted quarter wave maps to
     :data:`OPEN`.  Accepts arrays for ω when ``z_load`` is a finite scalar
-    or matching array.
+    or matching array.  ``trig`` is (cos θ, sin θ) at ω, when the caller
+    has them already.
     """
     if not np.all(np.asarray(omega) > 0):
         raise InvalidParameter("omega must be > 0")
-    theta = line.electrical_length(omega)
-    c, s = np.cos(theta), np.sin(theta)
+    if trig is None:
+        theta = line.electrical_length(omega)
+        trig = np.cos(theta), np.sin(theta)
+    c, s = trig
 
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
+    if np.ndim(c) == 0:
         if z_load is OPEN:
             if abs(s) < _QUARTER_WAVE_EPS:
                 return OPEN

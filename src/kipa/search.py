@@ -49,6 +49,10 @@ class SearchRanges:
             raise InvalidParameter("three-stage search needs z_ki > 0")
         if not self.omega0 > 0:
             raise InvalidParameter("omega0 must be > 0")
+        for name, rng in (("z14", self.z_quarter_range), ("z12", self.z_half_range),
+                          ("znr", self.z_nr_range)):
+            if not rng[0] > 0:
+                raise InvalidParameter(f"{name} axis must start above 0 ohm, got {rng[0]:g}")
         for rng in (self.z_quarter_range, self.z_half_range, self.z_nr_range,
                     self.omega_p_half_range):
             _grid(*rng)
@@ -159,8 +163,8 @@ def _search_row(ranges, z14, z12, z_nr, cells, xi3_start, ratio, stop_db,
     # the ladder depends on the resonance alone, which the row shares
     ladder = drive_ladder(xi3_start, ratio, engines[0].alpha_for_xi3, alpha_max)
     records = []
-    for (wp2, _, _), engine in zip(cells, engines):
-        res = ramp(engine, *ladder, threshold_db, ripple_max_db, stop_db)
+    for (wp2, _, _), res in zip(cells, ramp(engines, *ladder, threshold_db,
+                                            ripple_max_db, stop_db)):
         if res.report is not None:
             best_bw, best_xi = res.report.bandwidth, res.drive
             records.append(DesignRecord(z14, z12, z_nr, wp2, best_bw, best_xi,

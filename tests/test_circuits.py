@@ -15,7 +15,7 @@ from kipa.circuits import (
 )
 from kipa.errors import InvalidParameter, UnphysicalEnvironment
 from kipa.material import KineticInductorModel
-from kipa.netcore import TransmissionLineSegment
+from kipa.netcore import TransmissionLineSegment, input_impedance
 from kipa.presets import PAPER_DEVICE_BIAS, paper_device, paper_env
 
 TWO_PI = 2 * math.pi
@@ -159,3 +159,53 @@ def test_conventional_design_has_two_lines():
     design = three_stage_design(50.0, 60.0, 40.0, None, 1e-12, model, W84)
     assert design.circuit_kind == "conventional"
     assert len(design.lines_node_to_port()) == 2
+
+
+def _identity_start_abcd(design, omega):
+    """The line cascade as a product that starts from the identity matrix."""
+    w = np.asarray(omega, dtype=float)
+    a, b = np.ones(w.shape, dtype=complex), np.zeros(w.shape, dtype=complex)
+    c, d = np.zeros(w.shape, dtype=complex), np.ones(w.shape, dtype=complex)
+    for seg in reversed(design.lines_node_to_port()):
+        th = seg.electrical_length(w)
+        ca, sa = np.cos(th), np.sin(th)
+        la, lb, lc, ld = ca, 1j * seg.z_c * sa, 1j * sa / seg.z_c, ca
+        a, b, c, d = (a * la + b * lc, a * lb + b * ld,
+                      c * la + d * lc, c * lb + d * ld)
+    return a, b, c, d
+
+
+def _segment_by_segment_chain(design, env, omega):
+    """The outward chain with every segment computing its own cos and sin."""
+    z = environment_impedance(env, omega)
+    for seg in reversed(design.lines_node_to_port()):
+        z = input_impedance(seg, z, omega)
+    return z
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, signed zeros included."""
+    got, want = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (got, want))
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _lean_build_designs():
+    for kind, z_ki in (("three-stage", 150.0), ("conventional", None)):
+        for z14, z12 in ((30.0, 100.0), (60.0, 80.0)):
+            model = KineticInductorModel("parabolic", l_k0=1e-9, l_geo=0.0)
+            yield three_stage_design(50.0, z14, z12, z_ki, 0.2e-12, model, TWO_PI * 8e9)
+    yield paper_device()
+
+
+@pytest.mark.parametrize("design", list(_lean_build_designs()))
+def test_row_build_equals_identity_start_and_per_segment_trig(design):
+    # spans several multiples of the design frequency, where cos and sin
+    # change sign, plus exact multiples of it
+    ws = TWO_PI * np.concatenate([np.arange(1e6, 33e9, 7.3e6), [4e9, 8e9, 16e9, 24e9]])
+    for got, want in zip(port_line_abcd(design, ws), _identity_start_abcd(design, ws)):
+        assert _same_bits(got, want)
+    for env in (IDEAL_ENV, paper_env()):
+        assert _same_bits(chain_impedance_from_node(design, env, ws),
+                          _segment_by_segment_chain(design, env, ws))
+        assert _same_bits(chain_impedance_from_node(design, env, W84),
+                          _segment_by_segment_chain(design, env, W84))

@@ -455,6 +455,19 @@ def test_fit_qubit_without_dip_prints_one_stderr_line(tmp_path):
     assert proc.stderr == "numerical failure: fitted drive power is zero or not finite\n"
 
 
+@pytest.mark.parametrize("axis, spec", [
+    ("znr", "0ohm:0ohm:1ohm"),
+    ("znr", "-5ohm:10ohm:1ohm"),
+    ("z14", "0ohm:40ohm:10ohm"),
+    ("z12", "-30ohm:-10ohm:10ohm"),
+])
+def test_non_positive_impedance_axis_is_validation_error(axis, spec, capsys):
+    assert main(["search", "--set", f"{axis}={spec}"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {axis} axis must start above 0 ohm")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "0:1e300:1"],
     ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "8GHz:9GHz:1e-3Hz"],

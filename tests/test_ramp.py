@@ -4,19 +4,23 @@ S11 is a bilinear (Möbius) function of the modulation strength α, so the
 ramp can skip, unevaluated, every step whose gain stays below threshold,
 and it reports only the steps that could replace its best profile.
 These properties check the coefficient form against the step-by-step
-network composition, the screened ramp against evaluating and reporting
-every step, and row-built engines against engines built one grid at a time.
+network composition, S11 over a block of α against each α alone bit for
+bit, the screened, block-evaluated row ramp against evaluating and
+reporting every step of each cell, and row-built engines against engines
+built one grid at a time.
 """
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from kipa.circuits import IDEAL_ENV, environment_impedance, idler_admittance, port_line_abcd
 from kipa.errors import InvalidParameter
+from kipa import simulator
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, paper_device, paper_env
 from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
 from kipa.search import _design_for, _row_grids, default_ranges, search_designs, SearchRanges
@@ -96,6 +100,43 @@ def test_s11_matches_composition_and_mobius_form(cell, env, alpha):
     np.testing.assert_allclose((m.p + m.q * alpha) / (m.r + m.s * alpha), ref, rtol=1e-9)
 
 
+def _same_bits(got, want):
+    """Equal bit for bit, signed zeros and infinities included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _pole_admittance(engine, k, alpha):
+    """An idler Y* at grid point k that puts an exact pole (D = 0) at α, or None."""
+    # iω_i·l0(1-α) is +0 + t·i, so Y* = y·i gives D = -t·y - 1 = 0 when t·y rounds to -1
+    t = (engine.jwi[k] * (engine.l0 * (1.0 - alpha))).imag
+    for y in (-1.0 / t, np.nextafter(-1.0 / t, 0.0), np.nextafter(-1.0 / t, -np.inf)):
+        if t * y == -1.0:
+            return complex(0.0, y)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)),
+       alphas=st.lists(st.floats(0.0, 0.9, exclude_max=True), min_size=1, max_size=9),
+       pole_at=st.none() | st.integers(0, 599))
+def test_s11_over_alpha_array_equals_each_alpha_alone(cell, env, alphas, pole_at):
+    _, design, _, _, _, wp2 = cell
+    ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    if pole_at is not None:  # an exact idler pole at the first α
+        y = _pole_admittance(engine, pole_at, alphas[0])
+        assume(y is not None)
+        engine.y_idler_conj = engine.y_idler_conj.copy()
+        engine.y_idler_conj[pole_at] = y
+    block, block_db = engine.s11(np.array(alphas)), engine.gain_db(np.array(alphas))
+    assert block.shape == (len(alphas), ws.size)
+    for row, row_db, alpha in zip(block, block_db, alphas):
+        assert _same_bits(row, engine.s11(alpha))
+        assert _same_bits(row_db, engine.gain_db(alpha))
+    if pole_at is not None:
+        assert block[0, pole_at] == np.inf and block_db[0, pole_at] == np.inf
+
+
 @settings(max_examples=40, deadline=None)
 @given(cell=search_cells(), offset=st.floats(-1.3e9, 1.3e9))
 def test_pump_off_unitarity_ideal_environment(cell, offset):
@@ -132,7 +173,7 @@ def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
     engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
     _, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
     peaks = np.array([engine.gain_db(float(a)).max() for a in alphas])  # inf at poles
-    kept = _candidate_steps(engine, alphas, db)
+    kept, = _candidate_steps([engine], alphas, db)
     assert set(np.flatnonzero(peaks >= db)) <= set(kept)
     assert np.all(peaks[kept] >= db - 1e-4)
 
@@ -145,7 +186,7 @@ def test_screened_search_ramp_matches_exhaustive(cell):
     engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
     ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
     full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
-    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == full
+    assert ramp([engine], *ladder, 17.0, 5.0, 40.0) == [full]
     # the search records exactly that best profile
     point = SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (z_nr, z_nr, 1.0),
                          (wp2, wp2, 1.0), ranges.z_ki, ranges.omega0, ranges.circuit_kind)
@@ -169,8 +210,8 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], ws, wp, idc)
     ladder = policy_ladder(engine, design, PumpRampPolicy(mode=mode, step_db=step_db))
-    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == _exhaustive_ramp(
-        engine, *ladder, 17.0, 5.0, 40.0)
+    assert ramp([engine], *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
+        engine, *ladder, 17.0, 5.0, 40.0)]
 
 
 @pytest.mark.parametrize("mode", ["current", "xi3"])
@@ -229,8 +270,8 @@ def test_screened_ramp_matches_exhaustive_over_limits(cell, env, symmetric,
         ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
     ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
-    assert ramp(engine, *ladder, threshold_db, ripple_max_db, 40.0) == _exhaustive_ramp(
-        engine, *ladder, threshold_db, ripple_max_db, 40.0)
+    assert ramp([engine], *ladder, threshold_db, ripple_max_db, 40.0) == [_exhaustive_ramp(
+        engine, *ladder, threshold_db, ripple_max_db, 40.0)]
 
 
 @pytest.mark.parametrize("kind, z14, z12, z_nr", [("three-stage", 70.0, 30.0, 80.0),
@@ -256,6 +297,58 @@ def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
     assert expected  # the row holds qualifying cells
     assert [(r.omega_p_half, r.max_bandwidth, r.optimal_xi3)
             for r in search_designs(ranges)] == expected
+
+
+@settings(max_examples=8, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), clip_hz=st.floats(0.1e9, 1.1e9))
+def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz):
+    ranges, design, _, _, _, _ = cell
+    grids = []
+    for wp2 in _axis(*ranges.omega_p_half_range)[1:4]:
+        ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+        if not grids:  # a clipped cell beside full ones
+            ws = ws[ws < wp2 + TWO_PI * clip_hz]
+        grids.append((ws, 2 * wp2))
+    row = ReflectionEngine.row(design, ENVS[env], grids)
+    ladder = drive_ladder(TWO_PI * 1e6, 1.02, row[0].alpha_for_xi3, 0.9)
+    alone = [ReflectionEngine(design, ENVS[env], ws, wp) for ws, wp in grids]
+    for got, want in zip(_candidate_steps(row, ladder[1], 17.0),
+                         (_candidate_steps([engine], ladder[1], 17.0)[0] for engine in alone)):
+        assert np.array_equal(got, want)
+    assert ramp(row, *ladder, 17.0, 5.0, 40.0) == [
+        _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0) for engine in alone]
+
+
+@pytest.mark.parametrize("kind, z14, z12, z_nr", [("three-stage", 70.0, 30.0, 80.0),
+                                                   ("conventional", 30.0, 70.0, 4.0)])
+def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeypatch):
+    design = _design_for(default_ranges(kind), z14, z12, z_nr)
+    wp2 = TWO_PI * 7.75e9
+    ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+    drives, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    full = _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
+    assert full.report is not None
+    # candidate steps up to and including the one that stops the ramp
+    steps, = _candidate_steps([engine], alphas, 17.0)
+    evaluated = np.flatnonzero(engine.gain_db(alphas[steps]).max(axis=1) > 40.0)[0] + 1
+    assert evaluated >= 3
+    # one step per block; the evaluated steps one more than a block, exactly
+    # one block, and less than one block
+    for per_block in (1, evaluated - 1, evaluated, evaluated + 1):
+        monkeypatch.setattr(simulator, "RAMP_BLOCK_POINTS", per_block * ws.size)
+        assert ramp([engine], drives, alphas, 17.0, 5.0, 40.0) == [full], per_block
+
+
+def test_ramp_rejects_engines_that_are_not_one_whole_row():
+    design = paper_device()
+    grids = [(TWO_PI * np.arange(f, f + 0.2e9, 10e6), TWO_PI * 16.9e9) for f in (8.0e9, 8.3e9)]
+    row = ReflectionEngine.row(design, IDEAL_ENV, grids, PAPER_DEVICE_BIAS)
+    other = ReflectionEngine(design, IDEAL_ENV, *grids[0], PAPER_DEVICE_BIAS)
+    ladder = (np.array([1.0]), np.array([0.1]))
+    for bad in (row[:1], row[::-1], [other, row[1]]):
+        with pytest.raises(InvalidParameter):
+            ramp(bad, *ladder, 17.0, 5.0, 40.0)
 
 
 ENGINE_ARRAYS = ("ws", "wi", "jws", "jwi", "y_c", "y_idler_conj", "z_env")
@@ -305,28 +398,63 @@ def test_row_validates_each_grid_like_a_single_engine(bad):
     assert str(in_row.value) == str(alone.value)
 
 
-class _FixedProfileEngine:
-    """Engine stand-in whose gain is the same two-peak profile at every α."""
+class _ScriptedEngine:
+    """Engine stand-in whose gain at the i-th ladder α is the i-th of ``profiles``."""
 
     omega_p = 2.0
 
-    def __init__(self, gain_db):
-        self.ws = np.linspace(0.5, 1.5, gain_db.size)
-        self.gain = gain_db
-        zero = np.zeros(gain_db.size, dtype=complex)
+    def __init__(self, profiles, alphas):
+        self.ws = np.linspace(0.5, 1.5, profiles[0].size)
+        self.profiles = dict(zip(alphas.tolist(), profiles))
+        self._cells = slice(0, self.ws.size)
+        zero = np.zeros(self.ws.size, dtype=complex)
         # a2 = 0 everywhere: the α screen keeps every step
-        self.mobius = (zero, zero, zero, zero, np.empty(0))
+        self._shared = types.SimpleNamespace(mobius=(zero, zero, zero, zero, zero + 1j),
+                                             cells=[self._cells])
 
     def gain_db(self, alpha):
-        return self.gain.copy()
+        if np.ndim(alpha):
+            return np.array([self.profiles[a] for a in alpha.tolist()])
+        return self.profiles[alpha].copy()
+
+
+X = np.linspace(-1.0, 1.0, 101)
+TWO_PEAKS = 20.0 - 8.0 * (X * X - 0.25) ** 2 * 16.0
+DRIVES, ALPHAS = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])
 
 
 def test_ramp_keeps_the_first_of_equal_width_profiles():
-    x = np.linspace(-1.0, 1.0, 101)
-    engine = _FixedProfileEngine(20.0 - 8.0 * (x * x - 0.25) ** 2 * 16.0)
-    drives = np.array([1.0, 2.0, 3.0])
-    alphas = np.array([0.1, 0.2, 0.3])
-    res = ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
+    engine = _ScriptedEngine([TWO_PEAKS] * 3, ALPHAS)
+    res, = ramp([engine], DRIVES, ALPHAS, 17.0, 5.0, 40.0)
     assert res.report.qualified and res.report.peak_count == 2
     assert res.drive == 1.0
-    assert res == _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
+    assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+
+
+def test_ramp_stops_inside_a_block_at_the_step_above_stop_db():
+    # the second step would qualify wider but for a narrow spike above
+    # stop_db; the ramp stops there, and the third step, in the same block,
+    # is never a candidate
+    spiked = TWO_PEAKS + 2.0
+    spiked[2] = 45.0
+    engine = _ScriptedEngine([TWO_PEAKS, spiked, TWO_PEAKS + 2.0], ALPHAS)
+    res, = ramp([engine], DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    assert res.drive == 1.0
+    assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    # without the spike the second step is the widest
+    assert ramp([_ScriptedEngine([TWO_PEAKS, TWO_PEAKS + 2.0, TWO_PEAKS + 2.0], ALPHAS)],
+                DRIVES, ALPHAS, 17.0, 5.0, 40.0)[0].drive == 2.0
+
+
+def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
+    # two grid points per cell; the first point of cell 0 has a2 = 0, every
+    # other point has S11(α) = α, whose gain reaches -6.02 dB (|S11|² = 1/4)
+    # from α = 1/2 on
+    p, q, r, s = (np.array(point, dtype=complex)
+                  for point in ([0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]))
+    shared = types.SimpleNamespace(mobius=(p, q, r, s, np.full(4, 1j)),
+                                   cells=[slice(0, 2), slice(2, 4)])
+    row = [types.SimpleNamespace(_shared=shared, _cells=cells) for cells in shared.cells]
+    alphas = np.array([0.1, 0.3, 0.5, 0.7])
+    got = _candidate_steps(row, alphas, 10.0 * math.log10(0.25))
+    assert [steps.tolist() for steps in got] == [[0, 1, 2, 3], [2, 3]]
