@@ -155,30 +155,31 @@ def pump_current_for_xi3(model: KineticInductorModel, i_dc: float, omega0: float
     return xi3_mag * (model.i_star2**2 + i_dc**2) / (1.5 * i_dc * omega0)
 
 
+# (I_*/I_c)² the material ceiling assumes: the quadratic current scale
+# squared, in units of the critical current squared.
+CEILING_ISTAR2_OVER_IC2 = 5.7
+
+
 def xi3_upper_bound(i_c: float, omega0: float) -> dict:
     """Material ceiling on |xi3| given the critical current.
 
-    Maximizes (3/2)(I_c-|I_p|)|I_p| / (5.7 I_c² + (I_c-|I_p|)²) over
-    |I_p| in (0, I_c).  The maximum of the dimensionless ratio is
-    independent of I_c; the rad/s ceiling scales with omega0.
+    Maximizes (3/2)(I_c-|I_p|)|I_p| / (k I_c² + (I_c-|I_p|)²) over
+    |I_p| in (0, I_c), with k = CEILING_ISTAR2_OVER_IC2.  With
+    u = 1 - |I_p|/I_c the derivative vanishes at u² + 2k·u - k = 0, whose
+    root in (0, 1) is u = k/(k + √(k² + k)).  The maximum of the
+    dimensionless ratio is independent of I_c; the rad/s ceiling scales
+    with omega0.
     """
     if not i_c > 0:
         raise InvalidParameter("i_c must be > 0")
     if not omega0 > 0:
         raise InvalidParameter("omega0 must be > 0")
-    from scipy.optimize import minimize_scalar
-
-    def ratio(x):  # x = |I_p|/I_c
-        return 1.5 * (1.0 - x) * x / (5.7 + (1.0 - x) ** 2)
-
-    xs = np.linspace(1e-6, 1.0 - 1e-6, 2001)
-    x0 = xs[np.argmax(ratio(xs))]
-    res = minimize_scalar(lambda x: -ratio(x),
-                          bounds=(max(x0 - 1e-3, 0.0), min(x0 + 1e-3, 1.0)),
-                          method="bounded", options={"xatol": 1e-12})
-    x_opt = float(res.x)
-    return {"max_xi3": ratio(x_opt) * omega0, "optimal_ip_fraction": x_opt,
-            "dimensionless_max": float(ratio(x_opt))}
+    k = CEILING_ISTAR2_OVER_IC2
+    u = k / (k + math.sqrt(k * k + k))
+    x_opt = 1.0 - u   # |I_p|/I_c
+    ratio = 1.5 * u * x_opt / (k + u * u)
+    return {"max_xi3": ratio * omega0, "optimal_ip_fraction": x_opt,
+            "dimensionless_max": ratio}
 
 
 def stepped_filter_qe(n_sections: int, z_h: float, z_l: float, z0: float,

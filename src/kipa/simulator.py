@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,7 +119,11 @@ def _idler_poles(a_idler):
 
 
 class _SharedNetwork:
-    """Network arrays over the concatenated grids of one engine row."""
+    """Network arrays over the concatenated grids of one engine row.
+
+    Only ``l0`` and the Möbius form depend on the bias: :meth:`at_bias`
+    shares every other array with the same network at another inductance.
+    """
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel, ws, wi, l0: float):
         self.l0 = l0
@@ -128,6 +132,13 @@ class _SharedNetwork:
         self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
         self.abcd = port_line_abcd(design, ws)
         self.z_env = np.asarray(environment_impedance(env, ws), dtype=complex)
+
+    def at_bias(self, l0: float) -> "_SharedNetwork":
+        """This network at inductance ``l0``: bias-free arrays shared, Möbius form not."""
+        other = object.__new__(_SharedNetwork)
+        other.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "mobius")
+        other.l0 = l0
+        return other
 
     @cached_property
     def mobius(self):
@@ -146,6 +157,19 @@ class _SharedNetwork:
                 den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
 
 
+def _checked_grid(freqs, omega_p):
+    """(ws, wi, omega_p) of a valid engine grid; raises on an invalid one."""
+    ws = np.asarray(freqs, dtype=float)
+    if ws.ndim != 1 or ws.size == 0:
+        raise InvalidParameter("frequency grid must be a non-empty 1-D array")
+    if np.any(np.diff(ws) <= 0):
+        raise InvalidParameter("frequency grid must be strictly increasing")
+    wi = omega_p - ws
+    if np.any(wi <= 0):
+        raise InvalidParameter("grid extends beyond the pump: omega_i must stay > 0")
+    return ws, wi, omega_p
+
+
 class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
@@ -161,7 +185,8 @@ class ReflectionEngine:
     threshold; ``s11`` evaluates the network itself.
 
     ``ReflectionEngine(...)`` builds one grid; :meth:`row` builds several
-    grids of one design, environment and bias in one pass.
+    grids of one design, environment and bias in one pass, and
+    :meth:`biases` one grid at several biases.
     """
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel, freqs,
@@ -182,22 +207,39 @@ class ReflectionEngine:
         cls._assemble(engines, design, env, grids, i_dc)
         return engines
 
+    @classmethod
+    def biases(cls, design: DesignSpec, env: EnvironmentModel, freqs, omega_p: float,
+               i_dcs: Sequence[float]) -> Iterator["ReflectionEngine"]:
+        """The engine of one (freqs, omega_p) grid at each bias in turn.
+
+        Only l0 and the Möbius coefficients depend on the bias, so the
+        idler chain, line cascade and environment are built once and
+        shared; each engine is a row of one, bit for bit what
+        ``ReflectionEngine(design, env, freqs, omega_p, i_dc)`` gives.
+        Engines are made one at a time, so only the caller keeps them.
+        """
+        ws, wi, _ = grid = _checked_grid(freqs, omega_p)
+        shared = None
+        for i_dc in i_dcs:
+            l0 = design.inductance_at_bias(i_dc)
+            shared = (_SharedNetwork(design, env, ws, wi, l0) if shared is None
+                      else shared.at_bias(l0))
+            engine = cls.__new__(cls)
+            cls._attach([engine], design, [grid], i_dc, shared)
+            yield engine
+
     @staticmethod
     def _assemble(engines, design, env, grids, i_dc):
-        checked = []
-        for freqs, omega_p in grids:
-            ws = np.asarray(freqs, dtype=float)
-            if ws.ndim != 1 or ws.size == 0:
-                raise InvalidParameter("frequency grid must be a non-empty 1-D array")
-            if np.any(np.diff(ws) <= 0):
-                raise InvalidParameter("frequency grid must be strictly increasing")
-            wi = omega_p - ws
-            if np.any(wi <= 0):
-                raise InvalidParameter("grid extends beyond the pump: omega_i must stay > 0")
-            checked.append((ws, wi, omega_p))
-        l0 = design.inductance_at_bias(i_dc)
+        checked = [_checked_grid(freqs, omega_p) for freqs, omega_p in grids]
         shared = _SharedNetwork(design, env, np.concatenate([c[0] for c in checked]),
-                                np.concatenate([c[1] for c in checked]), l0)
+                                np.concatenate([c[1] for c in checked]),
+                                design.inductance_at_bias(i_dc))
+        ReflectionEngine._attach(engines, design, checked, i_dc, shared)
+
+    @staticmethod
+    def _attach(engines, design, checked, i_dc, shared):
+        """Point each engine at its slice of ``shared``, grids in row order."""
+        l0 = shared.l0
         stop = 0
         shared.cells = []   # each engine's slice of the row, in row order
         for engine, (ws, wi, omega_p) in zip(engines, checked):
@@ -292,6 +334,17 @@ def gain_spectrum(design: DesignSpec, pump: Pump, env: Optional[EnvironmentModel
                        gain_db=_to_db(s11), omega_p=omega_p)
 
 
+def _edge(t, g_in, g_out, f_in, f_out):
+    """np.interp(t, [g_out, g_in], [f_out, f_in]) for g_out < t <= g_in.
+
+    numpy's two-point arithmetic on Python floats: f_in at t == g_in, else
+    the slope times (t - g_out) plus f_out.
+    """
+    if t == g_in:
+        return f_in
+    return (f_in - f_out) / (g_in - g_out) * (t - g_out) + f_out
+
+
 def _spans_above(freqs, gain, threshold):
     """Contiguous spans with gain >= threshold, linearly interpolated edges."""
     finite = np.isfinite(gain)
@@ -303,12 +356,12 @@ def _spans_above(freqs, gain, threshold):
     spans = []
     for i, end in zip(edges[::2].tolist(), edges[1::2].tolist()):
         j = end - 1
-        lo = freqs[i]
+        lo = float(freqs[i])
         if i > 0 and finite[i - 1] and gain[i - 1] < threshold:
-            lo = np.interp(threshold, [gain[i - 1], gain[i]], [freqs[i - 1], freqs[i]])
-        hi = freqs[j]
+            lo = _edge(threshold, float(gain[i]), float(gain[i - 1]), lo, float(freqs[i - 1]))
+        hi = float(freqs[j])
         if j + 1 < n and finite[j + 1] and gain[j + 1] < threshold:
-            hi = np.interp(threshold, [gain[j + 1], gain[j]], [freqs[j + 1], freqs[j]])
+            hi = _edge(threshold, float(gain[j]), float(gain[j + 1]), hi, float(freqs[j + 1]))
         spans.append((lo, hi, i, j))
     return spans
 
@@ -564,17 +617,20 @@ def ramp(row, drives: np.ndarray, alphas: np.ndarray, threshold_db: float,
     leaves the result identical to evaluating every step.  The rest are
     evaluated in blocks of at most :data:`RAMP_BLOCK_POINTS` grid points.
 
-    An evaluated step gets a full :func:`bandwidth_report` only when it
-    passes three exact tests, cheapest first, each a condition under which
-    the report could not replace the best so far: at least two strict-rise
+    An evaluated step is a candidate only when it passes four exact tests,
+    cheapest first, each a condition under which its report could not
+    qualify or win: peak at or above threshold, at least two strict-rise
     local maxima at or above threshold (every ``find_peaks`` peak, plateau
-    or not, begins with one), a widest span strictly wider than the best,
-    and ripple within ``ripple_max_db``.
+    or not, begins with one), ripple of the widest span within
+    ``ripple_max_db``, and a widest span of positive width.  The ramp keeps
+    the widest qualifying profile, the first of equal widths, so once the
+    ramp stops, candidates get a full :func:`bandwidth_report` from widest
+    to narrowest, earlier first on equal widths, until one qualifies.
     """
     screen = _candidate_steps(row, alphas, min(threshold_db, stop_db))
     results = []
     for engine, steps in zip(row, screen):
-        best, best_drive, best_bw = None, 0.0, 0.0
+        candidates = []   # (width, ladder index, gain) per candidate step
         block = max(1, RAMP_BLOCK_POINTS // engine.ws.size)
         for at in range(0, steps.size, block):
             ks = steps[at:at + block]
@@ -584,16 +640,20 @@ def ramp(row, drives: np.ndarray, alphas: np.ndarray, threshold_db: float,
             halt = np.flatnonzero(~np.isfinite(gdb).all(axis=1) | (peak > stop_db))
             run = halt[0] if halt.size else ks.size
             rising = _rising_maxima(gdb[:run], threshold_db)
-            for j in np.flatnonzero((peak[:run] >= threshold_db) & (rising >= 2)):
+            for j in np.flatnonzero((peak[:run] >= threshold_db) & (rising >= 2)).tolist():
                 lo, hi, ripple = _widest_span(engine.ws, gdb[j], threshold_db)
-                if float(hi - lo) <= best_bw or ripple > ripple_max_db:
-                    continue
-                prof = GainProfile(engine.ws, None, gdb[j], engine.omega_p)
-                rep = bandwidth_report(prof, threshold_db, ripple_max_db,
-                                       require_two_peaks=True)
-                if rep.qualified:
-                    best, best_drive, best_bw = rep, float(drives[ks[j]]), rep.bandwidth
+                width = float(hi - lo)
+                if width > 0.0 and ripple <= ripple_max_db:
+                    candidates.append((width, ks[j], gdb[j]))
             if halt.size:
+                break
+        best, best_drive = None, 0.0
+        # a stable sort keeps ladder order among equal widths
+        for _, k, gain in sorted(candidates, key=lambda c: -c[0]):
+            rep = bandwidth_report(GainProfile(engine.ws, None, gain, engine.omega_p),
+                                   threshold_db, ripple_max_db, require_two_peaks=True)
+            if rep.qualified:
+                best, best_drive = rep, float(drives[k])
                 break
         results.append(RampResult(best, best_drive))
     return results
@@ -640,12 +700,16 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
         raise InvalidParameter("map grids must be non-empty")
     if not freq_step > 0:
         raise InvalidParameter("freq_step must be > 0")
+    negative = [idc for idc in i_dc_grid if not idc >= 0]
+    if negative:
+        raise InvalidParameter(f"bias current i_dc must be >= 0, got {negative[0]:.4g} A")
     check_grid_points(2.0 * freq_half_span / freq_step, "map frequency grid")
     cells = []
     for wp in omega_p_grid:
         ws = np.arange(wp / 2 - freq_half_span, wp / 2 + freq_half_span, freq_step)
-        for idc in i_dc_grid:
-            engine = ReflectionEngine(design, env, ws, wp, idc)
+        # the network at ω_s and ω_i is the same at every bias of this pump
+        engines = ReflectionEngine.biases(design, env, ws, wp, i_dc_grid)
+        for idc, engine in zip(i_dc_grid, engines):
             res, = ramp([engine], *policy_ladder(engine, design, policy),
                         threshold_db, ripple_max_db, policy.gain_stop_db)
             rep = res.report

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kipa import cli
+from kipa import cli, simulator
 from kipa.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -325,6 +325,19 @@ def test_map_rejects_bad_bias_grid(start, stop, step, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "stop >= start and step > 0" in err
+
+
+def test_map_rejects_negative_bias_before_any_build(capsys, monkeypatch):
+    monkeypatch.setattr(simulator, "_SharedNetwork",
+                        lambda *args: pytest.fail("network built for a rejected map"))
+    rc = main(["map", "--preset", "paper-device",
+               "--set", "fp_span=16.9GHz:16.9GHz:20MHz",
+               "--set", "idc_start=-0.5mA", "--set", "idc_stop=0.52mA",
+               "--set", "idc_step=20uA"])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bias current i_dc must be >= 0, got -0.0005 A\n"
 
 
 def test_search_command_single_point(tmp_path):

@@ -6,8 +6,9 @@ and it reports only the steps that could replace its best profile.
 These properties check the coefficient form against the step-by-step
 network composition, S11 over a block of α against each α alone bit for
 bit, the screened, block-evaluated row ramp against evaluating and
-reporting every step of each cell, and row-built engines against engines
-built one grid at a time.
+reporting every step of each cell, row-built and bias-shared engines
+against engines built one grid at a time, and the map against per-cell
+builds.
 """
 import dataclasses
 import math
@@ -36,6 +37,7 @@ from kipa.simulator import (
     bandwidth_report,
     drive_ladder,
     policy_ladder,
+    pump_bias_map,
     ramp,
 )
 
@@ -382,6 +384,62 @@ def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
             ref.omega_p, ref.i_dc, ref.l0, ref.c, ref.omega0)
 
 
+BIASES = [0.0, 0.45e-3, PAPER_DEVICE_BIAS, 0.6e-3]
+
+
+@pytest.mark.parametrize("env", sorted(ENVS))
+def test_bias_shared_engines_equal_standalone_engines(env, monkeypatch):
+    design = paper_device()
+    wp = TWO_PI * 16.9e9
+    ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    builds = []
+    monkeypatch.setattr(simulator, "idler_admittance",
+                        lambda *args: builds.append(args) or idler_admittance(*args))
+    engines = list(ReflectionEngine.biases(design, ENVS[env], ws, wp, BIASES))
+    assert len(builds) == 1   # one network for every bias
+    monkeypatch.undo()
+    for i_dc, eng in zip(BIASES, engines):
+        ref = ReflectionEngine(design, ENVS[env], ws, wp, i_dc)
+        for field in ENGINE_ARRAYS:
+            assert _same_bits(getattr(eng, field), getattr(ref, field)), field
+        for got, want in zip(eng.abcd, ref.abcd):
+            assert _same_bits(got, want)
+        for field, got, want in zip(eng.mobius._fields, eng.mobius, ref.mobius):
+            assert _same_bits(got, want), field
+        assert (eng.omega_p, eng.i_dc, eng.l0, eng.c, eng.omega0) == (
+            ref.omega_p, ref.i_dc, ref.l0, ref.c, ref.omega0)
+    # the bias-free arrays are shared, the Möbius form is not
+    assert np.shares_memory(engines[1].y_idler_conj, engines[0].y_idler_conj)
+    assert not np.shares_memory(engines[1].mobius.p, engines[0].mobius.p)
+
+
+@pytest.mark.parametrize("env", sorted(ENVS))
+@pytest.mark.parametrize("mode", ["current", "xi3"])
+def test_pump_bias_map_equals_per_cell_builds(mode, env):
+    # without a critical current the current ramp reaches the gain regime
+    design = dataclasses.replace(paper_device(),
+                                 ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=None))
+    policy = PumpRampPolicy(mode=mode, step_db=0.25)
+    fps = TWO_PI * np.array([16.8e9, 16.9e9])
+    idcs = [0.0, 0.52e-3, 0.57e-3]
+    half, step = TWO_PI * 1.2e9, TWO_PI * 4e6
+    cells = pump_bias_map(design, ENVS[env], fps, idcs, policy, freq_half_span=half,
+                          freq_step=step)
+    expected = []
+    for wp in fps:
+        ws = np.arange(wp / 2 - half, wp / 2 + half, step)
+        for idc in idcs:
+            engine = ReflectionEngine(design, ENVS[env], ws, wp, idc)
+            res, = ramp([engine], *policy_ladder(engine, design, policy), 17.0, 5.0,
+                        policy.gain_stop_db)
+            rep = res.report
+            expected.append(simulator.MapCell(
+                wp, idc, *((rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
+                           if rep else (0.0, 0, 0.0, 0.0))))
+    assert cells == expected
+    assert sum(c.bandwidth > 0 for c in cells) >= 2
+
+
 @pytest.mark.parametrize("bad", [
     (np.array([]), TWO_PI * 16e9),
     (np.ones((2, 20)), TWO_PI * 16e9),
@@ -429,6 +487,42 @@ def test_ramp_keeps_the_first_of_equal_width_profiles():
     assert res.report.qualified and res.report.peak_count == 2
     assert res.drive == 1.0
     assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+
+
+def _hump(width):
+    """One peak, 17 dB at ±width, with a side maximum of too little prominence."""
+    g = 20.0 - 3.0 * (X / width) ** 2
+    g[25] += 0.2
+    return g
+
+
+def _two_peaks(width, dip=1.0):
+    """The span of ``_hump(width)`` with a dip in the middle: two peaks, qualifies."""
+    g = 20.0 - 3.0 * (X / width) ** 2
+    g[np.abs(X) < 0.3] -= dip
+    return g
+
+
+@pytest.mark.parametrize("profiles, drive, reports", [
+    # a wider later step passes the rising-maxima screen and fails the
+    # two-peak rule: the narrower earlier step is kept
+    ([_two_peaks(0.8), _hump(0.9)], 1.0, 2),
+    # equal widths, the first fails: the second is kept
+    ([_hump(0.9), _two_peaks(0.9)], 2.0, 2),
+    # equal widths, both qualify: the first is kept, and the only one reported
+    ([_two_peaks(0.9), _two_peaks(0.9, dip=2.0), _two_peaks(0.8)], 1.0, 1),
+])
+def test_ramp_reports_widest_first(profiles, drive, reports, monkeypatch):
+    assert all(_rising_maxima(g, 17.0) >= 2 for g in profiles)
+    calls = []
+    monkeypatch.setattr(simulator, "bandwidth_report",
+                        lambda *args, **kw: calls.append(args) or bandwidth_report(*args, **kw))
+    engine = _ScriptedEngine(profiles, ALPHAS[:len(profiles)])
+    ladder = DRIVES[:len(profiles)], ALPHAS[:len(profiles)]
+    res, = ramp([engine], *ladder, 17.0, 5.0, 40.0)
+    assert (res.drive, res.report.qualified, len(calls)) == (drive, True, reports)
+    monkeypatch.undo()
+    assert res == _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
 
 
 def test_ramp_stops_inside_a_block_at_the_step_above_stop_db():

@@ -18,6 +18,7 @@ from kipa.simulator import (
     PumpDrive,
     PumpRampPolicy,
     ReflectionEngine,
+    _edge,
     _spans_above,
     bandwidth_report,
     gain_spectrum,
@@ -163,6 +164,23 @@ def test_spans_above_matches_point_scan(values):
     gain = np.array(values)
     freqs = TWO_PI * (8e9 + 1e6 * np.arange(gain.size))
     assert _spans_above(freqs, gain, 17.0) == _spans_above_loop(freqs, gain, 17.0)
+
+
+finite_db = st.floats(-400.0, 400.0) | st.sampled_from([16.9, 17.0, 17.0 + 1e-12, 17.1])
+finite_hz = st.floats(-1e12, 1e12) | st.floats(5e10, 6e10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.lists(finite_db, min_size=3, max_size=3, unique=True).map(sorted),
+       at_top=st.booleans(), f_in=finite_hz, f_out=finite_hz)
+def test_span_edge_is_np_interp_bit_for_bit(g, at_top, f_in, f_out):
+    g_out, t, g_in = g
+    if at_top:   # the threshold sits exactly on the inner sample
+        t = g_in
+    want = np.interp(t, [g_out, g_in], [f_out, f_in])
+    got = _edge(t, g_in, g_out, f_in, f_out)
+    assert type(got) is float
+    assert got.hex() == float(want).hex()
 
 
 def test_oscillation_points_excluded():
