@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from typing import Dict, Optional, Sequence, Tuple
@@ -301,7 +300,7 @@ def _build_pump(cfg: dict, design) -> PumpDrive:
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_synth(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
+def _cmd_synth(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "epsilon", "z_nr", "z_ki")
     proto = synthesis.PrototypeCoefficients(
         g0=cfg.get("g0", synthesis.GETSINGER_17DB[0]),
@@ -331,7 +330,7 @@ def _hz_grid(start: float, stop: float, step: float, inclusive: bool = False):
     return start + step * np.arange(max(n, 1))
 
 
-def _cmd_simulate(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
+def _cmd_simulate(cfg: dict, fmt: str, out: Optional[str]) -> int:
     design = _build_design(cfg)
     env = _build_env(cfg)
     pump = _build_pump(cfg, design)
@@ -354,7 +353,7 @@ def _spectrum_records(profile: simulator.GainProfile) -> list:
     ]
 
 
-def _cmd_map(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
+def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "fp_span", "idc_start", "idc_stop", "idc_step")
     design = _build_design(cfg)
     env = _build_env(cfg)
@@ -374,7 +373,7 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
     return EXIT_OK
 
 
-def _cmd_search(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
+def _cmd_search(cfg: dict, fmt: str, out: Optional[str]) -> int:
     kind = cfg.get("kind", "three-stage")
     base = search_mod.default_ranges(kind)
     def _rng(key, default, scale=1.0):
@@ -411,7 +410,7 @@ def _read_text(path: str) -> str:
                                    f"at offset {exc.start})") from None
 
 
-def _cmd_fit_ki(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
+def _cmd_fit_ki(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "input")
     data = material.parse_shift_csv(_read_text(cfg["input"]))
     model, rms = material.fit_ki_curve(
@@ -428,7 +427,7 @@ def _cmd_fit_ki(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> in
     return EXIT_OK
 
 
-def _cmd_fit_qubit(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
+def _cmd_fit_qubit(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "input", "fq")
     table = material.parse_csv(_read_text(cfg["input"]),
                                ("detuning_hz", "p_vna_dbm", "re_s21", "im_s21"))
@@ -447,7 +446,7 @@ def _cmd_fit_qubit(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) ->
     return EXIT_OK
 
 
-def _cmd_noise(cfg: dict, fmt: str, out: Optional[str], threads: int = 1) -> int:
+def _cmd_noise(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "input", "gs", "gsys_eff")
     table = material.parse_csv(_read_text(cfg["input"]),
                                ("freq_hz", "p_on_dbm", "p_off_dbm"))
@@ -551,14 +550,6 @@ def _gather_config(args, schema) -> dict:
     return cfg
 
 
-def _env_threads() -> int:
-    text = os.environ.get("KIPA_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParameter(f"KIPA_THREADS must be an integer, got {text!r}") from None
-
-
 _PARSER: Optional[argparse.ArgumentParser] = None
 
 
@@ -571,8 +562,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     schema = _SCHEMAS[args.command]
     try:
         cfg = _gather_config(args, schema)
-        threads = args.threads if args.threads is not None else _env_threads()
-        return _HANDLERS[args.command](cfg, args.format, args.out, max(threads, 1))
+        return _HANDLERS[args.command](cfg, args.format, args.out)
     except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -180,13 +180,3 @@ def reflection_coefficient(z_in: Immittance, z_ref: complex, power_wave: bool = 
             raise SingularReflection(f"z_in = -z_ref = {z_in}: reflection diverges")
         return complex((z_in - num_ref) / den)
     return (z_in - num_ref) / den
-
-
-def gain_db(gamma):
-    """20·log10|Γ|, with |Γ|=0 mapped to -inf and non-finite Γ to +inf."""
-    mag = np.abs(gamma)
-    with np.errstate(divide="ignore"):
-        out = 20.0 * np.log10(mag)
-    return np.where(np.isfinite(mag), out, np.inf) if isinstance(mag, np.ndarray) else (
-        out if np.isfinite(mag) else np.inf
-    )

@@ -129,7 +129,7 @@ def search_designs(ranges: SearchRanges,
     crossed); profiles with >= 17 dB gain, two peaks, and ripple under 5 dB
     along the way compete for the recorded maximum bandwidth.  The cells of
     one (z14, z12, z_nr) row share their design and drive ladder, so each
-    row builds its engines in one pass.
+    row is one engine over all of its cells.
     """
     z14s, z12s, znrs, fp2s = ranges.axes()
     cells = _row_grids(fp2s, freq_half_span, freq_step)
@@ -159,11 +159,11 @@ def _search_row(ranges, z14, z12, z_nr, cells, xi3_start, ratio, stop_db,
     design = _design_for(ranges, z14, z12, z_nr)
     if not cells:
         return []
-    engines = ReflectionEngine.row(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells])
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells])
     # the ladder depends on the resonance alone, which the row shares
-    ladder = drive_ladder(xi3_start, ratio, engines[0].alpha_for_xi3, alpha_max)
+    ladder = drive_ladder(xi3_start, ratio, engine.alpha_for_xi3, alpha_max)
     records = []
-    for (wp2, _, _), res in zip(cells, ramp(engines, *ladder, threshold_db,
+    for (wp2, _, _), res in zip(cells, ramp(engine, *ladder, threshold_db,
                                             ripple_max_db, stop_db)):
         if res.report is not None:
             best_bw, best_xi = res.report.bandwidth, res.drive

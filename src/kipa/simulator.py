@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .circuits import (
 )
 from .errors import InsufficientData, InvalidParameter
 from .material import PumpOperatingPoint, pump_coefficients
-from .pump import ModulatedInductor
 
 PEAK_PROMINENCE_DB = 0.5
 
@@ -89,26 +88,28 @@ class BandwidthReport:
     oscillation_points: int = 0
 
 
-def _resolve_drive(design: DesignSpec, pump: Pump):
-    """Reduce either pump description to (alpha, l0, omega_p, i_dc)."""
+def _drive_alpha(design: DesignSpec, pump: Pump) -> float:
+    """The modulation strength α of either pump description."""
     if isinstance(pump, PumpOperatingPoint):
         omega0 = design.resonance_at_bias(pump.i_dc)
-        coeffs = pump_coefficients(design.ki_model, pump, omega0)
-        return coeffs.alpha, coeffs.l_i, pump.omega_p, pump.i_dc
+        return pump_coefficients(design.ki_model, pump, omega0).alpha
     l0 = design.inductance_at_bias(pump.i_dc)
     omega0 = 1.0 / np.sqrt(l0 * design.c_shunt)
-    alpha = (pump.xi3_mag / (2.0 * omega0)) ** 2
-    return alpha, l0, pump.omega_p, pump.i_dc
+    return (pump.xi3_mag / (2.0 * omega0)) ** 2
 
 
 class MobiusForm(NamedTuple):
-    """S11(α) = (p + q·α)/(r + s·α) at every grid frequency."""
+    """S11(α) = (p + q·α)/(r + s·α) at every grid frequency.
+
+    ``a_idler`` is A = iω_i·l0·Y_idler*: where A is real, D(α) has a root,
+    an idler pole (see :func:`_idler_poles`).
+    """
 
     p: np.ndarray
     q: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    pole_alphas: np.ndarray   # α at which D(α) = 0 at some grid frequency
+    a_idler: np.ndarray
 
 
 def _idler_poles(a_idler):
@@ -116,45 +117,6 @@ def _idler_poles(a_idler):
     at = np.flatnonzero(a_idler.imag == 0)
     with np.errstate(divide="ignore"):
         return at, 1.0 - 1.0 / a_idler.real[at]
-
-
-class _SharedNetwork:
-    """Network arrays over the concatenated grids of one engine row.
-
-    Only ``l0`` and the Möbius form depend on the bias: :meth:`at_bias`
-    shares every other array with the same network at another inductance.
-    """
-
-    def __init__(self, design: DesignSpec, env: EnvironmentModel, ws, wi, l0: float):
-        self.l0 = l0
-        self.jws, self.jwi = 1j * ws, 1j * wi
-        self.y_c = self.jws * design.c_shunt
-        self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
-        self.abcd = port_line_abcd(design, ws)
-        self.z_env = np.asarray(environment_impedance(env, ws), dtype=complex)
-
-    def at_bias(self, l0: float) -> "_SharedNetwork":
-        """This network at inductance ``l0``: bias-free arrays shared, Möbius form not."""
-        other = object.__new__(_SharedNetwork)
-        other.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "mobius")
-        other.l0 = l0
-        return other
-
-    @cached_property
-    def mobius(self):
-        """(P, Q, R, S, A) over the whole row, built on first use."""
-        a, b, c, d = self.abcd
-        z = self.z_env
-        # node admittance (n0 + n1·α)/D(α) with D(α) = d0 + d1·α
-        a_idler = self.jwi * self.l0 * self.y_idler_conj
-        d0, d1 = a_idler - 1.0, -a_idler
-        n0 = d0 * (self.y_c + 1.0 / (self.jws * self.l0))
-        n1 = -self.y_c * a_idler
-        # S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y)
-        num_a, num_b = a - z * c, b - z * d
-        den_a, den_b = a + z * c, b + z * d
-        return (num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
-                den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
 
 
 def _checked_grid(freqs, omega_p):
@@ -173,9 +135,13 @@ def _checked_grid(freqs, omega_p):
 class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
-    The line cascade, idler chain, and environment depend only on the
-    frequency grid, so sweeping pump strength reduces to scalar-vector
-    arithmetic per step.
+    An engine covers one or more ``(freqs, omega_p)`` grids, its cells, of
+    one design, environment and bias.  The line cascade, idler chain and
+    environment are elementwise in ω, so they are built once over the
+    concatenated grids: ``cells`` holds each grid's slice of them and
+    ``omega_ps`` its pump frequency, and a cell is bit for bit what an
+    engine of that grid alone gives.  Sweeping pump strength then reduces
+    to scalar-vector arithmetic per step.
 
     With A = iω_i·l0·Y_idler*(ω_i), the pumped inductor presents
     Y_eff = (A-1)/(iω_s·l0·D(α)), D(α) = (A-1) - αA, so S11 is a bilinear
@@ -183,96 +149,66 @@ class ReflectionEngine:
     S11(α) = (P + Qα)/(R + Sα), see :attr:`mobius`.  Ramps use it to find,
     before evaluating any step, the α ranges where the gain can reach a
     threshold; ``s11`` evaluates the network itself.
-
-    ``ReflectionEngine(...)`` builds one grid; :meth:`row` builds several
-    grids of one design, environment and bias in one pass, and
-    :meth:`biases` one grid at several biases.
     """
 
-    def __init__(self, design: DesignSpec, env: EnvironmentModel, freqs,
-                 omega_p: float, i_dc: float = 0.0):
-        self._assemble([self], design, env, [(freqs, omega_p)], i_dc)
-
-    @classmethod
-    def row(cls, design: DesignSpec, env: EnvironmentModel,
-            grids: Sequence[Tuple[np.ndarray, float]], i_dc: float = 0.0) -> list:
-        """One engine per (freqs, omega_p) grid, all built in one pass.
-
-        The idler chain, line cascade, environment and Möbius coefficients
-        are elementwise in ω, so they are computed once over the
-        concatenated grids and each engine holds its slice, bit for bit
-        what building it alone gives.
-        """
-        engines = [cls.__new__(cls) for _ in grids]
-        cls._assemble(engines, design, env, grids, i_dc)
-        return engines
-
-    @classmethod
-    def biases(cls, design: DesignSpec, env: EnvironmentModel, freqs, omega_p: float,
-               i_dcs: Sequence[float]) -> Iterator["ReflectionEngine"]:
-        """The engine of one (freqs, omega_p) grid at each bias in turn.
-
-        Only l0 and the Möbius coefficients depend on the bias, so the
-        idler chain, line cascade and environment are built once and
-        shared; each engine is a row of one, bit for bit what
-        ``ReflectionEngine(design, env, freqs, omega_p, i_dc)`` gives.
-        Engines are made one at a time, so only the caller keeps them.
-        """
-        ws, wi, _ = grid = _checked_grid(freqs, omega_p)
-        shared = None
-        for i_dc in i_dcs:
-            l0 = design.inductance_at_bias(i_dc)
-            shared = (_SharedNetwork(design, env, ws, wi, l0) if shared is None
-                      else shared.at_bias(l0))
-            engine = cls.__new__(cls)
-            cls._attach([engine], design, [grid], i_dc, shared)
-            yield engine
-
-    @staticmethod
-    def _assemble(engines, design, env, grids, i_dc):
+    def __init__(self, design: DesignSpec, env: EnvironmentModel,
+                 grids: Sequence[Tuple[np.ndarray, float]], i_dc: float = 0.0):
         checked = [_checked_grid(freqs, omega_p) for freqs, omega_p in grids]
-        shared = _SharedNetwork(design, env, np.concatenate([c[0] for c in checked]),
-                                np.concatenate([c[1] for c in checked]),
-                                design.inductance_at_bias(i_dc))
-        ReflectionEngine._attach(engines, design, checked, i_dc, shared)
+        self.omega_ps = [omega_p for _, _, omega_p in checked]
+        self.cells, stop = [], 0
+        for ws, _, _ in checked:
+            self.cells.append(slice(stop, stop + ws.size))
+            stop += ws.size
+        self.design = design
+        self.c = design.c_shunt
+        self.ws = np.concatenate([ws for ws, _, _ in checked])
+        self.wi = np.concatenate([wi for _, wi, _ in checked])
+        self.jws, self.jwi = 1j * self.ws, 1j * self.wi
+        self.y_c = self.jws * self.c
+        self.y_idler_conj = np.conj(idler_admittance(design, env, self.wi))
+        self.abcd = port_line_abcd(design, self.ws)
+        self.z_env = np.asarray(environment_impedance(env, self.ws), dtype=complex)
+        self._set_bias(i_dc)
 
-    @staticmethod
-    def _attach(engines, design, checked, i_dc, shared):
-        """Point each engine at its slice of ``shared``, grids in row order."""
-        l0 = shared.l0
-        stop = 0
-        shared.cells = []   # each engine's slice of the row, in row order
-        for engine, (ws, wi, omega_p) in zip(engines, checked):
-            cells = slice(stop, stop + ws.size)
-            stop = cells.stop
-            shared.cells.append(cells)
-            engine._shared, engine._cells = shared, cells
-            engine.design = design
-            engine.ws, engine.wi = ws, wi
-            engine.omega_p = omega_p
-            engine.i_dc = i_dc
-            engine.l0 = l0
-            engine.c = design.c_shunt
-            engine.omega0 = 1.0 / np.sqrt(l0 * engine.c)
-            engine.jws, engine.jwi = shared.jws[cells], shared.jwi[cells]
-            engine.y_c = shared.y_c[cells]
-            engine.y_idler_conj = shared.y_idler_conj[cells]
-            engine.abcd = tuple(x[cells] for x in shared.abcd)
-            engine.z_env = shared.z_env[cells]
+    def _set_bias(self, i_dc: float) -> None:
+        self.i_dc = i_dc
+        self.l0 = self.design.inductance_at_bias(i_dc)
+        self.omega0 = 1.0 / np.sqrt(self.l0 * self.c)
+
+    def at_bias(self, i_dc: float) -> "ReflectionEngine":
+        """The same network at bias ``i_dc``, bit for bit a fresh build.
+
+        Only l0, ω0 and the Möbius form depend on the bias: every other
+        array is shared, and the Möbius form is built again on first use.
+        """
+        other = object.__new__(ReflectionEngine)
+        other.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "mobius")
+        other._set_bias(i_dc)
+        return other
 
     @cached_property
     def mobius(self) -> MobiusForm:
-        """Coefficients of S11(α) = (P + Qα)/(R + Sα), built on first use."""
-        p, q, r, s, a_idler = (x[self._cells] for x in self._shared.mobius)
-        return MobiusForm(p, q, r, s, _idler_poles(a_idler)[1])
+        """Coefficients of S11(α) = (P + Qα)/(R + Sα) over every cell, built on first use."""
+        a, b, c, d = self.abcd
+        z = self.z_env
+        # node admittance (n0 + n1·α)/D(α) with D(α) = d0 + d1·α
+        a_idler = self.jwi * self.l0 * self.y_idler_conj
+        d0, d1 = a_idler - 1.0, -a_idler
+        n0 = d0 * (self.y_c + 1.0 / (self.jws * self.l0))
+        n1 = -self.y_c * a_idler
+        # S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y)
+        num_a, num_b = a - z * c, b - z * d
+        den_a, den_b = a + z * c, b + z * d
+        return MobiusForm(num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
+                          den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
 
     def alpha_for_xi3(self, xi3_mag):
         """α = (|ξ3|/2ω0)² for a scalar drive or an array of drives."""
         r = xi3_mag / (2.0 * self.omega0)
         return r * r
 
-    def s11(self, alpha) -> np.ndarray:
-        """S11 over the grid at one α, or one row per α of a 1-D array of α.
+    def s11(self, alpha, cells: slice = slice(None)) -> np.ndarray:
+        """S11 over ``cells`` at one α, or one row per α of a 1-D array of α.
 
         A row is bit for bit what the same α alone gives: the (steps, 1)
         column of α broadcasts against the grid through the same arithmetic.
@@ -283,30 +219,30 @@ class ReflectionEngine:
             raise InvalidParameter(f"alpha = {outside[0]:.4g} outside [0, 1)")
         if np.ndim(alpha):
             alpha = values[:, None]
-        y_eff, den = self._y_eff(alpha)
+        y_eff, den = self._y_eff(alpha, cells)
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_node = self.y_c + y_eff
-            a, b, c, d = self.abcd
+            y_node = self.y_c[cells] + y_eff
+            a, b, c, d = (x[cells] for x in self.abcd)
             p = a + b * y_node
-            zq = self.z_env * (c + d * y_node)
+            zq = self.z_env[cells] * (c + d * y_node)
             s11 = (p - zq) / (p + zq)
         pole = den == 0
         if np.any(pole):
             s11 = np.where(pole, np.inf + 0j, s11)
         return s11
 
-    def gain_db(self, alpha) -> np.ndarray:
-        return _to_db(self.s11(alpha))
+    def gain_db(self, alpha, cells: slice = slice(None)) -> np.ndarray:
+        return _to_db(self.s11(alpha, cells))
 
     def y_eff(self, alpha) -> np.ndarray:
         return self._y_eff(alpha)[0]
 
-    def _y_eff(self, alpha):
+    def _y_eff(self, alpha, cells: slice = slice(None)):
         """Y_eff and its idler denominator iω_i·l0'·Y_idler* - 1 (0 at a pole)."""
         lp = self.l0 * (1.0 - alpha)
-        den = self.jwi * lp * self.y_idler_conj - 1.0
+        den = self.jwi[cells] * lp * self.y_idler_conj[cells] - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (1.0 / (self.jws * lp)) * (1.0 + alpha / den), den
+            return (1.0 / (self.jws[cells] * lp)) * (1.0 + alpha / den), den
 
 
 def _to_db(s11: np.ndarray) -> np.ndarray:
@@ -325,13 +261,11 @@ def gain_spectrum(design: DesignSpec, pump: Pump, env: Optional[EnvironmentModel
     reported as +inf gain at the affected grid points.
     """
     env = env if env is not None else IDEAL_ENV
-    alpha, l0, omega_p, i_dc = _resolve_drive(design, pump)
-    # guards shared with the ModulatedInductor invariant
-    ModulatedInductor.from_alpha(l0, alpha)
-    engine = ReflectionEngine(design, env, freqs, omega_p, i_dc)
+    alpha = _drive_alpha(design, pump)
+    engine = ReflectionEngine(design, env, [(freqs, pump.omega_p)], pump.i_dc)
     s11 = engine.s11(alpha)
     return GainProfile(freqs=np.asarray(freqs, dtype=float), s11=s11,
-                       gain_db=_to_db(s11), omega_p=omega_p)
+                       gain_db=_to_db(s11), omega_p=pump.omega_p)
 
 
 def _edge(t, g_in, g_out, f_in, f_out):
@@ -548,38 +482,29 @@ def _quadratic_nonnegative(a2, a1, a0):
     return lo, hi
 
 
-def _row_network(row) -> _SharedNetwork:
-    """The shared arrays of ``row``: every engine of one build, in build order."""
-    shared = row[0]._shared
-    if any(e._shared is not shared for e in row) or [e._cells for e in row] != shared.cells:
-        raise InvalidParameter("a ramp row must hold every engine of one build, in order")
-    return shared
-
-
-def _candidate_steps(row, alphas: np.ndarray, db: float) -> list:
-    """Per engine of ``row``, the ladder indices whose profile may reach ``db``.
+def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) -> list:
+    """Per cell of ``engine``, the ladder indices whose profile may reach ``db``.
 
     Per frequency, |S11(α)|² >= G is the real quadratic
     |P + Qα|² - G·|R + Sα|² >= 0, whose solution set is at most two
     intervals of α.  Their union over a cell's frequencies, mapped onto the
     ladder, holds every step that can reach ``db`` or that sits on an idler
     pole; every other step is finite and below ``db`` at every frequency of
-    the cell.  The quadratics are elementwise in ω and the row shares its
-    ladder, so they are solved once over the row's concatenated grid, and
-    one ``bincount`` over (cell, step) offsets covers the ladder of every
-    cell.  A cell with a degenerate (a2 = 0) or overflowing quadratic keeps
-    every step.
+    the cell.  The quadratics are elementwise in ω and the cells share the
+    ladder, so they are solved once over the engine's concatenated grid,
+    and one ``bincount`` over (cell, step) offsets covers the ladder of
+    every cell.  A cell with a degenerate (a2 = 0) or overflowing quadratic
+    keeps every step.
     """
-    shared = _row_network(row)
     m = alphas.size
     if m == 0:
-        return [np.arange(0)] * len(row)
+        return [np.arange(0)] * len(engine.cells)
     g = 10.0 ** (db / 10.0) * (1.0 - RAMP_SLACK)
-    p, q, r, s, a_idler = shared.mobius
+    p, q, r, s, a_idler = engine.mobius
     a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
     a1 = 2.0 * ((p * q.conjugate()).real - g * (r * s.conjugate()).real)
     a0 = p.real**2 + p.imag**2 - g * (r.real**2 + r.imag**2)
-    starts = [cells.start for cells in shared.cells]
+    starts = [cells.start for cells in engine.cells]
     keep_all = np.logical_or.reduceat(~np.isfinite(a1 * a1 - 4.0 * a2 * a0) | (a2 == 0), starts)
     lo, hi = _quadratic_nonnegative(a2, a1, a0)
     at_pole, pole_alphas = _idler_poles(a_idler)
@@ -596,7 +521,7 @@ def _candidate_steps(row, alphas: np.ndarray, db: float) -> list:
     stop = np.searchsorted(alphas, hi[meets], side="right")
     keep = first < stop
     offset = (np.searchsorted(starts, points[meets[keep]], side="right") - 1) * (m + 1)
-    size = len(row) * (m + 1)
+    size = len(starts) * (m + 1)
     cover = np.cumsum((np.bincount(offset + first[keep], minlength=size)
                        - np.bincount(offset + stop[keep], minlength=size)).reshape(-1, m + 1),
                       axis=1)
@@ -604,18 +529,17 @@ def _candidate_steps(row, alphas: np.ndarray, db: float) -> list:
             for every, steps in zip(keep_all, cover)]
 
 
-def ramp(row, drives: np.ndarray, alphas: np.ndarray, threshold_db: float,
-         ripple_max_db: float, stop_db: float) -> list:
-    """Widest qualifying two-peak profile along a pump ladder, per engine of ``row``.
+def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
+         threshold_db: float, ripple_max_db: float, stop_db: float) -> list:
+    """Widest qualifying two-peak profile along a pump ladder, per cell of ``engine``.
 
-    ``row`` holds the engines of one :meth:`ReflectionEngine.row` build, in
-    order; a single engine is the row ``[engine]``.  At each cell, steps
-    run in ladder order until one crosses an oscillation pole or exceeds
-    ``stop_db``; profiles at or above ``threshold_db`` compete on
-    bandwidth.  Steps that can neither stop the ramp nor reach the
-    threshold (see :func:`_candidate_steps`) are skipped unevaluated, which
-    leaves the result identical to evaluating every step.  The rest are
-    evaluated in blocks of at most :data:`RAMP_BLOCK_POINTS` grid points.
+    Every cell runs the same ladder.  At each cell, steps run in ladder
+    order until one crosses an oscillation pole or exceeds ``stop_db``;
+    profiles at or above ``threshold_db`` compete on bandwidth.  Steps
+    that can neither stop the ramp nor reach the threshold (see
+    :func:`_candidate_steps`) are skipped unevaluated, which leaves the
+    result identical to evaluating every step.  The rest are evaluated in
+    blocks of at most :data:`RAMP_BLOCK_POINTS` grid points.
 
     An evaluated step is a candidate only when it passes four exact tests,
     cheapest first, each a condition under which its report could not
@@ -627,21 +551,22 @@ def ramp(row, drives: np.ndarray, alphas: np.ndarray, threshold_db: float,
     ramp stops, candidates get a full :func:`bandwidth_report` from widest
     to narrowest, earlier first on equal widths, until one qualifies.
     """
-    screen = _candidate_steps(row, alphas, min(threshold_db, stop_db))
+    screen = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
     results = []
-    for engine, steps in zip(row, screen):
+    for cells, omega_p, steps in zip(engine.cells, engine.omega_ps, screen):
+        ws = engine.ws[cells]
         candidates = []   # (width, ladder index, gain) per candidate step
-        block = max(1, RAMP_BLOCK_POINTS // engine.ws.size)
+        block = max(1, RAMP_BLOCK_POINTS // ws.size)
         for at in range(0, steps.size, block):
             ks = steps[at:at + block]
-            gdb = engine.gain_db(alphas[ks])
+            gdb = engine.gain_db(alphas[ks], cells)
             peak = gdb.max(axis=1)
             # the first step past an oscillation pole or above stop_db ends the ramp
             halt = np.flatnonzero(~np.isfinite(gdb).all(axis=1) | (peak > stop_db))
             run = halt[0] if halt.size else ks.size
             rising = _rising_maxima(gdb[:run], threshold_db)
             for j in np.flatnonzero((peak[:run] >= threshold_db) & (rising >= 2)).tolist():
-                lo, hi, ripple = _widest_span(engine.ws, gdb[j], threshold_db)
+                lo, hi, ripple = _widest_span(ws, gdb[j], threshold_db)
                 width = float(hi - lo)
                 if width > 0.0 and ripple <= ripple_max_db:
                     candidates.append((width, ks[j], gdb[j]))
@@ -650,7 +575,7 @@ def ramp(row, drives: np.ndarray, alphas: np.ndarray, threshold_db: float,
         best, best_drive = None, 0.0
         # a stable sort keeps ladder order among equal widths
         for _, k, gain in sorted(candidates, key=lambda c: -c[0]):
-            rep = bandwidth_report(GainProfile(engine.ws, None, gain, engine.omega_p),
+            rep = bandwidth_report(GainProfile(ws, None, gain, omega_p),
                                    threshold_db, ripple_max_db, require_two_peaks=True)
             if rep.qualified:
                 best, best_drive = rep, float(drives[k])
@@ -708,9 +633,10 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
     for wp in omega_p_grid:
         ws = np.arange(wp / 2 - freq_half_span, wp / 2 + freq_half_span, freq_step)
         # the network at ω_s and ω_i is the same at every bias of this pump
-        engines = ReflectionEngine.biases(design, env, ws, wp, i_dc_grid)
-        for idc, engine in zip(i_dc_grid, engines):
-            res, = ramp([engine], *policy_ladder(engine, design, policy),
+        network = ReflectionEngine(design, env, [(ws, wp)])
+        for idc in i_dc_grid:
+            engine = network.at_bias(idc)
+            res, = ramp(engine, *policy_ladder(engine, design, policy),
                         threshold_db, ripple_max_db, policy.gain_stop_db)
             rep = res.report
             if rep is None:
@@ -737,7 +663,7 @@ def rnr_power_law(design: DesignSpec, xi3_grid: Sequence[float], omega_p: float,
     if xi3[-1] / xi3[0] < np.sqrt(10.0):
         raise InvalidParameter("xi3 grid must span at least half a decade")
     ws = np.array([omega_p / 2.0 + signal_offset])
-    engine = ReflectionEngine(design, env, ws, omega_p, i_dc)
+    engine = ReflectionEngine(design, env, [(ws, omega_p)], i_dc)
     rs, xs = [], []
     for x in xi3:
         alpha = engine.alpha_for_xi3(x)

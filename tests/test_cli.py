@@ -164,16 +164,6 @@ def test_runtime_error_is_numerical_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err == "numerical failure: solver diverged\n"
 
 
-def test_non_integer_kipa_threads_is_validation_error(monkeypatch, capsys):
-    monkeypatch.setenv("KIPA_THREADS", "two")
-    rc = main(["synth", "--set", "epsilon=0.0625", "--set", "z_nr=60ohm",
-               "--set", "z_ki=180ohm"])
-    assert rc == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "KIPA_THREADS" in err
-
-
 # (argv, header, one valid row) of each command that reads a CSV input
 _CSV_COMMANDS = {
     "fit-ki": ([], "i_dc_A,dfrac", "0.0001,-1e-06"),
@@ -226,6 +216,15 @@ def test_simulate_command_with_preset_and_overrides(tmp_path):
     gain = float(first[3])
     re_s11, im_s11 = float(first[1]), float(first[2])
     assert gain == pytest.approx(20 * math.log10(abs(complex(re_s11, im_s11))), abs=1e-6)
+
+
+def test_simulate_alpha_beyond_one_is_one_line_validation_error(capsys):
+    # |ξ3|/2π = 100 GHz puts α = (|ξ3|/2ω0)² far above 1
+    rc = main(["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "100GHz"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_VALIDATION
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: alpha = ")
 
 
 def test_simulate_byte_identical_runs(tmp_path):
@@ -328,7 +327,7 @@ def test_map_rejects_bad_bias_grid(start, stop, step, capsys):
 
 
 def test_map_rejects_negative_bias_before_any_build(capsys, monkeypatch):
-    monkeypatch.setattr(simulator, "_SharedNetwork",
+    monkeypatch.setattr(simulator, "ReflectionEngine",
                         lambda *args: pytest.fail("network built for a rejected map"))
     rc = main(["map", "--preset", "paper-device",
                "--set", "fp_span=16.9GHz:16.9GHz:20MHz",
@@ -377,17 +376,17 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
 def test_reused_parser_keeps_no_state_between_calls(monkeypatch):
     seen = []
 
-    def record(cfg, fmt, out, threads):
-        seen.append((cfg, fmt, out, threads))
+    def record(cfg, fmt, out):
+        seen.append((cfg, fmt, out))
         return EXIT_OK
 
     monkeypatch.setitem(cli._HANDLERS, "synth", record)
-    monkeypatch.delenv("KIPA_THREADS", raising=False)
+    # --threads is accepted and passed to no handler
     assert main(["synth", "--set", "epsilon=0.25", "--set", "z_nr=60ohm",
                  "--threads", "3", "--format", "structured", "--out", "a.json"]) == EXIT_OK
     assert main(["synth", "--set", "z_ki=180ohm"]) == EXIT_OK
-    assert seen == [({"epsilon": 0.25, "z_nr": 60.0}, "structured", "a.json", 3),
-                    ({"z_ki": 180.0}, "csv", None, 1)]
+    assert seen == [({"epsilon": 0.25, "z_nr": 60.0}, "structured", "a.json"),
+                    ({"z_ki": 180.0}, "csv", None)]
     assert cli._PARSER is not None
     assert cli._PARSER.parse_args(["synth"]).set == []
 

@@ -132,6 +132,5 @@ _PREFIX = {"map": _MAP_GRID, "search": _SEARCH_GRID}
 def test_fuzzed_argv_ends_in_documented_exit_code(command, items, tmp_path, capsys,
                                                   monkeypatch):
     monkeypatch.chdir(tmp_path)  # a fuzzed --out lands here
-    monkeypatch.delenv("KIPA_THREADS", raising=False)
     argv = [command, *_PREFIX.get(command, []), *(token for item in items for token in item)]
     _run(argv, capsys)

@@ -6,9 +6,9 @@ and it reports only the steps that could replace its best profile.
 These properties check the coefficient form against the step-by-step
 network composition, S11 over a block of α against each α alone bit for
 bit, the screened, block-evaluated row ramp against evaluating and
-reporting every step of each cell, row-built and bias-shared engines
-against engines built one grid at a time, and the map against per-cell
-builds.
+reporting every step of each cell, the cells of a multi-grid engine and
+an engine moved to another bias against engines built one grid at a time,
+and the map against per-cell builds.
 """
 import dataclasses
 import math
@@ -28,6 +28,7 @@ from kipa.search import _design_for, _row_grids, default_ranges, search_designs,
 from kipa.simulator import (
     PEAK_PROMINENCE_DB,
     GainProfile,
+    MobiusForm,
     PumpRampPolicy,
     RampResult,
     ReflectionEngine,
@@ -82,7 +83,7 @@ def _exhaustive_ramp(engine, drives, alphas, threshold_db, ripple_max_db, stop_d
         if not np.isfinite(gdb).all() or gdb.max() > stop_db:
             break
         if gdb.max() >= threshold_db:
-            rep = bandwidth_report(GainProfile(engine.ws, None, gdb, engine.omega_p),
+            rep = bandwidth_report(GainProfile(engine.ws, None, gdb, engine.omega_ps[0]),
                                    threshold_db, ripple_max_db, require_two_peaks=True)
             if rep.qualified and rep.bandwidth > (best.bandwidth if best else 0.0):
                 best, best_drive = rep, float(drive)
@@ -95,7 +96,7 @@ def _exhaustive_ramp(engine, drives, alphas, threshold_db, ripple_max_db, stop_d
 def test_s11_matches_composition_and_mobius_form(cell, env, alpha):
     _, design, _, _, _, wp2 = cell
     ws = wp2 + TWO_PI * np.arange(-1.2e9, 1.2e9, 20e6)
-    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
     ref = _composed_s11(design, ENVS[env], ws, 2 * wp2, 0.0, alpha)
     np.testing.assert_allclose(engine.s11(alpha), ref, rtol=1e-9)
     m = engine.mobius
@@ -124,7 +125,7 @@ def _pole_admittance(engine, k, alpha):
 def test_s11_over_alpha_array_equals_each_alpha_alone(cell, env, alphas, pole_at):
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
     if pole_at is not None:  # an exact idler pole at the first α
         y = _pole_admittance(engine, pole_at, alphas[0])
         assume(y is not None)
@@ -144,7 +145,7 @@ def test_s11_over_alpha_array_equals_each_alpha_alone(cell, env, alphas, pole_at
 def test_pump_off_unitarity_ideal_environment(cell, offset):
     _, design, _, _, _, wp2 = cell
     ws = wp2 + TWO_PI * (offset + np.arange(-0.5e9, 0.5e9, 10e6))
-    engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
     np.testing.assert_allclose(np.abs(engine.s11(0.0)), 1.0, rtol=0, atol=1e-9)
     np.testing.assert_allclose(np.abs(engine.mobius.p / engine.mobius.r), 1.0,
                                rtol=0, atol=1e-9)
@@ -172,10 +173,10 @@ def test_quadratic_intervals_hold_every_nonnegative_point(a2, a1, a0, alpha):
 def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
     _, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
     peaks = np.array([engine.gain_db(float(a)).max() for a in alphas])  # inf at poles
-    kept, = _candidate_steps([engine], alphas, db)
+    kept, = _candidate_steps(engine, alphas, db)
     assert set(np.flatnonzero(peaks >= db)) <= set(kept)
     assert np.all(peaks[kept] >= db - 1e-4)
 
@@ -185,10 +186,10 @@ def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
 def test_screened_search_ramp_matches_exhaustive(cell):
     ranges, design, z14, z12, z_nr, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
     ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
     full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
-    assert ramp([engine], *ladder, 17.0, 5.0, 40.0) == [full]
+    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [full]
     # the search records exactly that best profile
     point = SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (z_nr, z_nr, 1.0),
                          (wp2, wp2, 1.0), ranges.z_ki, ranges.omega0, ranges.circuit_kind)
@@ -210,17 +211,17 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
                                  ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=None))
     wp = TWO_PI * fp_hz
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, ENVS[env], ws, wp, idc)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
     ladder = policy_ladder(engine, design, PumpRampPolicy(mode=mode, step_db=step_db))
-    assert ramp([engine], *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
+    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, *ladder, 17.0, 5.0, 40.0)]
 
 
 @pytest.mark.parametrize("mode", ["current", "xi3"])
 def test_policy_ladder_repeats_the_multiplied_drive(mode):
     design = paper_device()
-    engine = ReflectionEngine(design, IDEAL_ENV, TWO_PI * np.arange(8.0e9, 8.9e9, 10e6),
-                              TWO_PI * 16.9e9, 0.57e-3)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(TWO_PI * np.arange(8.0e9, 8.9e9, 10e6),
+                                                   TWO_PI * 16.9e9)], 0.57e-3)
     policy = PumpRampPolicy(mode=mode)
     drives, alphas = policy_ladder(engine, design, policy)
     # the loop the ladder replaces
@@ -270,9 +271,9 @@ def test_screened_ramp_matches_exhaustive_over_limits(cell, env, symmetric,
         ws = wp2 + TWO_PI * 4e6 * np.arange(-300, 301)
     else:
         ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, ENVS[env], ws, 2 * wp2)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
     ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
-    assert ramp([engine], *ladder, threshold_db, ripple_max_db, 40.0) == [_exhaustive_ramp(
+    assert ramp(engine, *ladder, threshold_db, ripple_max_db, 40.0) == [_exhaustive_ramp(
         engine, *ladder, threshold_db, ripple_max_db, 40.0)]
 
 
@@ -291,7 +292,7 @@ def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
         ws = ws[(ws > 0) & (2 * wp2 - ws > 0)]
         if ws.size < 16:
             continue
-        engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+        engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
         ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
         full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
         if full.report is not None:
@@ -311,11 +312,11 @@ def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz
         if not grids:  # a clipped cell beside full ones
             ws = ws[ws < wp2 + TWO_PI * clip_hz]
         grids.append((ws, 2 * wp2))
-    row = ReflectionEngine.row(design, ENVS[env], grids)
-    ladder = drive_ladder(TWO_PI * 1e6, 1.02, row[0].alpha_for_xi3, 0.9)
-    alone = [ReflectionEngine(design, ENVS[env], ws, wp) for ws, wp in grids]
+    row = ReflectionEngine(design, ENVS[env], grids)
+    ladder = drive_ladder(TWO_PI * 1e6, 1.02, row.alpha_for_xi3, 0.9)
+    alone = [ReflectionEngine(design, ENVS[env], [grid]) for grid in grids]
     for got, want in zip(_candidate_steps(row, ladder[1], 17.0),
-                         (_candidate_steps([engine], ladder[1], 17.0)[0] for engine in alone)):
+                         (_candidate_steps(engine, ladder[1], 17.0)[0] for engine in alone)):
         assert np.array_equal(got, want)
     assert ramp(row, *ladder, 17.0, 5.0, 40.0) == [
         _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0) for engine in alone]
@@ -327,33 +328,36 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     design = _design_for(default_ranges(kind), z14, z12, z_nr)
     wp2 = TWO_PI * 7.75e9
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * wp2)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
     drives, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
     full = _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
     assert full.report is not None
     # candidate steps up to and including the one that stops the ramp
-    steps, = _candidate_steps([engine], alphas, 17.0)
+    steps, = _candidate_steps(engine, alphas, 17.0)
     evaluated = np.flatnonzero(engine.gain_db(alphas[steps]).max(axis=1) > 40.0)[0] + 1
     assert evaluated >= 3
     # one step per block; the evaluated steps one more than a block, exactly
     # one block, and less than one block
     for per_block in (1, evaluated - 1, evaluated, evaluated + 1):
         monkeypatch.setattr(simulator, "RAMP_BLOCK_POINTS", per_block * ws.size)
-        assert ramp([engine], drives, alphas, 17.0, 5.0, 40.0) == [full], per_block
-
-
-def test_ramp_rejects_engines_that_are_not_one_whole_row():
-    design = paper_device()
-    grids = [(TWO_PI * np.arange(f, f + 0.2e9, 10e6), TWO_PI * 16.9e9) for f in (8.0e9, 8.3e9)]
-    row = ReflectionEngine.row(design, IDEAL_ENV, grids, PAPER_DEVICE_BIAS)
-    other = ReflectionEngine(design, IDEAL_ENV, *grids[0], PAPER_DEVICE_BIAS)
-    ladder = (np.array([1.0]), np.array([0.1]))
-    for bad in (row[:1], row[::-1], [other, row[1]]):
-        with pytest.raises(InvalidParameter):
-            ramp(bad, *ladder, 17.0, 5.0, 40.0)
+        assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [full], per_block
 
 
 ENGINE_ARRAYS = ("ws", "wi", "jws", "jwi", "y_c", "y_idler_conj", "z_env")
+ENGINE_SCALARS = ("i_dc", "l0", "c", "omega0")
+
+
+def _assert_cell_equals(engine, cells, ref, same):
+    """Cell ``cells`` of ``engine`` equals the one-grid engine ``ref`` under ``same``."""
+    for field in ENGINE_ARRAYS:
+        assert same(getattr(engine, field)[cells], getattr(ref, field)), field
+    for got, want in zip(engine.abcd, ref.abcd):
+        assert same(got[cells], want)
+    for field, got, want in zip(ref.mobius._fields, engine.mobius, ref.mobius):
+        assert same(got[cells], want), field
+    assert engine.omega_ps[engine.cells.index(cells)] == ref.omega_ps[0]
+    assert [getattr(engine, k) for k in ENGINE_SCALARS] == [
+        getattr(ref, k) for k in ENGINE_SCALARS]
 
 
 def _row_designs():
@@ -370,18 +374,11 @@ def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
     fp2s = [TWO_PI * 5e6] + _axis(TWO_PI * 7.5e9, TWO_PI * 8.5e9, TWO_PI * 0.25e9)
     cells = _row_grids(fp2s, TWO_PI * 1.2e9, TWO_PI * 4e6)
     assert [wp2 for wp2, _, _ in cells] == fp2s[1:]
-    engines = ReflectionEngine.row(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], i_dc)
-    assert len(engines) == len(cells)
-    for (_, ws, wp), eng in zip(cells, engines):
-        ref = ReflectionEngine(design, ENVS[env], ws, wp, i_dc)
-        for field in ENGINE_ARRAYS:
-            assert np.array_equal(getattr(eng, field), getattr(ref, field)), field
-        for got, want in zip(eng.abcd, ref.abcd):
-            assert np.array_equal(got, want)
-        for field, got, want in zip(eng.mobius._fields, eng.mobius, ref.mobius):
-            assert np.array_equal(got, want), field
-        assert (eng.omega_p, eng.i_dc, eng.l0, eng.c, eng.omega0) == (
-            ref.omega_p, ref.i_dc, ref.l0, ref.c, ref.omega0)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], i_dc)
+    assert len(engine.cells) == len(cells)
+    for (_, ws, wp), at in zip(cells, engine.cells):
+        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
+        _assert_cell_equals(engine, at, ref, np.array_equal)
 
 
 BIASES = [0.0, 0.45e-3, PAPER_DEVICE_BIAS, 0.6e-3]
@@ -395,19 +392,14 @@ def test_bias_shared_engines_equal_standalone_engines(env, monkeypatch):
     builds = []
     monkeypatch.setattr(simulator, "idler_admittance",
                         lambda *args: builds.append(args) or idler_admittance(*args))
-    engines = list(ReflectionEngine.biases(design, ENVS[env], ws, wp, BIASES))
+    network = ReflectionEngine(design, ENVS[env], [(ws, wp)])
+    network.mobius   # a Möbius form built at another bias is not carried over
+    engines = [network.at_bias(i_dc) for i_dc in BIASES]
     assert len(builds) == 1   # one network for every bias
     monkeypatch.undo()
     for i_dc, eng in zip(BIASES, engines):
-        ref = ReflectionEngine(design, ENVS[env], ws, wp, i_dc)
-        for field in ENGINE_ARRAYS:
-            assert _same_bits(getattr(eng, field), getattr(ref, field)), field
-        for got, want in zip(eng.abcd, ref.abcd):
-            assert _same_bits(got, want)
-        for field, got, want in zip(eng.mobius._fields, eng.mobius, ref.mobius):
-            assert _same_bits(got, want), field
-        assert (eng.omega_p, eng.i_dc, eng.l0, eng.c, eng.omega0) == (
-            ref.omega_p, ref.i_dc, ref.l0, ref.c, ref.omega0)
+        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
+        _assert_cell_equals(eng, eng.cells[0], ref, _same_bits)
     # the bias-free arrays are shared, the Möbius form is not
     assert np.shares_memory(engines[1].y_idler_conj, engines[0].y_idler_conj)
     assert not np.shares_memory(engines[1].mobius.p, engines[0].mobius.p)
@@ -429,8 +421,8 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
     for wp in fps:
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
-            engine = ReflectionEngine(design, ENVS[env], ws, wp, idc)
-            res, = ramp([engine], *policy_ladder(engine, design, policy), 17.0, 5.0,
+            engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
+            res, = ramp(engine, *policy_ladder(engine, design, policy), 17.0, 5.0,
                         policy.gain_stop_db)
             rep = res.report
             expected.append(simulator.MapCell(
@@ -438,6 +430,28 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
                            if rep else (0.0, 0, 0.0, 0.0))))
     assert cells == expected
     assert sum(c.bandwidth > 0 for c in cells) >= 2
+
+
+def test_one_engine_build_per_search_row_and_per_map_pump(monkeypatch):
+    builds = []
+    init = ReflectionEngine.__init__
+    monkeypatch.setattr(ReflectionEngine, "__init__",
+                        lambda self, *args: builds.append(args) or init(self, *args))
+    base = default_ranges("three-stage")
+    fp2s = (TWO_PI * 7.75e9, TWO_PI * 8.25e9, TWO_PI * 0.25e9)
+    ranges = SearchRanges((60.0, 70.0, 10.0), (80.0, 80.0, 1.0), (50.0, 60.0, 10.0), fp2s,
+                          base.z_ki, base.omega0, "three-stage")
+    list(search_designs(ranges))
+    assert [len(grids) for _, _, grids in builds] == [3] * 4   # one per (z14, z12, z_nr) row
+    builds.clear()
+    # a 5-MHz pump half-frequency leaves fewer than 16 grid points: no cells, no build
+    assert list(search_designs(dataclasses.replace(
+        ranges, omega_p_half_range=(TWO_PI * 5e6, TWO_PI * 5e6, 1.0)))) == []
+    assert builds == []
+    fps = TWO_PI * np.array([16.8e9, 16.9e9, 17.0e9])
+    pump_bias_map(paper_device(), IDEAL_ENV, fps, [0.0, 0.52e-3, 0.57e-3],
+                  PumpRampPolicy(mode="xi3", step_db=0.5), freq_step=TWO_PI * 4e6)
+    assert len(builds) == len(fps)   # one per pump frequency
 
 
 @pytest.mark.parametrize("bad", [
@@ -450,27 +464,26 @@ def test_row_validates_each_grid_like_a_single_engine(bad):
     design = paper_device()
     good = (TWO_PI * np.arange(7.9e9, 8.1e9, 10e6), TWO_PI * 16.9e9)
     with pytest.raises(InvalidParameter) as alone:
-        ReflectionEngine(design, IDEAL_ENV, *bad)
+        ReflectionEngine(design, IDEAL_ENV, [bad])
     with pytest.raises(InvalidParameter) as in_row:
-        ReflectionEngine.row(design, IDEAL_ENV, [good, bad])
+        ReflectionEngine(design, IDEAL_ENV, [good, bad])
     assert str(in_row.value) == str(alone.value)
 
 
 class _ScriptedEngine:
     """Engine stand-in whose gain at the i-th ladder α is the i-th of ``profiles``."""
 
-    omega_p = 2.0
+    omega_ps = [2.0]
 
     def __init__(self, profiles, alphas):
         self.ws = np.linspace(0.5, 1.5, profiles[0].size)
         self.profiles = dict(zip(alphas.tolist(), profiles))
-        self._cells = slice(0, self.ws.size)
+        self.cells = [slice(0, self.ws.size)]
         zero = np.zeros(self.ws.size, dtype=complex)
         # a2 = 0 everywhere: the α screen keeps every step
-        self._shared = types.SimpleNamespace(mobius=(zero, zero, zero, zero, zero + 1j),
-                                             cells=[self._cells])
+        self.mobius = MobiusForm(zero, zero, zero, zero, zero + 1j)
 
-    def gain_db(self, alpha):
+    def gain_db(self, alpha, cells=slice(None)):
         if np.ndim(alpha):
             return np.array([self.profiles[a] for a in alpha.tolist()])
         return self.profiles[alpha].copy()
@@ -483,7 +496,7 @@ DRIVES, ALPHAS = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])
 
 def test_ramp_keeps_the_first_of_equal_width_profiles():
     engine = _ScriptedEngine([TWO_PEAKS] * 3, ALPHAS)
-    res, = ramp([engine], DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    res, = ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
     assert res.report.qualified and res.report.peak_count == 2
     assert res.drive == 1.0
     assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
@@ -519,7 +532,7 @@ def test_ramp_reports_widest_first(profiles, drive, reports, monkeypatch):
                         lambda *args, **kw: calls.append(args) or bandwidth_report(*args, **kw))
     engine = _ScriptedEngine(profiles, ALPHAS[:len(profiles)])
     ladder = DRIVES[:len(profiles)], ALPHAS[:len(profiles)]
-    res, = ramp([engine], *ladder, 17.0, 5.0, 40.0)
+    res, = ramp(engine, *ladder, 17.0, 5.0, 40.0)
     assert (res.drive, res.report.qualified, len(calls)) == (drive, True, reports)
     monkeypatch.undo()
     assert res == _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
@@ -532,11 +545,11 @@ def test_ramp_stops_inside_a_block_at_the_step_above_stop_db():
     spiked = TWO_PEAKS + 2.0
     spiked[2] = 45.0
     engine = _ScriptedEngine([TWO_PEAKS, spiked, TWO_PEAKS + 2.0], ALPHAS)
-    res, = ramp([engine], DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    res, = ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
     assert res.drive == 1.0
     assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
     # without the spike the second step is the widest
-    assert ramp([_ScriptedEngine([TWO_PEAKS, TWO_PEAKS + 2.0, TWO_PEAKS + 2.0], ALPHAS)],
+    assert ramp(_ScriptedEngine([TWO_PEAKS, TWO_PEAKS + 2.0, TWO_PEAKS + 2.0], ALPHAS),
                 DRIVES, ALPHAS, 17.0, 5.0, 40.0)[0].drive == 2.0
 
 
@@ -546,9 +559,8 @@ def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
     # from α = 1/2 on
     p, q, r, s = (np.array(point, dtype=complex)
                   for point in ([0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]))
-    shared = types.SimpleNamespace(mobius=(p, q, r, s, np.full(4, 1j)),
+    engine = types.SimpleNamespace(mobius=MobiusForm(p, q, r, s, np.full(4, 1j)),
                                    cells=[slice(0, 2), slice(2, 4)])
-    row = [types.SimpleNamespace(_shared=shared, _cells=cells) for cells in shared.cells]
     alphas = np.array([0.1, 0.3, 0.5, 0.7])
-    got = _candidate_steps(row, alphas, 10.0 * math.log10(0.25))
+    got = _candidate_steps(engine, alphas, 10.0 * math.log10(0.25))
     assert [steps.tolist() for steps in got] == [[0, 1, 2, 3], [2, 3]]

@@ -80,7 +80,7 @@ def test_grid_validation():
         gain_spectrum(design, PumpDrive(0.0, PAPER_DEVICE_PUMP), None,
                       _grid(16.0e9, 18.0e9, 100e6))  # idler frequency goes negative
     with pytest.raises(InvalidParameter):
-        ReflectionEngine(design, IDEAL_ENV, np.array([]), PAPER_DEVICE_PUMP)
+        ReflectionEngine(design, IDEAL_ENV, [(np.array([]), PAPER_DEVICE_PUMP)])
 
 
 def _rect_profile(width_hz=0.4e9, level_db=20.0):
@@ -283,7 +283,7 @@ def test_bandwidth_alpha_trend_positive():
     # over the qualifying pump range, bandwidth grows with modulation strength
     design = paper_device()
     ws = _grid(7.45e9, 9.45e9, 2e6)
-    engine = ReflectionEngine(design, IDEAL_ENV, ws, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, PAPER_DEVICE_PUMP)], PAPER_DEVICE_BIAS)
     alphas, bws = [], []
     xi3 = TWO_PI * 1.0e9
     while xi3 < TWO_PI * 2.6e9:

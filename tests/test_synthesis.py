@@ -112,7 +112,7 @@ def test_round_trip_synthesis_to_simulation():
     design = three_stage_design(50.0, res.z_quarter, res.z_half, 180.0,
                                 1.0 / (w0 * 60.0), model, w0)
     ws = np.arange(w0 - two_pi * 1.3e9, w0 + two_pi * 1.3e9, two_pi * 2e6)
-    engine = ReflectionEngine(design, IDEAL_ENV, ws, 2 * w0, 0.0)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * w0)], 0.0)
 
     # design pump: node negative resistance equal to z_ki^2 / z_ref
     r_nr_design = 180.0**2 / res.r_nr_primed
