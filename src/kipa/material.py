@@ -220,8 +220,9 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
 
     Returns (model, rms_residual).  The parabolic and quartic laws are
     linear in their inverse scales and are solved exactly by linear least
-    squares; the clem law runs damped least squares with an analytic
-    Jacobian.  A fit of flat data returns an infinite i_star2.
+    squares; the clem law runs Levenberg-Marquardt (``lsq``) with an
+    analytic Jacobian.  A fit of flat data returns an infinite i_star2, or
+    for the clem law an infinite i_star_star.
     """
     pts = np.asarray(list(data), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
@@ -263,31 +264,39 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
     else:
         v0 = (1.0 - lk_ratio**-n) ** (1.0 / n) / imax
 
-    def model_of(v):
-        x = np.clip((np.abs(i) * v) ** n, 0.0, 1.0 - 1e-12)
-        return (1.0 - x) ** (-1.0 / n)
+    a = np.abs(i)
 
-    def resid(p):
-        return -0.5 * part * (model_of(p[0]) - 1.0) - y
-
-    def jac(p):
+    def evaluate(p, f, jt):
         v = p[0]
-        x = np.clip((np.abs(i) * v) ** n, 0.0, 1.0 - 1e-12)
-        g = (1.0 - x) ** (-1.0 / n - 1.0)
-        dx_dv = n * (np.abs(i)) ** n * v ** (n - 1.0)
-        return (-0.5 * part * (1.0 / n) * g * dx_dv).reshape(-1, 1)
+        if not v > 0.0:
+            f.fill(np.nan)   # the law needs v > 0: a rejected trial point
+            return
+        t = (a * v) ** n
+        w = 1.0 - np.minimum(t, 1.0 - 1e-12)   # 1 - x
+        g = w ** (-1.0 / n - 1.0)
+        # dfrac = -(part/2)(g·w - 1) with g·w = w^(-1/n); d/dv = -(part/2)·g·x/v
+        np.multiply(g, w, out=f)
+        f -= 1.0
+        f *= -0.5 * part
+        f -= y
+        np.multiply(g, t, out=jt[0])
+        jt[0] *= -0.5 * part / v
 
-    from scipy.optimize import least_squares
-    res = least_squares(resid, np.array([v0]), jac=jac, method="lm",
-                        xtol=tol, ftol=tol, gtol=tol, max_nfev=max_iter)
-    if not res.success:
-        raise FitFailure("clem fit did not converge", {"status": res.status,
-                                                       "message": res.message})
-    v = abs(res.x[0])
-    istar_star = math.inf if v < _SENTINEL_ZERO else 1.0 / v
+    # loaded on the first fit, so commands that never fit do not compile it
+    from .lsq import levenberg_marquardt
+
+    # a trial v far beyond the data overflows x: a rejected step
+    with np.errstate(over="ignore"):
+        fit = levenberg_marquardt(evaluate, [v0], i.size, tol, max_iter, "clem fit")
+    rms = float(np.sqrt(np.mean(fit.fun**2)))
+    # a law that explains the data no better than no shift at all is flat
+    rms_flat = float(np.sqrt(np.mean(y**2)))
+    if rms < rms_flat:
+        istar_star = 1.0 / fit.x[0]
+    else:
+        istar_star, rms = math.inf, rms_flat
     model = KineticInductorModel(model_kind="clem", l_k0=l_k0, l_geo=l_geo,
                                  i_star_star=istar_star, n_exp=n)
-    rms = float(np.sqrt(np.mean(res.fun**2)))
     return model, rms
 
 

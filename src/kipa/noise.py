@@ -173,6 +173,48 @@ def drive_strength(gamma_1e: float, p_drive: float, omega_q: float) -> float:
     return math.sqrt(2.0 * gamma_1e * p_drive / (HBAR * omega_q))
 
 
+def _saturation_residual(det: np.ndarray, ratio: np.ndarray, s21: np.ndarray):
+    """Residual callback of the saturation fit, for ``lsq.levenberg_marquardt``.
+
+    det : detunings, rad/s; ratio : (Ω/Ω_ref)² of each row; s21 : measured.
+    evaluate(x, f, jt) takes x = (log γ1, log γφ, log Ω_ref) and fills
+    f = [Re, Im] of (model S21 - s21) and its transposed Jacobian jt.
+    """
+    k = det.size
+    one_minus_re = 1.0 - s21.real
+    minus_im = -s21.imag
+
+    def evaluate(x, f, jt):
+        # S = 1 - Q·(1 + i·d) with d = Δ/γ2, Q = (γ1/2γ2)/D and the real
+        # denominator D = 1 + d² + u, u = Ω²/(γ1·γ2); γ2 = γφ + γ1/2
+        g1, gphi, om_ref = np.exp(x)
+        g2 = gphi + g1 / 2.0
+        c = g1 / (2.0 * g2)
+        d = det / g2
+        dd = d * d
+        u = ratio * (om_ref * om_ref / (g1 * g2))
+        den = 1.0 + dd
+        den += u
+        q = c / den
+        p = q / den
+        np.subtract(one_minus_re, q, out=f[:k])
+        np.subtract(minus_im, np.multiply(q, d, out=f[k:]), out=f[k:])
+        # ∂Q/∂γ2 = P(d² - 1)/γ2 and ∂(-Q·d)/∂γ2 = P·d(2 + u)/γ2, P = Q/D
+        dq_g2 = p * (dd - 1.0)
+        di_g2 = p * d * (2.0 + u)
+        # γ1·∂Q/∂γ1 at fixed γ2 is Q + P·u; Ω_ref·∂Q/∂Ω_ref is -2P·u
+        pu = p * u
+        c1 = q + pu
+        np.multiply(dq_g2, -gphi / g2, out=jt[1, :k])
+        np.multiply(di_g2, gphi / g2, out=jt[1, k:])
+        np.subtract(np.multiply(dq_g2, -c, out=jt[0, :k]), c1, out=jt[0, :k])
+        np.subtract(np.multiply(di_g2, c, out=jt[0, k:]), c1 * d, out=jt[0, k:])
+        np.multiply(pu, 2.0, out=jt[2, :k])
+        np.multiply(jt[2, :k], d, out=jt[2, k:])
+
+    return evaluate
+
+
 def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
                          omega_q: float, p_ref: float = 1e-11,
                          max_iter: int = 200, tol: float = 1e-10) -> dict:
@@ -183,8 +225,9 @@ def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
     p_ref : reference VNA power at which the fitted drive is reported
 
     Assumes γ1 ≈ γ1e and Ω² proportional to VNA power.  Fits log(γ1),
-    log(γφ), log(Ω_ref) by damped least squares with analytic Jacobians and
-    converts the drive into the input-line attenuation a_in = P_d/P_VNA.
+    log(γφ), log(Ω_ref) by Levenberg-Marquardt (``lsq``) with an analytic
+    Jacobian, starting from the half-depth width of the lowest-power dip,
+    and converts the drive into the input-line attenuation a_in = P_d/P_VNA.
     Returns the rates, drive, attenuation, and RMS residual.
     """
     rows = list(data)
@@ -202,63 +245,37 @@ def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
         raise FitFailure("no dip contrast: saturation parameters unidentifiable",
                          {"contrast": float(contrast)})
 
-    scale = np.sqrt(pw / p_ref)
+    k = det.size
+    ratio = pw / p_ref               # (Ω/Ω_ref)² at each row
+    evaluate = _saturation_residual(det, ratio, s21)
 
-    def model_and_grads(x):
-        # rows without a dip drive the rates to extremes where these powers
-        # overflow; such a fit fails the drive check below (FitFailure)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g1, gphi, om_ref = np.exp(x)
-            g2 = gphi + g1 / 2.0
-            om = om_ref * scale
-            d = det / g2
-            den = 1.0 + d**2 + om**2 / (g1 * g2)
-            pref = g1 / (2.0 * g2)
-            num = 1.0 + 1j * d
-            s = 1.0 - pref * num / den
-            # partials wrt (g1, gphi, om_ref); gamma_2 depends on both rates
-            dden_dg2 = -2.0 * d**2 / g2 - om**2 / (g1 * g2**2)
-            dden_dg1_ex = -(om**2) / (g1**2 * g2)
-            dnum_dg2 = -1j * d / g2
-            dpref_dg2 = -g1 / (2.0 * g2**2)
-            dpref_dg1_ex = 1.0 / (2.0 * g2)
-            dS_dg2 = -(dpref_dg2 * num / den + pref * dnum_dg2 / den
-                       - pref * num * dden_dg2 / den**2)
-            dS_dg1 = -(dpref_dg1_ex * num / den - pref * num * dden_dg1_ex / den**2) \
-                + dS_dg2 * 0.5
-            dS_dgphi = dS_dg2
-            dden_dom = 2.0 * om * scale / (g1 * g2)
-            dS_dom = pref * num * dden_dom / den**2
-            return s, (dS_dg1 * g1, dS_dgphi * gphi, dS_dom * om_ref)
-
-    def resid(x):
-        s, _ = model_and_grads(x)
-        r = s - s21
-        return np.concatenate([r.real, r.imag])
-
-    def jac(x):
-        _, grads = model_and_grads(x)
-        cols = [np.concatenate([g.real, g.imag]) for g in grads]
-        return np.stack(cols, axis=1)
-
-    # starting point: dip width and depth at the lowest power
+    # starting point: dip width and depth at the lowest power; an
+    # unsaturated dip |1 - S21| = (γ1/2γ2)/√(1 + d²) falls to half its depth
+    # at Δ = ±√3·γ2
     low = pw == pw.min()
-    depth = np.max(np.abs(1.0 - s21[low]))
-    g2_guess = max((det[low].max() - det[low].min()) / 4.0, 1e3)
+    dip = np.abs(1.0 - s21[low])
+    depth = dip.max()
+    half = det[low][dip >= 0.5 * depth]
+    g2_guess = max((half.max() - half.min()) / (2.0 * math.sqrt(3.0)), 1e3)
     g1_guess = max(2.0 * g2_guess * min(depth, 0.999), 1e3)
     x0 = np.log([g1_guess, max(g1_guess * 1e-3, 1.0), g2_guess * 0.3])
-    from scipy.optimize import least_squares
-    res = least_squares(resid, x0, jac=jac, method="lm",
-                        xtol=tol, ftol=tol, gtol=tol, max_nfev=max_iter * 4)
-    if not res.success:
-        raise FitFailure("qubit saturation fit did not converge",
-                         {"status": res.status, "message": res.message})
-    g1, gphi, om_ref = np.exp(res.x)
-    p_d = HBAR * omega_q * om_ref**2 / (2.0 * g1)
-    if not 0.0 < p_d < np.inf:
+    # loaded on the first fit, so commands that never fit do not compile it
+    from .lsq import levenberg_marquardt
+
+    # rows without a dip drive the rates to extremes where these powers
+    # overflow; such a fit fails the drive check below (FitFailure)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fit = levenberg_marquardt(evaluate, x0, 2 * k, tol, max_iter * 4,
+                                  "qubit saturation fit")
+        g1, gphi, om_ref = np.exp(fit.x)
+        p_d = HBAR * omega_q * om_ref**2 / (2.0 * g1)
+        # a drive whose saturation term Ω²/(γ1·γ2) stays below machine
+        # epsilon at every power changes no S21 value: the model sees zero
+        saturation = om_ref**2 * ratio.max() / (g1 * (gphi + g1 / 2.0))
+    if not (0.0 < p_d < np.inf and saturation >= np.finfo(float).eps):
         raise FitFailure("fitted drive power is zero or not finite",
                          {"gamma_1": float(g1), "drive_ref": float(om_ref)})
-    rms = float(np.sqrt(np.mean(res.fun**2)))
+    rms = float(np.sqrt(np.mean(fit.fun**2)))
     return {
         "gamma_1": float(g1),
         "gamma_phi": float(gphi),

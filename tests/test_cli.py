@@ -254,6 +254,14 @@ def test_fit_ki_command(tmp_path, capsys):
     assert float(vals["i_star4_a"]) == pytest.approx(1.7e-3, rel=1e-3)
 
 
+def test_fit_ki_clem_flat_data_reports_infinite_scale(tmp_path, capsys):
+    data = tmp_path / "shift.csv"
+    data.write_text("i_dc_A,dfrac\n" + "".join(f"{k * 1e-4},0\n" for k in range(1, 9)))
+    assert main(["fit-ki", "--input", str(data), "--set", "model_kind=clem"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        "model_kind,i_star2_a,i_star4_a,i_star_star_a,rms_residual\nclem,inf,nan,inf,0\n"
+
+
 def test_noise_command(tmp_path, capsys):
     spectra = tmp_path / "spectra.csv"
     spectra.write_text("freq_hz,p_on_dbm,p_off_dbm\n8.4e9,-62.0,-75.0\n")

@@ -1,0 +1,125 @@
+"""The numpy Levenberg-Marquardt solver against known answers and scipy's MINPACK."""
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import least_squares
+
+from kipa.errors import FitFailure, InvalidParameter
+from kipa.lsq import levenberg_marquardt
+
+
+def _rosenbrock(x, f, jt):
+    f[0] = 10.0 * (x[1] - x[0] ** 2)
+    f[1] = 1.0 - x[0]
+    jt[0] = (-20.0 * x[0], -1.0)
+    jt[1] = (10.0, 0.0)
+
+
+def test_rosenbrock_zero_residual_minimum():
+    fit = levenberg_marquardt(_rosenbrock, [-1.2, 1.0], 2, tol=1e-10, max_nfev=200)
+    assert fit.x == pytest.approx([1.0, 1.0], abs=1e-10)
+    assert np.abs(fit.fun).max() < 1e-10
+
+
+def test_linear_problem_matches_normal_equations():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(30, 4))
+    b = rng.normal(size=30)
+
+    def evaluate(x, f, jt):
+        np.subtract(a @ x, b, out=f)
+        jt[:] = a.T
+
+    fit = levenberg_marquardt(evaluate, np.zeros(4), 30, tol=1e-12, max_nfev=100)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert fit.x == pytest.approx(want, rel=1e-9)
+    assert fit.fun == pytest.approx(a @ want - b, abs=1e-12)
+
+
+def _exponential_problem(rng):
+    t = np.linspace(0.0, 4.0, 40)
+    y = rng.uniform(0.5, 3.0) * np.exp(-rng.uniform(0.2, 2.0) * t) + rng.uniform(-1, 1) \
+        + rng.normal(0.0, 0.01, t.size)
+
+    def evaluate(p, f, jt):
+        e = np.exp(-p[1] * t)
+        np.subtract(p[0] * e + p[2], y, out=f)
+        jt[0] = e
+        jt[1] = -p[0] * t * e
+        jt[2] = 1.0
+
+    return t, evaluate
+
+
+def test_agrees_with_scipy_minpack():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        t, evaluate = _exponential_problem(rng)
+        m = t.size
+
+        def resid(p):
+            f, jt = np.empty(m), np.empty((3, m))
+            evaluate(p, f, jt)
+            return f
+
+        def jac(p):
+            f, jt = np.empty(m), np.empty((3, m))
+            evaluate(p, f, jt)
+            return jt.T
+
+        x0 = np.array([1.0, 1.0, 0.0])
+        ref = least_squares(resid, x0, jac=jac, method="lm", xtol=1e-10, ftol=1e-10,
+                            gtol=1e-10, max_nfev=800)
+        assert ref.success
+        fit = levenberg_marquardt(evaluate, x0, m, tol=1e-10, max_nfev=800)
+        assert fit.x == pytest.approx(ref.x, rel=1e-7)
+
+
+def test_non_finite_trial_point_is_rejected():
+    # residual log(x) - log(0.01) from x = 1: the Gauss-Newton step lands
+    # at x < 0, where the residual is NaN
+    seen = []
+
+    def evaluate(x, f, jt):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            f[0] = np.log(x[0]) - math.log(0.01)
+            jt[0, 0] = 1.0 / x[0]
+        seen.append(np.isfinite(f[0]))
+
+    fit = levenberg_marquardt(evaluate, [1.0], 1, tol=1e-12, max_nfev=100)
+    assert not all(seen)
+    assert fit.x[0] == pytest.approx(0.01, rel=1e-10)
+
+
+def test_non_finite_jacobian_is_rejected():
+    # a finite residual whose Jacobian overflows beyond x = 3 is still a
+    # rejected trial point; the fit stays where both are finite
+    def evaluate(x, f, jt):
+        f[0] = x[0] - 5.0
+        jt[0, 0] = 1.0 if x[0] < 3.0 else math.inf
+
+    fit = levenberg_marquardt(evaluate, [0.0], 1, tol=1e-10, max_nfev=200)
+    assert fit.x[0] < 3.0
+
+
+def test_budget_exhausted_is_fit_failure():
+    with pytest.raises(FitFailure, match="^demo fit did not converge$") as exc:
+        levenberg_marquardt(_rosenbrock, [-1.2, 1.0], 2, tol=1e-10, max_nfev=3,
+                            name="demo fit")
+    assert exc.value.diagnostics["nfev"] == 3
+
+
+def test_non_finite_start_is_fit_failure():
+    def evaluate(x, f, jt):
+        f[0] = math.nan
+        jt[0, 0] = 1.0
+
+    with pytest.raises(FitFailure, match="not finite at the start point"):
+        levenberg_marquardt(evaluate, [0.0], 1, tol=1e-10, max_nfev=10)
+
+
+@pytest.mark.parametrize("kwargs", [dict(tol=0.0, max_nfev=10), dict(tol=1e-10, max_nfev=0)])
+def test_bad_settings_are_rejected(kwargs):
+    with pytest.raises(InvalidParameter):
+        levenberg_marquardt(_rosenbrock, [0.0, 0.0], 2, **kwargs)

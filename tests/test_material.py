@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from kipa.errors import InvalidParameter, SuperconductivityBreakdown
 from kipa.material import (
@@ -201,6 +203,50 @@ def test_fit_clem_round_trip():
     fitted, rms = fit_ki_curve(data, "clem", l_k0=0.8e-9, l_geo=0.2e-9)
     assert fitted.i_star_star == pytest.approx(1.65e-3, rel=1e-3)
     assert rms < 1e-12
+
+
+def _scipy_clem_scale(data, v0, part=0.8):
+    """1/v of the clem fit as scipy's MINPACK solves it from ``v0``."""
+    pts = np.array(data)
+    i, y = np.abs(pts[:, 0]), pts[:, 1]
+    n = 2.21
+
+    def resid(p):
+        return -0.5 * part * ((1.0 - (i * p[0]) ** n) ** (-1.0 / n) - 1.0) - y
+
+    def jac(p):
+        x = (i * p[0]) ** n
+        return (-0.5 * part * (1.0 - x) ** (-1.0 / n - 1.0) * i**n * p[0] ** (n - 1.0))[:, None]
+
+    res = least_squares(resid, [v0], jac=jac, method="lm", xtol=1e-10, ftol=1e-10,
+                        gtol=1e-10, max_nfev=200)
+    assert res.success
+    return 1.0 / res.x[0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_clem_agrees_with_scipy_lm(seed):
+    rng = np.random.default_rng(seed)
+    i_star_star = rng.uniform(1.4e-3, 2.0e-3)
+    model = KineticInductorModel("clem", l_k0=0.8e-9, l_geo=0.2e-9, i_star_star=i_star_star)
+    currents = np.linspace(0.05e-3, rng.uniform(0.9e-3, 1.1e-3), rng.integers(16, 33))
+    data = [(i, y + rng.normal(0.0, 1e-5)) for i, y in _synthetic_shift(model, currents)]
+    fitted, _ = fit_ki_curve(data, "clem", l_k0=0.8e-9, l_geo=0.2e-9)
+    assert fitted.i_star_star == pytest.approx(_scipy_clem_scale(data, 1.0 / i_star_star),
+                                               rel=1e-8)
+
+
+def test_fit_clem_rising_shift_is_flat_without_warnings():
+    # the law only lowers the frequency: the best fit of a rising shift is
+    # no shift at all, and trial points at v <= 0 are rejected quietly
+    data = [(k * 2.5e-4, 0.01 * k) for k in range(1, 5)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fitted, rms = fit_ki_curve(data, "clem", l_k0=0.8e-9, l_geo=0.2e-9)
+    assert [str(w.message) for w in caught] == []
+    assert math.isinf(fitted.i_star_star)
+    assert rms == pytest.approx(math.sqrt(np.mean([(0.01 * k) ** 2 for k in range(1, 5)])),
+                                rel=1e-12)
 
 
 def test_fit_parabolic_flat_data_gives_infinite_scale():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.constants import hbar, k as k_B
+from scipy.optimize import least_squares
 
 from kipa.errors import FitFailure, InvalidParameter
 from kipa.noise import (
@@ -216,3 +217,115 @@ def test_chain_validation():
     with pytest.raises(InvalidParameter):
         NoiseChainModel(a_in=1e-8, a_23=0.5, n_t23=1.0, g_s=10.0, g_sys=1e7,
                         n_sys=5.0, n1=0.2)
+
+
+def _wide_sweep(seed):
+    """±12 MHz, 5 powers, 0.3 % noise; γ1/2π 1.5-2.5 MHz and γφ/γ1 0.25-0.4."""
+    rng = np.random.default_rng(seed)
+    gamma_1 = TWO_PI * rng.uniform(1.5e6, 2.5e6)
+    gamma_phi = gamma_1 * rng.uniform(0.25, 0.4)
+    a_in = 10 ** (rng.uniform(-85.0, -78.0) / 10)
+    det = TWO_PI * np.linspace(-12e6, 12e6, 41)
+    rows = _synthetic_qubit_grid(gamma_1, gamma_phi, a_in, W84,
+                                 np.array([-95.0, -87.0, -79.0, -71.0, -63.0]), det)
+    rows = [(d, p, s + complex(*rng.normal(0.0, 3e-3, 2))) for d, p, s in rows]
+    return rows, gamma_1, gamma_phi, a_in
+
+
+def _columns(rows):
+    return (np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
+            np.array([r[2] for r in rows]))
+
+
+def test_saturation_residual_matches_qubit_s21_and_differences():
+    from kipa.noise import _saturation_residual
+
+    rows, *_ = _wide_sweep(1)
+    det, pw, s21 = _columns(rows)
+    m = 2 * det.size
+    evaluate = _saturation_residual(det, pw / 1e-11, s21)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        x = np.log([TWO_PI * 2e6, TWO_PI * 6e5, TWO_PI * 4e5]) + rng.uniform(-1, 1, 3)
+        f, jt = np.empty(m), np.empty((3, m))
+        evaluate(x, f, jt)
+        g1, gphi, om_ref = np.exp(x)
+        s = qubit_s21(QubitCalibration(W84, gamma_1e=g1, gamma_phi=gphi), det,
+                      om_ref * np.sqrt(pw / 1e-11))
+        assert f == pytest.approx(np.concatenate([(s - s21).real, (s - s21).imag]),
+                                  rel=1e-12, abs=1e-15)
+        for j in range(3):
+            h = np.eye(3)[j] * 1e-6
+            fp, fm, scratch = np.empty(m), np.empty(m), np.empty((3, m))
+            evaluate(x + h, fp, scratch)
+            evaluate(x - h, fm, scratch)
+            assert jt[j] == pytest.approx((fp - fm) / 2e-6, rel=1e-6, abs=1e-8)
+
+
+def _scipy_saturation_fit(rows, x0, p_ref=1e-11):
+    """The saturation fit as scipy's MINPACK solves it, on a complex-arithmetic model."""
+    det, pw, s21 = _columns(rows)
+    scale = np.sqrt(pw / p_ref)
+
+    def model_and_grads(x):
+        g1, gphi, om_ref = np.exp(x)
+        g2 = gphi + g1 / 2.0
+        om = om_ref * scale
+        d = det / g2
+        den = 1.0 + d**2 + om**2 / (g1 * g2)
+        pref = g1 / (2.0 * g2)
+        num = 1.0 + 1j * d
+        dden_dg2 = -2.0 * d**2 / g2 - om**2 / (g1 * g2**2)
+        ds_dg2 = -(-g1 / (2.0 * g2**2) * num / den + pref * (-1j * d / g2) / den
+                   - pref * num * dden_dg2 / den**2)
+        ds_dg1 = -(num / (2.0 * g2 * den) + pref * num * om**2 / (g1**2 * g2 * den**2)) \
+            + 0.5 * ds_dg2
+        ds_dom = pref * num * 2.0 * om * scale / (g1 * g2 * den**2)
+        return 1.0 - pref * num / den, (ds_dg1 * g1, ds_dg2 * gphi, ds_dom * om_ref)
+
+    def resid(x):
+        r = model_and_grads(x)[0] - s21
+        return np.concatenate([r.real, r.imag])
+
+    def jac(x):
+        return np.stack([np.concatenate([g.real, g.imag]) for g in model_and_grads(x)[1]],
+                        axis=1)
+
+    res = least_squares(resid, x0, jac=jac, method="lm", xtol=1e-10, ftol=1e-10,
+                        gtol=1e-10, max_nfev=800)
+    assert res.success
+    g1, gphi, om_ref = np.exp(res.x)
+    return g1, gphi, hbar * W84 * om_ref**2 / (2.0 * g1) / p_ref
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fit_qubit_agrees_with_scipy_lm(seed):
+    # sweeps 3-5 dip half-widths either side, where scipy's fit from the
+    # generating parameters finds the same minimum
+    rng = np.random.default_rng(100 + seed)
+    gamma_1 = TWO_PI * rng.uniform(2e6, 5e6)
+    gamma_phi = gamma_1 * rng.uniform(0.25, 0.4)
+    a_in = 10 ** (rng.uniform(-85.0, -78.0) / 10)
+    half = rng.uniform(3.0, 5.0) * (gamma_phi + gamma_1 / 2)
+    rows = _synthetic_qubit_grid(gamma_1, gamma_phi, a_in, W84, np.arange(-95.0, -56.0, 4.0),
+                                 np.linspace(-half, half, 31))
+    rows = [(d, p, s + complex(*rng.normal(0.0, 1e-4, 2))) for d, p, s in rows]
+    omega_ref = drive_strength(gamma_1, a_in * 1e-11, W84)
+    ref = _scipy_saturation_fit(rows, np.log([gamma_1, gamma_phi, omega_ref]))
+    res = fit_qubit_saturation(rows, omega_q=W84)
+    assert res["gamma_1"] == pytest.approx(ref[0], rel=1e-8)
+    assert res["gamma_phi"] == pytest.approx(ref[1], rel=1e-8)
+    assert res["a_in"] == pytest.approx(ref[2], rel=1e-8)
+
+
+def test_fit_qubit_wide_window():
+    # ±12 MHz is 5-13 dip half-widths either side here; a search started
+    # from a quarter of the window lost γφ on about half of these sweeps,
+    # one started from the half-depth width of the lowest-power dip does not
+    for seed in range(20):
+        rows, gamma_1, gamma_phi, a_in = _wide_sweep(seed)
+        assert TWO_PI * 12e6 > 5 * (gamma_phi + gamma_1 / 2)
+        res = fit_qubit_saturation(rows, omega_q=W84)
+        assert res["gamma_1"] == pytest.approx(gamma_1, rel=0.01)
+        assert res["gamma_phi"] == pytest.approx(gamma_phi, rel=0.05)
+        assert 10 * math.log10(res["a_in"] / a_in) == pytest.approx(0.0, abs=0.5)
