@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,18 +161,13 @@ def _coerce(value: str, want: str):
 
 def format_number(x) -> str:
     """Serialize a value: numbers carry 12 significant digits."""
-    if isinstance(x, float):  # includes np.float64; "%.12g" spells inf, -inf, nan
-        return "%.12g" % x
+    if isinstance(x, float):  # includes np.float64
+        return "%.12g" % x    # spells inf, -inf and nan
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
-    xf = float(x)
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    if math.isnan(xf):
-        return "nan"
-    return f"{xf:.12g}"
+    return "%.12g" % float(x)
 
 
 def _json_value(x):
@@ -180,23 +175,28 @@ def _json_value(x):
         return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
-    xf = float(x)
-    if math.isinf(xf) or math.isnan(xf):
-        return format_number(xf)
-    return float(format_number(xf))
+    xf = float(format_number(x))
+    return xf if math.isfinite(xf) else format_number(xf)
 
 
-def emit_results(records: Sequence[dict], columns: Sequence[str],
-                 fmt: str = "csv") -> str:
-    """Render records in the fixed column order as CSV or structured JSON."""
+def emit_results(columns: Mapping[str, Sequence], fmt: str = "csv") -> str:
+    """Render {column name: values} as CSV or structured JSON.
+
+    Float64 array columns go through one ``%.12g`` row template, other
+    columns (lists, integer arrays) through ``format_number``.
+    """
+    names, cols = list(columns), list(columns.values())
+    if len(set(map(len, cols))) > 1:
+        raise ValueError(f"columns {names} differ in length")
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for rec in records:
-            lines.append(",".join([format_number(rec[c]) for c in columns]))
-        return "\n".join(lines) + "\n"
+        floats = [isinstance(v, np.ndarray) and v.dtype == np.float64 for v in cols]
+        cells = [v.tolist() if f else list(map(format_number, v)) for v, f in zip(cols, floats)]
+        row = ",".join(["%.12g" if f else "%s" for f in floats]) + "\n"
+        return ",".join(names) + "\n" + "".join([row % values for values in zip(*cells)])
     if fmt == "structured":
-        rows = [{c: _json_value(rec[c]) for c in columns} for rec in records]
-        return json.dumps({"columns": list(columns), "records": rows}, indent=2) + "\n"
+        cells = [v.tolist() if isinstance(v, np.ndarray) else v for v in cols]
+        rows = [dict(zip(names, map(_json_value, values))) for values in zip(*cells)]
+        return json.dumps({"columns": names, "records": rows}, indent=2) + "\n"
     raise InvalidParameter(f"unknown output format {fmt!r}")
 
 
@@ -311,13 +311,9 @@ def _cmd_synth(cfg: dict, fmt: str, out: Optional[str]) -> int:
     )
     res = synthesis.synthesize_transformer(proto, z_nr=cfg["z_nr"],
                                            z_ki=cfg["z_ki"], z0=cfg.get("z0", 50.0))
-    rec = {
-        "z_ref": res.z_ref, "z_quarter": res.z_quarter,
-        "z_parallel": res.z_parallel, "z_half": res.z_half,
-        "z_nr_primed": res.z_nr_primed, "r_nr_primed": res.r_nr_primed,
-        "residual": res.residual,
-    }
-    _write_out(emit_results([rec], list(rec), fmt), out)
+    row = {name: [getattr(res, name)] for name in ("z_ref", "z_quarter", "z_parallel", "z_half",
+                                                   "z_nr_primed", "r_nr_primed", "residual")}
+    _write_out(emit_results(row, fmt), out)
     return EXIT_OK
 
 
@@ -337,20 +333,9 @@ def _cmd_simulate(cfg: dict, fmt: str, out: Optional[str]) -> int:
     start, stop, step = cfg.get("span", (7.9e9, 8.9e9, 1e6))
     freqs = TWO_PI * _hz_grid(start, stop, step)
     profile = simulator.gain_spectrum(design, pump, env, freqs)
-    _write_out(emit_results(_spectrum_records(profile), _SPECTRUM_COLUMNS, fmt), out)
+    _write_out(emit_results({"freq_hz": profile.freqs / TWO_PI, "re_s11": profile.s11.real,
+                             "im_s11": profile.s11.imag, "gain_db": profile.gain_db}, fmt), out)
     return EXIT_OK
-
-
-_SPECTRUM_COLUMNS = ["freq_hz", "re_s11", "im_s11", "gain_db"]
-
-
-def _spectrum_records(profile: simulator.GainProfile) -> list:
-    """One record per point, as Python floats: those take ``format_number``'s fast path."""
-    return [
-        {"freq_hz": f, "re_s11": re_, "im_s11": im_, "gain_db": g}
-        for f, re_, im_, g in zip((profile.freqs / TWO_PI).tolist(), profile.s11.real.tolist(),
-                                  profile.s11.imag.tolist(), profile.gain_db.tolist())
-    ]
 
 
 def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
@@ -364,12 +349,11 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
     policy = PumpRampPolicy(mode=cfg.get("policy", "current"))
     cells = simulator.pump_bias_map(design, env, fps, idcs, policy,
                                     freq_step=TWO_PI * cfg.get("freq_step", 2e6))
-    records = [
-        {"fp_hz": c.omega_p / TWO_PI, "idc_a": c.i_dc, "bandwidth_hz": c.bandwidth / TWO_PI,
-         "peaks": c.peak_count, "ripple_db": c.ripple_db}
-        for c in cells
-    ]
-    _write_out(emit_results(records, ["fp_hz", "idc_a", "bandwidth_hz", "peaks", "ripple_db"], fmt), out)
+    _write_out(emit_results({
+        "fp_hz": [c.omega_p / TWO_PI for c in cells], "idc_a": [c.i_dc for c in cells],
+        "bandwidth_hz": [c.bandwidth / TWO_PI for c in cells],
+        "peaks": [c.peak_count for c in cells], "ripple_db": [c.ripple_db for c in cells],
+    }, fmt), out)
     return EXIT_OK
 
 
@@ -390,14 +374,13 @@ def _cmd_search(cfg: dict, fmt: str, out: Optional[str]) -> int:
         omega0=TWO_PI * cfg["f0"] if "f0" in cfg else base.omega0,
         circuit_kind=kind,
     )
-    records = [
-        {"z14": r.z_quarter, "z12": r.z_half, "znr": r.z_nr,
-         "fp2_hz": r.omega_p_half / TWO_PI, "bandwidth_hz": r.max_bandwidth / TWO_PI,
-         "xi3_hz": r.optimal_xi3 / TWO_PI, "eta": r.eta}
-        for r in search_mod.search_designs(ranges)
-    ]
-    _write_out(emit_results(records, ["z14", "z12", "znr", "fp2_hz",
-                                      "bandwidth_hz", "xi3_hz", "eta"], fmt), out)
+    found = list(search_mod.search_designs(ranges))
+    _write_out(emit_results({
+        "z14": [r.z_quarter for r in found], "z12": [r.z_half for r in found],
+        "znr": [r.z_nr for r in found], "fp2_hz": [r.omega_p_half / TWO_PI for r in found],
+        "bandwidth_hz": [r.max_bandwidth / TWO_PI for r in found],
+        "xi3_hz": [r.optimal_xi3 / TWO_PI for r in found], "eta": [r.eta for r in found],
+    }, fmt), out)
     return EXIT_OK
 
 
@@ -410,20 +393,26 @@ def _read_text(path: str) -> str:
                                    f"at offset {exc.start})") from None
 
 
+def _dbm_to_watts(dbm: np.ndarray) -> np.ndarray:
+    """A dBm column in watts by Python's ``**`` per value: it raises OverflowError
+    where numpy's power gives inf, and numpy's SIMD power can differ in the last bit."""
+    return np.array([10.0 ** x for x in ((dbm - 30.0) / 10.0).tolist()])
+
+
 def _cmd_fit_ki(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "input")
     data = material.parse_shift_csv(_read_text(cfg["input"]))
     model, rms = material.fit_ki_curve(
         data, cfg.get("model_kind", "quartic"),
         l_k0=cfg.get("l_k0", 1.0), l_geo=cfg.get("l_geo", 0.0))
-    rec = {
-        "model_kind": model.model_kind,
-        "i_star2_a": model.i_star2,
-        "i_star4_a": model.i_star4 if model.i_star4 is not None else float("nan"),
-        "i_star_star_a": model.i_star_star if model.i_star_star is not None else float("nan"),
-        "rms_residual": rms,
+    row = {
+        "model_kind": [model.model_kind],
+        "i_star2_a": [model.i_star2],
+        "i_star4_a": [model.i_star4 if model.i_star4 is not None else float("nan")],
+        "i_star_star_a": [model.i_star_star if model.i_star_star is not None else float("nan")],
+        "rms_residual": [rms],
     }
-    _write_out(emit_results([rec], list(rec), fmt), out)
+    _write_out(emit_results(row, fmt), out)
     return EXIT_OK
 
 
@@ -431,18 +420,13 @@ def _cmd_fit_qubit(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "input", "fq")
     table = material.parse_csv(_read_text(cfg["input"]),
                                ("detuning_hz", "p_vna_dbm", "re_s21", "im_s21"))
-    rows = [(TWO_PI * d, 10.0 ** ((p - 30.0) / 10.0), re_ + 1j * im_)
-            for d, p, re_, im_ in table]
-    res = noise_mod.fit_qubit_saturation(rows, omega_q=TWO_PI * cfg["fq"],
-                                         p_ref=cfg.get("p_ref", 1e-11))
-    rec = {
-        "gamma1_hz": res["gamma_1"] / TWO_PI,
-        "gamma_phi_hz": res["gamma_phi"] / TWO_PI,
-        "drive_ref_hz": res["drive_ref"] / TWO_PI,
-        "a_in_db": 10.0 * math.log10(res["a_in"]),
-        "rms_residual": res["rms_residual"],
-    }
-    _write_out(emit_results([rec], list(rec), fmt), out)
+    res = noise_mod.fit_qubit_saturation(
+        TWO_PI * table[:, 0], _dbm_to_watts(table[:, 1]), table[:, 2] + 1j * table[:, 3],
+        omega_q=TWO_PI * cfg["fq"], p_ref=cfg.get("p_ref", 1e-11))
+    row = {"gamma1_hz": [res["gamma_1"] / TWO_PI], "gamma_phi_hz": [res["gamma_phi"] / TWO_PI],
+           "drive_ref_hz": [res["drive_ref"] / TWO_PI],
+           "a_in_db": [10.0 * math.log10(res["a_in"])], "rms_residual": [res["rms_residual"]]}
+    _write_out(emit_results(row, fmt), out)
     return EXIT_OK
 
 
@@ -450,20 +434,17 @@ def _cmd_noise(cfg: dict, fmt: str, out: Optional[str]) -> int:
     _require(cfg, "input", "gs", "gsys_eff")
     table = material.parse_csv(_read_text(cfg["input"]),
                                ("freq_hz", "p_on_dbm", "p_off_dbm"))
-    g_s = cfg["gs"]
     g_sys_eff = cfg["gsys_eff"]
     bm = cfg.get("bm", 10.0)
-    n1 = cfg.get("n1", 0.5)
-    records = []
-    for f_hz, p_on_dbm, p_off_dbm in table:
-        omega = TWO_PI * f_hz
-        n4 = noise_mod.power_to_quanta(10 ** ((p_on_dbm - 30) / 10), omega, bm)
-        n4_off = noise_mod.power_to_quanta(10 ** ((p_off_dbm - 30) / 10), omega, bm)
-        n_a = noise_mod.added_noise(n4, n4_off, g_s, g_sys_eff, n1)
-        t_sys = noise_mod.system_noise_temperature(n4_off, omega, g_sys_eff)
-        records.append({"freq_hz": f_hz, "n4": n4, "n4_off": n4_off,
-                        "added_noise": n_a, "t_sys_k": t_sys})
-    _write_out(emit_results(records, ["freq_hz", "n4", "n4_off", "added_noise", "t_sys_k"], fmt), out)
+    omega = TWO_PI * table[:, 0]
+    n4 = noise_mod.power_to_quanta(_dbm_to_watts(table[:, 1]), omega, bm)
+    n4_off = noise_mod.power_to_quanta(_dbm_to_watts(table[:, 2]), omega, bm)
+    _write_out(emit_results({
+        "freq_hz": table[:, 0], "n4": n4, "n4_off": n4_off,
+        "added_noise": noise_mod.added_noise(n4, n4_off, cfg["gs"], g_sys_eff,
+                                             cfg.get("n1", 0.5)),
+        "t_sys_k": noise_mod.system_noise_temperature(n4_off, omega, g_sys_eff),
+    }, fmt), out)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,13 +218,12 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
     l_k0, l_geo : fixed inductance split; only the kinetic participation
         ratio l_k0/(l_k0+l_geo) affects the fit
 
-    Returns (model, rms_residual).  The parabolic and quartic laws are
-    linear in their inverse scales and are solved exactly by linear least
-    squares; the clem law runs Levenberg-Marquardt (``lsq``) with an
-    analytic Jacobian.  A fit of flat data returns an infinite i_star2, or
-    for the clem law an infinite i_star_star.
+    Returns (model, rms_residual).  The parabolic and quartic laws are linear
+    in their inverse scales, which must be >= 0, and are solved exactly by
+    bounded least squares; the clem law runs Levenberg-Marquardt (``lsq``).
+    A term that flat or rising shifts do not support gets an infinite scale.
     """
-    pts = np.asarray(list(data), dtype=float)
+    pts = np.asarray(data, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
         raise InvalidParameter("need at least 4 (i_dc, dfrac) data points")
     if not np.all(np.isfinite(pts)):
@@ -239,12 +238,20 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
         powers = (2, 4) if model_kind == "quartic" else (2,)
         design = np.stack([-0.5 * part * i**k for k in powers], axis=1)
         coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        if min(coef.tolist()) < 0:
+            # the laws need coefficients >= 0 (they only lower the frequency);
+            # the bounded optimum is then the plain fit of one term, or of none
+            trials = [np.zeros(len(powers))]
+            for j in range(len(powers)):
+                trials.append(np.zeros(len(powers)))
+                trials[-1][j] = max(np.linalg.lstsq(design[:, [j]], y, rcond=None)[0][0], 0.0)
+            coef = min(trials, key=lambda c: float(np.sum((design @ c - y) ** 2)))
         u2 = coef[0]
-        istar2 = math.inf if abs(u2) < _SENTINEL_ZERO else 1.0 / math.sqrt(abs(u2))
+        istar2 = math.inf if u2 < _SENTINEL_ZERO else 1.0 / math.sqrt(u2)
         kwargs = dict(model_kind=model_kind, l_k0=l_k0, l_geo=l_geo, i_star2=istar2)
         if model_kind == "quartic":
             w4 = coef[1]
-            kwargs["i_star4"] = math.inf if abs(w4) < _SENTINEL_ZERO else abs(w4) ** -0.25
+            kwargs["i_star4"] = math.inf if w4 < _SENTINEL_ZERO else w4 ** -0.25
             if not kwargs["i_star4"] > 0:
                 raise FitFailure("degenerate quartic scale", {"w4": w4})
         model = KineticInductorModel(**kwargs)
@@ -300,13 +307,24 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
     return model, rms
 
 
-def parse_csv(text: str, header: Sequence[str]) -> List[Tuple[float, ...]]:
-    """Rows of a numeric CSV table whose first non-blank line is ``header``.
+def parse_csv(text: str, header: Sequence[str]) -> np.ndarray:
+    """The (n, len(header)) float array of a CSV table whose first non-blank line is ``header``.
 
-    Blank lines are skipped.  An empty table, a wrong header, a row with the
-    wrong column count and a cell that is not a finite number each raise
-    InvalidParameter naming the line.
+    Blank lines are skipped.  The data rows are joined and converted in one
+    pass, and read again line by line if that fails: an empty table, a wrong
+    header, a row with the wrong column count and a cell that is not a finite
+    number each raise InvalidParameter naming the line.
     """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    body = lines[1:]
+    if (body and [c.strip() for c in lines[0].split(",")] == list(header)
+            and set(map(str.count, body, [","] * len(body))) == {len(header) - 1}):
+        try:
+            values = list(map(float, ",".join(body).split(",")))
+        except ValueError:
+            values = None
+        if values is not None and all(map(math.isfinite, values)):
+            return np.array(values).reshape(-1, len(header))
     want = ",".join(header)
     lines = [(n, ln) for n, ln in enumerate(map(str.strip, text.splitlines()), start=1) if ln]
     if not lines:
@@ -316,7 +334,6 @@ def parse_csv(text: str, header: Sequence[str]) -> List[Tuple[float, ...]]:
         raise InvalidParameter(f"line {lineno}: expected header {want!r}, got {line!r}")
     if len(lines) == 1:
         raise InvalidParameter(f"no data rows after header {want!r}")
-    rows: List[Tuple[float, ...]] = []
     for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
@@ -328,10 +345,9 @@ def parse_csv(text: str, header: Sequence[str]) -> List[Tuple[float, ...]]:
             raise InvalidParameter(f"line {lineno}: non-numeric value in {line!r}") from None
         if not all(map(math.isfinite, values)):
             raise InvalidParameter(f"line {lineno}: non-finite value in {line!r}")
-        rows.append(values)
-    return rows
+    raise AssertionError("the one-pass reader rejected a table without a bad line")
 
 
-def parse_shift_csv(text: str) -> List[Tuple[float, float]]:
-    """Parse two-column shift data with header ``i_dc_A,dfrac``."""
+def parse_shift_csv(text: str) -> np.ndarray:
+    """Parse two-column shift data with header ``i_dc_A,dfrac`` into an (n, 2) array."""
     return parse_csv(text, ("i_dc_A", "dfrac"))

@@ -1,4 +1,4 @@
-"""Scalar noise-cascade algebra and qubit-based power calibration.
+"""Noise-cascade algebra and qubit-based power calibration.
 
 All noise levels are photon quanta referred to the measurement frequency;
 gains and attenuations are linear power ratios (convert dB upstream).
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -66,11 +65,10 @@ def pump_off_reference(chain: NoiseChainModel) -> float:
     return chain.g_sys * (n3 + chain.n_sys)
 
 
-def added_noise(n4: float, n4_off: float, g_s: float, g_sys_eff: float,
-                n1: float = 0.5) -> float:
+def added_noise(n4, n4_off, g_s: float, g_sys_eff: float, n1: float = 0.5):
     """Input-referred amplifier noise from on/off output noise levels.
 
-    N_A = (n4 - n4_off)/(g_s·g_sys_eff) + n1/g_s - n1
+    N_A = (n4 - n4_off)/(g_s·g_sys_eff) + n1/g_s - n1, elementwise on arrays.
     """
     if not g_s > 1:
         raise InvalidParameter("added-noise extraction requires g_s > 1")
@@ -116,16 +114,16 @@ def snr_gain(p_n4: float, p_n4_off: float, g_s: float) -> float:
     return g_s * p_n4_off / p_n4
 
 
-def system_noise_temperature(n4_off: float, omega: float, g_sys_eff: float) -> float:
-    """T_sys = n4_off·ħω / (k_B·g_sys_eff), kelvin."""
-    if not (n4_off > 0 and omega > 0 and g_sys_eff > 0):
+def system_noise_temperature(n4_off, omega, g_sys_eff: float):
+    """T_sys = n4_off·ħω / (k_B·g_sys_eff), kelvin; elementwise on arrays."""
+    if not (np.all(n4_off > 0) and np.all(omega > 0) and g_sys_eff > 0):
         raise InvalidParameter("inputs must be > 0")
     return n4_off * HBAR * omega / (K_B * g_sys_eff)
 
 
-def power_to_quanta(power: float, omega: float, bandwidth_hz: float = 10.0) -> float:
-    """Measured power (W) in an IF bandwidth (Hz) to photon quanta."""
-    if not (omega > 0 and bandwidth_hz > 0):
+def power_to_quanta(power, omega, bandwidth_hz: float = 10.0):
+    """Measured power (W) in an IF bandwidth (Hz) to photon quanta; elementwise on arrays."""
+    if not (np.all(omega > 0) and bandwidth_hz > 0):
         raise InvalidParameter("omega and bandwidth must be > 0")
     return power / (HBAR * omega * bandwidth_hz)
 
@@ -215,12 +213,12 @@ def _saturation_residual(det: np.ndarray, ratio: np.ndarray, s21: np.ndarray):
     return evaluate
 
 
-def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
-                         omega_q: float, p_ref: float = 1e-11,
+def fit_qubit_saturation(detuning, power, s21, omega_q: float, p_ref: float = 1e-11,
                          max_iter: int = 200, tol: float = 1e-10) -> dict:
     """Joint saturation fit over a (detuning, VNA power, S21) grid.
 
-    data : (detuning rad/s, VNA power W, measured complex S21) triples
+    detuning, power, s21 : one row of the grid per element: detuning rad/s,
+        VNA power W and measured complex S21
     omega_q : qubit angular frequency used in the drive conversion
     p_ref : reference VNA power at which the fitted drive is reported
 
@@ -230,11 +228,12 @@ def fit_qubit_saturation(data: Sequence[Tuple[float, float, complex]],
     and converts the drive into the input-line attenuation a_in = P_d/P_VNA.
     Returns the rates, drive, attenuation, and RMS residual.
     """
-    rows = list(data)
-    det = np.array([r[0] for r in rows], dtype=float)
-    pw = np.array([r[1] for r in rows], dtype=float)
-    s21 = np.array([r[2] for r in rows], dtype=complex)
-    if len(rows) < 10 or len(set(pw.tolist())) < 2 or len(set(det.tolist())) < 5:
+    det = np.asarray(detuning, dtype=float)
+    pw = np.asarray(power, dtype=float)
+    s21 = np.asarray(s21, dtype=complex)
+    if not det.shape == pw.shape == s21.shape == (det.size,):
+        raise InvalidParameter("detuning, power and S21 must be 1-d and of one length")
+    if det.size < 10 or len(set(pw.tolist())) < 2 or len(set(det.tolist())) < 5:
         raise InvalidParameter("need >= 2 powers and >= 5 detunings")
     if np.any(pw <= 0):
         raise InvalidParameter("powers must be > 0")

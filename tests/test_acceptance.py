@@ -272,7 +272,7 @@ def test_criterion_8_property_suites():
         om = drive_strength(gamma_1, a_in * p_vna, TWO_PI * 8.4e9)
         for d in TWO_PI * np.linspace(-12e6, 12e6, 31):
             rows.append((d, p_vna, qubit_s21(cal, d, om)))
-    fit = fit_qubit_saturation(rows, omega_q=TWO_PI * 8.4e9)
+    fit = fit_qubit_saturation(*map(np.array, zip(*rows)), omega_q=TWO_PI * 8.4e9)
     assert fit["gamma_1"] == pytest.approx(gamma_1, rel=0.01)
     assert fit["a_in"] == pytest.approx(a_in, rel=0.01)
 

@@ -93,29 +93,28 @@ def test_paper_device_preset_values():
 
 
 def test_emit_empty_records_header_only():
-    assert emit_results([], ["a", "b"], "csv") == "a,b\n"
+    assert emit_results({"a": [], "b": np.array([])}, "csv") == "a,b\n"
 
 
 def test_emit_single_row():
-    out = emit_results([{"freq_hz": 8.4e9, "gain_db": 17.25}],
-                       ["freq_hz", "gain_db"], "csv")
+    out = emit_results({"freq_hz": [8.4e9], "gain_db": np.array([17.25])}, "csv")
     assert out == "freq_hz,gain_db\n8400000000,17.25\n"
 
 
 def test_emit_parse_round_trip_twelve_digits():
     rng = np.random.default_rng(1)
-    records = [{"x": float(v)} for v in rng.uniform(-1e9, 1e9, 50)]
-    payload = emit_results(records, ["x"], "csv")
+    values = rng.uniform(-1e9, 1e9, 50)
+    payload = emit_results({"x": values}, "csv")
     lines = payload.strip().splitlines()[1:]
-    for line, rec in zip(lines, records):
-        assert float(line) == pytest.approx(rec["x"], rel=1e-11)
+    assert len(lines) == values.size
+    for line, value in zip(lines, values):
+        assert float(line) == pytest.approx(value, rel=1e-11)
         # 12-significant-digit serialization re-emits identically
         assert format_number(float(line)) == line
 
 
 def test_emit_structured_mirrors_csv():
-    records = [{"a": 1.5, "b": 2}]
-    data = json.loads(emit_results(records, ["a", "b"], "structured"))
+    data = json.loads(emit_results({"a": np.array([1.5]), "b": [2]}, "structured"))
     assert data["columns"] == ["a", "b"]
     assert data["records"] == [{"a": 1.5, "b": 2}]
 
@@ -202,6 +201,29 @@ def test_malformed_csv_is_one_line_validation_error(command, fault, tmp_path, ca
         assert "line 3" in err
 
 
+# (command, bad data row, exit code, stderr or None for any one-line message):
+# faults in a row's values that the table's arithmetic, not the reader, finds
+_VALUE_FAULTS = [
+    ("noise", "0,-62,-75", EXIT_VALIDATION, "error: omega and bandwidth must be > 0\n"),
+    ("noise", "8.4e9,1e6,-75", EXIT_NUMERICAL, None),
+    ("fit-qubit", "0,1e6,0.5,0", EXIT_NUMERICAL, None),
+]
+
+
+@pytest.mark.parametrize("command, bad, code, message", _VALUE_FAULTS)
+def test_value_fault_exit_code(command, bad, code, message, tmp_path, capsys):
+    extra, header, row = _CSV_COMMANDS[command]
+    data = tmp_path / "input.csv"
+    data.write_text(f"{header}\n{row}\n{bad}\n")
+    assert main([command, "--input", str(data), *extra]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if message is not None:
+        assert captured.err == message
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("numerical failure: " if code == EXIT_NUMERICAL else "error: ")
+
+
 def test_simulate_command_with_preset_and_overrides(tmp_path):
     out = tmp_path / "spec.csv"
     rc = main(["simulate", "--preset", "paper-device", "--idc", "0.57mA",
@@ -260,6 +282,16 @@ def test_fit_ki_clem_flat_data_reports_infinite_scale(tmp_path, capsys):
     assert main(["fit-ki", "--input", str(data), "--set", "model_kind=clem"]) == EXIT_OK
     assert capsys.readouterr().out == \
         "model_kind,i_star2_a,i_star4_a,i_star_star_a,rms_residual\nclem,inf,nan,inf,0\n"
+
+
+@pytest.mark.parametrize("kind, row", [("parabolic", "parabolic,inf,nan,nan,0.0273861278753"),
+                                       ("quartic", "quartic,inf,inf,nan,0.0273861278753")])
+def test_fit_ki_rising_shift_reports_infinite_scales(kind, row, tmp_path, capsys):
+    data = tmp_path / "shift.csv"
+    data.write_text("i_dc_A,dfrac\n" + "".join(f"{k * 2.5e-4},{0.01 * k}\n" for k in range(1, 5)))
+    assert main(["fit-ki", "--input", str(data), "--set", f"model_kind={kind}"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        f"model_kind,i_star2_a,i_star4_a,i_star_star_a,rms_residual\n{row}\n"
 
 
 def test_noise_command(tmp_path, capsys):

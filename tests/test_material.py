@@ -256,6 +256,62 @@ def test_fit_parabolic_flat_data_gives_infinite_scale():
     assert rms == pytest.approx(0.0, abs=1e-15)
 
 
+def _unbounded_ki_fit(data, kind, part=0.8e-9 / (0.8e-9 + 0.2e-9)):
+    """(i_star2, i_star4, rms) of the parabolic or quartic fit without the
+    sign bound on its coefficients, as the fit was written before the bound."""
+    pts = np.asarray(data, dtype=float)
+    i, y = pts[:, 0], pts[:, 1]
+    design = np.stack([-0.5 * part * i**k for k in ((2, 4) if kind == "quartic" else (2,))],
+                      axis=1)
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    assert np.all(coef > 0)  # falling shifts: the bound is inactive
+    rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    i_star4 = abs(coef[1]) ** -0.25 if kind == "quartic" else None
+    return 1.0 / math.sqrt(abs(coef[0])), i_star4, rms
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fit_falling_shift_unchanged_by_sign_bound(seed):
+    # noisy NbTiN shift curves like the benchmark's fit-ki inputs, and noiseless ones
+    rng = np.random.default_rng(seed)
+    kind = ("parabolic", "quartic")[seed % 2]
+    model = QUARTIC if kind == "quartic" else KineticInductorModel(
+        "parabolic", l_k0=0.8e-9, l_geo=0.2e-9, i_star2=3.25e-3)
+    currents = np.linspace(0.05e-3, rng.uniform(0.9e-3, 1.1e-3), rng.integers(16, 33))
+    noise = 1e-5 if seed < 30 else 0.0
+    data = [(i, y + rng.normal(0.0, noise)) for i, y in _synthetic_shift(model, currents)]
+    fitted, rms = fit_ki_curve(data, kind, l_k0=0.8e-9, l_geo=0.2e-9)
+    assert (fitted.i_star2, fitted.i_star4, rms) == _unbounded_ki_fit(data, kind)
+
+
+@pytest.mark.parametrize("kind", ["parabolic", "quartic"])
+def test_fit_rising_shift_reports_infinite_scales(kind):
+    # the laws only lower the frequency: the best fit of a rising shift is no shift
+    data = [(k * 2.5e-4, 0.01 * k) for k in range(1, 5)]
+    fitted, rms = fit_ki_curve(data, kind)
+    assert math.isinf(fitted.i_star2)
+    assert fitted.i_star4 is None if kind == "parabolic" else math.isinf(fitted.i_star4)
+    assert rms == math.sqrt(np.mean([(0.01 * k) ** 2 for k in range(1, 5)]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fit_quartic_matches_nonnegative_least_squares(seed):
+    # coefficients of either sign: over these seeds the bounded optimum lies inside
+    # the quadrant, on either axis and at zero
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(seed)
+    i = np.linspace(0.05e-3, 1e-3, 20)
+    u2, w4 = rng.uniform(-1, 1) * 1e5, rng.uniform(-1, 1) * 1e11
+    y = -0.4 * (u2 * i**2 + w4 * i**4) + rng.normal(0.0, 1e-4, i.size)
+    design = np.stack([-0.4 * i**2, -0.4 * i**4], axis=1)
+    coef, res_norm = nnls(design, y)
+    fitted, rms = fit_ki_curve(list(zip(i, y)), "quartic", l_k0=0.8e-9, l_geo=0.2e-9)
+    assert fitted.i_star2 == pytest.approx(coef[0] ** -0.5 if coef[0] else math.inf, rel=1e-9)
+    assert fitted.i_star4 == pytest.approx(coef[1] ** -0.25 if coef[1] else math.inf, rel=1e-9)
+    assert rms == pytest.approx(res_norm / math.sqrt(i.size), rel=1e-9)
+
+
 def test_fit_requires_enough_points():
     with pytest.raises(InvalidParameter):
         fit_ki_curve([(0.0, 0.0), (1e-4, -1e-5)], "parabolic")
@@ -263,7 +319,7 @@ def test_fit_requires_enough_points():
 
 def test_parse_shift_csv():
     text = "i_dc_A,dfrac\n0.0001,-1.2e-05\n0.0002,-4.8e-05\n"
-    assert parse_shift_csv(text) == [(1e-4, -1.2e-5), (2e-4, -4.8e-5)]
+    assert parse_shift_csv(text).tolist() == [[1e-4, -1.2e-5], [2e-4, -4.8e-5]]
     with pytest.raises(InvalidParameter):
         parse_shift_csv("bad,header\n1,2\n")
 

@@ -192,7 +192,7 @@ def test_fit_qubit_saturation_round_trip():
     det = TWO_PI * np.linspace(-12e6, 12e6, 41)
     powers = np.arange(-95.0, -56.0, 3.0)
     rows = _synthetic_qubit_grid(gamma_1, gamma_phi, a_in, W84, powers, det)
-    res = fit_qubit_saturation(rows, omega_q=W84)
+    res = fit_qubit_saturation(*_columns(rows), omega_q=W84)
     assert res["gamma_1"] == pytest.approx(gamma_1, rel=1e-2)
     assert res["gamma_phi"] == pytest.approx(gamma_phi, rel=1e-2)
     assert res["a_in"] == pytest.approx(a_in, rel=1e-2)
@@ -203,12 +203,14 @@ def test_fit_qubit_zero_contrast_fails():
     det = TWO_PI * np.linspace(-10e6, 10e6, 21)
     rows = [(d, p, 1.0 + 0j) for p in (1e-12, 1e-11) for d in det]
     with pytest.raises(FitFailure):
-        fit_qubit_saturation(rows, omega_q=W84)
+        fit_qubit_saturation(*_columns(rows), omega_q=W84)
 
 
 def test_fit_qubit_requires_grid():
     with pytest.raises(InvalidParameter):
-        fit_qubit_saturation([(0.0, 1e-12, 0.5 + 0j)] * 8, omega_q=W84)
+        fit_qubit_saturation(*_columns([(0.0, 1e-12, 0.5 + 0j)] * 8), omega_q=W84)
+    with pytest.raises(InvalidParameter):
+        fit_qubit_saturation(np.zeros(12), np.full(11, 1e-12), np.ones(12), omega_q=W84)
 
 
 def test_chain_validation():
@@ -312,7 +314,7 @@ def test_fit_qubit_agrees_with_scipy_lm(seed):
     rows = [(d, p, s + complex(*rng.normal(0.0, 1e-4, 2))) for d, p, s in rows]
     omega_ref = drive_strength(gamma_1, a_in * 1e-11, W84)
     ref = _scipy_saturation_fit(rows, np.log([gamma_1, gamma_phi, omega_ref]))
-    res = fit_qubit_saturation(rows, omega_q=W84)
+    res = fit_qubit_saturation(*_columns(rows), omega_q=W84)
     assert res["gamma_1"] == pytest.approx(ref[0], rel=1e-8)
     assert res["gamma_phi"] == pytest.approx(ref[1], rel=1e-8)
     assert res["a_in"] == pytest.approx(ref[2], rel=1e-8)
@@ -325,7 +327,7 @@ def test_fit_qubit_wide_window():
     for seed in range(20):
         rows, gamma_1, gamma_phi, a_in = _wide_sweep(seed)
         assert TWO_PI * 12e6 > 5 * (gamma_phi + gamma_1 / 2)
-        res = fit_qubit_saturation(rows, omega_q=W84)
+        res = fit_qubit_saturation(*_columns(rows), omega_q=W84)
         assert res["gamma_1"] == pytest.approx(gamma_1, rel=0.01)
         assert res["gamma_phi"] == pytest.approx(gamma_phi, rel=0.05)
         assert 10 * math.log10(res["a_in"] / a_in) == pytest.approx(0.0, abs=0.5)
