@@ -219,8 +219,7 @@ _DESIGN_KEYS = {
     "i_c": "current",
 }
 
-_PUMP_KEYS = {"idc": "current", "fp": "frequency", "xi3": "frequency",
-              "ip": "current", "phip": "angle"}
+_PUMP_KEYS = {"idc": "current", "fp": "frequency", "xi3": "frequency", "ip": "current"}
 
 _ENV_KEYS = {"env": "str", "env_z0": "impedance",
              "env_z1": "impedance", "env_tau1": "time", "env_phi1": "angle",
@@ -286,15 +285,12 @@ def _build_pump(cfg: dict, design) -> PumpDrive:
     if "xi3" in cfg:
         if "ip" in cfg:
             raise InvalidParameter("give either xi3 or ip, not both")
-        return PumpDrive(xi3_mag=TWO_PI * cfg["xi3"], omega_p=omega_p,
-                         i_dc=i_dc, phi_p=cfg.get("phip", 0.0))
+        return PumpDrive(xi3_mag=TWO_PI * cfg["xi3"], omega_p=omega_p, i_dc=i_dc)
     if "ip" in cfg:
         omega0 = design.resonance_at_bias(i_dc)
-        op = material.PumpOperatingPoint(i_dc=i_dc, i_p_mag=cfg["ip"],
-                                         phi_p=cfg.get("phip", 0.0), omega_p=omega_p)
+        op = material.PumpOperatingPoint(i_dc=i_dc, i_p_mag=cfg["ip"], omega_p=omega_p)
         coeffs = material.pump_coefficients(design.ki_model, op, omega0)
-        return PumpDrive(xi3_mag=abs(coeffs.xi3), omega_p=omega_p, i_dc=i_dc,
-                         phi_p=cfg.get("phip", 0.0))
+        return PumpDrive(xi3_mag=abs(coeffs.xi3), omega_p=omega_p, i_dc=i_dc)
     return PumpDrive(xi3_mag=0.0, omega_p=omega_p, i_dc=i_dc)
 
 

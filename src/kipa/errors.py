@@ -34,10 +34,6 @@ class NumericalError(KipaError, ArithmeticError):
     """A computation hit a singular, divergent, or non-convergent state."""
 
 
-class SingularReflection(NumericalError):
-    """z_in = -z_ref: reflection coefficient diverges (oscillation threshold)."""
-
-
 class DegenerateInverter(NumericalError):
     """Zero modulation strength: no amplification inverter exists."""
 

@@ -56,6 +56,8 @@ class KineticInductorModel:
             raise InvalidParameter(f"unknown model kind {self.model_kind!r}")
         if self.l_k0 < 0 or self.l_geo < 0:
             raise InvalidParameter("inductances must be >= 0")
+        if not self.l_k0 + self.l_geo > 0:
+            raise InvalidParameter("total inductance l_k0 + l_geo must be > 0")
         if not self.i_star2 > 0:
             raise InvalidParameter("i_star2 must be > 0")
         if self.model_kind == "quartic":
@@ -119,6 +121,15 @@ def kinetic_inductance(model: KineticInductorModel, i_dc: float) -> float:
     return lk + model.l_geo
 
 
+def modulation_alpha(model: KineticInductorModel, i_dc: float, i_p_mag):
+    """α = (9/16)·(i_dc·|I_p|/(I*₂² + i_dc²))² for a scalar or an array of |I_p|.
+
+    As in ``ReflectionEngine.alpha_for_xi3``, an array is squared as r·r and
+    a scalar through C ``pow``.
+    """
+    return (9.0 / 16.0) * (i_dc * i_p_mag / (model.i_star2**2 + i_dc**2)) ** 2
+
+
 def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,
                       omega0: float) -> PumpCoefficients:
     """Linearization coefficients for ``op`` around resonance ``omega0``.
@@ -138,7 +149,7 @@ def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,
     denom = istar2**2 + op.i_dc**2
     ratio = op.i_dc * op.i_p_mag / denom
     delta_l = 1.5 * ratio * l_i * np.exp(-1j * op.phi_p)
-    alpha = (9.0 / 16.0) * ratio**2
+    alpha = modulation_alpha(model, op.i_dc, op.i_p_mag)
     xi3 = -1.5 * ratio * omega0 * np.exp(-1j * op.phi_p)
     quart = (8.0 * op.i_dc**2 - istar2**2) / denom**2
     kerr = 0.75 * quart * HBAR * omega0**2 / l_i
@@ -230,6 +241,8 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
         raise InvalidParameter("shift data must be finite")
     if model_kind not in MODEL_KINDS:
         raise InvalidParameter(f"unknown model kind {model_kind!r}")
+    if not l_k0 > 0:
+        raise InvalidParameter(f"l_k0 must be > 0, got {l_k0:g}")
     i, y = pts[:, 0], pts[:, 1]
     part = l_k0 / (l_k0 + l_geo)  # kinetic participation of the resonator inductance
 

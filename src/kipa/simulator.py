@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .circuits import (
     port_line_abcd,
 )
 from .errors import InsufficientData, InvalidParameter
-from .material import PumpOperatingPoint, pump_coefficients
+from .material import modulation_alpha
 
 PEAK_PROMINENCE_DB = 0.5
 
@@ -47,24 +47,21 @@ def check_grid_points(points: float, what: str) -> None:
 class PumpDrive:
     """Amplification-strength drive given directly as |xi3|.
 
-    Unlike :class:`PumpOperatingPoint`, this bypasses the critical-current
-    budget: it is the natural control variable for simulation sweeps where
-    the pump current needed may exceed what the film model allows.
+    Unlike a :class:`~kipa.material.PumpOperatingPoint`, this bypasses the
+    critical-current budget: it is the natural control variable for
+    simulation sweeps where the pump current needed may exceed what the
+    film model allows.  S11 depends on |xi3| only, so a drive has no phase.
     """
 
     xi3_mag: float            # rad/s
     omega_p: float            # rad/s
     i_dc: float = 0.0         # A, sets the biased inductance
-    phi_p: float = 0.0
 
     def __post_init__(self):
         if self.xi3_mag < 0:
             raise InvalidParameter("xi3_mag must be >= 0")
         if not self.omega_p > 0:
             raise InvalidParameter("omega_p must be > 0")
-
-
-Pump = Union[PumpOperatingPoint, PumpDrive]
 
 
 @dataclass
@@ -86,16 +83,6 @@ class BandwidthReport:
     qualified: bool
     rejection_reason: Optional[str] = None
     oscillation_points: int = 0
-
-
-def _drive_alpha(design: DesignSpec, pump: Pump) -> float:
-    """The modulation strength α of either pump description."""
-    if isinstance(pump, PumpOperatingPoint):
-        omega0 = design.resonance_at_bias(pump.i_dc)
-        return pump_coefficients(design.ki_model, pump, omega0).alpha
-    l0 = design.inductance_at_bias(pump.i_dc)
-    omega0 = 1.0 / np.sqrt(l0 * design.c_shunt)
-    return (pump.xi3_mag / (2.0 * omega0)) ** 2
 
 
 class MobiusForm(NamedTuple):
@@ -153,14 +140,15 @@ class ReflectionEngine:
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel,
                  grids: Sequence[Tuple[np.ndarray, float]], i_dc: float = 0.0):
+        self.design = design
+        self.c = design.c_shunt
+        self._set_bias(i_dc)   # a bias fault is reported before a grid fault
         checked = [_checked_grid(freqs, omega_p) for freqs, omega_p in grids]
         self.omega_ps = [omega_p for _, _, omega_p in checked]
         self.cells, stop = [], 0
         for ws, _, _ in checked:
             self.cells.append(slice(stop, stop + ws.size))
             stop += ws.size
-        self.design = design
-        self.c = design.c_shunt
         self.ws = np.concatenate([ws for ws, _, _ in checked])
         self.wi = np.concatenate([wi for _, wi, _ in checked])
         self.jws, self.jwi = 1j * self.ws, 1j * self.wi
@@ -168,7 +156,6 @@ class ReflectionEngine:
         self.y_idler_conj = np.conj(idler_admittance(design, env, self.wi))
         self.abcd = port_line_abcd(design, self.ws)
         self.z_env = np.asarray(environment_impedance(env, self.ws), dtype=complex)
-        self._set_bias(i_dc)
 
     def _set_bias(self, i_dc: float) -> None:
         self.i_dc = i_dc
@@ -203,9 +190,13 @@ class ReflectionEngine:
                           den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
 
     def alpha_for_xi3(self, xi3_mag):
-        """α = (|ξ3|/2ω0)² for a scalar drive or an array of drives."""
-        r = xi3_mag / (2.0 * self.omega0)
-        return r * r
+        """α = (|ξ3|/2ω0)² for a scalar drive or an array of drives.
+
+        numpy squares an array as r·r and a scalar through C ``pow``, which
+        can differ from r·r in the last bit: ladders keep the bits of r·r,
+        ``gain_spectrum`` those of ``pow``.
+        """
+        return (xi3_mag / (2.0 * self.omega0)) ** 2
 
     def s11(self, alpha, cells: slice = slice(None)) -> np.ndarray:
         """S11 over ``cells`` at one α, or one row per α of a 1-D array of α.
@@ -253,7 +244,7 @@ def _to_db(s11: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(mag), g, np.inf)
 
 
-def gain_spectrum(design: DesignSpec, pump: Pump, env: Optional[EnvironmentModel],
+def gain_spectrum(design: DesignSpec, pump: PumpDrive, env: Optional[EnvironmentModel],
                   freqs) -> GainProfile:
     """Reflection spectrum over the angular-frequency grid ``freqs``.
 
@@ -261,9 +252,8 @@ def gain_spectrum(design: DesignSpec, pump: Pump, env: Optional[EnvironmentModel
     reported as +inf gain at the affected grid points.
     """
     env = env if env is not None else IDEAL_ENV
-    alpha = _drive_alpha(design, pump)
     engine = ReflectionEngine(design, env, [(freqs, pump.omega_p)], pump.i_dc)
-    s11 = engine.s11(alpha)
+    s11 = engine.s11(engine.alpha_for_xi3(pump.xi3_mag))
     return GainProfile(freqs=np.asarray(freqs, dtype=float), s11=s11,
                        gain_db=_to_db(s11), omega_p=pump.omega_p)
 
@@ -395,6 +385,8 @@ class PumpRampPolicy:
             raise InvalidParameter("policy mode must be 'current' or 'xi3'")
         if not self.step_db > 0:
             raise InvalidParameter("step_db must be > 0")
+        if not (self.start_current > 0 and self.start_xi3 > 0):
+            raise InvalidParameter("start_current and start_xi3 must be > 0")
 
 
 @dataclass(frozen=True)
@@ -427,8 +419,12 @@ def drive_ladder(start: float, ratio: float, alpha_of: Callable, alpha_max: floa
     The drive grows by repeated multiplication from ``start`` (the same
     floating-point sequence as ``drive *= ratio``) and the ladder ends
     before the first step whose alpha reaches ``alpha_max`` or whose drive
-    fails the vectorized budget check ``drive_ok``.
+    fails the vectorized budget check ``drive_ok``.  A start that cannot
+    grow, or a ladder that has not ended after :data:`MAX_GRID_POINTS`
+    steps, raises ``InvalidParameter``.
     """
+    if not start > 0:
+        raise InvalidParameter(f"ramp start must be > 0, got {start:g}")
     if not ratio > 1:
         raise InvalidParameter("ramp ratio must be > 1")
     if alpha_max > 1:
@@ -447,6 +443,9 @@ def drive_ladder(start: float, ratio: float, alpha_of: Callable, alpha_max: floa
             parts.append(drives[:stop[0]])
             break
         parts.append(drives)
+        if len(parts) * _LADDER_CHUNK > MAX_GRID_POINTS:
+            raise InvalidParameter(f"pump ladder has not ended after {MAX_GRID_POINTS} steps; "
+                                   f"ramp ratio {ratio:.17g} is too close to 1")
         drive = drives[-1] * ratio
     drives = np.concatenate(parts)
     return drives, alpha_of(drives)
@@ -592,18 +591,13 @@ def policy_ladder(engine: ReflectionEngine, design: DesignSpec, policy: PumpRamp
         budget = None if cap is None else (lambda drive: drive <= cap)
         return drive_ladder(policy.start_xi3, ratio, engine.alpha_for_xi3,
                             policy.alpha_max, budget)
-    i_c = design.ki_model.i_c
-    istar2 = design.ki_model.i_star2
-    i_dc = engine.i_dc
+    model, i_dc = design.ki_model, engine.i_dc
     if i_dc <= 0:
         return np.empty(0), np.empty(0)  # no three-wave mixing without bias
-
-    def alpha_of(drive):
-        r = i_dc * drive / (istar2**2 + i_dc**2)
-        return (9.0 / 16.0) * (r * r)
-
-    budget = None if i_c is None else (lambda drive: i_dc + drive < i_c)
-    return drive_ladder(policy.start_current, ratio, alpha_of, policy.alpha_max, budget)
+    budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
+    return drive_ladder(policy.start_current, ratio,
+                        lambda drive: modulation_alpha(model, i_dc, drive),
+                        policy.alpha_max, budget)
 
 
 def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],

@@ -520,6 +520,33 @@ def test_non_positive_impedance_axis_is_validation_error(axis, spec, capsys):
     assert err.startswith(f"error: {axis} axis must start above 0 ohm")
 
 
+_INLINE_DESIGN = ["--set", "z_quarter=80ohm", "--set", "z_half=30ohm", "--set", "c_shunt=330fF",
+                  "--set", "f0=7.9GHz"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", *_INLINE_DESIGN, "--set", "l_k0=0nH", "--fp", "16.9GHz", "--xi3", "1GHz",
+      "--span", "8.3GHz:8.31GHz:5MHz"], "total inductance l_k0 + l_geo must be > 0"),
+    (["map", *_INLINE_DESIGN, "--set", "l_k0=0nH", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
+      "--set", "idc_start=0.5mA", "--set", "idc_stop=0.5mA", "--set", "idc_step=1mA",
+      "--set", "policy=xi3"], "total inductance l_k0 + l_geo must be > 0"),
+    (["fit-ki", "--set", "l_k0=0nH", "--set", "l_geo=0nH"], "l_k0 must be > 0, got 0"),
+    (["fit-ki", "--set", "l_k0=0nH", "--set", "l_geo=0.2nH"], "l_k0 must be > 0, got 0"),
+    (["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "2GHz",
+      "--set", "phip=1.234rad"], "unknown key 'phip' for this command"),
+])
+def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_path, capsys):
+    if argv[0] == "fit-ki":
+        data = tmp_path / "shift.csv"
+        data.write_text("i_dc_A,dfrac\n" + "".join(
+            f"{k * 1e-4},{-0.4 * (k * 1e-4 / 3.25e-3) ** 2}\n" for k in range(1, 9)))
+        argv = [*argv, "--input", str(data)]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "0:1e300:1"],
     ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "8GHz:9GHz:1e-3Hz"],

@@ -333,3 +333,7 @@ def test_model_validation():
         KineticInductorModel("parabolic", 1e-9, i_star2=1e-3, i_c=2e-3)  # i_c >= i_star2
     with pytest.raises(InvalidParameter):
         PumpOperatingPoint(-1e-3, 0.0)
+    for l_k0 in (0.0, math.nan):  # no inductance at all
+        with pytest.raises(InvalidParameter, match="l_k0 \\+ l_geo must be > 0"):
+            KineticInductorModel("parabolic", l_k0)
+    assert kinetic_inductance(KineticInductorModel("parabolic", 0.0, l_geo=0.2e-9), 1e-3) == 0.2e-9

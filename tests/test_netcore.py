@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kipa.errors import InvalidParameter, SingularReflection
-from kipa.netcore import (
+from kipa.errors import InvalidParameter
+from kipa.netcore import TransmissionLineSegment, input_impedance
+from twoport_reference import (
     IDENTITY,
     OPEN,
-    TransmissionLineSegment,
+    SingularReflection,
     TwoPortMatrix,
     cascade,
     elementary_two_port,
-    input_impedance,
     reflection_coefficient,
     terminate,
 )
+from twoport_reference import input_impedance as scalar_input_impedance
 
 W0 = 2 * np.pi * 8e9
 
@@ -128,13 +130,13 @@ def test_half_wave_periodicity():
 
 def test_open_circuit_transforms():
     # shorted quarter wave looks open; open quarter wave looks shorted
-    assert input_impedance(quarter(180.0), 0.0, W0) is OPEN
-    assert input_impedance(quarter(180.0), OPEN, W0) == pytest.approx(0.0, abs=1e-9)
+    assert scalar_input_impedance(quarter(180.0), 0.0, W0) is OPEN
+    assert scalar_input_impedance(quarter(180.0), OPEN, W0) == pytest.approx(0.0, abs=1e-9)
     # open half-wave stays open
     half = TransmissionLineSegment(70.0, 0.5, W0)
-    assert input_impedance(half, OPEN, W0) is OPEN
+    assert scalar_input_impedance(half, OPEN, W0) is OPEN
     # open stub away from resonance is a pure reactance
-    z = input_impedance(TransmissionLineSegment(60.0, 0.125, W0), OPEN, W0)
+    z = scalar_input_impedance(TransmissionLineSegment(60.0, 0.125, W0), OPEN, W0)
     assert z.real == pytest.approx(0.0, abs=1e-9)
     assert z.imag == pytest.approx(-60.0, rel=1e-12)  # -i z_c cot(pi/4)
 
@@ -210,4 +212,20 @@ def test_array_evaluation_matches_scalar():
     ws = np.linspace(0.7 * W0, 1.3 * W0, 11)
     z_arr = input_impedance(line, 60.0 + 0j, ws)
     for w, z in zip(ws, z_arr):
-        assert z == pytest.approx(input_impedance(line, 60.0 + 0j, w), rel=1e-12)
+        assert z == pytest.approx(scalar_input_impedance(line, 60.0 + 0j, w), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z_c=st.floats(10.0, 250.0), r=st.floats(1.0, 250.0), x=st.floats(-250.0, 250.0),
+       fraction=st.one_of(st.sampled_from([0.25, 0.5]), st.floats(0.05, 1.0)),
+       ratio=st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.1, 3.0)))
+def test_input_impedance_matches_scalar_reference(z_c, r, x, fraction, ratio):
+    # fractions 0.25 and 0.5 at ω/f_ref = 1, 2, 3 land on exact quarter- and
+    # half-wave points, where the reference returns the exact limits
+    line = TransmissionLineSegment(z_c, fraction, W0)
+    z_load, w = complex(r, x), W0 * ratio
+    z = input_impedance(line, z_load, w)
+    assert isinstance(z, complex)
+    assert z == pytest.approx(scalar_input_impedance(line, z_load, w), rel=1e-12)
+    # a scalar and a one-point array run the same arithmetic
+    assert input_impedance(line, np.array([z_load]), np.array([w]))[0] == z

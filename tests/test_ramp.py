@@ -22,6 +22,7 @@ from scipy.signal import find_peaks
 from kipa.circuits import IDEAL_ENV, environment_impedance, idler_admittance, port_line_abcd
 from kipa.errors import InvalidParameter
 from kipa import simulator
+from kipa.material import PumpOperatingPoint, modulation_alpha, pump_coefficients
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, paper_device, paper_env
 from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
 from kipa.search import _design_for, _row_grids, default_ranges, search_designs, SearchRanges
@@ -242,6 +243,101 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
         drive *= ratio
     assert drives.tolist() == [d for d, _ in expected]
     np.testing.assert_allclose(alphas, [a for _, a in expected], rtol=1e-15, atol=0)
+
+
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_alpha_squares_keep_the_bits_of_each_caller():
+    # ``** 2`` squares an array elementwise as r*r does, so ramp ladders keep
+    # their bits; a scalar goes through C pow, as the simulate drive and
+    # pump_coefficients always did.  The two may differ in the last bit.
+    design = paper_device()
+    engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
+                              PAPER_DEVICE_BIAS)
+    rng = np.random.default_rng(5)
+    xi3 = np.concatenate([rng.uniform(0.0, TWO_PI * 6e9, 20_000),
+                          np.geomspace(TWO_PI * 1e3, TWO_PI * 1e11, 2_000)])
+    r = xi3 / (2.0 * engine.omega0)
+    assert _same_bits(engine.alpha_for_xi3(xi3), r * r)
+    assert _same_bits([engine.alpha_for_xi3(float(x)) for x in xi3],
+                      [math.pow(float(v), 2.0) for v in r])
+    ip = rng.uniform(0.0, 0.55e-3, 5_000)
+    i_dc, istar2 = PAPER_DEVICE_BIAS, NBTIN_NANOWIRE.i_star2
+    r = i_dc * ip / (istar2**2 + i_dc**2)
+    assert _same_bits(modulation_alpha(NBTIN_NANOWIRE, i_dc, ip), (9.0 / 16.0) * (r * r))
+    w0 = design.resonance_at_bias(i_dc)
+    assert _same_bits([pump_coefficients(NBTIN_NANOWIRE, PumpOperatingPoint(i_dc, float(i)),
+                                         w0).alpha for i in ip],
+                      [(9.0 / 16.0) * math.pow(float(v), 2.0) for v in r])
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
+def test_ladder_start_must_be_positive(start):
+    chunks = []
+
+    def alpha_of(drives):
+        # a ladder that never ends fails here instead of running on
+        chunks.append(drives.size)
+        assert len(chunks) < 4
+        return drives * 0.0
+
+    with pytest.raises(InvalidParameter, match="ramp start must be > 0"):
+        drive_ladder(start, 1.02, alpha_of, 0.9)
+    assert chunks == []
+
+
+@pytest.mark.parametrize("mode", ["current", "xi3"])
+def test_ladder_that_does_not_end_is_rejected(mode, monkeypatch):
+    # 0.1-µdB steps would reach the end of either ladder after ~1e9 steps
+    calls = []
+
+    def bounded(alpha_of):
+        def wrapped(*args):
+            # past the cap's 977 chunks, fail here instead of filling memory
+            calls.append(1)
+            assert len(calls) < 1_100
+            return alpha_of(*args)
+        return wrapped
+
+    monkeypatch.setattr(ReflectionEngine, "alpha_for_xi3", bounded(ReflectionEngine.alpha_for_xi3))
+    monkeypatch.setattr(simulator, "modulation_alpha", bounded(modulation_alpha))
+    design = paper_device()
+    engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
+                              PAPER_DEVICE_BIAS)
+    with pytest.raises(InvalidParameter, match="has not ended after 1000000 steps"):
+        policy_ladder(engine, design, PumpRampPolicy(mode=mode, step_db=1e-7))
+
+
+def test_ladder_below_the_step_cap_ends():
+    # drive n is (1 + 1e-9)^n ≈ 1 + n·1e-9, so alpha reaches 0.9 near step 999,000
+    drives, _ = drive_ladder(1.0, 1.0 + 1e-9, lambda d: (d - 1.0) * (0.9 / 999_000e-9), 0.9)
+    assert abs(drives.size - 999_000) < 1_000
+
+
+@pytest.mark.parametrize("field", ["start_current", "start_xi3"])
+def test_policy_rejects_a_zero_ramp_start(field):
+    with pytest.raises(InvalidParameter, match="start_current and start_xi3 must be > 0"):
+        PumpRampPolicy(**{field: 0.0})
+
+
+def test_search_rejects_a_zero_ramp_start(monkeypatch):
+    chunks = []
+    alpha_for_xi3 = ReflectionEngine.alpha_for_xi3
+
+    def bounded(engine, drives):
+        # a ladder that never ends fails here instead of running on
+        chunks.append(np.size(drives))
+        assert len(chunks) < 4
+        return alpha_for_xi3(engine, drives)
+
+    monkeypatch.setattr(ReflectionEngine, "alpha_for_xi3", bounded)
+    point = SearchRanges((80.0, 80.0, 1.0), (60.0, 60.0, 1.0), (50.0, 50.0, 1.0),
+                         (TWO_PI * 8e9, TWO_PI * 8e9, 1.0), 180.0, TWO_PI * 8e9, "three-stage")
+    with pytest.raises(InvalidParameter, match="ramp start must be > 0"):
+        list(search_designs(point, xi3_start=0.0))
+    assert chunks == []
 
 
 levels = st.sampled_from([-3.0, 10.0, 16.5, 17.0, 17.0 + 1e-12, 17.3, 17.5, 18.0, 25.0])

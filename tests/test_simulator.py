@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kipa.circuits import IDEAL_ENV, three_stage_design
 from kipa.errors import InsufficientData, InvalidParameter
-from kipa.material import KineticInductorModel, PumpOperatingPoint
+from kipa.material import KineticInductorModel, PumpOperatingPoint, pump_coefficients
 from kipa.presets import (
     PAPER_DEVICE_BIAS,
     PAPER_DEVICE_PUMP,
@@ -45,8 +45,11 @@ def test_pump_off_unitarity():
 def test_pump_off_unitarity_current_drive():
     design = paper_device()
     freqs = _grid(8.0e9, 8.8e9, 20e6)
+    # a current operating point reaches the network as its |xi3|, as `simulate --set ip=` does
     op = PumpOperatingPoint(PAPER_DEVICE_BIAS, 0.0, 0.0, PAPER_DEVICE_PUMP)
-    prof = gain_spectrum(design, op, None, freqs)
+    w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
+    xi3 = abs(pump_coefficients(design.ki_model, op, w0).xi3)
+    prof = gain_spectrum(design, PumpDrive(xi3, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS), None, freqs)
     assert np.max(np.abs(np.abs(prof.s11) - 1.0)) < 1e-9
 
 
@@ -69,9 +72,10 @@ def test_current_drive_matches_xi3_drive():
     ip = pump_current_for_xi3(design.ki_model, PAPER_DEVICE_BIAS, w0, xi3)
     op = PumpOperatingPoint(PAPER_DEVICE_BIAS, ip, 0.0, PAPER_DEVICE_PUMP)
     freqs = _grid(8.2e9, 8.7e9, 5e6)
-    a = gain_spectrum(design, op, None, freqs)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(freqs, PAPER_DEVICE_PUMP)], PAPER_DEVICE_BIAS)
+    a = engine.gain_db(pump_coefficients(design.ki_model, op, w0).alpha)
     b = gain_spectrum(design, PumpDrive(xi3, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS), None, freqs)
-    np.testing.assert_allclose(a.gain_db, b.gain_db, atol=1e-9)
+    np.testing.assert_allclose(a, b.gain_db, atol=1e-9)
 
 
 def test_grid_validation():
