@@ -166,26 +166,35 @@ class ReflectionEngine:
         """The same network at bias ``i_dc``, bit for bit a fresh build.
 
         Only l0, ω0 and the Möbius form depend on the bias: every other
-        array is shared, and the Möbius form is built again on first use.
+        array is shared, the port terms of the Möbius form included, and
+        the form is built again on first use.
         """
+        self._port_terms   # built here once, so that every bias shares it
         other = object.__new__(ReflectionEngine)
         other.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "mobius")
         other._set_bias(i_dc)
         return other
 
     @cached_property
-    def mobius(self) -> MobiusForm:
-        """Coefficients of S11(α) = (P + Qα)/(R + Sα) over every cell, built on first use."""
+    def _port_terms(self):
+        """(a - z·c, b - z·d, a + z·c, b + z·d): the bias-free part of :attr:`mobius`.
+
+        S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y) at node
+        admittance y, so numerator and denominator are linear in y.
+        """
         a, b, c, d = self.abcd
         z = self.z_env
+        return a - z * c, b - z * d, a + z * c, b + z * d
+
+    @cached_property
+    def mobius(self) -> MobiusForm:
+        """Coefficients of S11(α) = (P + Qα)/(R + Sα) over every cell, built on first use."""
         # node admittance (n0 + n1·α)/D(α) with D(α) = d0 + d1·α
         a_idler = self.jwi * self.l0 * self.y_idler_conj
         d0, d1 = a_idler - 1.0, -a_idler
         n0 = d0 * (self.y_c + 1.0 / (self.jws * self.l0))
         n1 = -self.y_c * a_idler
-        # S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y)
-        num_a, num_b = a - z * c, b - z * d
-        den_a, den_b = a + z * c, b + z * d
+        num_a, num_b, den_a, den_b = self._port_terms
         return MobiusForm(num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
                           den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
 
@@ -404,10 +413,15 @@ class MapCell:
 # relative gap between the coefficient form and an evaluated profile, so
 # no step that could reach the threshold is screened out.
 RAMP_SLACK = 1e-6
-# Most grid points (steps × frequencies) one block of ramp steps evaluates.
-# Measured on 13 steps of a 1,200-point map cell: 1,216 µs as one block,
-# 837 µs one step at a time, 684 µs in 4-step blocks; larger blocks fall
-# out of cache and waste more steps past the one that stops the ramp.
+# Most grid points of a cell (steps × cell frequencies) one block of ramp
+# steps covers; a block evaluates only its window of them, and the cap also
+# bounds its temporaries.  Re-timed per ramp with windowed blocks (best of
+# 9 interleaved runs): 1,200-point rippled map cells took 1,225-1,380 µs at
+# 4,096, 1,000-1,150 at 8,192 and 905-1,050 as one block; 600-point desk
+# cells took 340-345, 302-306 and 421-431 µs.  8,192 also ran ~5-11 %
+# faster end to end, but it doubles the largest block: the transient peak
+# of 60 desk rows rose from 1.40 to 1.86 MB (tracemalloc; whole-row blocks
+# of 4,096 points peaked at 1.35 MB), so the cap stays at 4,096.
 RAMP_BLOCK_POINTS = 4096
 _LADDER_CHUNK = 1024
 
@@ -481,23 +495,54 @@ def _quadratic_nonnegative(a2, a1, a0):
     return lo, hi
 
 
+class CellScreen(NamedTuple):
+    """What the α screen keeps of one cell: ladder steps and grid intervals.
+
+    Grid point ``points[i]`` (an index into the engine's concatenated grid)
+    may reach the screened level at ladder steps ``first[i]`` up to, not
+    including, ``stop[i]``; ``steps`` is the union of those steps.  Every
+    point at every step outside its intervals is finite and below the
+    level.  ``points`` is None where the screen keeps every step.
+    """
+
+    steps: np.ndarray
+    points: Optional[np.ndarray]
+    first: Optional[np.ndarray]
+    stop: Optional[np.ndarray]
+
+    def window(self, ks: np.ndarray, cells: slice) -> slice:
+        """The part of ``cells`` that a run ``ks`` of consecutive kept steps must evaluate.
+
+        It reaches from one point before the first point whose interval
+        meets ``ks`` to one point after the last: those neighbours give a
+        span edge its interpolation and a maximum its comparison.  Every
+        step of a kept interval is a kept step, so an interval whose steps
+        overlap ks[0]..ks[-1] holds a step of ``ks``.
+        """
+        if self.points is None:
+            return cells
+        at = self.points[(self.first <= ks[-1]) & (self.stop > ks[0])]
+        return slice(max(int(at.min()) - 1, cells.start), min(int(at.max()) + 2, cells.stop))
+
+
 def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) -> list:
-    """Per cell of ``engine``, the ladder indices whose profile may reach ``db``.
+    """Per cell of ``engine``, a :class:`CellScreen` of the steps that may reach ``db``.
 
     Per frequency, |S11(α)|² >= G is the real quadratic
     |P + Qα|² - G·|R + Sα|² >= 0, whose solution set is at most two
-    intervals of α.  Their union over a cell's frequencies, mapped onto the
-    ladder, holds every step that can reach ``db`` or that sits on an idler
-    pole; every other step is finite and below ``db`` at every frequency of
-    the cell.  The quadratics are elementwise in ω and the cells share the
-    ladder, so they are solved once over the engine's concatenated grid,
-    and one ``bincount`` over (cell, step) offsets covers the ladder of
-    every cell.  A cell with a degenerate (a2 = 0) or overflowing quadratic
-    keeps every step.
+    intervals of α.  Mapped onto the ladder, each is the step range at
+    which that frequency may reach ``db``; an idler pole adds the steps at
+    its α.  A cell keeps the union of its ranges, and every other step is
+    finite and below ``db`` at every frequency of the cell.  The
+    quadratics are elementwise in ω and the cells share the ladder, so
+    they are solved once over the engine's concatenated grid, and one
+    ``bincount`` over (cell, step) offsets covers the ladder of every cell.
+    A cell with a degenerate (a2 = 0) or overflowing quadratic keeps every
+    step and every point.
     """
     m = alphas.size
     if m == 0:
-        return [np.arange(0)] * len(engine.cells)
+        return [CellScreen(np.arange(0), None, None, None)] * len(engine.cells)
     g = 10.0 ** (db / 10.0) * (1.0 - RAMP_SLACK)
     p, q, r, s, a_idler = engine.mobius
     a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
@@ -519,13 +564,20 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) ->
     first = np.searchsorted(alphas, lo[meets], side="left")
     stop = np.searchsorted(alphas, hi[meets], side="right")
     keep = first < stop
-    offset = (np.searchsorted(starts, points[meets[keep]], side="right") - 1) * (m + 1)
+    points, first, stop = points[meets[keep]], first[keep], stop[keep]
+    cell = np.searchsorted(starts, points, side="right") - 1
+    offset = cell * (m + 1)
     size = len(starts) * (m + 1)
-    cover = np.cumsum((np.bincount(offset + first[keep], minlength=size)
-                       - np.bincount(offset + stop[keep], minlength=size)).reshape(-1, m + 1),
+    cover = np.cumsum((np.bincount(offset + first, minlength=size)
+                       - np.bincount(offset + stop, minlength=size)).reshape(-1, m + 1),
                       axis=1)
-    return [np.arange(m) if every else np.flatnonzero(steps[:m] > 0)
-            for every, steps in zip(keep_all, cover)]
+    # group the intervals by cell
+    order = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell[order], np.arange(len(starts) + 1))
+    points, first, stop = points[order], first[order], stop[order]
+    return [CellScreen(np.arange(m), None, None, None) if every else
+            CellScreen(np.flatnonzero(steps[:m] > 0), *(x[i:j] for x in (points, first, stop)))
+            for every, steps, i, j in zip(keep_all, cover, bounds[:-1], bounds[1:])]
 
 
 def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
@@ -538,7 +590,16 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     that can neither stop the ramp nor reach the threshold (see
     :func:`_candidate_steps`) are skipped unevaluated, which leaves the
     result identical to evaluating every step.  The rest are evaluated in
-    blocks of at most :data:`RAMP_BLOCK_POINTS` grid points.
+    blocks of at most :data:`RAMP_BLOCK_POINTS` grid points of the cell.
+
+    A block is evaluated only on its window (:meth:`CellScreen.window`):
+    from one point before the first frequency whose screened interval
+    meets the block's steps to one point after the last.  Every point
+    outside it is finite and below ``min(threshold_db, stop_db)`` at every
+    step of the block, so the stop test, the maxima and rising-maxima
+    counts and the widest span, whose edges interpolate against the
+    window's end points, read the same numbers from the window as from
+    the whole row.
 
     An evaluated step is a candidate only when it passes four exact tests,
     cheapest first, each a condition under which its report could not
@@ -548,17 +609,18 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     ``ripple_max_db``, and a widest span of positive width.  The ramp keeps
     the widest qualifying profile, the first of equal widths, so once the
     ramp stops, candidates get a full :func:`bandwidth_report` from widest
-    to narrowest, earlier first on equal widths, until one qualifies.
+    to narrowest, earlier first on equal widths, until one qualifies; only
+    those steps are evaluated again over the whole cell.
     """
     screen = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
     results = []
-    for cells, omega_p, steps in zip(engine.cells, engine.omega_ps, screen):
-        ws = engine.ws[cells]
-        candidates = []   # (width, ladder index, gain) per candidate step
-        block = max(1, RAMP_BLOCK_POINTS // ws.size)
-        for at in range(0, steps.size, block):
-            ks = steps[at:at + block]
-            gdb = engine.gain_db(alphas[ks], cells)
+    for cells, omega_p, kept in zip(engine.cells, engine.omega_ps, screen):
+        candidates = []   # (width, ladder index) per candidate step
+        block = max(1, RAMP_BLOCK_POINTS // (cells.stop - cells.start))
+        for at in range(0, kept.steps.size, block):
+            ks = kept.steps[at:at + block]
+            window = kept.window(ks, cells)
+            ws, gdb = engine.ws[window], engine.gain_db(alphas[ks], window)
             peak = gdb.max(axis=1)
             # the first step past an oscillation pole or above stop_db ends the ramp
             halt = np.flatnonzero(~np.isfinite(gdb).all(axis=1) | (peak > stop_db))
@@ -568,13 +630,14 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
                 lo, hi, ripple = _widest_span(ws, gdb[j], threshold_db)
                 width = float(hi - lo)
                 if width > 0.0 and ripple <= ripple_max_db:
-                    candidates.append((width, ks[j], gdb[j]))
+                    candidates.append((width, ks[j]))
             if halt.size:
                 break
         best, best_drive = None, 0.0
         # a stable sort keeps ladder order among equal widths
-        for _, k, gain in sorted(candidates, key=lambda c: -c[0]):
-            rep = bandwidth_report(GainProfile(ws, None, gain, omega_p),
+        for _, k in sorted(candidates, key=lambda c: -c[0]):
+            gain, = engine.gain_db(alphas[k:k + 1], cells)
+            rep = bandwidth_report(GainProfile(engine.ws[cells], None, gain, omega_p),
                                    threshold_db, ripple_max_db, require_two_peaks=True)
             if rep.qualified:
                 best, best_drive = rep, float(drives[k])

@@ -177,7 +177,7 @@ def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
     _, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
     peaks = np.array([engine.gain_db(float(a)).max() for a in alphas])  # inf at poles
-    kept, = _candidate_steps(engine, alphas, db)
+    (kept, *_), = _candidate_steps(engine, alphas, db)
     assert set(np.flatnonzero(peaks >= db)) <= set(kept)
     assert np.all(peaks[kept] >= db - 1e-4)
 
@@ -411,8 +411,9 @@ def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz
     row = ReflectionEngine(design, ENVS[env], grids)
     ladder = drive_ladder(TWO_PI * 1e6, 1.02, row.alpha_for_xi3, 0.9)
     alone = [ReflectionEngine(design, ENVS[env], [grid]) for grid in grids]
-    for got, want in zip(_candidate_steps(row, ladder[1], 17.0),
-                         (_candidate_steps(engine, ladder[1], 17.0)[0] for engine in alone)):
+    for got, want in zip((screen.steps for screen in _candidate_steps(row, ladder[1], 17.0)),
+                         (_candidate_steps(engine, ladder[1], 17.0)[0].steps
+                          for engine in alone)):
         assert np.array_equal(got, want)
     assert ramp(row, *ladder, 17.0, 5.0, 40.0) == [
         _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0) for engine in alone]
@@ -429,7 +430,7 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     full = _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
     assert full.report is not None
     # candidate steps up to and including the one that stops the ramp
-    steps, = _candidate_steps(engine, alphas, 17.0)
+    (steps, *_), = _candidate_steps(engine, alphas, 17.0)
     evaluated = np.flatnonzero(engine.gain_db(alphas[steps]).max(axis=1) > 40.0)[0] + 1
     assert evaluated >= 3
     # one step per block; the evaluated steps one more than a block, exactly
@@ -499,6 +500,20 @@ def test_bias_shared_engines_equal_standalone_engines(env, monkeypatch):
     # the bias-free arrays are shared, the Möbius form is not
     assert np.shares_memory(engines[1].y_idler_conj, engines[0].y_idler_conj)
     assert not np.shares_memory(engines[1].mobius.p, engines[0].mobius.p)
+
+
+def test_biases_share_the_port_terms_and_one_shot_engines_skip_them():
+    design = paper_device()
+    wp = TWO_PI * 16.9e9
+    ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    network = ReflectionEngine(design, paper_env(), [(ws, wp)])
+    network.s11(0.01)
+    # an engine that only evaluates S11 builds neither the port terms nor the Möbius form
+    assert "_port_terms" not in vars(network) and "mobius" not in vars(network)
+    engines = [network.at_bias(i_dc) for i_dc in BIASES]
+    for eng in engines:
+        eng.mobius
+        assert all(x is y for x, y in zip(eng._port_terms, network._port_terms))
 
 
 @pytest.mark.parametrize("env", sorted(ENVS))
@@ -658,5 +673,91 @@ def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
     engine = types.SimpleNamespace(mobius=MobiusForm(p, q, r, s, np.full(4, 1j)),
                                    cells=[slice(0, 2), slice(2, 4)])
     alphas = np.array([0.1, 0.3, 0.5, 0.7])
-    got = _candidate_steps(engine, alphas, 10.0 * math.log10(0.25))
+    got = [screen.steps for screen in _candidate_steps(engine, alphas, 10.0 * math.log10(0.25))]
     assert [steps.tolist() for steps in got] == [[0, 1, 2, 3], [2, 3]]
+
+
+def _row_of_two(cell, env):
+    """A two-cell row engine of ``cell``'s design (its cell second) and its ladder."""
+    _, design, _, _, _, wp2 = cell
+    grids = [(ws, wp) for _, ws, wp in _row_grids([wp2 - TWO_PI * 0.25e9, wp2],
+                                                  TWO_PI * 1.2e9, TWO_PI * 4e6)]
+    engine = ReflectionEngine(design, ENVS[env], grids)
+    return engine, drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+
+
+def _blocks(screen, per_block):
+    """Each run of ``per_block`` consecutive kept steps."""
+    return [screen.steps[at:at + per_block] for at in range(0, screen.steps.size, per_block)]
+
+
+def _local(window, cells):
+    """``window`` as a slice of the cell ``cells``."""
+    return slice(window.start - cells.start, window.stop - cells.start)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), per_block=st.integers(1, 12))
+def test_block_on_its_window_equals_the_full_row_bit_for_bit(cell, env, per_block):
+    engine, (_, alphas) = _row_of_two(cell, env)
+    for cells, screen in zip(engine.cells, _candidate_steps(engine, alphas, 17.0)):
+        for ks in _blocks(screen, per_block):
+            window = screen.window(ks, cells)
+            assert cells.start <= window.start < window.stop <= cells.stop
+            at = _local(window, cells)
+            assert _same_bits(engine.s11(alphas[ks], window), engine.s11(alphas[ks], cells)[:, at])
+            assert _same_bits(engine.gain_db(alphas[ks], window),
+                              engine.gain_db(alphas[ks], cells)[:, at])
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), per_block=st.integers(1, 12),
+       threshold_db=st.floats(3.0, 45.0), stop_db=st.floats(3.0, 45.0))
+def test_points_outside_a_block_window_stay_below_the_screened_level(cell, env, per_block,
+                                                                      threshold_db, stop_db):
+    engine, (_, alphas) = _row_of_two(cell, env)
+    db = min(threshold_db, stop_db)
+    for cells, screen in zip(engine.cells, _candidate_steps(engine, alphas, db)):
+        for ks in _blocks(screen, per_block):
+            outside = np.ones(cells.stop - cells.start, dtype=bool)
+            outside[_local(screen.window(ks, cells), cells)] = False
+            for k in ks.tolist():   # each step evaluated alone over the whole cell
+                gdb = engine.gain_db(float(alphas[k]), cells)[outside]
+                assert np.all(np.isfinite(gdb) & (gdb < db)), k
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), degenerate=st.booleans(),
+       point=st.integers(0, 599), step=st.integers(0, 499), per_block=st.integers(1, 12))
+def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degenerate, point,
+                                                                step, per_block):
+    _, design, _, _, _, wp2 = cell
+    ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
+    drives, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    assume(step < alphas.size)
+    if degenerate:   # a2 = 0 at one point: the screen keeps every step and point
+        m = engine.mobius
+        q, s = m.q.copy(), m.s.copy()
+        q[point] = s[point] = 0.0
+        engine.mobius = m._replace(q=q, s=s)
+    else:   # an exact idler pole at one point and ladder step
+        y = _pole_admittance(engine, point, alphas[step])
+        assume(y is not None)
+        engine.y_idler_conj = engine.y_idler_conj.copy()
+        engine.y_idler_conj[point] = y
+    cells = engine.cells[0]
+    screen, = _candidate_steps(engine, alphas, 17.0)
+    blocks = _blocks(screen, per_block)
+    if degenerate:
+        assert screen.steps.tolist() == list(range(alphas.size))
+        assert all(screen.window(ks, cells) == cells for ks in blocks)
+    else:
+        # the block that holds the pole step evaluates the pole point
+        ks, = (ks for ks in blocks if step in ks)
+        window = screen.window(ks, cells)
+        assert window.start <= point < window.stop
+        row = ks.tolist().index(step)
+        assert engine.gain_db(alphas[ks], window)[row, point - window.start] == np.inf
+    assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
+        engine, drives, alphas, 17.0, 5.0, 40.0)]
