@@ -5,7 +5,9 @@ ramp can skip, unevaluated, every step whose gain stays below threshold,
 and it reports only the steps that could replace its best profile.
 These properties check the coefficient form against the step-by-step
 network composition, S11 over a block of α against each α alone bit for
-bit, the screened, block-evaluated row ramp against evaluating and
+bit, a block on its frequency window against the whole row (and every
+point outside the window below the screened level), the screened,
+block-evaluated row ramp against evaluating and
 reporting every step of each cell, the cells of a multi-grid engine and
 an engine moved to another bias against engines built one grid at a time,
 and the map against per-cell builds.
@@ -678,7 +680,7 @@ def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
 
 
 def _row_of_two(cell, env):
-    """A two-cell row engine of ``cell``'s design (its cell second) and its ladder."""
+    """A row engine whose second cell is ``cell`` and the one before it, and its ladder."""
     _, design, _, _, _, wp2 = cell
     grids = [(ws, wp) for _, ws, wp in _row_grids([wp2 - TWO_PI * 0.25e9, wp2],
                                                   TWO_PI * 1.2e9, TWO_PI * 4e6)]
