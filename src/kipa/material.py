@@ -124,10 +124,11 @@ def kinetic_inductance(model: KineticInductorModel, i_dc: float) -> float:
 def modulation_alpha(model: KineticInductorModel, i_dc: float, i_p_mag):
     """α = (9/16)·(i_dc·|I_p|/(I*₂² + i_dc²))² for a scalar or an array of |I_p|.
 
-    As in ``ReflectionEngine.alpha_for_xi3``, an array is squared as r·r and
-    a scalar through C ``pow``.
+    As in ``ReflectionEngine.alpha_for_xi3``, the square is r·r, so a drive
+    gets the same α bits alone as inside a ladder.
     """
-    return (9.0 / 16.0) * (i_dc * i_p_mag / (model.i_star2**2 + i_dc**2)) ** 2
+    r = i_dc * i_p_mag / (model.i_star2**2 + i_dc**2)
+    return (9.0 / 16.0) * (r * r)
 
 
 def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,

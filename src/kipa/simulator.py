@@ -201,48 +201,55 @@ class ReflectionEngine:
     def alpha_for_xi3(self, xi3_mag):
         """α = (|ξ3|/2ω0)² for a scalar drive or an array of drives.
 
-        numpy squares an array as r·r and a scalar through C ``pow``, which
-        can differ from r·r in the last bit: ladders keep the bits of r·r,
-        ``gain_spectrum`` those of ``pow``.
+        Squared as r·r, so a drive gets the same α bits alone as inside a
+        ladder (numpy would square a scalar through C ``pow``).
         """
-        return (xi3_mag / (2.0 * self.omega0)) ** 2
+        r = xi3_mag / (2.0 * self.omega0)
+        return r * r
 
-    def s11(self, alpha, cells: slice = slice(None)) -> np.ndarray:
-        """S11 over ``cells`` at one α, or one row per α of a 1-D array of α.
+    def s11_at(self, alpha, at) -> np.ndarray:
+        """S11 at modulation ``alpha`` and grid points ``at``, elementwise over their broadcast.
 
-        A row is bit for bit what the same α alone gives: the (steps, 1)
-        column of α broadcasts against the grid through the same arithmetic.
+        ``at`` is a slice or an index array into the concatenated grid.  Each
+        element goes through the same arithmetic whatever the shapes, so it
+        is bit for bit what its (α, point) pair gives alone.  α is not checked.
         """
-        values = np.ravel(alpha)
-        outside = values[~((values >= 0) & (values < 1))]
-        if outside.size:
-            raise InvalidParameter(f"alpha = {outside[0]:.4g} outside [0, 1)")
-        if np.ndim(alpha):
-            alpha = values[:, None]
-        y_eff, den = self._y_eff(alpha, cells)
+        y_eff, den = self._y_eff(alpha, at)
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_node = self.y_c[cells] + y_eff
-            a, b, c, d = (x[cells] for x in self.abcd)
+            y_node = self.y_c[at] + y_eff
+            a, b, c, d = (x[at] for x in self.abcd)
             p = a + b * y_node
-            zq = self.z_env[cells] * (c + d * y_node)
+            zq = self.z_env[at] * (c + d * y_node)
             s11 = (p - zq) / (p + zq)
         pole = den == 0
         if np.any(pole):
             s11 = np.where(pole, np.inf + 0j, s11)
         return s11
 
+    def gain_db_at(self, alpha, at) -> np.ndarray:
+        """20 log10 |S11| at (α, point) pairs, see :meth:`s11_at`."""
+        return _to_db(self.s11_at(alpha, at))
+
+    def s11(self, alpha, cells: slice = slice(None)) -> np.ndarray:
+        """S11 over ``cells`` at one α, or one row per α of a 1-D array of α."""
+        values = np.ravel(alpha)
+        outside = values[~((values >= 0) & (values < 1))]
+        if outside.size:
+            raise InvalidParameter(f"alpha = {outside[0]:.4g} outside [0, 1)")
+        return self.s11_at(values[:, None] if np.ndim(alpha) else alpha, cells)
+
     def gain_db(self, alpha, cells: slice = slice(None)) -> np.ndarray:
         return _to_db(self.s11(alpha, cells))
 
     def y_eff(self, alpha) -> np.ndarray:
-        return self._y_eff(alpha)[0]
+        return self._y_eff(alpha, slice(None))[0]
 
-    def _y_eff(self, alpha, cells: slice = slice(None)):
+    def _y_eff(self, alpha, at):
         """Y_eff and its idler denominator iω_i·l0'·Y_idler* - 1 (0 at a pole)."""
         lp = self.l0 * (1.0 - alpha)
-        den = self.jwi[cells] * lp * self.y_idler_conj[cells] - 1.0
+        den = self.jwi[at] * lp * self.y_idler_conj[at] - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (1.0 / (self.jws[cells] * lp)) * (1.0 + alpha / den), den
+            return (1.0 / (self.jws[at] * lp)) * (1.0 + alpha / den), den
 
 
 def _to_db(s11: np.ndarray) -> np.ndarray:
@@ -268,62 +275,83 @@ def gain_spectrum(design: DesignSpec, pump: PumpDrive, env: Optional[Environment
 
 
 def _edge(t, g_in, g_out, f_in, f_out):
-    """np.interp(t, [g_out, g_in], [f_out, f_in]) for g_out < t <= g_in.
+    """np.interp(t, [g_out, g_in], [f_out, f_in]) for g_out < t <= g_in, elementwise.
 
-    numpy's two-point arithmetic on Python floats: f_in at t == g_in, else
-    the slope times (t - g_out) plus f_out.
+    numpy's two-point arithmetic: f_in where t == g_in, else the slope
+    times (t - g_out) plus f_out.
     """
-    if t == g_in:
-        return f_in
-    return (f_in - f_out) / (g_in - g_out) * (t - g_out) + f_out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(t == g_in, f_in, (f_in - f_out) / (g_in - g_out) * (t - g_out) + f_out)
 
 
-def _spans_above(freqs, gain, threshold):
-    """Contiguous spans with gain >= threshold, linearly interpolated edges."""
-    finite = np.isfinite(gain)
-    above = finite & (gain >= threshold)
-    n = len(freqs)
-    # a span starts where `above` rises and ends before it falls again
-    padded = np.concatenate(([False], above, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    spans = []
-    for i, end in zip(edges[::2].tolist(), edges[1::2].tolist()):
-        j = end - 1
-        lo = float(freqs[i])
-        if i > 0 and finite[i - 1] and gain[i - 1] < threshold:
-            lo = _edge(threshold, float(gain[i]), float(gain[i - 1]), lo, float(freqs[i - 1]))
-        hi = float(freqs[j])
-        if j + 1 < n and finite[j + 1] and gain[j + 1] < threshold:
-            hi = _edge(threshold, float(gain[j]), float(gain[j + 1]), hi, float(freqs[j + 1]))
-        spans.append((lo, hi, i, j))
-    return spans
+def _row_ends(starts, n):
+    """(starts, stops) of the rows that lie end to end in ``n`` values from ``starts``."""
+    starts = np.asarray(starts, dtype=np.intp)
+    return starts, np.concatenate((starts[1:], [n]))
 
 
-def _widest_span(freqs, gain, threshold):
-    """(lo, hi, ripple_db) of the widest span at or above ``threshold``, or None.
+def _widest_spans(freqs, gain, threshold, starts=(0,)):
+    """(lo, hi, ripple_db, found) of the widest span at or above ``threshold`` per row.
 
-    Of spans of equal width the first wins.
+    ``freqs`` and ``gain`` hold non-empty rows end to end, row i from
+    ``starts[i]``.  A span is a run of finite points at or above threshold
+    within a row; an edge next to a finite point below threshold is
+    interpolated (:func:`_edge`).  Of spans of equal width the first wins.
+    A row without a span has ``found`` False and zeros elsewhere.
     """
-    spans = _spans_above(freqs, gain, threshold)
-    if not spans:
-        return None
-    lo, hi, i, j = max(spans, key=lambda s: s[1] - s[0])
-    seg = gain[i:j + 1]
-    ripple = float(seg.max() - seg.min()) if j > i else 0.0
-    return lo, hi, ripple
+    starts, stops = _row_ends(starts, gain.size)
+    lo, hi, ripple = np.zeros((3, starts.size))
+    found = np.zeros(starts.size, dtype=bool)
+    finite = np.concatenate((np.isfinite(gain), [False]))
+    above = finite[:-1] & (gain >= threshold)
+    # a span begins where `above` rises within a row and ends where it falls
+    before, after = np.concatenate(([False], above[:-1])), np.concatenate((above[1:], [False]))
+    before[starts], after[stops - 1] = False, False
+    begin, end = (above & ~before).nonzero()[0], (above & ~after).nonzero()[0]
+    if not begin.size:
+        return lo, hi, ripple, found
+    # an edge inside its row next to a finite point, which is below threshold
+    row_start = np.zeros(gain.size + 1, dtype=bool)
+    row_start[starts] = row_start[-1] = True
+    i = (~row_start[begin] & finite[begin - 1]).nonzero()[0]
+    j = (~row_start[end + 1] & finite[end + 1]).nonzero()[0]
+    inner = np.concatenate((begin[i], end[j]))
+    outer = np.concatenate((begin[i] - 1, end[j] + 1))
+    edge = _edge(threshold, gain[inner], gain[outer], freqs[inner], freqs[outer])
+    span_lo, span_hi = freqs[begin], freqs[end]
+    span_lo[i], span_hi[j] = edge[:i.size], edge[i.size:]
+    # the first widest span of each row that has one
+    row = np.searchsorted(starts, begin, side="right") - 1
+    pick = np.lexsort((begin, span_lo - span_hi, row))
+    pick = pick[np.concatenate(([True], row[pick[1:]] != row[pick[:-1]]))]
+    row = row[pick]
+    lo[row], hi[row], found[row] = span_lo[pick], span_hi[pick], True
+    # max - min over each picked span; reduceat runs the last index to the
+    # end of ``gain``, so a stop there is left out
+    bounds = np.empty(2 * pick.size, dtype=np.intp)
+    bounds[::2], bounds[1::2] = begin[pick], end[pick] + 1
+    bounds = bounds[:bounds.size - (bounds[-1] == gain.size)]
+    ripple[row] = np.maximum.reduceat(gain, bounds)[::2] - np.minimum.reduceat(gain, bounds)[::2]
+    return lo, hi, ripple, found
 
 
-def _rising_maxima(gain, threshold):
-    """How many k in 1..n-2 have g[k-1] < g[k] >= g[k+1] and g[k] >= threshold.
+def _rising_maxima(gain, threshold, starts=(0,)):
+    """Per row, how many k in 1..n-2 have g[k-1] < g[k] >= g[k+1] and g[k] >= threshold.
 
-    Counted along the last axis, so a (steps, points) block gives one count
-    per step.  Every ``find_peaks`` peak, the middle of a plateau included,
-    has such a k at the start of its rise with the peak's height, so the
-    count bounds the number of peaks at or above threshold.
+    ``gain`` holds the rows end to end, row i from ``starts[i]``.  Every
+    ``find_peaks`` peak, the middle of a plateau included, has such a k at
+    the start of its rise with the peak's height, so the count bounds the
+    number of peaks at or above threshold.
     """
-    mid = gain[..., 1:-1]
-    rise = (gain[..., :-2] < mid) & (mid >= gain[..., 2:]) & (mid >= threshold)
-    return np.count_nonzero(rise, axis=-1)
+    starts, stops = _row_ends(starts, gain.size)
+    mid = gain[1:-1]
+    rise = np.zeros(gain.size, dtype=np.intp)
+    rise[1:-1] = (gain[:-2] < mid) & (mid >= gain[2:]) & (mid >= threshold)
+    # neither end of a row is a k of it
+    rise[starts[starts < gain.size]] = 0
+    rise[stops[stops > 0] - 1] = 0
+    total = np.concatenate(([0], np.cumsum(rise)))
+    return total[stops] - total[starts]
 
 
 def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
@@ -348,12 +376,12 @@ def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
     peak_idx = [k for k in idx if finite_g[k] >= threshold_db]
     peaks = tuple(float(f[k]) for k in peak_idx)
 
-    widest = _widest_span(f, g, threshold_db)
-    if widest is None:
+    (lo,), (hi,), (ripple,), (found,) = _widest_spans(f, g, threshold_db)
+    if not found:
         return BandwidthReport(0.0, peaks, len(peaks), 0.0, threshold_db, None,
                                qualified=False, rejection_reason="below threshold",
                                oscillation_points=n_osc)
-    lo, hi, ripple = widest
+    ripple = float(ripple)
     reason = None
     if require_two_peaks and len(peaks) < 2:
         reason = "fewer than two peaks"
@@ -413,15 +441,15 @@ class MapCell:
 # relative gap between the coefficient form and an evaluated profile, so
 # no step that could reach the threshold is screened out.
 RAMP_SLACK = 1e-6
-# Most grid points of a cell (steps × cell frequencies) one block of ramp
-# steps covers; a block evaluates only its window of them, and the cap also
-# bounds its temporaries.  Re-timed per ramp with windowed blocks (best of
-# 9 interleaved runs): 1,200-point rippled map cells took 1,225-1,380 µs at
-# 4,096, 1,000-1,150 at 8,192 and 905-1,050 as one block; 600-point desk
-# cells took 340-345, 302-306 and 421-431 µs.  8,192 also ran ~5-11 %
-# faster end to end, but it doubles the largest block: the transient peak
-# of 60 desk rows rose from 1.40 to 1.86 MB (tracemalloc; whole-row blocks
-# of 4,096 points peaked at 1.35 MB), so the cap stays at 4,096.
+# Point budget of a ramp round: a round stops taking steps once their
+# windows hold this many (α, grid point) pairs, so it also bounds the
+# temporaries of one S11 evaluation.  Timed end to end (66 map-rippled lines
+# and 176 desk-search rows through `kipa.cli.main`, best of 5, 4 runs per
+# budget interleaved): desk rows took 0.70-0.80 s at 2,048, 0.58-0.63 s at
+# 4,096 and 0.72-0.77 s at 8,192 (more rounds, or more steps past the one
+# that stops the ramp); map lines could not be told apart, since a round of
+# 2,048 points already holds nearly every kept step of a map cell.  The
+# transient peak of 60 desk rows (tracemalloc) is 1.42, 1.86 and 2.75 MB.
 RAMP_BLOCK_POINTS = 4096
 _LADDER_CHUNK = 1024
 
@@ -496,33 +524,48 @@ def _quadratic_nonnegative(a2, a1, a0):
 
 
 class CellScreen(NamedTuple):
-    """What the α screen keeps of one cell: ladder steps and grid intervals.
+    """What the α screen keeps of one cell: ladder steps and their windows.
 
-    Grid point ``points[i]`` (an index into the engine's concatenated grid)
-    may reach the screened level at ladder steps ``first[i]`` up to, not
-    including, ``stop[i]``; ``steps`` is the union of those steps.  Every
-    point at every step outside its intervals is finite and below the
-    level.  ``points`` is None where the screen keeps every step.
+    ``steps`` are the kept ladder steps in ladder order; step ``steps[i]``
+    is evaluated on the grid points ``lo[i]`` up to, not including,
+    ``hi[i]`` (indices into the engine's concatenated grid).  Every point
+    of the cell outside its window is finite and below the screened level
+    at that step.
     """
 
     steps: np.ndarray
-    points: Optional[np.ndarray]
-    first: Optional[np.ndarray]
-    stop: Optional[np.ndarray]
+    lo: np.ndarray
+    hi: np.ndarray
 
-    def window(self, ks: np.ndarray, cells: slice) -> slice:
-        """The part of ``cells`` that a run ``ks`` of consecutive kept steps must evaluate.
 
-        It reaches from one point before the first point whose interval
-        meets ``ks`` to one point after the last: those neighbours give a
-        span edge its interpolation and a maximum its comparison.  Every
-        step of a kept interval is a kept step, so an interval whose steps
-        overlap ks[0]..ks[-1] holds a step of ``ks``.
-        """
-        if self.points is None:
-            return cells
-        at = self.points[(self.first <= ks[-1]) & (self.stop > ks[0])]
-        return slice(max(int(at.min()) - 1, cells.start), min(int(at.max()) + 2, cells.stop))
+def _step_windows(points, first, stop, cell, at_cell, at_step, m, n):
+    """Window ends (lo, hi) of each queried (cell, ladder step) of :func:`_candidate_steps`.
+
+    The exact window runs from one point before the least point whose
+    interval [first, stop) holds the step to one point after the greatest.
+    Its lower end is bounded from below by the least point of the intervals
+    that start at or before the step (a prefix minimum over intervals
+    sorted by ``first``) and by that of the intervals that stop after it (a
+    suffix minimum over intervals sorted by ``stop``); the larger bound is
+    taken, and the upper end likewise with maxima.  So the window is a
+    superset of the exact one, found with two sorts rather than by
+    expanding every interval over its steps.  Every queried step lies in
+    an interval of its cell, so each bound reads a point of that cell.
+    """
+    # cells take disjoint, ascending point ranges; a running minimum (or a
+    # reverse running maximum) must not carry a value across cells, so for
+    # those the points are shifted down by the cell, which reverses the order
+    shift = cell * (n + 1)
+    key, query = cell * (m + 1), at_cell * (m + 1) + at_step
+    by_first = np.argsort(key + first)
+    j = np.searchsorted((key + first)[by_first], query, side="right") - 1
+    low_first = np.minimum.accumulate((points - shift)[by_first])[j] + at_cell * (n + 1)
+    high_first = np.maximum.accumulate(points[by_first])[j]
+    by_stop = np.argsort(key + stop)
+    j = np.searchsorted((key + stop)[by_stop], query, side="right")
+    low_stop = np.minimum.accumulate(points[by_stop][::-1])[::-1][j]
+    high_stop = np.maximum.accumulate((points - shift)[by_stop][::-1])[::-1][j] + at_cell * (n + 1)
+    return np.maximum(low_first, low_stop) - 1, np.minimum(high_first, high_stop) + 2
 
 
 def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) -> list:
@@ -533,22 +576,25 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) ->
     intervals of α.  Mapped onto the ladder, each is the step range at
     which that frequency may reach ``db``; an idler pole adds the steps at
     its α.  A cell keeps the union of its ranges, and every other step is
-    finite and below ``db`` at every frequency of the cell.  The
-    quadratics are elementwise in ω and the cells share the ladder, so
-    they are solved once over the engine's concatenated grid, and one
-    ``bincount`` over (cell, step) offsets covers the ladder of every cell.
-    A cell with a degenerate (a2 = 0) or overflowing quadratic keeps every
-    step and every point.
+    finite and below ``db`` at every frequency of the cell; a kept step is
+    evaluated on the window of the frequencies whose ranges hold it (see
+    :func:`_step_windows`).  The quadratics are elementwise in ω and the
+    cells share the ladder, so they are solved once over the engine's
+    concatenated grid, and one ``bincount`` over (cell, step) offsets
+    covers the ladder of every cell.  A cell with a degenerate (a2 = 0) or
+    overflowing quadratic keeps every step on the whole cell.
     """
     m = alphas.size
+    starts = np.array([cells.start for cells in engine.cells], dtype=np.intp)
+    stops = np.array([cells.stop for cells in engine.cells], dtype=np.intp)
     if m == 0:
-        return [CellScreen(np.arange(0), None, None, None)] * len(engine.cells)
+        none = np.arange(0)
+        return [CellScreen(none, none, none)] * len(engine.cells)
     g = 10.0 ** (db / 10.0) * (1.0 - RAMP_SLACK)
     p, q, r, s, a_idler = engine.mobius
     a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
     a1 = 2.0 * ((p * q.conjugate()).real - g * (r * s.conjugate()).real)
     a0 = p.real**2 + p.imag**2 - g * (r.real**2 + r.imag**2)
-    starts = [cells.start for cells in engine.cells]
     keep_all = np.logical_or.reduceat(~np.isfinite(a1 * a1 - 4.0 * a2 * a0) | (a2 == 0), starts)
     lo, hi = _quadratic_nonnegative(a2, a1, a0)
     at_pole, pole_alphas = _idler_poles(a_idler)
@@ -571,13 +617,17 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) ->
     cover = np.cumsum((np.bincount(offset + first, minlength=size)
                        - np.bincount(offset + stop, minlength=size)).reshape(-1, m + 1),
                       axis=1)
-    # group the intervals by cell
-    order = np.argsort(cell, kind="stable")
-    bounds = np.searchsorted(cell[order], np.arange(len(starts) + 1))
-    points, first, stop = points[order], first[order], stop[order]
-    return [CellScreen(np.arange(m), None, None, None) if every else
-            CellScreen(np.flatnonzero(steps[:m] > 0), *(x[i:j] for x in (points, first, stop)))
-            for every, steps, i, j in zip(keep_all, cover, bounds[:-1], bounds[1:])]
+    kept = cover[:, :m] > 0
+    kept[keep_all] = True
+    at_cell, at_step = np.nonzero(kept)
+    lo, hi = starts[at_cell], stops[at_cell]
+    part = np.flatnonzero(~keep_all[at_cell])
+    if part.size:
+        low, high = _step_windows(points, first, stop, cell, at_cell[part], at_step[part],
+                                  m, p.size)
+        lo[part], hi[part] = np.maximum(low, lo[part]), np.minimum(high, hi[part])
+    bounds = np.searchsorted(at_cell, np.arange(len(starts) + 1))
+    return [CellScreen(at_step[i:j], lo[i:j], hi[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
@@ -589,53 +639,67 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     profiles at or above ``threshold_db`` compete on bandwidth.  Steps
     that can neither stop the ramp nor reach the threshold (see
     :func:`_candidate_steps`) are skipped unevaluated, which leaves the
-    result identical to evaluating every step.  The rest are evaluated in
-    blocks of at most :data:`RAMP_BLOCK_POINTS` grid points of the cell.
+    result identical to evaluating every step.
 
-    A block is evaluated only on its window (:meth:`CellScreen.window`):
-    from one point before the first frequency whose screened interval
-    meets the block's steps to one point after the last.  Every point
-    outside it is finite and below ``min(threshold_db, stop_db)`` at every
-    step of the block, so the stop test, the maxima and rising-maxima
-    counts and the widest span, whose edges interpolate against the
-    window's end points, read the same numbers from the window as from
-    the whole row.
+    The rest run in rounds over the whole engine.  A round takes the next
+    kept steps of every cell that has not stopped, in ladder order, until
+    it holds :data:`RAMP_BLOCK_POINTS` grid points (at least one step), and
+    evaluates them in one :meth:`ReflectionEngine.gain_db_at` call on flat
+    (α, point) pairs.  Each step is evaluated only on its window
+    (:class:`CellScreen`): every point outside it is finite and below
+    ``min(threshold_db, stop_db)`` at that step, so the stop test, the
+    rising-maxima count and the widest span, whose edges interpolate
+    against the window's end points, read the same numbers from the window
+    as from the whole row.  The tests are segment reductions over the
+    round's rows, and a row counts only while no row of its cell, up to
+    and including it, has stopped the ramp.
 
-    An evaluated step is a candidate only when it passes four exact tests,
-    cheapest first, each a condition under which its report could not
-    qualify or win: peak at or above threshold, at least two strict-rise
-    local maxima at or above threshold (every ``find_peaks`` peak, plateau
-    or not, begins with one), ripple of the widest span within
-    ``ripple_max_db``, and a widest span of positive width.  The ramp keeps
-    the widest qualifying profile, the first of equal widths, so once the
-    ramp stops, candidates get a full :func:`bandwidth_report` from widest
-    to narrowest, earlier first on equal widths, until one qualifies; only
-    those steps are evaluated again over the whole cell.
+    An evaluated step is a candidate only when it passes three exact tests,
+    each a condition under which its report could not qualify or win: at
+    least two strict-rise local maxima at or above threshold (every
+    ``find_peaks`` peak, plateau or not, begins with one), ripple of the
+    widest span within ``ripple_max_db``, and a widest span of positive
+    width.  The ramp keeps the widest qualifying profile, the first of
+    equal widths, so once the ramp stops, candidates get a full
+    :func:`bandwidth_report` from widest to narrowest, earlier first on
+    equal widths, until one qualifies; only those steps are evaluated
+    again over the whole cell.
     """
-    screen = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
+    screens = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
+    cell = np.repeat(np.arange(len(screens)), [screen.steps.size for screen in screens])
+    step, lo, hi = (np.concatenate(field) for field in zip(*screens))
+    size = hi - lo
+    queue = np.lexsort((cell, step))   # the rows of every cell, in ladder order
+    stopped = np.zeros(len(screens), dtype=bool)
+    candidates = [[] for _ in screens]   # (width, ladder index) per candidate step
+    while queue.size:
+        take = max(1, int(np.searchsorted(np.cumsum(size[queue]), RAMP_BLOCK_POINTS,
+                                          side="right")))
+        rows, queue = queue[:take], queue[take:]
+        ks, cs, n = step[rows], cell[rows], size[rows]
+        starts = np.cumsum(n) - n
+        at = np.arange(starts[-1] + n[-1]) + np.repeat(lo[rows] - starts, n)
+        gain = engine.gain_db_at(np.repeat(alphas[ks], n), at)
+        # the first row past an oscillation pole or above stop_db ends its cell's ramp
+        halt = np.logical_or.reduceat(~np.isfinite(gain) | (gain > stop_db), starts)
+        last = np.full(len(screens), alphas.size)
+        np.minimum.at(last, cs[halt], ks[halt])
+        live = ks < last[cs]
+        live &= _rising_maxima(gain, threshold_db, starts) >= 2
+        if live.any():
+            span_lo, span_hi, ripple, _ = _widest_spans(engine.ws[at], gain, threshold_db, starts)
+            width = span_hi - span_lo
+            live &= (width > 0.0) & (ripple <= ripple_max_db)
+            for j in np.flatnonzero(live).tolist():
+                candidates[cs[j]].append((float(width[j]), ks[j]))
+        if halt.any():
+            stopped[cs[halt]] = True
+            queue = queue[~stopped[cell[queue]]]
     results = []
-    for cells, omega_p, kept in zip(engine.cells, engine.omega_ps, screen):
-        candidates = []   # (width, ladder index) per candidate step
-        block = max(1, RAMP_BLOCK_POINTS // (cells.stop - cells.start))
-        for at in range(0, kept.steps.size, block):
-            ks = kept.steps[at:at + block]
-            window = kept.window(ks, cells)
-            ws, gdb = engine.ws[window], engine.gain_db(alphas[ks], window)
-            peak = gdb.max(axis=1)
-            # the first step past an oscillation pole or above stop_db ends the ramp
-            halt = np.flatnonzero(~np.isfinite(gdb).all(axis=1) | (peak > stop_db))
-            run = halt[0] if halt.size else ks.size
-            rising = _rising_maxima(gdb[:run], threshold_db)
-            for j in np.flatnonzero((peak[:run] >= threshold_db) & (rising >= 2)).tolist():
-                lo, hi, ripple = _widest_span(ws, gdb[j], threshold_db)
-                width = float(hi - lo)
-                if width > 0.0 and ripple <= ripple_max_db:
-                    candidates.append((width, ks[j]))
-            if halt.size:
-                break
+    for cells, omega_p, found in zip(engine.cells, engine.omega_ps, candidates):
         best, best_drive = None, 0.0
         # a stable sort keeps ladder order among equal widths
-        for _, k in sorted(candidates, key=lambda c: -c[0]):
+        for _, k in sorted(found, key=lambda c: -c[0]):
             gain, = engine.gain_db(alphas[k:k + 1], cells)
             rep = bandwidth_report(GainProfile(engine.ws[cells], None, gain, omega_p),
                                    threshold_db, ripple_max_db, require_two_peaks=True)

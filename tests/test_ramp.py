@@ -5,12 +5,12 @@ ramp can skip, unevaluated, every step whose gain stays below threshold,
 and it reports only the steps that could replace its best profile.
 These properties check the coefficient form against the step-by-step
 network composition, S11 over a block of α against each α alone bit for
-bit, a block on its frequency window against the whole row (and every
-point outside the window below the screened level), the screened,
-block-evaluated row ramp against evaluating and
-reporting every step of each cell, the cells of a multi-grid engine and
-an engine moved to another bias against engines built one grid at a time,
-and the map against per-cell builds.
+bit, each step on its own frequency window, gathered into flat rounds,
+against the whole row (and every point outside the window below the
+screened level), the screened row ramp, at several round budgets,
+against evaluating and reporting every step of each cell, the cells of a
+multi-grid engine and an engine moved to another bias against engines
+built one grid at a time, and the map against per-cell builds.
 """
 import dataclasses
 import math
@@ -252,9 +252,8 @@ def _same_bits(got, want):
 
 
 def test_alpha_squares_keep_the_bits_of_each_caller():
-    # ``** 2`` squares an array elementwise as r*r does, so ramp ladders keep
-    # their bits; a scalar goes through C pow, as the simulate drive and
-    # pump_coefficients always did.  The two may differ in the last bit.
+    # a drive squares as r*r alone as inside a ladder array, so `simulate`
+    # at a drive a ramp evaluated uses that step's alpha bit for bit
     design = paper_device()
     engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
                               PAPER_DEVICE_BIAS)
@@ -263,16 +262,16 @@ def test_alpha_squares_keep_the_bits_of_each_caller():
                           np.geomspace(TWO_PI * 1e3, TWO_PI * 1e11, 2_000)])
     r = xi3 / (2.0 * engine.omega0)
     assert _same_bits(engine.alpha_for_xi3(xi3), r * r)
-    assert _same_bits([engine.alpha_for_xi3(float(x)) for x in xi3],
-                      [math.pow(float(v), 2.0) for v in r])
+    assert _same_bits([engine.alpha_for_xi3(float(x)) for x in xi3], r * r)
     ip = rng.uniform(0.0, 0.55e-3, 5_000)
     i_dc, istar2 = PAPER_DEVICE_BIAS, NBTIN_NANOWIRE.i_star2
     r = i_dc * ip / (istar2**2 + i_dc**2)
-    assert _same_bits(modulation_alpha(NBTIN_NANOWIRE, i_dc, ip), (9.0 / 16.0) * (r * r))
+    alphas = modulation_alpha(NBTIN_NANOWIRE, i_dc, ip)
+    assert _same_bits(alphas, (9.0 / 16.0) * (r * r))
+    assert _same_bits([modulation_alpha(NBTIN_NANOWIRE, i_dc, float(i)) for i in ip], alphas)
     w0 = design.resonance_at_bias(i_dc)
     assert _same_bits([pump_coefficients(NBTIN_NANOWIRE, PumpOperatingPoint(i_dc, float(i)),
-                                         w0).alpha for i in ip],
-                      [(9.0 / 16.0) * math.pow(float(v), 2.0) for v in r])
+                                         w0).alpha for i in ip], alphas)
 
 
 @pytest.mark.parametrize("start", [0.0, -1.0, math.nan])
@@ -435,8 +434,8 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     (steps, *_), = _candidate_steps(engine, alphas, 17.0)
     evaluated = np.flatnonzero(engine.gain_db(alphas[steps]).max(axis=1) > 40.0)[0] + 1
     assert evaluated >= 3
-    # one step per block; the evaluated steps one more than a block, exactly
-    # one block, and less than one block
+    # round budgets of one whole row of the cell, and of one less than, as
+    # many as and one more than the evaluated steps' whole rows
     for per_block in (1, evaluated - 1, evaluated, evaluated + 1):
         monkeypatch.setattr(simulator, "RAMP_BLOCK_POINTS", per_block * ws.size)
         assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [full], per_block
@@ -601,6 +600,9 @@ class _ScriptedEngine:
             return np.array([self.profiles[a] for a in alpha.tolist()])
         return self.profiles[alpha].copy()
 
+    def gain_db_at(self, alpha, at):
+        return np.array([self.profiles[a][i] for a, i in zip(alpha.tolist(), at.tolist())])
+
 
 X = np.linspace(-1.0, 1.0, 101)
 TWO_PEAKS = 20.0 - 8.0 * (X * X - 0.25) ** 2 * 16.0
@@ -688,9 +690,13 @@ def _row_of_two(cell, env):
     return engine, drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
 
 
-def _blocks(screen, per_block):
-    """Each run of ``per_block`` consecutive kept steps."""
-    return [screen.steps[at:at + per_block] for at in range(0, screen.steps.size, per_block)]
+def _rounds(screens, per_round):
+    """(cell, steps, lo, hi) of the engine's kept steps in ladder order, ``per_round`` at a time."""
+    rows = sorted((k, c, lo, hi) for c, screen in enumerate(screens)
+                  for k, lo, hi in zip(*(x.tolist() for x in screen)))
+    for at in range(0, len(rows), per_round):
+        ks, cs, lo, hi = (np.array(x) for x in zip(*rows[at:at + per_round]))
+        yield cs, ks, lo, hi
 
 
 def _local(window, cells):
@@ -698,41 +704,49 @@ def _local(window, cells):
     return slice(window.start - cells.start, window.stop - cells.start)
 
 
+def _flat(lo, hi):
+    """The grid points of the windows [lo, hi) end to end."""
+    return np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+
+
 @settings(max_examples=25, deadline=None)
 @given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), per_block=st.integers(1, 12))
 def test_block_on_its_window_equals_the_full_row_bit_for_bit(cell, env, per_block):
+    # each kept step on its own window, rounds of steps of both cells in one flat call
     engine, (_, alphas) = _row_of_two(cell, env)
-    for cells, screen in zip(engine.cells, _candidate_steps(engine, alphas, 17.0)):
-        for ks in _blocks(screen, per_block):
-            window = screen.window(ks, cells)
-            assert cells.start <= window.start < window.stop <= cells.stop
-            at = _local(window, cells)
-            assert _same_bits(engine.s11(alphas[ks], window), engine.s11(alphas[ks], cells)[:, at])
-            assert _same_bits(engine.gain_db(alphas[ks], window),
-                              engine.gain_db(alphas[ks], cells)[:, at])
+    screens = _candidate_steps(engine, alphas, 17.0)
+    for cells, screen in zip(engine.cells, screens):
+        assert np.all((cells.start <= screen.lo) & (screen.lo < screen.hi)
+                      & (screen.hi <= cells.stop))
+    for cs, ks, lo, hi in _rounds(screens, per_block):
+        at, alpha = _flat(lo, hi), np.repeat(alphas[ks], hi - lo)
+        rows = [(engine.s11(alphas[k], engine.cells[c]), engine.gain_db(alphas[k], engine.cells[c]),
+                 _local(slice(a, b), engine.cells[c])) for c, k, a, b in zip(cs, ks, lo, hi)]
+        assert _same_bits(engine.s11_at(alpha, at), np.concatenate([s[w] for s, _, w in rows]))
+        assert _same_bits(engine.gain_db_at(alpha, at),
+                          np.concatenate([g[w] for _, g, w in rows]))
 
 
 @settings(max_examples=25, deadline=None)
-@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), per_block=st.integers(1, 12),
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)),
        threshold_db=st.floats(3.0, 45.0), stop_db=st.floats(3.0, 45.0))
-def test_points_outside_a_block_window_stay_below_the_screened_level(cell, env, per_block,
+def test_points_outside_a_block_window_stay_below_the_screened_level(cell, env,
                                                                       threshold_db, stop_db):
     engine, (_, alphas) = _row_of_two(cell, env)
     db = min(threshold_db, stop_db)
     for cells, screen in zip(engine.cells, _candidate_steps(engine, alphas, db)):
-        for ks in _blocks(screen, per_block):
+        for k, lo, hi in zip(*(x.tolist() for x in screen)):
             outside = np.ones(cells.stop - cells.start, dtype=bool)
-            outside[_local(screen.window(ks, cells), cells)] = False
-            for k in ks.tolist():   # each step evaluated alone over the whole cell
-                gdb = engine.gain_db(float(alphas[k]), cells)[outside]
-                assert np.all(np.isfinite(gdb) & (gdb < db)), k
+            outside[_local(slice(lo, hi), cells)] = False
+            gdb = engine.gain_db(float(alphas[k]), cells)[outside]   # the step over the whole cell
+            assert np.all(np.isfinite(gdb) & (gdb < db)), k
 
 
 @settings(max_examples=25, deadline=None)
 @given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), degenerate=st.booleans(),
-       point=st.integers(0, 599), step=st.integers(0, 499), per_block=st.integers(1, 12))
+       point=st.integers(0, 599), step=st.integers(0, 499))
 def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degenerate, point,
-                                                                step, per_block):
+                                                                step):
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
@@ -750,16 +764,38 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
         engine.y_idler_conj[point] = y
     cells = engine.cells[0]
     screen, = _candidate_steps(engine, alphas, 17.0)
-    blocks = _blocks(screen, per_block)
     if degenerate:
         assert screen.steps.tolist() == list(range(alphas.size))
-        assert all(screen.window(ks, cells) == cells for ks in blocks)
+        assert np.all(screen.lo == cells.start) and np.all(screen.hi == cells.stop)
     else:
-        # the block that holds the pole step evaluates the pole point
-        ks, = (ks for ks in blocks if step in ks)
-        window = screen.window(ks, cells)
-        assert window.start <= point < window.stop
-        row = ks.tolist().index(step)
-        assert engine.gain_db(alphas[ks], window)[row, point - window.start] == np.inf
+        # the window of the pole step holds the pole point
+        i, = np.flatnonzero(screen.steps == step)
+        assert screen.lo[i] <= point < screen.hi[i]
+        at = np.arange(screen.lo[i], screen.hi[i])
+        gain = engine.gain_db_at(np.full(at.size, alphas[step]), at)
+        assert gain[point - screen.lo[i]] == np.inf
     assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, drives, alphas, 17.0, 5.0, 40.0)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), clip_hz=st.floats(0.1e9, 1.1e9))
+def test_rounds_equal_exhaustive_per_cell_ramps_at_every_budget(cell, env, clip_hz):
+    # at a budget of one point every round holds one step, so the cells of a
+    # row stop in different rounds; at one cell's length and at the default a
+    # round holds steps of several cells
+    ranges, design, _, _, _, _ = cell
+    grids = []
+    for wp2 in _axis(*ranges.omega_p_half_range)[:3]:
+        ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+        if not grids:  # a clipped cell beside full ones
+            ws = ws[ws < wp2 + TWO_PI * clip_hz]
+        grids.append((ws, 2 * wp2))
+    row = ReflectionEngine(design, ENVS[env], grids)
+    ladder = drive_ladder(TWO_PI * 1e6, 1.02, row.alpha_for_xi3, 0.9)
+    want = [_exhaustive_ramp(ReflectionEngine(design, ENVS[env], [grid]), *ladder, 17.0, 5.0, 40.0)
+            for grid in grids]
+    for budget in (1, grids[-1][0].size, simulator.RAMP_BLOCK_POINTS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "RAMP_BLOCK_POINTS", budget)
+            assert ramp(row, *ladder, 17.0, 5.0, 40.0) == want, budget

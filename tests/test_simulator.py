@@ -19,7 +19,7 @@ from kipa.simulator import (
     PumpRampPolicy,
     ReflectionEngine,
     _edge,
-    _spans_above,
+    _widest_spans,
     bandwidth_report,
     gain_spectrum,
     pump_bias_map,
@@ -137,7 +137,7 @@ def test_bandwidth_report_ripple_rejection():
 
 
 def _spans_above_loop(freqs, gain, threshold):
-    """Point-by-point span scan, the reference for ``_spans_above``."""
+    """Point-by-point span scan, the reference for ``_widest_spans``."""
     finite = np.isfinite(gain)
     above = finite & (gain >= threshold)
     spans = []
@@ -161,13 +161,33 @@ def _spans_above_loop(freqs, gain, threshold):
     return spans
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 10.0, 16.9, 17.0, 17.1, 25.0, np.inf]) | st.floats(0, 30),
-                min_size=1, max_size=40))
-def test_spans_above_matches_point_scan(values):
-    gain = np.array(values)
+def _widest_span_loop(freqs, gain, threshold):
+    """(lo, hi, ripple) of the first widest span of ``_spans_above_loop``, or None."""
+    spans = _spans_above_loop(freqs, gain, threshold)
+    if not spans:
+        return None
+    lo, hi, i, j = max(spans, key=lambda s: s[1] - s[0])
+    return float(lo), float(hi), float(gain[i:j + 1].max() - gain[i:j + 1].min())
+
+
+span_row = st.lists(st.sampled_from([0.0, 10.0, 16.9, 17.0, 17.1, 25.0, np.inf, -np.inf])
+                    | st.floats(0, 30), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(span_row.map(lambda r: r + r[::-1]) | span_row, min_size=1, max_size=6))
+def test_spans_above_matches_point_scan(rows):
+    # repeated levels make plateaus and one-point spans, mirrored rows spans
+    # of equal width, and rows end to end spans that touch a row end
+    gain = np.concatenate([np.array(row, dtype=float) for row in rows])
     freqs = TWO_PI * (8e9 + 1e6 * np.arange(gain.size))
-    assert _spans_above(freqs, gain, 17.0) == _spans_above_loop(freqs, gain, 17.0)
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    lo, hi, ripple, found = _widest_spans(freqs, gain, 17.0, starts)
+    for k, (i, j) in enumerate(zip(starts, np.append(starts[1:], gain.size))):
+        want = _widest_span_loop(freqs[i:j], gain[i:j], 17.0)
+        assert found[k] == (want is not None)
+        got = (float(lo[k]), float(hi[k]), float(ripple[k]))
+        assert [v.hex() for v in got] == [v.hex() for v in (want or (0.0, 0.0, 0.0))]
 
 
 finite_db = st.floats(-400.0, 400.0) | st.sampled_from([16.9, 17.0, 17.0 + 1e-12, 17.1])
@@ -182,9 +202,8 @@ def test_span_edge_is_np_interp_bit_for_bit(g, at_top, f_in, f_out):
     if at_top:   # the threshold sits exactly on the inner sample
         t = g_in
     want = np.interp(t, [g_out, g_in], [f_out, f_in])
-    got = _edge(t, g_in, g_out, f_in, f_out)
-    assert type(got) is float
-    assert got.hex() == float(want).hex()
+    got, = _edge(t, np.array([g_in]), np.array([g_out]), np.array([f_in]), np.array([f_out]))
+    assert float(got).hex() == float(want).hex()
 
 
 def test_oscillation_points_excluded():
