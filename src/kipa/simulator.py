@@ -339,7 +339,7 @@ def _rising_maxima(gain, threshold, starts=(0,)):
     """Per row, how many k in 1..n-2 have g[k-1] < g[k] >= g[k+1] and g[k] >= threshold.
 
     ``gain`` holds the rows end to end, row i from ``starts[i]``.  Every
-    ``find_peaks`` peak, the middle of a plateau included, has such a k at
+    :func:`_peaks` peak, the middle of a plateau included, has such a k at
     the start of its rise with the peak's height, so the count bounds the
     number of peaks at or above threshold.
     """
@@ -354,27 +354,64 @@ def _rising_maxima(gain, threshold, starts=(0,)):
     return total[stops] - total[starts]
 
 
+def _peaks(x, height, prominence):
+    """Indices of the peaks of ``x`` at or above ``height`` with at least ``prominence``.
+
+    The same indices as ``scipy.signal.find_peaks(x, height=height,
+    prominence=prominence)``, ties included.  A run of equal samples is a
+    maximum when its left neighbour is lower and the first unequal sample
+    after it is lower, that look-ahead stopping at the last sample; the
+    peak is the run's middle, rounded down.  Maxima below ``height`` are
+    dropped first.  From each remaining peak a walk goes out either way
+    until a strictly higher sample or the row end, and the prominence is
+    the height minus the higher of the two lowest samples walked over.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    # a maximum starts with a rise into a sample at or above the next one
+    mid = x[1:-1]
+    k = np.flatnonzero((x[:-2] < mid) & (mid >= x[2:]) & (height <= mid)) + 1
+    ahead = k + 1
+    flat = np.flatnonzero(x[ahead] == x[k])
+    if flat.size:
+        # a plateau looks ahead to its first unequal sample, or to the last one
+        change = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, n - 1)
+        ahead[flat] = change[np.searchsorted(change, k[flat], side="right")]
+    top = x[ahead] < x[k]
+    peaks = (k[top] + ahead[top] - 1) // 2
+    if not peaks.size:
+        return peaks
+    # with +inf at either end, each walk stops at a sample that is not <= its
+    # peak; flat over one padded row per peak, such samples hold the two
+    # stops of every walk either side of the peak's position
+    h = x[peaks]
+    padded = np.concatenate(([np.inf], x, [np.inf]))
+    stops = np.flatnonzero(~(padded <= h[:, None]))
+    at = np.arange(1, peaks.size * (n + 2), n + 2) + peaks
+    i = np.searchsorted(stops, at)
+    # minima over the walked samples, left stop to peak and peak to right
+    # stop, at positions taken back into the padded row
+    bounds = np.stack([stops[i - 1] + 1, at + 1, at, stops[i]], axis=1).ravel() % (n + 2)
+    lows = np.minimum.reduceat(padded, bounds)
+    return peaks[prominence <= h - np.maximum(lows[0::4], lows[2::4])]
+
+
 def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
                      ripple_max_db: float = 5.0,
                      require_two_peaks: bool = False) -> BandwidthReport:
     """Bandwidth, peaks, and ripple of the largest contiguous >=threshold span.
 
     Peaks are local maxima of the profile with prominence >= 0.5 dB sitting
-    at or above the threshold.  Oscillation-pole points never count toward
-    a span.  Rejection (two-peak or ripple rule) is reported as a value.
+    at or above the threshold (:func:`_peaks`).  Oscillation-pole points
+    never count toward a span.  Rejection (two-peak or ripple rule) is
+    reported as a value.
     """
     f, g = profile.freqs, profile.gain_db
     if f.size == 0:
         raise InvalidParameter("empty gain profile")
-    # scipy.signal is imported here, not at module load: it is most of the
-    # start-up time of a CLI command that never reports a bandwidth
-    from scipy.signal import find_peaks
-
     n_osc = int(np.sum(~np.isfinite(g)))
     finite_g = np.where(np.isfinite(g), g, -np.inf)
-    idx, _ = find_peaks(finite_g, prominence=PEAK_PROMINENCE_DB)
-    peak_idx = [k for k in idx if finite_g[k] >= threshold_db]
-    peaks = tuple(float(f[k]) for k in peak_idx)
+    peaks = tuple(map(float, f[_peaks(finite_g, threshold_db, PEAK_PROMINENCE_DB)]))
 
     (lo,), (hi,), (ripple,), (found,) = _widest_spans(f, g, threshold_db)
     if not found:
@@ -523,6 +560,15 @@ def _quadratic_nonnegative(a2, a1, a0):
     return lo, hi
 
 
+def _with_roots(a2, disc):
+    """Grid points whose quadratic may be >= 0 at some α: all but a2 < 0 with disc < 0.
+
+    Those have no real root and stay negative, so their intervals are
+    empty.  On the desk grids about one point in seven is kept.
+    """
+    return np.flatnonzero(~((a2 < 0) & (disc < 0)))
+
+
 class CellScreen(NamedTuple):
     """What the α screen keeps of one cell: ladder steps and their windows.
 
@@ -580,7 +626,8 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) ->
     evaluated on the window of the frequencies whose ranges hold it (see
     :func:`_step_windows`).  The quadratics are elementwise in ω and the
     cells share the ladder, so they are solved once over the engine's
-    concatenated grid, and one ``bincount`` over (cell, step) offsets
+    concatenated grid, at the points that have real roots or a2 >= 0
+    (:func:`_with_roots`), and one ``bincount`` over (cell, step) offsets
     covers the ladder of every cell.  A cell with a degenerate (a2 = 0) or
     overflowing quadratic keeps every step on the whole cell.
     """
@@ -595,10 +642,11 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) ->
     a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
     a1 = 2.0 * ((p * q.conjugate()).real - g * (r * s.conjugate()).real)
     a0 = p.real**2 + p.imag**2 - g * (r.real**2 + r.imag**2)
-    keep_all = np.logical_or.reduceat(~np.isfinite(a1 * a1 - 4.0 * a2 * a0) | (a2 == 0), starts)
-    lo, hi = _quadratic_nonnegative(a2, a1, a0)
+    disc = a1 * a1 - 4.0 * a2 * a0
+    keep_all = np.logical_or.reduceat(~np.isfinite(disc) | (a2 == 0), starts)
+    points = _with_roots(a2, disc)
+    lo, hi = _quadratic_nonnegative(a2[points], a1[points], a0[points])
     at_pole, pole_alphas = _idler_poles(a_idler)
-    points = np.arange(p.size)
     points = np.concatenate([points, points, at_pole])
     lo = np.concatenate([lo[0], lo[1], pole_alphas])
     hi = np.concatenate([hi[0], hi[1], pole_alphas])
@@ -657,7 +705,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     An evaluated step is a candidate only when it passes three exact tests,
     each a condition under which its report could not qualify or win: at
     least two strict-rise local maxima at or above threshold (every
-    ``find_peaks`` peak, plateau or not, begins with one), ripple of the
+    :func:`_peaks` peak, plateau or not, begins with one), ripple of the
     widest span within ``ripple_max_db``, and a widest span of positive
     width.  The ramp keeps the widest qualifying profile, the first of
     equal widths, so once the ramp stops, candidates get a full

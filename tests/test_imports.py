@@ -1,13 +1,19 @@
-"""Start-up cost guard: the CLI and the commands that never call scipy load none of it.
+"""Start-up and run-time guards: no CLI command loads scipy, and desk rows keep their heap.
 
 Importing scipy.signal or scipy.constants takes several times longer than
-a one-shot synth, simulate, noise or fit command itself, so kipa imports
-scipy only inside the one function that calls it (peak finding for search
-and map), and its fits run on its own numpy solver.  Each case runs in a
-fresh interpreter, since this test process may have scipy loaded.
+a one-shot synth, simulate, noise or fit command itself and adds ~74 MB of
+resident memory, so kipa runs on numpy alone: peak finding for search and
+map is its own ``simulator._peaks`` and its fits run on its own
+Levenberg-Marquardt solver.  scipy is a test-only oracle.  Each case runs
+in a fresh interpreter, since this test process may have scipy loaded.
+
+``kipa.cli.main`` raises glibc's heap trim threshold, so the temporaries a
+desk-search row frees are reused by the next row instead of being handed
+back to the OS and faulted in again.
 """
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -62,21 +68,63 @@ def _commands(tmp_path):
         "fit-ki-clem": ["fit-ki", "--input", str(shift), "--set", "model_kind=clem",
                         "--out", out],
         "fit-qubit": ["fit-qubit", "--input", str(qubit), "--set", "fq=8.4GHz", "--out", out],
+        # a desk-search row with records, and one line of the rippled paper-device map
+        "search": _search_argv("three-stage", 60, 30, 100) + ["--out", out],
+        "map": ["map", "--preset", "paper-device", "--set", "env=paper-env",
+                "--set", "policy=xi3", "--set", "fp_span=16900MHz:16900MHz:20MHz",
+                "--set", "idc_start=570uA", "--set", "idc_stop=590uA",
+                "--set", "idc_step=20uA", "--out", out],
     }
 
 
-@pytest.mark.parametrize("case", ["import", "synth", "simulate", "noise", "fit-ki-quartic",
-                                  "fit-ki-clem", "fit-qubit"])
-def test_no_scipy_loaded(case, tmp_path):
-    argv = _commands(tmp_path)[case]
+def _search_argv(kind, z14, z12, z_nr):
+    return ["search", "--set", f"kind={kind}", "--set", f"z14={z14}ohm:{z14}ohm:10ohm",
+            "--set", f"z12={z12}ohm:{z12}ohm:10ohm", "--set", f"znr={z_nr}ohm:{z_nr}ohm:1ohm"]
+
+
+def _run_probe(probe, *args):
+    """The last stdout line of ``probe`` run in a fresh interpreter, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", ["import", "synth", "simulate", "noise", "fit-ki-quartic",
+                                  "fit-ki-clem", "fit-qubit", "search", "map"])
+def test_no_scipy_loaded(case, tmp_path):
+    result = _run_probe(_PROBE, json.dumps(_commands(tmp_path)[case]))
     assert result["rc"] == 0
     assert result["scipy"] == []
+    if case == "search":   # the row qualifies, so its profiles went through peak finding
+        assert len((tmp_path / "out.csv").read_text().splitlines()) > 1
+
+
+_FAULTS = """
+import json, os, resource, sys
+import kipa.cli
+rows = json.loads(sys.argv[1])
+faults = []
+for _ in range(2):   # the first pass grows the heap, the second reuses it
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for argv in rows:
+        assert kipa.cli.main(argv + ["--out", os.devnull]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"faults": faults}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's trim threshold")
+def test_desk_rows_reuse_the_heap_they_free():
+    # without the raised threshold each row faults its freed temporaries back
+    # in: the second pass read ~2,500 minor faults over these 20 rows, 1 with it
+    rows = [_search_argv(kind, z14, z12, z_nr)
+            for kind, z_nrs in (("three-stage", (50, 80, 100)), ("conventional", (2, 6)))
+            for z_nr in z_nrs for z14, z12 in ((30, 40), (60, 70), (90, 40), (60, 100))]
+    result = _run_probe(_FAULTS, json.dumps(rows))
+    assert result["faults"][1] < 10 * len(rows), result
 
 
 def test_physical_constants_match_scipy():

@@ -13,6 +13,7 @@ multi-grid engine and an engine moved to another bias against engines
 built one grid at a time, and the map against per-cell builds.
 """
 import dataclasses
+import itertools
 import math
 import types
 
@@ -36,6 +37,7 @@ from kipa.simulator import (
     RampResult,
     ReflectionEngine,
     _candidate_steps,
+    _peaks,
     _quadratic_nonnegative,
     _rising_maxima,
     bandwidth_report,
@@ -352,6 +354,51 @@ def test_rising_maxima_bound_the_peak_count(values, mirror, threshold):
     g = np.array(values + values[::-1] if mirror else values, dtype=float)
     idx, _ = find_peaks(g, prominence=PEAK_PROMINENCE_DB)
     assert _rising_maxima(g, threshold) >= sum(1 for k in idx if g[k] >= threshold)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.one_of(levels, st.just(-math.inf), st.floats(-40.0, 60.0)),
+                       max_size=60),
+       mirror=st.booleans(), repeat_last=st.integers(0, 3),
+       height=st.sampled_from([-math.inf, 16.5, 17.0, 20.0]),
+       prominence=st.sampled_from([0.0, PEAK_PROMINENCE_DB, 3.0]))
+def test_peaks_equal_scipy_find_peaks(values, mirror, repeat_last, height, prominence):
+    # repeated levels make plateaus, and repeating the last sample one that
+    # reaches the row end; a mirrored row has peaks of exactly equal height
+    g = values + values[::-1] if mirror else values
+    g = np.array(g + g[-1:] * repeat_last, dtype=float)
+    want, _ = find_peaks(g, height=height, prominence=prominence)
+    got = _peaks(g, height, prominence)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("prominence", [0.0, PEAK_PROMINENCE_DB])
+def test_peaks_equal_scipy_find_peaks_on_every_short_row(prominence):
+    for n in range(4):
+        for row in itertools.product([-math.inf, 16.0, 17.0, 18.0], repeat=n):
+            g = np.array(row, dtype=float)
+            want, _ = find_peaks(g, height=17.0, prominence=prominence)
+            assert _peaks(g, 17.0, prominence).tolist() == want.tolist(), row
+
+
+def test_peaks_equal_scipy_find_peaks_on_recorded_report_rows(monkeypatch):
+    # every profile both desk searches and the rippled map lattice report
+    rows = []
+
+    def record(x, height, prominence):
+        rows.append((np.array(x), height, prominence))
+        return _peaks(x, height, prominence)
+
+    monkeypatch.setattr(simulator, "_peaks", record)
+    for kind in ("three-stage", "conventional"):
+        list(search_designs(default_ranges(kind)))
+    pump_bias_map(paper_device(), paper_env(), TWO_PI * np.arange(16.8e9, 17.0e9 + 1, 20e6),
+                  np.arange(510e-6, 631e-6, 20e-6), PumpRampPolicy(mode="xi3"))
+    assert len(rows) > 900
+    assert any(np.unique(x).size < x.size for x, _, _ in rows)   # rows with exact ties
+    for x, height, prominence in rows:
+        want, _ = find_peaks(x, height=height, prominence=prominence)
+        assert _peaks(x, height, prominence).tolist() == want.tolist()
 
 
 LIMITS = dict(threshold_db=st.sampled_from([15.0, 17.0, 20.0]),
@@ -776,6 +823,45 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
         assert gain[point - screen.lo[i]] == np.inf
     assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, drives, alphas, 17.0, 5.0, 40.0)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)),
+       fault=st.sampled_from(["none", "pole", "degenerate", "flat"]),
+       point=st.integers(0, 599), step=st.integers(0, 499),
+       db=st.sampled_from([15.0, 17.0, 20.0]))
+def test_screen_solving_points_with_roots_equals_solving_every_point(cell, env, fault, point,
+                                                                     step, db):
+    # a point with a2 < 0 and no real root has no α interval, so leaving it
+    # unsolved changes no screen; the fault goes into the row's second cell.
+    # a2 > 0 does not occur on the desk grids, so "flat" makes one such point
+    # (40 dB at every α: a2 > 0 with no real root)
+    engine, (_, alphas) = _row_of_two(cell, env)
+    k = engine.cells[1].start + point
+    assume(step < alphas.size and k < engine.ws.size)
+    if fault == "pole":
+        y = _pole_admittance(engine, k, alphas[step])
+        assume(y is not None)
+        engine.y_idler_conj = engine.y_idler_conj.copy()
+        engine.y_idler_conj[k] = y
+    elif fault == "degenerate":
+        m = engine.mobius
+        q, s = m.q.copy(), m.s.copy()
+        q[k] = s[k] = 0.0
+        engine.mobius = m._replace(q=q, s=s)
+    elif fault == "flat":
+        m = engine.mobius
+        p, q = m.p.copy(), m.q.copy()
+        p[k], q[k] = 100.0 * m.r[k], 100.0 * m.s[k]
+        engine.mobius = m._replace(p=p, q=q)
+    got = _candidate_steps(engine, alphas, db)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_with_roots", lambda a2, disc: np.arange(a2.size))
+        want = _candidate_steps(engine, alphas, db)
+    assert len(got) == len(want)
+    for screen, expected in zip(got, want):
+        for field, value in zip(screen, expected):
+            assert field.dtype == value.dtype and np.array_equal(field, value)
 
 
 @settings(max_examples=8, deadline=None)
