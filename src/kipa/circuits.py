@@ -19,6 +19,11 @@ from .netcore import TransmissionLineSegment, input_impedance
 CIRCUIT_KINDS = ("three-stage", "conventional")
 
 
+def circuit_kind_of(z_ki_quarter: Optional[float]) -> str:
+    """Conventional exactly when there is no high-impedance quarter-wave line."""
+    return "conventional" if z_ki_quarter is None else "three-stage"
+
+
 @dataclass(frozen=True)
 class EnvironmentModel:
     """Source impedance z0 plus sinusoidal ripple terms (z_n, tau_n, phi_n).
@@ -58,48 +63,38 @@ def environment_impedance(env: EnvironmentModel, omega):
 class DesignSpec:
     """Reflection amplifier: transformer lines plus the nonlinear resonator.
 
-    The three-stage kind cascades, from the port inward, a quarter-wave
-    line, a half-wave line, and a high-impedance quarter-wave line before
-    the shunt-C / modulated-inductor node; the conventional kind omits the
-    final quarter-wave line.  ``f0`` is the angular design frequency at
-    which the line length fractions hold.
+    From the port inward, a quarter-wave line of ``z_quarter``, a half-wave
+    line of ``z_half`` and, in the three-stage kind, a high-impedance
+    quarter-wave line of ``z_ki_quarter`` lead to the shunt-C /
+    modulated-inductor node; ``z_ki_quarter=None`` is the conventional
+    kind, which omits that last line.  ``f0`` is the angular layout
+    frequency at which the line lengths are quarter and half waves.
     """
 
-    circuit_kind: str
-    z0: float
-    line_quarter: TransmissionLineSegment
-    line_half: TransmissionLineSegment
-    line_ki_quarter: Optional[TransmissionLineSegment]
+    z_quarter: float
+    z_half: float
+    z_ki_quarter: Optional[float]
     c_shunt: float
     ki_model: KineticInductorModel
     f0: float
 
     def __post_init__(self):
-        if self.circuit_kind not in CIRCUIT_KINDS:
-            raise InvalidParameter(f"unknown circuit kind {self.circuit_kind!r}")
-        if not self.z0 > 0:
-            raise InvalidParameter("z0 must be > 0")
-        if not self.c_shunt > 0:
-            raise InvalidParameter("c_shunt must be > 0")
-        if not self.f0 > 0:
-            raise InvalidParameter("f0 must be > 0")
-        if self.line_quarter.length_fraction != 0.25:
-            raise InvalidParameter("line_quarter must be a quarter-wave segment")
-        if self.line_half.length_fraction != 0.5:
-            raise InvalidParameter("line_half must be a half-wave segment")
-        if self.circuit_kind == "three-stage":
-            if self.line_ki_quarter is None:
-                raise InvalidParameter("three-stage kind requires line_ki_quarter")
-            if self.line_ki_quarter.length_fraction != 0.25:
-                raise InvalidParameter("line_ki_quarter must be a quarter-wave segment")
-        elif self.line_ki_quarter is not None:
-            raise InvalidParameter("conventional kind has no line_ki_quarter")
+        for name in ("z_quarter", "z_half", "z_ki_quarter", "c_shunt", "f0"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:   # only z_ki_quarter may be None
+                raise InvalidParameter(f"{name} must be > 0")
+        layout = ((self.z_ki_quarter, 0.25), (self.z_half, 0.5), (self.z_quarter, 0.25))
+        object.__setattr__(self, "_lines", tuple(
+            TransmissionLineSegment(z, fraction, self.f0)
+            for z, fraction in layout if z is not None))
+
+    @property
+    def circuit_kind(self) -> str:
+        return circuit_kind_of(self.z_ki_quarter)
 
     def lines_node_to_port(self) -> Tuple[TransmissionLineSegment, ...]:
         """Segments in order from the resonator node out to the port."""
-        if self.circuit_kind == "three-stage":
-            return (self.line_ki_quarter, self.line_half, self.line_quarter)
-        return (self.line_half, self.line_quarter)
+        return self._lines
 
     def inductance_at_bias(self, i_dc: float) -> float:
         return kinetic_inductance(self.ki_model, i_dc)
@@ -109,36 +104,18 @@ class DesignSpec:
         return 1.0 / np.sqrt(self.inductance_at_bias(i_dc) * self.c_shunt)
 
 
-def three_stage_design(z0: float, z_quarter: float, z_half: float,
-                       z_ki_quarter: Optional[float], c_shunt: float,
-                       ki_model: KineticInductorModel, f0: float) -> DesignSpec:
-    """Convenience constructor; pass ``z_ki_quarter=None`` for the conventional kind."""
-    kind = "three-stage" if z_ki_quarter is not None else "conventional"
-    return DesignSpec(
-        circuit_kind=kind,
-        z0=z0,
-        line_quarter=TransmissionLineSegment(z_quarter, 0.25, f0),
-        line_half=TransmissionLineSegment(z_half, 0.5, f0),
-        line_ki_quarter=(TransmissionLineSegment(z_ki_quarter, 0.25, f0)
-                         if z_ki_quarter is not None else None),
-        c_shunt=c_shunt,
-        ki_model=ki_model,
-        f0=f0,
-    )
-
-
 def _line_trig(segments, omega) -> list:
     """(cos θ, sin θ) of each segment at ω, computed once per distinct length.
 
-    The two quarter-wave lines of the three-stage kind share θ.
+    A design's segments share its ``f0``, so the two quarter-wave lines of
+    the three-stage kind share θ.
     """
     trig = {}
     for seg in segments:
-        key = (seg.length_fraction, seg.f_ref)
-        if key not in trig:
+        if seg.length_fraction not in trig:
             th = seg.electrical_length(omega)
-            trig[key] = (np.cos(th), np.sin(th))
-    return [trig[seg.length_fraction, seg.f_ref] for seg in segments]
+            trig[seg.length_fraction] = (np.cos(th), np.sin(th))
+    return [trig[seg.length_fraction] for seg in segments]
 
 
 def chain_impedance_from_node(design: DesignSpec, env: EnvironmentModel, omega):

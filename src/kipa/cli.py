@@ -20,7 +20,7 @@ import numpy as np
 
 from . import material, noise as noise_mod, presets, search as search_mod
 from . import simulator, synthesis
-from .circuits import EnvironmentModel, three_stage_design
+from .circuits import DesignSpec, EnvironmentModel
 from .errors import ConfigError, InvalidParameter, NumericalError, ValidationError
 from .material import KineticInductorModel
 from .simulator import PumpDrive, PumpRampPolicy
@@ -211,9 +211,9 @@ def _write_out(payload: str, path: Optional[str]):
 
 # ---------------------------------------------------------------- design/env assembly
 
+# an inline design is three-stage when it gives z_ki_quarter, else conventional
 _DESIGN_KEYS = {
-    "preset": "str", "circuit_kind": "str",
-    "z0": "impedance", "z_quarter": "impedance", "z_half": "impedance",
+    "preset": "str", "z_quarter": "impedance", "z_half": "impedance",
     "z_ki_quarter": "impedance", "c_shunt": "capacitance", "f0": "frequency",
     "model_kind": "str", "l_k0": "inductance", "l_geo": "inductance",
     "i_star2": "current", "i_star4": "current", "i_star_star": "current",
@@ -253,8 +253,7 @@ def _build_design(cfg: dict):
         i_star_star=cfg.get("i_star_star"),
         i_c=cfg.get("i_c"),
     )
-    return three_stage_design(
-        z0=cfg.get("z0", 50.0),
+    return DesignSpec(
         z_quarter=cfg["z_quarter"],
         z_half=cfg["z_half"],
         z_ki_quarter=cfg.get("z_ki_quarter"),
@@ -265,17 +264,22 @@ def _build_design(cfg: dict):
 
 
 def _build_env(cfg: dict) -> Optional[EnvironmentModel]:
+    inline = [k for k in _ENV_KEYS if k != "env" and k in cfg]
     name = cfg.get("env")
     if name is not None:
-        return presets.env_preset(name)
-    if "env_z1" not in cfg and "env_z0" not in cfg:
-        return None
+        env = presets.env_preset(name)
+        if inline:
+            raise InvalidParameter(f"environment presets take no inline env_* keys, got {inline[0]}")
+        return env
     terms = []
     for i in ("1", "2"):
+        for key in (f"env_tau{i}", f"env_phi{i}"):
+            if key in cfg and f"env_z{i}" not in cfg:
+                raise InvalidParameter(f"{key} needs its ripple amplitude env_z{i}")
         if f"env_z{i}" in cfg:
             terms.append((cfg[f"env_z{i}"], cfg.get(f"env_tau{i}", 0.0),
                           cfg.get(f"env_phi{i}", 0.0)))
-    return EnvironmentModel(z0=cfg.get("env_z0", 50.0), terms=tuple(terms))
+    return EnvironmentModel(z0=cfg.get("env_z0", 50.0), terms=tuple(terms)) if inline else None
 
 
 def _build_pump(cfg: dict, design) -> PumpDrive:
@@ -289,7 +293,7 @@ def _build_pump(cfg: dict, design) -> PumpDrive:
         return PumpDrive(xi3_mag=TWO_PI * cfg["xi3"], omega_p=omega_p, i_dc=i_dc)
     if "ip" in cfg:
         omega0 = design.resonance_at_bias(i_dc)
-        op = material.PumpOperatingPoint(i_dc=i_dc, i_p_mag=cfg["ip"], omega_p=omega_p)
+        op = material.PumpOperatingPoint(i_dc=i_dc, i_p_mag=cfg["ip"])
         coeffs = material.pump_coefficients(design.ki_model, op, omega0)
         return PumpDrive(xi3_mag=abs(coeffs.xi3), omega_p=omega_p, i_dc=i_dc)
     return PumpDrive(xi3_mag=0.0, omega_p=omega_p, i_dc=i_dc)
@@ -314,12 +318,13 @@ def _cmd_synth(cfg: dict, fmt: str, out: Optional[str]) -> int:
     return EXIT_OK
 
 
-def _hz_grid(start: float, stop: float, step: float, inclusive: bool = False):
+def _hz_grid(start: float, stop: float, step: float):
+    """A ``--span``'s frequencies: start + k·step for k < round((stop - start)/step), at least one."""
     if not (step > 0 and stop >= start):
         raise InvalidParameter(f"grid {start:g}:{stop:g}:{step:g} needs stop >= start "
                                "and step > 0")
     simulator.check_grid_points((stop - start) / step, f"grid {start:g}:{stop:g}:{step:g}")
-    n = int(round((stop - start) / step)) + (1 if inclusive else 0)
+    n = int(round((stop - start) / step))
     return start + step * np.arange(max(n, 1))
 
 
@@ -341,8 +346,8 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
     env = _build_env(cfg)
     fp_lo, fp_hi, fp_step = cfg["fp_span"]
     idc_lo, idc_hi, idc_step = cfg["idc_start"], cfg["idc_stop"], cfg["idc_step"]
-    fps = TWO_PI * _hz_grid(fp_lo, fp_hi, fp_step, inclusive=True)
-    idcs = _hz_grid(idc_lo, idc_hi, idc_step, inclusive=True)
+    fps = TWO_PI * np.array(simulator.grid_axis(fp_lo, fp_hi, fp_step, "pump grid"))
+    idcs = np.array(simulator.grid_axis(idc_lo, idc_hi, idc_step, "bias grid"))
     policy = PumpRampPolicy(mode=cfg.get("policy", "current"))
     cells = simulator.pump_bias_map(design, env, fps, idcs, policy,
                                     freq_step=TWO_PI * cfg.get("freq_step", 2e6))
@@ -355,8 +360,9 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
 
 
 def _cmd_search(cfg: dict, fmt: str, out: Optional[str]) -> int:
-    kind = cfg.get("kind", "three-stage")
-    base = search_mod.default_ranges(kind)
+    base = search_mod.default_ranges(cfg.get("kind", "three-stage"))
+    if "z_ki" in cfg and base.z_ki is None:
+        raise InvalidParameter("the conventional circuit has no z_ki line")
     def _rng(key, default, scale=1.0):
         if key in cfg:
             lo, hi, st = cfg[key]
@@ -369,7 +375,6 @@ def _cmd_search(cfg: dict, fmt: str, out: Optional[str]) -> int:
         omega_p_half_range=_rng("fp2", base.omega_p_half_range, TWO_PI),
         z_ki=cfg.get("z_ki", base.z_ki),
         omega0=TWO_PI * cfg["f0"] if "f0" in cfg else base.omega0,
-        circuit_kind=kind,
     )
     found = list(search_mod.search_designs(ranges))
     _write_out(emit_results({

@@ -75,15 +75,15 @@ class KineticInductorModel:
 
 @dataclass(frozen=True)
 class PumpOperatingPoint:
-    """DC bias plus pump tone driving the modulated inductor.
+    """DC bias plus the pump tone's amplitude and phase at the modulated inductor.
 
-    i_dc : A; i_p_mag : |I_p|, A; phi_p : pump phase, rad; omega_p : rad/s
+    i_dc : A; i_p_mag : |I_p|, A; phi_p : pump phase, rad.  The pump
+    frequency does not enter the coefficients.
     """
 
     i_dc: float
     i_p_mag: float
     phi_p: float = 0.0
-    omega_p: float = 0.0
 
     def __post_init__(self):
         if self.i_dc < 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .circuits import DesignSpec, EnvironmentModel, three_stage_design
+from .circuits import DesignSpec, EnvironmentModel
 from .errors import InvalidParameter
 from .material import KineticInductorModel
 from .synthesis import GETSINGER_17DB, PrototypeCoefficients
@@ -34,8 +34,7 @@ def paper_device() -> DesignSpec:
     frequency; 330-fF shunt across the nanowire.  At the 0.57-mA default
     bias the resonator sits at 56 ohms / 8.61 GHz.
     """
-    return three_stage_design(
-        z0=50.0,
+    return DesignSpec(
         z_quarter=80.0,
         z_half=30.0,
         z_ki_quarter=180.0,

@@ -9,43 +9,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuits import IDEAL_ENV, three_stage_design
+from .circuits import CIRCUIT_KINDS, IDEAL_ENV, DesignSpec, circuit_kind_of
 from .errors import InvalidParameter
 from .material import KineticInductorModel
-from .simulator import ReflectionEngine, check_grid_points, drive_ladder, ramp
+from .simulator import ReflectionEngine, check_grid_points, drive_ladder, grid_axis, ramp
 
 TWO_PI = 2.0 * math.pi
 
 
-def _grid(lo: float, hi: float, step: float) -> List[float]:
-    if not (step > 0 and hi >= lo):
-        raise InvalidParameter("range needs hi >= lo and step > 0")
-    check_grid_points((hi - lo) / step, "search axis")
-    n = int(round((hi - lo) / step))
-    vals = [lo + k * step for k in range(n + 1)]
-    return [v for v in vals if v <= hi + 1e-9 * step]
-
-
 @dataclass(frozen=True)
 class SearchRanges:
-    """Grid definition: (lo, hi, step) per swept axis, fixed rest."""
+    """Grid definition: (lo, hi, step) per swept axis, fixed rest.
+
+    ``z_ki`` is the high-impedance quarter-wave line of the three-stage
+    circuit; None searches the conventional circuit, which has no such line.
+    """
 
     z_quarter_range: Tuple[float, float, float]
     z_half_range: Tuple[float, float, float]
     z_nr_range: Tuple[float, float, float]
     omega_p_half_range: Tuple[float, float, float]   # rad/s, pump HALF frequency
-    z_ki: float
+    z_ki: Optional[float]
     omega0: float                                    # rad/s, resonator design point
-    circuit_kind: str = "three-stage"
 
     def __post_init__(self):
-        if self.circuit_kind not in ("three-stage", "conventional"):
-            raise InvalidParameter(f"unknown circuit kind {self.circuit_kind!r}")
-        if self.circuit_kind == "three-stage" and not self.z_ki > 0:
+        if self.z_ki is not None and not self.z_ki > 0:
             raise InvalidParameter("three-stage search needs z_ki > 0")
         if not self.omega0 > 0:
             raise InvalidParameter("omega0 must be > 0")
@@ -53,21 +45,24 @@ class SearchRanges:
                           ("znr", self.z_nr_range)):
             if not rng[0] > 0:
                 raise InvalidParameter(f"{name} axis must start above 0 ohm, got {rng[0]:g}")
-        for rng in (self.z_quarter_range, self.z_half_range, self.z_nr_range,
-                    self.omega_p_half_range):
-            _grid(*rng)
+        object.__setattr__(self, "_axes", tuple(grid_axis(*rng, what) for what, rng in (
+            ("z14 axis", self.z_quarter_range), ("z12 axis", self.z_half_range),
+            ("znr axis", self.z_nr_range),
+            ("pump half-frequency axis (rad/s)", self.omega_p_half_range))))
+
+    @property
+    def circuit_kind(self) -> str:
+        return circuit_kind_of(self.z_ki)
 
     def axes(self):
-        return (
-            _grid(*self.z_quarter_range),
-            _grid(*self.z_half_range),
-            _grid(*self.z_nr_range),
-            _grid(*self.omega_p_half_range),
-        )
+        """(z14s, z12s, z_nrs, omega_p_halfs), each a list of axis values."""
+        return self._axes
 
 
 def default_ranges(circuit_kind: str = "three-stage") -> SearchRanges:
     """Desk-scale sweep: 10-ohm / 0.25-GHz steps, resonator fixed at 8 GHz."""
+    if circuit_kind not in CIRCUIT_KINDS:
+        raise InvalidParameter(f"unknown circuit kind {circuit_kind!r}")
     f0 = TWO_PI * 8.0e9
     if circuit_kind == "three-stage":
         z_nr = (50.0, 100.0, 10.0)
@@ -77,7 +72,7 @@ def default_ranges(circuit_kind: str = "three-stage") -> SearchRanges:
         # model keeps qualifying at ever larger z_nr if the pump strength is
         # allowed to grow without bound, so the sweep imposes the envelope
         z_nr = (2.0, 10.0, 2.0)
-        z_ki = 0.0
+        z_ki = None
     return SearchRanges(
         z_quarter_range=(30.0, 100.0, 10.0),
         z_half_range=(30.0, 100.0, 10.0),
@@ -85,7 +80,6 @@ def default_ranges(circuit_kind: str = "three-stage") -> SearchRanges:
         omega_p_half_range=(TWO_PI * 7.5e9, TWO_PI * 8.5e9, TWO_PI * 0.25e9),
         z_ki=z_ki,
         omega0=f0,
-        circuit_kind=circuit_kind,
     )
 
 
@@ -109,8 +103,7 @@ def _design_for(ranges: SearchRanges, z14: float, z12: float, z_nr: float):
     l0 = z_nr / ranges.omega0
     c = 1.0 / (z_nr * ranges.omega0)
     model = KineticInductorModel("parabolic", l_k0=l0, l_geo=0.0)
-    z_ki = ranges.z_ki if ranges.circuit_kind == "three-stage" else None
-    return three_stage_design(50.0, z14, z12, z_ki, c, model, ranges.omega0)
+    return DesignSpec(z14, z12, ranges.z_ki, c, model, ranges.omega0)
 
 
 def search_designs(ranges: SearchRanges,
@@ -143,6 +136,9 @@ def search_designs(ranges: SearchRanges,
 
 def _row_grids(fp2s, half_span, step) -> list:
     """(wp2, ws, wp) of each pump-axis cell; cells under 16 grid points are dropped."""
+    if not step > 0:
+        raise InvalidParameter("freq_step must be > 0")
+    check_grid_points(2.0 * half_span / step, "search frequency grid")
     cells = []
     for wp2 in fp2s:
         wp = 2.0 * wp2

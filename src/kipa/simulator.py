@@ -43,6 +43,16 @@ def check_grid_points(points: float, what: str) -> None:
                                f"at most {MAX_GRID_POINTS} are allowed")
 
 
+def grid_axis(lo: float, hi: float, step: float, what: str) -> list:
+    """The inclusive axis lo + k·step, k = 0, 1, ..., up to ``hi`` (+1e-9·step)."""
+    span = f"{what} {lo:g}:{hi:g}:{step:g}"
+    if not (step > 0 and hi >= lo):
+        raise InvalidParameter(f"{span} needs stop >= start and step > 0")
+    check_grid_points((hi - lo) / step, span)
+    n = int(round((hi - lo) / step))
+    return [v for v in (lo + k * step for k in range(n + 1)) if v <= hi + 1e-9 * step]
+
+
 @dataclass(frozen=True)
 class PumpDrive:
     """Amplification-strength drive given directly as |xi3|.

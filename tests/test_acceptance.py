@@ -280,8 +280,7 @@ def test_criterion_8_property_suites():
     for _ in range(300):
         op = PumpOperatingPoint(i_dc=rng.uniform(0.05e-3, 0.9e-3),
                                 i_p_mag=rng.uniform(0, 0.2e-3),
-                                phi_p=rng.uniform(0, TWO_PI),
-                                omega_p=TWO_PI * 16.8e9)
+                                phi_p=rng.uniform(0, TWO_PI))
         w_r = TWO_PI * rng.uniform(4e9, 12e9)
         c = pump_coefficients(NBTIN_NANOWIRE, op, w_r)
         assert c.alpha == pytest.approx(abs(c.xi3) ** 2 / (4 * w_r**2), rel=1e-12, abs=0.0)

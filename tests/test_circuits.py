@@ -11,11 +11,10 @@ from kipa.circuits import (
     environment_impedance,
     idler_admittance,
     port_line_abcd,
-    three_stage_design,
 )
 from kipa.errors import InvalidParameter, UnphysicalEnvironment
 from kipa.material import KineticInductorModel
-from kipa.netcore import TransmissionLineSegment, input_impedance
+from kipa.netcore import input_impedance
 from kipa.presets import PAPER_DEVICE_BIAS, paper_device, paper_env
 
 TWO_PI = 2 * math.pi
@@ -58,7 +57,7 @@ def test_environment_term_count_limited():
 def _matched_lines_design(c_shunt=1e-30):
     # 50-ohm lines leave the source invisible from the node
     model = KineticInductorModel("parabolic", l_k0=1e-9, l_geo=0.0)
-    return three_stage_design(50.0, 50.0, 50.0, 50.0, c_shunt, model, TWO_PI * 8e9)
+    return DesignSpec(50.0, 50.0, 50.0, c_shunt, model, TWO_PI * 8e9)
 
 
 def test_idler_admittance_matched_chain_is_bare_source():
@@ -138,27 +137,32 @@ def test_chain_impedance_vs_abcd():
 
 def test_design_validation():
     model = KineticInductorModel("parabolic", l_k0=1e-9, l_geo=0.0)
-    with pytest.raises(InvalidParameter):
-        DesignSpec("three-stage", 50.0,
-                   TransmissionLineSegment(80.0, 0.5, W84),  # wrong fraction
-                   TransmissionLineSegment(30.0, 0.5, W84),
-                   TransmissionLineSegment(180.0, 0.25, W84),
-                   330e-15, model, W84)
-    with pytest.raises(InvalidParameter):
-        three_stage_design(50.0, 80.0, 30.0, None, 330e-15, model, W84)  # kind mismatch is fine
-        # conventional kind must not carry the extra line
-        DesignSpec("conventional", 50.0,
-                   TransmissionLineSegment(80.0, 0.25, W84),
-                   TransmissionLineSegment(30.0, 0.5, W84),
-                   TransmissionLineSegment(180.0, 0.25, W84),
-                   330e-15, model, W84)
+    good = dict(z_quarter=80.0, z_half=30.0, z_ki_quarter=180.0, c_shunt=330e-15,
+                ki_model=model, f0=W84)
+    DesignSpec(**good)
+    # each line impedance, the shunt and the layout frequency must be > 0
+    for field in ("z_quarter", "z_half", "z_ki_quarter", "c_shunt", "f0"):
+        for value in (0.0, -1.0, math.nan):
+            with pytest.raises(InvalidParameter, match=f"^{field} must be > 0$"):
+                DesignSpec(**{**good, field: value})
 
 
 def test_conventional_design_has_two_lines():
     model = KineticInductorModel("parabolic", l_k0=1e-9, l_geo=0.0)
-    design = three_stage_design(50.0, 60.0, 40.0, None, 1e-12, model, W84)
+    design = DesignSpec(60.0, 40.0, None, 1e-12, model, W84)
     assert design.circuit_kind == "conventional"
     assert len(design.lines_node_to_port()) == 2
+    assert DesignSpec(60.0, 40.0, 180.0, 1e-12, model, W84).circuit_kind == "three-stage"
+
+
+def test_design_lines_follow_the_layout_frequency():
+    # node to port: the kinetic-inductance quarter wave, then the half and
+    # the port quarter wave, all at the design's f0
+    design = paper_device()
+    lines = design.lines_node_to_port()
+    assert [(s.z_c, s.length_fraction, s.f_ref) for s in lines] == [
+        (180.0, 0.25, design.f0), (30.0, 0.5, design.f0), (80.0, 0.25, design.f0)]
+    assert design.lines_node_to_port() is lines   # built once per design
 
 
 def _identity_start_abcd(design, omega):
@@ -190,10 +194,10 @@ def _same_bits(got, want):
 
 
 def _lean_build_designs():
-    for kind, z_ki in (("three-stage", 150.0), ("conventional", None)):
+    for z_ki in (150.0, None):   # three-stage, conventional
         for z14, z12 in ((30.0, 100.0), (60.0, 80.0)):
             model = KineticInductorModel("parabolic", l_k0=1e-9, l_geo=0.0)
-            yield three_stage_design(50.0, z14, z12, z_ki, 0.2e-12, model, TWO_PI * 8e9)
+            yield DesignSpec(z14, z12, z_ki, 0.2e-12, model, TWO_PI * 8e9)
     yield paper_device()
 
 

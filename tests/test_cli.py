@@ -82,9 +82,8 @@ def test_parse_config_comments_and_blank_lines():
 
 def test_paper_device_preset_values():
     design = design_preset("paper-device")
-    assert design.line_quarter.z_c == 80.0
-    assert design.line_half.z_c == 30.0
-    assert design.line_ki_quarter.z_c == 180.0
+    assert (design.z_quarter, design.z_half, design.z_ki_quarter) == (80.0, 30.0, 180.0)
+    assert design.circuit_kind == "three-stage"
     assert design.c_shunt == pytest.approx(330e-15)
     z_nr = math.sqrt(design.inductance_at_bias(PAPER_DEVICE_BIAS) / design.c_shunt)
     assert z_nr == pytest.approx(56.0, abs=0.1)
@@ -522,6 +521,7 @@ def test_non_positive_impedance_axis_is_validation_error(axis, spec, capsys):
 
 _INLINE_DESIGN = ["--set", "z_quarter=80ohm", "--set", "z_half=30ohm", "--set", "c_shunt=330fF",
                   "--set", "f0=7.9GHz"]
+_SIM = ["--fp", "16.9GHz", "--xi3", "1GHz", "--span", "8.3GHz:8.31GHz:5MHz"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -534,6 +534,19 @@ _INLINE_DESIGN = ["--set", "z_quarter=80ohm", "--set", "z_half=30ohm", "--set", 
     (["fit-ki", "--set", "l_k0=0nH", "--set", "l_geo=0.2nH"], "l_k0 must be > 0, got 0"),
     (["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "2GHz",
       "--set", "phip=1.234rad"], "unknown key 'phip' for this command"),
+    # the port impedance is env_z0; a design has no z0
+    (["simulate", *_INLINE_DESIGN, "--set", "z0=60ohm", *_SIM], "unknown key 'z0' for this command"),
+    # the kind follows from z_ki_quarter
+    (["map", *_INLINE_DESIGN, "--set", "circuit_kind=banana"],
+     "unknown key 'circuit_kind' for this command"),
+    (["search", "--set", "kind=conventional", "--set", "z_ki=150ohm"],
+     "the conventional circuit has no z_ki line"),
+    (["simulate", "--preset", "paper-device", "--set", "env=ideal", "--set", "env_z1=5ohm", *_SIM],
+     "environment presets take no inline env_* keys, got env_z1"),
+    (["simulate", "--preset", "paper-device", "--set", "env_tau1=1ns", *_SIM],
+     "env_tau1 needs its ripple amplitude env_z1"),
+    (["simulate", "--preset", "paper-device", "--set", "env_z1=5ohm", "--set", "env_phi2=1rad",
+      *_SIM], "env_phi2 needs its ripple amplitude env_z2"),
 ])
 def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_path, capsys):
     if argv[0] == "fit-ki":
@@ -545,6 +558,45 @@ def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_any_inline_environment_impedance_builds_the_model(tmp_path):
+    def spectrum(*keys):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "2GHz",
+                "--span", "8.3GHz:8.5GHz:50MHz", "--out", str(out)]
+        assert main(argv + [token for key in keys for token in ("--set", key)]) == EXIT_OK
+        return out.read_text()
+
+    flat = spectrum()
+    # a second ripple term alone is the same one-term model as a first
+    second = spectrum("env_z2=14.2ohm", "env_tau2=1.67ns")
+    assert second == spectrum("env_z1=14.2ohm", "env_tau1=1.67ns") != flat
+    assert spectrum("env_z0=60ohm") != flat
+
+
+def test_map_axes_stop_at_their_stop(tmp_path):
+    # 510 + 3 * 50 uA and 16.8 + 3 * 0.02 GHz lie past their stops
+    out = tmp_path / "map.csv"
+    assert main(["map", "--preset", "paper-device", "--set", "policy=xi3",
+                 "--set", "fp_span=16.8GHz:16.853GHz:20MHz", "--set", "freq_step=20MHz",
+                 "--set", "idc_start=510uA", "--set", "idc_stop=640uA",
+                 "--set", "idc_step=50uA", "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert sorted({fp for fp, _ in rows}) == ["16800000000", "16820000000", "16840000000"]
+    assert sorted({idc for _, idc in rows}) == ["0.00051", "0.00056", "0.00061"]
+    assert len(rows) == 9
+
+
+def test_grid_axis_is_the_search_axis_rule():
+    # values lo + k*step up to the stop, the stop itself within 1e-9 step
+    assert simulator.grid_axis(510e-6, 640e-6, 50e-6, "bias grid") == [
+        510e-6 + k * 50e-6 for k in range(3)]
+    assert simulator.grid_axis(570e-6, 590e-6, 20e-6, "bias grid") == [570e-6, 570e-6 + 20e-6]
+    assert simulator.grid_axis(16.9e9, 16.92e9, 20e6, "pump grid") == [16.9e9, 16.92e9]
+    assert simulator.grid_axis(1.0, 1.0, 5.0, "axis") == [1.0]
+    with pytest.raises(InvalidParameter, match="^axis 2:1:1 needs stop >= start and step > 0$"):
+        simulator.grid_axis(2.0, 1.0, 1.0, "axis")
 
 
 @pytest.mark.parametrize("argv", [

@@ -41,7 +41,7 @@ _FILE_CASES = {
     "map": (["map", *_MAP_GRID], "--config",
             "preset = paper-device\nenv = paper-env\npolicy = xi3\n"),
     "search": (["search", *_SEARCH_GRID], "--config",
-               "kind = conventional\nz_ki = 150 ohm\nf0 = 8GHz\n"),
+               "kind = three-stage\nz_ki = 150 ohm\nf0 = 8GHz\n"),
     "fit-ki": (["fit-ki", "--set", "model_kind=quartic"], "--input",
                "i_dc_A,dfrac\n" + "".join(f"{k * 1e-4},{-0.4 * (k / 32.5) ** 2}\n"
                                           for k in range(1, 9))),

@@ -197,7 +197,7 @@ def test_screened_search_ramp_matches_exhaustive(cell):
     assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [full]
     # the search records exactly that best profile
     point = SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (z_nr, z_nr, 1.0),
-                         (wp2, wp2, 1.0), ranges.z_ki, ranges.omega0, ranges.circuit_kind)
+                         (wp2, wp2, 1.0), ranges.z_ki, ranges.omega0)
     recs = list(search_designs(point))
     if full.report is None:
         assert recs == []
@@ -337,7 +337,7 @@ def test_search_rejects_a_zero_ramp_start(monkeypatch):
 
     monkeypatch.setattr(ReflectionEngine, "alpha_for_xi3", bounded)
     point = SearchRanges((80.0, 80.0, 1.0), (60.0, 60.0, 1.0), (50.0, 50.0, 1.0),
-                         (TWO_PI * 8e9, TWO_PI * 8e9, 1.0), 180.0, TWO_PI * 8e9, "three-stage")
+                         (TWO_PI * 8e9, TWO_PI * 8e9, 1.0), 180.0, TWO_PI * 8e9)
     with pytest.raises(InvalidParameter, match="ramp start must be > 0"):
         list(search_designs(point, xi3_start=0.0))
     assert chunks == []
@@ -428,7 +428,7 @@ def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
     # fp2 = 10 MHz leaves fewer than 16 grid points, so the row drops that cell
     ranges = SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (z_nr, z_nr, 1.0),
                           (TWO_PI * 0.01e9, TWO_PI * 7.75e9, TWO_PI * 3.87e9),
-                          base.z_ki, base.omega0, kind)
+                          base.z_ki, base.omega0)
     design = _design_for(ranges, z14, z12, z_nr)
     expected = []
     for wp2 in ranges.axes()[3]:
@@ -599,7 +599,7 @@ def test_one_engine_build_per_search_row_and_per_map_pump(monkeypatch):
     base = default_ranges("three-stage")
     fp2s = (TWO_PI * 7.75e9, TWO_PI * 8.25e9, TWO_PI * 0.25e9)
     ranges = SearchRanges((60.0, 70.0, 10.0), (80.0, 80.0, 1.0), (50.0, 60.0, 10.0), fp2s,
-                          base.z_ki, base.omega0, "three-stage")
+                          base.z_ki, base.omega0)
     list(search_designs(ranges))
     assert [len(grids) for _, _, grids in builds] == [3] * 4   # one per (z14, z12, z_nr) row
     builds.clear()

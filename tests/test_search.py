@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +18,9 @@ TWO_PI = 2 * math.pi
 W8 = TWO_PI * 8e9
 
 
-def _point_ranges(z14, z12, znr, fp2_hz, z_ki=150.0, omega0=W8, kind="three-stage"):
+def _point_ranges(z14, z12, znr, fp2_hz, z_ki=150.0, omega0=W8):
     return SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (znr, znr, 1.0),
-                        (TWO_PI * fp2_hz, TWO_PI * fp2_hz, 1.0),
-                        z_ki, omega0, kind)
+                        (TWO_PI * fp2_hz, TWO_PI * fp2_hz, 1.0), z_ki, omega0)
 
 
 def test_single_point_produces_one_qualifying_record():
@@ -114,16 +114,19 @@ def test_default_ranges_shapes():
     r3 = default_ranges("three-stage")
     assert r3.z_ki == 150.0
     assert r3.z_nr_range == (50.0, 100.0, 10.0)
+    assert r3.circuit_kind == "three-stage"
     rc = default_ranges("conventional")
-    assert rc.circuit_kind == "conventional"
+    assert rc.z_ki is None and rc.circuit_kind == "conventional"
     assert rc.z_nr_range[0] >= 2.0 and rc.z_nr_range[1] <= 12.0
     with pytest.raises(InvalidParameter):
         SearchRanges((50, 40, 10), (30, 100, 10), (50, 100, 10),
                      (W8, W8, 1.0), 150.0, W8)
+    with pytest.raises(InvalidParameter, match="unknown circuit kind 'banana'"):
+        default_ranges("banana")
 
 
 def test_conventional_single_point_qualifies_at_low_znr():
-    ranges = _point_ranges(30.0, 70.0, 5.0, 7.7e9, z_ki=0.0, kind="conventional")
+    ranges = _point_ranges(30.0, 70.0, 5.0, 7.7e9, z_ki=None)
     recs = list(search_designs(ranges))
     assert len(recs) == 1
     assert recs[0].max_bandwidth > TWO_PI * 0.1e9
@@ -142,3 +145,12 @@ def test_threaded_search_matches_serial(tmp_path):
                           (TWO_PI * 7.9e9, TWO_PI * 8.1e9, TWO_PI * 0.1e9), 150.0, W8)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 1 + len(list(search_designs(ranges)))
+
+
+@pytest.mark.parametrize("kind", ["three-stage", "conventional"])
+def test_desk_search_matches_reference_records(kind, tmp_path):
+    # the full desk search of each kind, byte for byte against the stored records
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    out = tmp_path / "search.csv"
+    assert main(["search", "--set", f"kind={kind}", "--out", str(out)]) == 0
+    assert out.read_bytes() == (reference / f"search-{kind}.csv").read_bytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kipa.circuits import IDEAL_ENV, three_stage_design
+from kipa.circuits import IDEAL_ENV, DesignSpec
 from kipa.errors import InsufficientData, InvalidParameter
 from kipa.material import KineticInductorModel, PumpOperatingPoint, pump_coefficients
 from kipa.presets import (
@@ -46,7 +46,7 @@ def test_pump_off_unitarity_current_drive():
     design = paper_device()
     freqs = _grid(8.0e9, 8.8e9, 20e6)
     # a current operating point reaches the network as its |xi3|, as `simulate --set ip=` does
-    op = PumpOperatingPoint(PAPER_DEVICE_BIAS, 0.0, 0.0, PAPER_DEVICE_PUMP)
+    op = PumpOperatingPoint(PAPER_DEVICE_BIAS, 0.0, 0.0)
     w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
     xi3 = abs(pump_coefficients(design.ki_model, op, w0).xi3)
     prof = gain_spectrum(design, PumpDrive(xi3, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS), None, freqs)
@@ -70,7 +70,7 @@ def test_current_drive_matches_xi3_drive():
     w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
     xi3 = TWO_PI * 0.3e9
     ip = pump_current_for_xi3(design.ki_model, PAPER_DEVICE_BIAS, w0, xi3)
-    op = PumpOperatingPoint(PAPER_DEVICE_BIAS, ip, 0.0, PAPER_DEVICE_PUMP)
+    op = PumpOperatingPoint(PAPER_DEVICE_BIAS, ip, 0.0)
     freqs = _grid(8.2e9, 8.7e9, 5e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(freqs, PAPER_DEVICE_PUMP)], PAPER_DEVICE_BIAS)
     a = engine.gain_db(pump_coefficients(design.ki_model, op, w0).alpha)
@@ -277,7 +277,7 @@ def test_rnr_power_law_toy_small_alpha_exponent():
     # fixed resistive idler: R_NR proportional to 1/alpha = xi3^-2 exactly
     model = KineticInductorModel("parabolic", l_k0=1e-9, l_geo=0.0)
     w0 = 1.0 / math.sqrt(1e-9 * 330e-15)
-    design = three_stage_design(50.0, 50.0, 50.0, 50.0, 330e-15, model, w0)
+    design = DesignSpec(50.0, 50.0, 50.0, 330e-15, model, w0)
     grid = TWO_PI * np.geomspace(1e6, 10e6, 12)
     res = rnr_power_law(design, grid, omega_p=2 * w0)
     assert res["exponent"] == pytest.approx(-2.0, abs=1e-3)

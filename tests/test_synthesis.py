@@ -100,7 +100,7 @@ def test_round_trip_synthesis_to_simulation():
     import numpy as np
     from scipy.optimize import brentq
 
-    from kipa.circuits import IDEAL_ENV, three_stage_design
+    from kipa.circuits import IDEAL_ENV, DesignSpec
     from kipa.material import KineticInductorModel
     from kipa.simulator import GainProfile, ReflectionEngine, bandwidth_report
 
@@ -109,8 +109,7 @@ def test_round_trip_synthesis_to_simulation():
     res = synthesize_transformer(prototype(eps), 60.0, 180.0, 50.0)
     w0 = two_pi * 8e9
     model = KineticInductorModel("parabolic", l_k0=60.0 / w0, l_geo=0.0)
-    design = three_stage_design(50.0, res.z_quarter, res.z_half, 180.0,
-                                1.0 / (w0 * 60.0), model, w0)
+    design = DesignSpec(res.z_quarter, res.z_half, 180.0, 1.0 / (w0 * 60.0), model, w0)
     ws = np.arange(w0 - two_pi * 1.3e9, w0 + two_pi * 1.3e9, two_pi * 2e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * w0)], 0.0)
 
