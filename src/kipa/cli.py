@@ -319,12 +319,12 @@ def _cmd_synth(cfg: dict, fmt: str, out: Optional[str]) -> int:
 
 
 def _hz_grid(start: float, stop: float, step: float):
-    """A ``--span``'s frequencies: start + k·step for k < round((stop - start)/step), at least one."""
+    """A ``--span``'s frequencies: every start + k·step below stop - 1e-9·step, at least one."""
     if not (step > 0 and stop >= start):
         raise InvalidParameter(f"grid {start:g}:{stop:g}:{step:g} needs stop >= start "
                                "and step > 0")
     simulator.check_grid_points((stop - start) / step, f"grid {start:g}:{stop:g}:{step:g}")
-    n = int(round((stop - start) / step))
+    n = math.ceil((stop - start) / step - 1e-9)
     return start + step * np.arange(max(n, 1))
 
 

@@ -2,15 +2,16 @@
 
 The trust-region iteration of Moré, "The Levenberg-Marquardt algorithm:
 implementation and theory" (1978), as MINPACK implements it (see also
-Nocedal & Wright, *Numerical Optimization*, ch. 10): a QR factorisation
-of the Jacobian with column pivoting, the Levenberg-Marquardt parameter
-found by a safeguarded Newton iteration on the scaled step length, the
-variables scaled by the running maximum of the Jacobian's column norms,
-and MINPACK's step-bound updates and ftol/xtol/gtol convergence tests.
+Nocedal & Wright, *Numerical Optimization*, ch. 10): the variables scaled
+by the running maximum of the Jacobian's column norms, the
+Levenberg-Marquardt parameter found by a safeguarded Newton iteration on
+the scaled step length, and MINPACK's step-bound updates and
+ftol/xtol/gtol convergence tests.
 
-The fits here have one to three parameters, so the n-by-n triangular
-algebra runs on Python floats and only the m-long residual and Jacobian
-columns are numpy arrays.
+Where MINPACK factors the Jacobian by QR with column pivoting and folds
+each trial parameter in with Givens rotations, here one numpy SVD of the
+scaled Jacobian per iteration gives the step for every parameter in
+closed form.
 """
 from __future__ import annotations
 
@@ -65,27 +66,27 @@ def levenberg_marquardt(evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray],
     par = 0.0
     diag = None
     while True:
-        r, perm, qtf, acnorm = _qr_pivoted(jt, f)
+        acnorm = np.sqrt(np.einsum("ij,ij->i", jt, jt))
         if diag is None:
-            diag = [c if c != 0.0 else 1.0 for c in acnorm]
-            xnorm = math.hypot(*(d * xi for d, xi in zip(diag, x.tolist())))
+            diag = np.where(acnorm != 0.0, acnorm, 1.0)
+            xnorm = _norm(diag * x)
             delta = _FACTOR * xnorm if xnorm != 0.0 else _FACTOR
             first = True
         # cosine between f and the Jacobian columns
         gnorm = 0.0
         if fnorm != 0.0:
-            for j in range(n):
-                c = acnorm[perm[j]]
-                if c != 0.0:
-                    s = sum(r[i][j] * (qtf[i] / fnorm) for i in range(j + 1))
-                    gnorm = max(gnorm, abs(s / c))
+            live = acnorm != 0.0
+            gnorm = float(np.max(np.abs(jt[live] @ (f / fnorm)) / acnorm[live], initial=0.0))
         if gnorm <= tol:
             return LeastSquaresFit(x, f)
-        diag = [max(d, c) for d, c in zip(diag, acnorm)]
+        diag = np.maximum(diag, acnorm)
+        # J·D⁻¹ = U·diag(s)·Vᵀ, from its transpose V·diag(s)·Uᵀ
+        v, s, ut = np.linalg.svd(jt / diag[:, None], full_matrices=False)
+        utf = ut @ f
         while True:
-            par, step = _lm_parameter(r, perm, diag, qtf, delta, par)
-            step = [-s for s in step]
-            pnorm = math.hypot(*(d * s for d, s in zip(diag, step)))
+            par, q = _lm_step(s, utf, delta, par)
+            step = (v @ q) / -diag
+            pnorm = _norm(q)   # ‖D·step‖, as V is orthogonal
             if first:
                 delta = min(delta, pnorm)
             x_try = x + step
@@ -94,8 +95,7 @@ def levenberg_marquardt(evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray],
             fnorm1 = _finite_norm(f_try, jt_try)
             actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
             # reduction the linear model predicts, and its directional derivative
-            rp = [sum(r[i][j] * step[perm[j]] for j in range(i, n)) for i in range(n)]
-            temp1 = math.hypot(*rp) / fnorm
+            temp1 = _norm(step @ jt) / fnorm
             temp2 = math.sqrt(par) * pnorm / fnorm
             prered = temp1 * temp1 + temp2 * temp2 / 0.5
             dirder = -(temp1 * temp1 + temp2 * temp2)
@@ -114,7 +114,7 @@ def levenberg_marquardt(evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray],
                 x = x_try
                 f, f_try = f_try, f
                 jt, jt_try = jt_try, jt
-                xnorm = math.hypot(*(d * xi for d, xi in zip(diag, x.tolist())))
+                xnorm = _norm(diag * x)
                 fnorm = fnorm1
                 first = False
             if (abs(actred) <= tol and prered <= tol and 0.5 * ratio <= 1.0) \
@@ -136,176 +136,53 @@ def _finite_norm(f: np.ndarray, jt: np.ndarray) -> float:
     return fnorm
 
 
-def _qr_pivoted(jt: np.ndarray, f: np.ndarray):
-    """Householder QR of J with column pivoting (MINPACK ``qrfac``), and Qᵀf.
-
-    Returns R as an n-by-n list (upper triangle and diagonal; the lower
-    triangle is scratch for ``_qr_solve``), the pivot order, the first n
-    entries of Qᵀf, and the column norms of J.
-    """
-    n = jt.shape[0]
-    a = np.empty((n + 1, jt.shape[1]))   # Jᵀ with fᵀ below: one reflection updates both
-    a[:n] = jt
-    a[n] = f
-    acnorm = np.sqrt(np.einsum("ij,ij->i", jt, jt)).tolist()
-    rdiag = list(acnorm)
-    wa = list(acnorm)
-    perm = list(range(n))
-    for j in range(n):
-        kmax = max(range(j, n), key=rdiag.__getitem__)
-        if kmax != j:
-            a[[j, kmax]] = a[[kmax, j]]
-            rdiag[kmax] = rdiag[j]
-            wa[kmax] = wa[j]
-            perm[j], perm[kmax] = perm[kmax], perm[j]
-        v = a[j, j:]
-        ajnorm = math.sqrt(float(v @ v))
-        if ajnorm != 0.0:
-            if v[0] < 0.0:
-                ajnorm = -ajnorm
-            v /= ajnorm
-            v[0] += 1.0
-            rest = a[j + 1:, j:]
-            rest -= np.outer((rest @ v) / v[0], v)
-            for k in range(j + 1, n):
-                if rdiag[k] != 0.0:
-                    t = a[k, j] / rdiag[k]
-                    rdiag[k] *= math.sqrt(max(0.0, 1.0 - t * t))
-                    if 0.05 * (rdiag[k] / wa[k]) ** 2 <= _EPS:
-                        tail = a[k, j + 1:]
-                        rdiag[k] = math.sqrt(float(tail @ tail))
-                        wa[k] = rdiag[k]
-        rdiag[j] = -ajnorm
-    r = a[:n, :n].T.tolist()
-    for j in range(n):
-        r[j][j] = rdiag[j]
-    return r, perm, a[n, :n].tolist(), acnorm
+def _norm(a: np.ndarray) -> float:
+    return math.hypot(*a.tolist())
 
 
-def _lm_parameter(r, perm, diag, qtb, delta, par):
+def _lm_step(s: np.ndarray, utf: np.ndarray, delta: float, par: float):
     """Levenberg-Marquardt parameter and step for bound ``delta`` (MINPACK ``lmpar``).
 
-    Returns (par, x) where x solves min ‖Jx + f‖ subject to ‖Dx‖ ≈ delta
-    (within 10 %), or the Gauss-Newton step with par = 0 when that is short
-    enough.  The step points downhill from -x; the caller negates it.
+    ``s`` are the singular values of the scaled Jacobian J·D⁻¹ = U·diag(s)·Vᵀ
+    and ``utf`` is Uᵀf.  For parameter λ the step minimising
+    ‖Jp + f‖² + λ‖Dp‖² is p = -D⁻¹·V·q with q = s·utf/(s² + λ), so ‖Dp‖ = ‖q‖;
+    zero singular values contribute nothing.  Returns (par, q): par = 0 and
+    the Gauss-Newton q when that is short enough, else par with ‖q‖ within
+    10 % of delta.
     """
-    n = len(r)
-    # Gauss-Newton direction; a least-squares solution if R is singular
-    nsing = n
-    wa1 = list(qtb)
-    for j in range(n):
-        if r[j][j] == 0.0 and nsing == n:
-            nsing = j
-        if nsing < n:
-            wa1[j] = 0.0
-    for j in range(nsing - 1, -1, -1):
-        wa1[j] /= r[j][j]
-        for i in range(j):
-            wa1[i] -= r[i][j] * wa1[j]
-    x = [0.0] * n
-    for j in range(n):
-        x[perm[j]] = wa1[j]
-    dx = [d * xi for d, xi in zip(diag, x)]
-    dxnorm = math.hypot(*dx)
-    fp = dxnorm - delta
+    nonzero = s != 0.0
+    q = np.divide(utf, s, out=np.zeros_like(utf), where=nonzero)
+    qnorm = _norm(q)
+    fp = qnorm - delta
     if fp <= 0.1 * delta:
-        return 0.0, x
-    # lower bound from the Newton step (zero if R is singular), upper bound
+        return 0.0, q
+    # lower bound from the Newton step (zero if J is singular), upper bound
     # from the gradient
     parl = 0.0
-    if nsing == n:
-        wa1 = [diag[perm[j]] * (dx[perm[j]] / dxnorm) for j in range(n)]
-        for j in range(n):
-            wa1[j] = (wa1[j] - sum(r[i][j] * wa1[i] for i in range(j))) / r[j][j]
-        temp = math.hypot(*wa1)
-        parl = fp / delta / temp / temp
-    wa1 = [sum(r[i][j] * qtb[i] for i in range(j + 1)) / diag[perm[j]] for j in range(n)]
-    gnorm = math.hypot(*wa1)
+    if nonzero.all():
+        parl = fp / delta / (_norm(q / s) / qnorm) ** 2
+    gnorm = _norm(s * utf)
     paru = gnorm / delta
     if paru == 0.0:
         paru = _DWARF / min(delta, 0.1)
     par = min(max(par, parl), paru)
     if par == 0.0:
-        par = gnorm / dxnorm
+        par = gnorm / qnorm
     for it in range(1, 11):
         if par == 0.0:
             par = max(_DWARF, 0.001 * paru)
-        sq = math.sqrt(par)
-        x, sdiag = _qr_solve(r, perm, [sq * d for d in diag], qtb)
-        dx = [d * xi for d, xi in zip(diag, x)]
-        dxnorm = math.hypot(*dx)
+        shifted = s * s + par
+        q = s * utf / shifted
+        qnorm = _norm(q)
         previous = fp
-        fp = dxnorm - delta
+        fp = qnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0) or it == 10:
             break
         # Newton correction
-        wa1 = [diag[perm[j]] * (dx[perm[j]] / dxnorm) for j in range(n)]
-        for j in range(n):
-            wa1[j] /= sdiag[j]
-            for i in range(j + 1, n):
-                wa1[i] -= r[i][j] * wa1[j]
-        temp = math.hypot(*wa1)
-        parc = fp / delta / temp / temp
+        parc = fp / delta / (_norm(q / np.sqrt(shifted)) / qnorm) ** 2
         if fp > 0.0:
             parl = max(parl, par)
         elif fp < 0.0:
             paru = min(paru, par)
         par = max(parl, par + parc)
-    return par, x
-
-
-def _qr_solve(r, perm, d, qtb):
-    """Solve [J; D] x ≈ [-f; 0] in least squares from J's QR (MINPACK ``qrsolv``).
-
-    Givens rotations fold the diagonal D into R, giving an upper triangular
-    S with Sᵀ S = Pᵀ(JᵀJ + DᵀD)P.  S's strict upper triangle is stored
-    transposed in r's lower triangle, its diagonal returned as ``sdiag``.
-    """
-    n = len(r)
-    for j in range(n):
-        for i in range(j, n):
-            r[i][j] = r[j][i]
-    rd = [r[j][j] for j in range(n)]
-    wa = list(qtb)
-    sdiag = [0.0] * n
-    for j in range(n):
-        dj = d[perm[j]]
-        if dj != 0.0:
-            for k in range(j, n):
-                sdiag[k] = 0.0
-            sdiag[j] = dj
-            qtbpj = 0.0
-            for k in range(j, n):
-                if sdiag[k] == 0.0:
-                    continue
-                if abs(r[k][k]) < abs(sdiag[k]):
-                    cotan = r[k][k] / sdiag[k]
-                    sin = 0.5 / math.sqrt(0.25 + 0.25 * cotan * cotan)
-                    cos = sin * cotan
-                else:
-                    tan = sdiag[k] / r[k][k]
-                    cos = 0.5 / math.sqrt(0.25 + 0.25 * tan * tan)
-                    sin = cos * tan
-                r[k][k] = cos * r[k][k] + sin * sdiag[k]
-                temp = cos * wa[k] + sin * qtbpj
-                qtbpj = -sin * wa[k] + cos * qtbpj
-                wa[k] = temp
-                for i in range(k + 1, n):
-                    temp = cos * r[i][k] + sin * sdiag[i]
-                    sdiag[i] = -sin * r[i][k] + cos * sdiag[i]
-                    r[i][k] = temp
-        sdiag[j] = r[j][j]
-        r[j][j] = rd[j]
-    nsing = n
-    for j in range(n):
-        if sdiag[j] == 0.0 and nsing == n:
-            nsing = j
-        if nsing < n:
-            wa[j] = 0.0
-    for j in range(nsing - 1, -1, -1):
-        s = sum(r[i][j] * wa[i] for i in range(j + 1, nsing))
-        wa[j] = (wa[j] - s) / sdiag[j]
-    x = [0.0] * n
-    for j in range(n):
-        x[perm[j]] = wa[j]
-    return x, sdiag
+    return par, q

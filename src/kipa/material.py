@@ -244,6 +244,8 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
         raise InvalidParameter(f"unknown model kind {model_kind!r}")
     if not l_k0 > 0:
         raise InvalidParameter(f"l_k0 must be > 0, got {l_k0:g}")
+    if not l_geo >= 0:
+        raise InvalidParameter(f"l_geo must be >= 0, got {l_geo:g}")
     i, y = pts[:, 0], pts[:, 1]
     part = l_k0 / (l_k0 + l_geo)  # kinetic participation of the resonator inductance
 

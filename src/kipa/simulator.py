@@ -768,7 +768,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     return results
 
 
-def policy_ladder(engine: ReflectionEngine, design: DesignSpec, policy: PumpRampPolicy):
+def policy_ladder(engine: ReflectionEngine, policy: PumpRampPolicy):
     """(drives, alphas) of the pump ramp that ``policy`` runs at one map cell."""
     ratio = 10.0 ** (policy.step_db / 20.0)
     if policy.mode == "xi3":
@@ -776,7 +776,7 @@ def policy_ladder(engine: ReflectionEngine, design: DesignSpec, policy: PumpRamp
         budget = None if cap is None else (lambda drive: drive <= cap)
         return drive_ladder(policy.start_xi3, ratio, engine.alpha_for_xi3,
                             policy.alpha_max, budget)
-    model, i_dc = design.ki_model, engine.i_dc
+    model, i_dc = engine.design.ki_model, engine.i_dc
     if i_dc <= 0:
         return np.empty(0), np.empty(0)  # no three-wave mixing without bias
     budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
@@ -815,7 +815,7 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
         network = ReflectionEngine(design, env, [(ws, wp)])
         for idc in i_dc_grid:
             engine = network.at_bias(idc)
-            res, = ramp(engine, *policy_ladder(engine, design, policy),
+            res, = ramp(engine, *policy_ladder(engine, policy),
                         threshold_db, ripple_max_db, policy.gain_stop_db)
             rep = res.report
             if rep is None:

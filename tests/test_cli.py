@@ -547,6 +547,8 @@ _SIM = ["--fp", "16.9GHz", "--xi3", "1GHz", "--span", "8.3GHz:8.31GHz:5MHz"]
      "env_tau1 needs its ripple amplitude env_z1"),
     (["simulate", "--preset", "paper-device", "--set", "env_z1=5ohm", "--set", "env_phi2=1rad",
       *_SIM], "env_phi2 needs its ripple amplitude env_z2"),
+    # a negative l_geo used to end in a division by zero (exit 2); added last to keep the ids
+    (["fit-ki", "--set", "l_k0=1nH", "--set", "l_geo=-1nH"], "l_geo must be >= 0, got -1e-09"),
 ])
 def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_path, capsys):
     if argv[0] == "fit-ki":
@@ -586,6 +588,20 @@ def test_map_axes_stop_at_their_stop(tmp_path):
     assert sorted({fp for fp, _ in rows}) == ["16800000000", "16820000000", "16840000000"]
     assert sorted({idc for _, idc in rows}) == ["0.00051", "0.00056", "0.00061"]
     assert len(rows) == 9
+
+
+@pytest.mark.parametrize("span, last_mhz", [
+    ("8GHz:8.0044GHz:1MHz", 8004),   # round(4.4) = 4 points used to drop 8.004 GHz
+    ("8GHz:8.0046GHz:1MHz", 8004),
+    ("8GHz:8.004GHz:1MHz", 8003),    # the stop is not a point of the span
+    ("8GHz:8GHz:1MHz", 8000),        # at least one point
+])
+def test_span_keeps_every_point_below_its_stop(span, last_mhz, tmp_path):
+    out = tmp_path / "spectrum.csv"
+    assert main(["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "1GHz",
+                 "--span", span, "--out", str(out)]) == EXIT_OK
+    freqs = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert freqs == [f"{mhz}000000" for mhz in range(8000, last_mhz + 1)]
 
 
 def test_grid_axis_is_the_search_axis_rule():

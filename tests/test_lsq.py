@@ -123,3 +123,33 @@ def test_non_finite_start_is_fit_failure():
 def test_bad_settings_are_rejected(kwargs):
     with pytest.raises(InvalidParameter):
         levenberg_marquardt(_rosenbrock, [0.0, 0.0], 2, **kwargs)
+
+
+_T = np.linspace(0.0, 4.0, 25)
+
+
+def test_zero_jacobian_column_leaves_its_parameter_alone():
+    # x[1] does not enter the model: a zero singular value, which adds nothing to the step
+    def evaluate(x, f, jt):
+        e = np.exp(-x[0] * _T)
+        np.subtract(e, np.exp(-0.7 * _T), out=f)
+        jt[0] = -_T * e
+        jt[1] = 0.0
+
+    fit = levenberg_marquardt(evaluate, [2.0, 5.0], _T.size, tol=1e-12, max_nfev=100)
+    assert fit.x[1] == 5.0
+    assert fit.x[0] == pytest.approx(0.7, rel=1e-10)
+    assert np.abs(fit.fun).max() < 1e-12
+
+
+def test_identical_jacobian_columns_fit_the_sum():
+    # only x[0] + x[1] enters the model: J has rank one
+    def evaluate(x, f, jt):
+        e = np.exp(-(x[0] + x[1]) * _T)
+        np.subtract(e, np.exp(-0.7 * _T), out=f)
+        jt[0] = -_T * e
+        jt[1] = jt[0]
+
+    fit = levenberg_marquardt(evaluate, [2.0, 0.5], _T.size, tol=1e-12, max_nfev=100)
+    assert fit.x.sum() == pytest.approx(0.7, rel=1e-10)
+    assert np.abs(fit.fun).max() < 1e-12

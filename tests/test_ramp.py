@@ -217,7 +217,7 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
     wp = TWO_PI * fp_hz
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
-    ladder = policy_ladder(engine, design, PumpRampPolicy(mode=mode, step_db=step_db))
+    ladder = policy_ladder(engine, PumpRampPolicy(mode=mode, step_db=step_db))
     assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, *ladder, 17.0, 5.0, 40.0)]
 
@@ -228,7 +228,7 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
     engine = ReflectionEngine(design, IDEAL_ENV, [(TWO_PI * np.arange(8.0e9, 8.9e9, 10e6),
                                                    TWO_PI * 16.9e9)], 0.57e-3)
     policy = PumpRampPolicy(mode=mode)
-    drives, alphas = policy_ladder(engine, design, policy)
+    drives, alphas = policy_ladder(engine, policy)
     # the loop the ladder replaces
     ratio = 10.0 ** (policy.step_db / 20.0)
     drive = policy.start_current if mode == "current" else policy.start_xi3
@@ -310,7 +310,7 @@ def test_ladder_that_does_not_end_is_rejected(mode, monkeypatch):
     engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
                               PAPER_DEVICE_BIAS)
     with pytest.raises(InvalidParameter, match="has not ended after 1000000 steps"):
-        policy_ladder(engine, design, PumpRampPolicy(mode=mode, step_db=1e-7))
+        policy_ladder(engine, PumpRampPolicy(mode=mode, step_db=1e-7))
 
 
 def test_ladder_below_the_step_cap_ends():
@@ -581,7 +581,7 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
             engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
-            res, = ramp(engine, *policy_ladder(engine, design, policy), 17.0, 5.0,
+            res, = ramp(engine, *policy_ladder(engine, policy), 17.0, 5.0,
                         policy.gain_stop_db)
             rep = res.report
             expected.append(simulator.MapCell(
