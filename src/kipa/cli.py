@@ -74,19 +74,24 @@ def parse_quantity(text: str) -> _Qty:
     if not math.isfinite(value):
         raise InvalidParameter(f"quantity {text!r} is not finite")
     unit = m.group(2)
-    if not unit:
-        return value, "none"
-    low = unit.lower()
-    if low == "dbm":
-        return 10.0 ** ((value - 30.0) / 10.0), "power"
-    if low == "db":
-        return 10.0 ** (value / 10.0), "ratio"
-    if unit == "Ω":
-        low = "ohm"
-    if low not in _UNIT_TABLE:
-        raise InvalidParameter(f"unknown unit {unit!r} in {text!r}")
-    kind, mult = _UNIT_TABLE[low]
-    return value * mult, kind
+    low = "ohm" if unit == "Ω" else unit.lower()
+    try:
+        if not unit:
+            qty, kind = value, "none"
+        elif low == "dbm":
+            qty, kind = 10.0 ** ((value - 30.0) / 10.0), "power"
+        elif low == "db":
+            qty, kind = 10.0 ** (value / 10.0), "ratio"
+        elif low in _UNIT_TABLE:
+            kind, mult = _UNIT_TABLE[low]
+            qty = value * mult
+        else:
+            raise InvalidParameter(f"unknown unit {unit!r} in {text!r}")
+    except OverflowError:
+        qty = math.inf
+    if not math.isfinite(qty):
+        raise InvalidParameter(f"quantity {text!r} overflows in SI units")
+    return qty, kind
 
 
 def parse_span(text: str) -> Tuple[float, float, float]:
@@ -149,8 +154,6 @@ def _coerce(value: str, want: str):
     if want == "span":
         return parse_span(value)
     qty, kind = parse_quantity(value)
-    if want == "any":
-        return qty
     if kind not in (want, "none"):
         raise InvalidParameter(f"expected {want}, got {kind} ({value!r})")
     if want == "impedance" and qty <= 0:
@@ -349,8 +352,8 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
     fps = TWO_PI * np.array(simulator.grid_axis(fp_lo, fp_hi, fp_step, "pump grid"))
     idcs = np.array(simulator.grid_axis(idc_lo, idc_hi, idc_step, "bias grid"))
     policy = PumpRampPolicy(mode=cfg.get("policy", "current"))
-    cells = simulator.pump_bias_map(design, env, fps, idcs, policy,
-                                    freq_step=TWO_PI * cfg.get("freq_step", 2e6))
+    freq_step = TWO_PI * cfg["freq_step"] if "freq_step" in cfg else simulator.MAP_FREQ_STEP
+    cells = simulator.pump_bias_map(design, env, fps, idcs, policy, freq_step)
     _write_out(emit_results({
         "fp_hz": [c.omega_p / TWO_PI for c in cells], "idc_a": [c.i_dc for c in cells],
         "bandwidth_hz": [c.bandwidth / TWO_PI for c in cells],

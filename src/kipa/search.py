@@ -16,9 +16,13 @@ import numpy as np
 from .circuits import CIRCUIT_KINDS, IDEAL_ENV, DesignSpec, circuit_kind_of
 from .errors import InvalidParameter
 from .material import KineticInductorModel
-from .simulator import ReflectionEngine, check_grid_points, drive_ladder, grid_axis, ramp
+from .simulator import (FREQ_HALF_SPAN, GAIN_STOP_DB, GAIN_THRESHOLD_DB, RIPPLE_MAX_DB,
+                        PumpRampPolicy, ReflectionEngine, grid_axis, policy_ladder, ramp)
 
 TWO_PI = 2.0 * math.pi
+# the search ramps |xi3| in 2-% steps over a 4-MHz signal grid
+SEARCH_RAMP = PumpRampPolicy(mode="xi3", ratio=1.02)
+SEARCH_FREQ_STEP = TWO_PI * 4e6
 
 
 @dataclass(frozen=True)
@@ -107,60 +111,50 @@ def _design_for(ranges: SearchRanges, z14: float, z12: float, z_nr: float):
 
 
 def search_designs(ranges: SearchRanges,
-                   xi3_start: float = TWO_PI * 1e6,
-                   xi3_step_ratio: float = 1.02,
-                   gain_stop_db: float = 40.0,
-                   threshold_db: float = 17.0,
-                   ripple_max_db: float = 5.0,
-                   freq_half_span: float = TWO_PI * 1.2e9,
-                   freq_step: float = TWO_PI * 4e6,
-                   alpha_max: float = 0.9) -> Iterator[DesignRecord]:
+                   policy: PumpRampPolicy = SEARCH_RAMP) -> Iterator[DesignRecord]:
     """Yield one record per qualifying grid point, in lexicographic order.
 
-    At each grid point |xi3| grows multiplicatively from ``xi3_start`` until
-    the maximum gain passes ``gain_stop_db`` (or an oscillation pole is
-    crossed); profiles with >= 17 dB gain, two peaks, and ripple under 5 dB
+    At each grid point |xi3| grows along the ``policy`` ladder (designs are
+    unbiased, so mode "xi3" only) until the maximum gain passes 40 dB (or an
+    oscillation pole is crossed); profiles that meet the amplifier criterion
     along the way compete for the recorded maximum bandwidth.  The cells of
     one (z14, z12, z_nr) row share their design and drive ladder, so each
     row is one engine over all of its cells.
     """
+    if policy.mode != "xi3":
+        raise InvalidParameter("search designs are unbiased, so a search ramps mode 'xi3', "
+                               f"not {policy.mode!r}")
     z14s, z12s, znrs, fp2s = ranges.axes()
-    cells = _row_grids(fp2s, freq_half_span, freq_step)
+    cells = _row_grids(fp2s)
     for z14 in z14s:
         for z12 in z12s:
             for z_nr in znrs:
-                yield from _search_row(ranges, z14, z12, z_nr, cells, xi3_start,
-                                       xi3_step_ratio, gain_stop_db, threshold_db,
-                                       ripple_max_db, alpha_max)
+                yield from _search_row(ranges, z14, z12, z_nr, cells, policy)
 
 
-def _row_grids(fp2s, half_span, step) -> list:
+def _row_grids(fp2s) -> list:
     """(wp2, ws, wp) of each pump-axis cell; cells under 16 grid points are dropped."""
-    if not step > 0:
-        raise InvalidParameter("freq_step must be > 0")
-    check_grid_points(2.0 * half_span / step, "search frequency grid")
     cells = []
     for wp2 in fp2s:
         wp = 2.0 * wp2
-        ws = np.arange(wp2 - half_span, wp2 + half_span, step)
+        ws = np.arange(wp2 - FREQ_HALF_SPAN, wp2 + FREQ_HALF_SPAN, SEARCH_FREQ_STEP)
         ws = ws[(ws > 0) & (wp - ws > 0)]
         if ws.size >= 16:
             cells.append((wp2, ws, wp))
     return cells
 
 
-def _search_row(ranges, z14, z12, z_nr, cells, xi3_start, ratio, stop_db,
-                threshold_db, ripple_max_db, alpha_max) -> List[DesignRecord]:
+def _search_row(ranges, z14, z12, z_nr, cells, policy) -> List[DesignRecord]:
     """Records of the row (z14, z12, z_nr) over its pump-axis ``cells``."""
     design = _design_for(ranges, z14, z12, z_nr)
     if not cells:
         return []
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells])
     # the ladder depends on the resonance alone, which the row shares
-    ladder = drive_ladder(xi3_start, ratio, engine.alpha_for_xi3, alpha_max)
+    ladder = policy_ladder(engine, policy)
     records = []
-    for (wp2, _, _), res in zip(cells, ramp(engine, *ladder, threshold_db,
-                                            ripple_max_db, stop_db)):
+    for (wp2, _, _), res in zip(cells, ramp(engine, *ladder, GAIN_THRESHOLD_DB,
+                                            RIPPLE_MAX_DB, GAIN_STOP_DB)):
         if res.report is not None:
             best_bw, best_xi = res.report.bandwidth, res.drive
             records.append(DesignRecord(z14, z12, z_nr, wp2, best_bw, best_xi,

@@ -31,6 +31,21 @@ from .material import modulation_alpha
 
 PEAK_PROMINENCE_DB = 0.5
 
+# The amplifier criterion of every search and map: gain >= 17 dB over a
+# two-peak span with <= 5 dB ripple.  A ramp stops past 40 dB, and its
+# ladder starts at |xi3| = 2π·1 MHz or |I_p| = 1 µA and ends before α reaches
+# 0.9; signal grids span ±1.2 GHz about the pump half-frequency, and a map's
+# ladder and grid step by 0.1 dB and 2 MHz unless told otherwise.
+GAIN_THRESHOLD_DB = 17.0
+RIPPLE_MAX_DB = 5.0
+GAIN_STOP_DB = 40.0
+START_XI3 = 2 * np.pi * 1e6
+START_CURRENT = 1e-6
+ALPHA_MAX = 0.9
+FREQ_HALF_SPAN = 2 * np.pi * 1.2e9
+MAP_STEP_DB = 0.1
+MAP_FREQ_STEP = 2 * np.pi * 2e6
+
 # Most points any frequency, bias or search-axis grid may hold: an engine
 # keeps about a dozen complex arrays per grid, ~200 MB at this size.
 MAX_GRID_POINTS = 1_000_000
@@ -123,6 +138,8 @@ def _checked_grid(freqs, omega_p):
         raise InvalidParameter("frequency grid must be a non-empty 1-D array")
     if np.any(np.diff(ws) <= 0):
         raise InvalidParameter("frequency grid must be strictly increasing")
+    if not ws[0] > 0:
+        raise InvalidParameter("grid reaches 0 Hz: omega_s must stay > 0")
     wi = omega_p - ws
     if np.any(wi <= 0):
         raise InvalidParameter("grid extends beyond the pump: omega_i must stay > 0")
@@ -406,8 +423,8 @@ def _peaks(x, height, prominence):
     return peaks[prominence <= h - np.maximum(lows[0::4], lows[2::4])]
 
 
-def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
-                     ripple_max_db: float = 5.0,
+def bandwidth_report(profile: GainProfile, threshold_db: float = GAIN_THRESHOLD_DB,
+                     ripple_max_db: float = RIPPLE_MAX_DB,
                      require_two_peaks: bool = False) -> BandwidthReport:
     """Bandwidth, peaks, and ripple of the largest contiguous >=threshold span.
 
@@ -449,28 +466,22 @@ def bandwidth_report(profile: GainProfile, threshold_db: float = 17.0,
 
 @dataclass(frozen=True)
 class PumpRampPolicy:
-    """How a sweep increases the pump at each map cell.
+    """How a sweep increases the pump at each cell, by ``ratio`` per step.
 
-    mode "current" ramps |I_p| in 0.1-dB power steps and stops at the
-    critical-current budget i_dc + |I_p| < i_c; mode "xi3" ramps |xi3|
-    directly with no material cap (the regime the simulations explore).
+    mode "current" ramps |I_p| and stops at the critical-current budget
+    i_dc + |I_p| < i_c; mode "xi3" ramps |xi3| directly, up to ``xi3_cap``
+    (rad/s) or with no material cap (the regime the simulations explore).
     """
 
     mode: str = "current"
-    step_db: float = 0.1
-    start_current: float = 1e-6      # A
-    start_xi3: float = 2 * np.pi * 1e6  # rad/s
-    gain_stop_db: float = 40.0
-    alpha_max: float = 0.9
+    ratio: float = 10.0 ** (MAP_STEP_DB / 20.0)
     xi3_cap: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in ("current", "xi3"):
             raise InvalidParameter("policy mode must be 'current' or 'xi3'")
-        if not self.step_db > 0:
-            raise InvalidParameter("step_db must be > 0")
-        if not (self.start_current > 0 and self.start_xi3 > 0):
-            raise InvalidParameter("start_current and start_xi3 must be > 0")
+        if not self.ratio > 1:
+            raise InvalidParameter("ramp ratio must be > 1")
 
 
 @dataclass(frozen=True)
@@ -769,29 +780,23 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
 
 
 def policy_ladder(engine: ReflectionEngine, policy: PumpRampPolicy):
-    """(drives, alphas) of the pump ramp that ``policy`` runs at one map cell."""
-    ratio = 10.0 ** (policy.step_db / 20.0)
+    """(drives, alphas) of the pump ramp that ``policy`` runs on ``engine``."""
     if policy.mode == "xi3":
         cap = policy.xi3_cap
         budget = None if cap is None else (lambda drive: drive <= cap)
-        return drive_ladder(policy.start_xi3, ratio, engine.alpha_for_xi3,
-                            policy.alpha_max, budget)
+        return drive_ladder(START_XI3, policy.ratio, engine.alpha_for_xi3, ALPHA_MAX, budget)
     model, i_dc = engine.design.ki_model, engine.i_dc
     if i_dc <= 0:
         return np.empty(0), np.empty(0)  # no three-wave mixing without bias
     budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
-    return drive_ladder(policy.start_current, ratio,
-                        lambda drive: modulation_alpha(model, i_dc, drive),
-                        policy.alpha_max, budget)
+    return drive_ladder(START_CURRENT, policy.ratio,
+                        lambda drive: modulation_alpha(model, i_dc, drive), ALPHA_MAX, budget)
 
 
 def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
                   omega_p_grid: Sequence[float], i_dc_grid: Sequence[float],
                   policy: PumpRampPolicy = PumpRampPolicy(),
-                  freq_half_span: float = 2 * np.pi * 1.2e9,
-                  freq_step: float = 2 * np.pi * 1e6,
-                  threshold_db: float = 17.0,
-                  ripple_max_db: float = 5.0) -> list:
+                  freq_step: float = MAP_FREQ_STEP) -> list:
     """Best qualifying bandwidth per (omega_p, i_dc) cell, in grid order.
 
     Cells without any qualifying profile report zero bandwidth.  Output
@@ -807,16 +812,16 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
     negative = [idc for idc in i_dc_grid if not idc >= 0]
     if negative:
         raise InvalidParameter(f"bias current i_dc must be >= 0, got {negative[0]:.4g} A")
-    check_grid_points(2.0 * freq_half_span / freq_step, "map frequency grid")
+    check_grid_points(2.0 * FREQ_HALF_SPAN / freq_step, "map frequency grid")
     cells = []
     for wp in omega_p_grid:
-        ws = np.arange(wp / 2 - freq_half_span, wp / 2 + freq_half_span, freq_step)
+        ws = np.arange(wp / 2 - FREQ_HALF_SPAN, wp / 2 + FREQ_HALF_SPAN, freq_step)
         # the network at ω_s and ω_i is the same at every bias of this pump
         network = ReflectionEngine(design, env, [(ws, wp)])
         for idc in i_dc_grid:
             engine = network.at_bias(idc)
             res, = ramp(engine, *policy_ladder(engine, policy),
-                        threshold_db, ripple_max_db, policy.gain_stop_db)
+                        GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)
             rep = res.report
             if rep is None:
                 cells.append(MapCell(wp, idc, 0.0, 0, 0.0, 0.0))

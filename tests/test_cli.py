@@ -430,9 +430,17 @@ def test_reused_parser_keeps_no_state_between_calls(monkeypatch):
     assert cli._PARSER.parse_args(["synth"]).set == []
 
 
-@pytest.mark.parametrize("argv", [["synth", "--threads", "two"], ["synth", "--bogus"],
-                                  [], ["transmogrify"], ["simulate", "--format", "xml"],
-                                  ["noise", "--input"]])
+# The long case lists below name each case explicitly, so a case added
+# anywhere renames no other; the cases that were named by their position
+# (argv0, argv1, ...) keep those names.
+@pytest.mark.parametrize("argv", [
+    pytest.param(["synth", "--threads", "two"], id="argv0"),
+    pytest.param(["synth", "--bogus"], id="argv1"),
+    pytest.param([], id="argv2"),
+    pytest.param(["transmogrify"], id="argv3"),
+    pytest.param(["simulate", "--format", "xml"], id="argv4"),
+    pytest.param(["noise", "--input"], id="argv5"),
+])
 def test_usage_error_is_one_line_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -524,31 +532,53 @@ _INLINE_DESIGN = ["--set", "z_quarter=80ohm", "--set", "z_half=30ohm", "--set", 
 _SIM = ["--fp", "16.9GHz", "--xi3", "1GHz", "--span", "8.3GHz:8.31GHz:5MHz"]
 
 
+def _case(name, argv, message):
+    """A rejected-input case with the id ``name-message`` wherever it stands."""
+    return pytest.param(argv, message, id=f"{name}-{message}")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["simulate", *_INLINE_DESIGN, "--set", "l_k0=0nH", "--fp", "16.9GHz", "--xi3", "1GHz",
-      "--span", "8.3GHz:8.31GHz:5MHz"], "total inductance l_k0 + l_geo must be > 0"),
-    (["map", *_INLINE_DESIGN, "--set", "l_k0=0nH", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
-      "--set", "idc_start=0.5mA", "--set", "idc_stop=0.5mA", "--set", "idc_step=1mA",
-      "--set", "policy=xi3"], "total inductance l_k0 + l_geo must be > 0"),
-    (["fit-ki", "--set", "l_k0=0nH", "--set", "l_geo=0nH"], "l_k0 must be > 0, got 0"),
-    (["fit-ki", "--set", "l_k0=0nH", "--set", "l_geo=0.2nH"], "l_k0 must be > 0, got 0"),
-    (["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "2GHz",
-      "--set", "phip=1.234rad"], "unknown key 'phip' for this command"),
+    _case("argv0", ["simulate", *_INLINE_DESIGN, "--set", "l_k0=0nH", "--fp", "16.9GHz",
+                    "--xi3", "1GHz", "--span", "8.3GHz:8.31GHz:5MHz"],
+          "total inductance l_k0 + l_geo must be > 0"),
+    _case("argv1", ["map", *_INLINE_DESIGN, "--set", "l_k0=0nH",
+                    "--set", "fp_span=16.9GHz:16.9GHz:10MHz", "--set", "idc_start=0.5mA",
+                    "--set", "idc_stop=0.5mA", "--set", "idc_step=1mA", "--set", "policy=xi3"],
+          "total inductance l_k0 + l_geo must be > 0"),
+    _case("argv2", ["fit-ki", "--set", "l_k0=0nH", "--set", "l_geo=0nH"],
+          "l_k0 must be > 0, got 0"),
+    _case("argv3", ["fit-ki", "--set", "l_k0=0nH", "--set", "l_geo=0.2nH"],
+          "l_k0 must be > 0, got 0"),
+    _case("argv4", ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "2GHz",
+                    "--set", "phip=1.234rad"], "unknown key 'phip' for this command"),
     # the port impedance is env_z0; a design has no z0
-    (["simulate", *_INLINE_DESIGN, "--set", "z0=60ohm", *_SIM], "unknown key 'z0' for this command"),
+    _case("argv5", ["simulate", *_INLINE_DESIGN, "--set", "z0=60ohm", *_SIM],
+          "unknown key 'z0' for this command"),
     # the kind follows from z_ki_quarter
-    (["map", *_INLINE_DESIGN, "--set", "circuit_kind=banana"],
-     "unknown key 'circuit_kind' for this command"),
-    (["search", "--set", "kind=conventional", "--set", "z_ki=150ohm"],
-     "the conventional circuit has no z_ki line"),
-    (["simulate", "--preset", "paper-device", "--set", "env=ideal", "--set", "env_z1=5ohm", *_SIM],
-     "environment presets take no inline env_* keys, got env_z1"),
-    (["simulate", "--preset", "paper-device", "--set", "env_tau1=1ns", *_SIM],
-     "env_tau1 needs its ripple amplitude env_z1"),
-    (["simulate", "--preset", "paper-device", "--set", "env_z1=5ohm", "--set", "env_phi2=1rad",
-      *_SIM], "env_phi2 needs its ripple amplitude env_z2"),
-    # a negative l_geo used to end in a division by zero (exit 2); added last to keep the ids
-    (["fit-ki", "--set", "l_k0=1nH", "--set", "l_geo=-1nH"], "l_geo must be >= 0, got -1e-09"),
+    _case("argv6", ["map", *_INLINE_DESIGN, "--set", "circuit_kind=banana"],
+          "unknown key 'circuit_kind' for this command"),
+    _case("argv7", ["search", "--set", "kind=conventional", "--set", "z_ki=150ohm"],
+          "the conventional circuit has no z_ki line"),
+    _case("argv8", ["simulate", "--preset", "paper-device", "--set", "env=ideal",
+                    "--set", "env_z1=5ohm", *_SIM],
+          "environment presets take no inline env_* keys, got env_z1"),
+    _case("argv9", ["simulate", "--preset", "paper-device", "--set", "env_tau1=1ns", *_SIM],
+          "env_tau1 needs its ripple amplitude env_z1"),
+    _case("argv10", ["simulate", "--preset", "paper-device", "--set", "env_z1=5ohm",
+                     "--set", "env_phi2=1rad", *_SIM],
+          "env_phi2 needs its ripple amplitude env_z2"),
+    # a negative l_geo used to end in a division by zero (exit 2)
+    _case("argv11", ["fit-ki", "--set", "l_k0=1nH", "--set", "l_geo=-1nH"],
+          "l_geo must be >= 0, got -1e-09"),
+    # finite numbers whose SI value overflows: a NaN spectrum (exit 0), a
+    # numerical failure and a vanishing bandwidth (exit 2) before
+    _case("fp-overflow", ["simulate", "--preset", "paper-device", "--fp", "1e308GHz"],
+          "quantity '1e308GHz' overflows in SI units"),
+    _case("gain-overflow", ["noise", "--set", "gs=1e308dB", "--set", "gsys_eff=30dB"],
+          "quantity '1e308dB' overflows in SI units"),
+    _case("impedance-overflow", ["synth", "--set", "epsilon=0.1", "--set", "z_ki=150ohm",
+                                 "--set", "z_nr=1e308kohm"],
+          "quantity '1e308kohm' overflows in SI units"),
 ])
 def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_path, capsys):
     if argv[0] == "fit-ki":
@@ -616,20 +646,34 @@ def test_grid_axis_is_the_search_axis_rule():
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "0:1e300:1"],
-    ["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--span", "8GHz:9GHz:1e-3Hz"],
-    ["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:17GHz:1e-3Hz",
-     "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA", "--set", "idc_step=1mA"],
-    ["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
-     "--set", "idc_start=0.5mA", "--set", "idc_stop=0.6mA", "--set", "idc_step=1e-15A"],
-    ["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
-     "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA", "--set", "idc_step=1mA",
-     "--set", "freq_step=1Hz"],
-    ["search", "--set", "z14=30ohm:100ohm:1e-9ohm"],
-    ["search", "--set", "fp2=7.5GHz:8.5GHz:1Hz"],
+    pytest.param(["simulate", "--preset", "paper-device", "--fp", "16.9GHz",
+                  "--span", "0:1e300:1"], id="argv0"),
+    pytest.param(["simulate", "--preset", "paper-device", "--fp", "16.9GHz",
+                  "--span", "8GHz:9GHz:1e-3Hz"], id="argv1"),
+    pytest.param(["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:17GHz:1e-3Hz",
+                  "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA",
+                  "--set", "idc_step=1mA"], id="argv2"),
+    pytest.param(["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
+                  "--set", "idc_start=0.5mA", "--set", "idc_stop=0.6mA",
+                  "--set", "idc_step=1e-15A"], id="argv3"),
+    pytest.param(["map", "--preset", "paper-device", "--set", "fp_span=16.9GHz:16.9GHz:10MHz",
+                  "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA",
+                  "--set", "idc_step=1mA", "--set", "freq_step=1Hz"], id="argv4"),
+    pytest.param(["search", "--set", "z14=30ohm:100ohm:1e-9ohm"], id="argv5"),
+    pytest.param(["search", "--set", "fp2=7.5GHz:8.5GHz:1Hz"], id="argv6"),
 ])
 def test_oversized_grid_is_validation_error(argv, capsys):
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and f"at most {MAX_GRID_POINTS} are allowed" in err
+
+
+@pytest.mark.parametrize("span", ["0Hz:0.003GHz:1MHz", "-1GHz:8GHz:1GHz"])
+def test_signal_grid_at_or_below_0_hz_is_validation_error(span, capsys):
+    # 0 Hz used to be written as a pole: 0,nan,nan,inf
+    assert main(["simulate", "--preset", "paper-device", "--fp", "16.9GHz",
+                 "--set", f"span={span}"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid reaches 0 Hz: omega_s must stay > 0\n"

@@ -28,9 +28,23 @@ from kipa import simulator
 from kipa.material import PumpOperatingPoint, modulation_alpha, pump_coefficients
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, paper_device, paper_env
 from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
-from kipa.search import _design_for, _row_grids, default_ranges, search_designs, SearchRanges
+from kipa.search import (
+    SEARCH_RAMP,
+    SearchRanges,
+    _design_for,
+    _row_grids,
+    default_ranges,
+    search_designs,
+)
 from kipa.simulator import (
+    ALPHA_MAX,
+    GAIN_STOP_DB,
+    GAIN_THRESHOLD_DB,
+    MAP_STEP_DB,
     PEAK_PROMINENCE_DB,
+    RIPPLE_MAX_DB,
+    START_CURRENT,
+    START_XI3,
     GainProfile,
     MobiusForm,
     PumpRampPolicy,
@@ -179,7 +193,7 @@ def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    _, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    _, alphas = policy_ladder(engine, SEARCH_RAMP)
     peaks = np.array([engine.gain_db(float(a)).max() for a in alphas])  # inf at poles
     (kept, *_), = _candidate_steps(engine, alphas, db)
     assert set(np.flatnonzero(peaks >= db)) <= set(kept)
@@ -192,7 +206,7 @@ def test_screened_search_ramp_matches_exhaustive(cell):
     ranges, design, z14, z12, z_nr, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
-    ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    ladder = policy_ladder(engine, SEARCH_RAMP)
     full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
     assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [full]
     # the search records exactly that best profile
@@ -217,7 +231,7 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
     wp = TWO_PI * fp_hz
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
-    ladder = policy_ladder(engine, PumpRampPolicy(mode=mode, step_db=step_db))
+    ladder = policy_ladder(engine, PumpRampPolicy(mode=mode, ratio=10.0 ** (step_db / 20.0)))
     assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, *ladder, 17.0, 5.0, 40.0)]
 
@@ -229,9 +243,10 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
                                                    TWO_PI * 16.9e9)], 0.57e-3)
     policy = PumpRampPolicy(mode=mode)
     drives, alphas = policy_ladder(engine, policy)
-    # the loop the ladder replaces
-    ratio = 10.0 ** (policy.step_db / 20.0)
-    drive = policy.start_current if mode == "current" else policy.start_xi3
+    # the loop the ladder replaces, in 0.1-dB power steps
+    ratio = 10.0 ** (MAP_STEP_DB / 20.0)
+    assert policy.ratio == ratio == 10.0 ** (0.1 / 20.0)
+    drive = START_CURRENT if mode == "current" else START_XI3
     expected = []
     while True:
         if mode == "current":
@@ -241,7 +256,7 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
                                                         + 0.57e-3**2)) ** 2
         else:
             alpha = engine.alpha_for_xi3(drive)
-        if alpha >= policy.alpha_max:
+        if alpha >= ALPHA_MAX:
             break
         expected.append((drive, alpha))
         drive *= ratio
@@ -310,7 +325,7 @@ def test_ladder_that_does_not_end_is_rejected(mode, monkeypatch):
     engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
                               PAPER_DEVICE_BIAS)
     with pytest.raises(InvalidParameter, match="has not ended after 1000000 steps"):
-        policy_ladder(engine, PumpRampPolicy(mode=mode, step_db=1e-7))
+        policy_ladder(engine, PumpRampPolicy(mode=mode, ratio=10.0 ** (1e-7 / 20.0)))
 
 
 def test_ladder_below_the_step_cap_ends():
@@ -319,28 +334,40 @@ def test_ladder_below_the_step_cap_ends():
     assert abs(drives.size - 999_000) < 1_000
 
 
-@pytest.mark.parametrize("field", ["start_current", "start_xi3"])
-def test_policy_rejects_a_zero_ramp_start(field):
-    with pytest.raises(InvalidParameter, match="start_current and start_xi3 must be > 0"):
-        PumpRampPolicy(**{field: 0.0})
+@pytest.mark.parametrize("ratio", [1.0, 0.5, math.nan])
+def test_policy_rejects_a_ratio_that_cannot_grow(ratio):
+    with pytest.raises(InvalidParameter, match="ramp ratio must be > 1"):
+        PumpRampPolicy(mode="xi3", ratio=ratio)
 
 
-def test_search_rejects_a_zero_ramp_start(monkeypatch):
-    chunks = []
-    alpha_for_xi3 = ReflectionEngine.alpha_for_xi3
-
-    def bounded(engine, drives):
-        # a ladder that never ends fails here instead of running on
-        chunks.append(np.size(drives))
-        assert len(chunks) < 4
-        return alpha_for_xi3(engine, drives)
-
-    monkeypatch.setattr(ReflectionEngine, "alpha_for_xi3", bounded)
+def test_search_rejects_a_current_ramp():
+    # search designs are unbiased, so a current ladder would be empty and
+    # every row silently recordless
     point = SearchRanges((80.0, 80.0, 1.0), (60.0, 60.0, 1.0), (50.0, 50.0, 1.0),
                          (TWO_PI * 8e9, TWO_PI * 8e9, 1.0), 180.0, TWO_PI * 8e9)
-    with pytest.raises(InvalidParameter, match="ramp start must be > 0"):
-        list(search_designs(point, xi3_start=0.0))
-    assert chunks == []
+    with pytest.raises(InvalidParameter, match="^search designs are unbiased, so a search "
+                                               "ramps mode 'xi3', not 'current'$"):
+        list(search_designs(point, PumpRampPolicy(mode="current")))
+
+
+def test_search_ladder_is_the_policy_budget():
+    # the search ramp starts at 2π·1 MHz in 2-% steps; an xi3_cap ends it early
+    point = SearchRanges((70.0, 70.0, 1.0), (30.0, 30.0, 1.0), (80.0, 80.0, 1.0),
+                         (TWO_PI * 7.75e9, TWO_PI * 8e9, TWO_PI * 0.25e9), 150.0, TWO_PI * 8e9)
+    records = list(search_designs(point))
+    assert records
+    assert SEARCH_RAMP == PumpRampPolicy(mode="xi3", ratio=1.02)
+    engine = ReflectionEngine(_design_for(point, 70.0, 30.0, 80.0), IDEAL_ENV,
+                              [(ws, wp) for _, ws, wp in _row_grids(point.axes()[3])])
+    drives, alphas = policy_ladder(engine, SEARCH_RAMP)
+    want = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    assert drives.tolist() == want[0].tolist() and alphas.tolist() == want[1].tolist()
+    first = min(records, key=lambda r: r.optimal_xi3)
+    budget = dataclasses.replace(SEARCH_RAMP, xi3_cap=first.optimal_xi3)
+    assert policy_ladder(engine, budget)[0].tolist() == [
+        d for d in drives.tolist() if d <= first.optimal_xi3]
+    capped = list(search_designs(point, budget))
+    assert first in capped and all(r.optimal_xi3 <= first.optimal_xi3 for r in capped)
 
 
 levels = st.sampled_from([-3.0, 10.0, 16.5, 17.0, 17.0 + 1e-12, 17.3, 17.5, 18.0, 25.0])
@@ -382,7 +409,8 @@ def test_peaks_equal_scipy_find_peaks_on_every_short_row(prominence):
 
 
 def test_peaks_equal_scipy_find_peaks_on_recorded_report_rows(monkeypatch):
-    # every profile both desk searches and the rippled map lattice report
+    # every profile both desk searches and the rippled map lattice report,
+    # the lattice on the 2-MHz signal grid that `kipa map` uses
     rows = []
 
     def record(x, height, prominence):
@@ -416,7 +444,7 @@ def test_screened_ramp_matches_exhaustive_over_limits(cell, env, symmetric,
     else:
         ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    ladder = policy_ladder(engine, SEARCH_RAMP)
     assert ramp(engine, *ladder, threshold_db, ripple_max_db, 40.0) == [_exhaustive_ramp(
         engine, *ladder, threshold_db, ripple_max_db, 40.0)]
 
@@ -437,7 +465,7 @@ def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
         if ws.size < 16:
             continue
         engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
-        ladder = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+        ladder = policy_ladder(engine, SEARCH_RAMP)
         full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
         if full.report is not None:
             expected.append((wp2, full.report.bandwidth, full.drive))
@@ -457,7 +485,7 @@ def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz
             ws = ws[ws < wp2 + TWO_PI * clip_hz]
         grids.append((ws, 2 * wp2))
     row = ReflectionEngine(design, ENVS[env], grids)
-    ladder = drive_ladder(TWO_PI * 1e6, 1.02, row.alpha_for_xi3, 0.9)
+    ladder = policy_ladder(row, SEARCH_RAMP)
     alone = [ReflectionEngine(design, ENVS[env], [grid]) for grid in grids]
     for got, want in zip((screen.steps for screen in _candidate_steps(row, ladder[1], 17.0)),
                          (_candidate_steps(engine, ladder[1], 17.0)[0].steps
@@ -474,7 +502,7 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     wp2 = TWO_PI * 7.75e9
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
-    drives, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    drives, alphas = policy_ladder(engine, SEARCH_RAMP)
     full = _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
     assert full.report is not None
     # candidate steps up to and including the one that stops the ramp
@@ -517,7 +545,7 @@ def _row_designs():
 def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
     # the first pump value leaves fewer than 16 grid points: the row drops it
     fp2s = [TWO_PI * 5e6] + _axis(TWO_PI * 7.5e9, TWO_PI * 8.5e9, TWO_PI * 0.25e9)
-    cells = _row_grids(fp2s, TWO_PI * 1.2e9, TWO_PI * 4e6)
+    cells = _row_grids(fp2s)
     assert [wp2 for wp2, _, _ in cells] == fp2s[1:]
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], i_dc)
     assert len(engine.cells) == len(cells)
@@ -570,19 +598,18 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
     # without a critical current the current ramp reaches the gain regime
     design = dataclasses.replace(paper_device(),
                                  ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=None))
-    policy = PumpRampPolicy(mode=mode, step_db=0.25)
+    policy = PumpRampPolicy(mode=mode, ratio=10.0 ** (0.25 / 20.0))
     fps = TWO_PI * np.array([16.8e9, 16.9e9])
     idcs = [0.0, 0.52e-3, 0.57e-3]
     half, step = TWO_PI * 1.2e9, TWO_PI * 4e6
-    cells = pump_bias_map(design, ENVS[env], fps, idcs, policy, freq_half_span=half,
-                          freq_step=step)
+    cells = pump_bias_map(design, ENVS[env], fps, idcs, policy, freq_step=step)
     expected = []
     for wp in fps:
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
             engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
-            res, = ramp(engine, *policy_ladder(engine, policy), 17.0, 5.0,
-                        policy.gain_stop_db)
+            res, = ramp(engine, *policy_ladder(engine, policy), GAIN_THRESHOLD_DB,
+                        RIPPLE_MAX_DB, GAIN_STOP_DB)
             rep = res.report
             expected.append(simulator.MapCell(
                 wp, idc, *((rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
@@ -609,7 +636,7 @@ def test_one_engine_build_per_search_row_and_per_map_pump(monkeypatch):
     assert builds == []
     fps = TWO_PI * np.array([16.8e9, 16.9e9, 17.0e9])
     pump_bias_map(paper_device(), IDEAL_ENV, fps, [0.0, 0.52e-3, 0.57e-3],
-                  PumpRampPolicy(mode="xi3", step_db=0.5), freq_step=TWO_PI * 4e6)
+                  PumpRampPolicy(mode="xi3", ratio=10.0 ** (0.5 / 20.0)), freq_step=TWO_PI * 4e6)
     assert len(builds) == len(fps)   # one per pump frequency
 
 
@@ -731,10 +758,9 @@ def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
 def _row_of_two(cell, env):
     """A row engine whose second cell is ``cell`` and the one before it, and its ladder."""
     _, design, _, _, _, wp2 = cell
-    grids = [(ws, wp) for _, ws, wp in _row_grids([wp2 - TWO_PI * 0.25e9, wp2],
-                                                  TWO_PI * 1.2e9, TWO_PI * 4e6)]
+    grids = [(ws, wp) for _, ws, wp in _row_grids([wp2 - TWO_PI * 0.25e9, wp2])]
     engine = ReflectionEngine(design, ENVS[env], grids)
-    return engine, drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    return engine, policy_ladder(engine, SEARCH_RAMP)
 
 
 def _rounds(screens, per_round):
@@ -797,7 +823,7 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    drives, alphas = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    drives, alphas = policy_ladder(engine, SEARCH_RAMP)
     assume(step < alphas.size)
     if degenerate:   # a2 = 0 at one point: the screen keeps every step and point
         m = engine.mobius
@@ -878,7 +904,7 @@ def test_rounds_equal_exhaustive_per_cell_ramps_at_every_budget(cell, env, clip_
             ws = ws[ws < wp2 + TWO_PI * clip_hz]
         grids.append((ws, 2 * wp2))
     row = ReflectionEngine(design, ENVS[env], grids)
-    ladder = drive_ladder(TWO_PI * 1e6, 1.02, row.alpha_for_xi3, 0.9)
+    ladder = policy_ladder(row, SEARCH_RAMP)
     want = [_exhaustive_ramp(ReflectionEngine(design, ENVS[env], [grid]), *ladder, 17.0, 5.0, 40.0)
             for grid in grids]
     for budget in (1, grids[-1][0].size, simulator.RAMP_BLOCK_POINTS):

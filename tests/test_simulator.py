@@ -239,11 +239,10 @@ def test_pump_bias_map_zero_cap_policy():
 
 def test_pump_bias_map_deterministic_and_ordered():
     design = paper_device()
-    policy = PumpRampPolicy(mode="xi3", step_db=0.5)
+    policy = PumpRampPolicy(mode="xi3", ratio=10.0 ** (0.5 / 20.0))
     fps = [TWO_PI * 16.8e9, TWO_PI * 16.9e9]
     idcs = [0.52e-3, 0.57e-3]
-    runs = [pump_bias_map(design, None, fps, idcs, policy,
-                          freq_half_span=TWO_PI * 1.0e9, freq_step=TWO_PI * 4e6)
+    runs = [pump_bias_map(design, None, fps, idcs, policy, freq_step=TWO_PI * 4e6)
             for _ in range(2)]
     assert runs[0] == runs[1]
     keys = [(c.omega_p, c.i_dc) for c in runs[0]]
@@ -252,11 +251,10 @@ def test_pump_bias_map_deterministic_and_ordered():
 
 def test_pump_bias_map_finds_operating_region():
     design = paper_device()
-    policy = PumpRampPolicy(mode="xi3", step_db=0.1)
+    policy = PumpRampPolicy(mode="xi3")
     fps = TWO_PI * np.array([16.5e9, 16.9e9, 17.3e9])
     idcs = [0.57e-3]
-    cells = pump_bias_map(design, None, fps, idcs, policy,
-                          freq_half_span=TWO_PI * 1.1e9, freq_step=TWO_PI * 2e6)
+    cells = pump_bias_map(design, None, fps, idcs, policy)
     bws = {c.omega_p: c.bandwidth for c in cells}
     assert bws[TWO_PI * 16.9e9] > TWO_PI * 0.3e9   # near the design point
     assert any(v == 0.0 for v in bws.values())     # region is confined
@@ -266,7 +264,7 @@ def test_current_policy_respects_critical_current():
     design = paper_device()
     policy = PumpRampPolicy(mode="current")
     cells = pump_bias_map(design, None, [TWO_PI * 16.9e9], [0.57e-3], policy,
-                          freq_half_span=TWO_PI * 1.0e9, freq_step=TWO_PI * 4e6)
+                          freq_step=TWO_PI * 4e6)
     cell = cells[0]
     assert cell.optimal_drive + 0.57e-3 < design.ki_model.i_c
     # the material budget cannot reach the qualifying pump strength here
