@@ -40,7 +40,7 @@ _UNIT_TABLE = {
     "hz": ("frequency", 1.0), "khz": ("frequency", 1e3), "mhz": ("frequency", 1e6),
     "ghz": ("frequency", 1e9),
     # impedance -> ohm
-    "ohm": ("impedance", 1.0), "ohms": ("impedance", 1.0), "Ω": ("impedance", 1.0),
+    "ohm": ("impedance", 1.0), "ohms": ("impedance", 1.0),
     "kohm": ("impedance", 1e3),
     # capacitance -> F
     "ff": ("capacitance", 1e-15), "pf": ("capacitance", 1e-12),
@@ -74,7 +74,7 @@ def parse_quantity(text: str) -> _Qty:
     if not math.isfinite(value):
         raise InvalidParameter(f"quantity {text!r} is not finite")
     unit = m.group(2)
-    low = "ohm" if unit == "Ω" else unit.lower()
+    low = unit.replace("Ω", "ohm").lower()
     try:
         if not unit:
             qty, kind = value, "none"

@@ -162,7 +162,8 @@ class ReflectionEngine:
     (Möbius) map of α at every grid frequency:
     S11(α) = (P + Qα)/(R + Sα), see :attr:`mobius`.  Ramps use it to find,
     before evaluating any step, the α ranges where the gain can reach a
-    threshold; ``s11`` evaluates the network itself.
+    threshold; :meth:`s11`, the one S11 kernel, evaluates the network
+    itself, elementwise over (α, grid point) pairs.
     """
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel,
@@ -234,13 +235,18 @@ class ReflectionEngine:
         r = xi3_mag / (2.0 * self.omega0)
         return r * r
 
-    def s11_at(self, alpha, at) -> np.ndarray:
+    def s11(self, alpha, at=slice(None)) -> np.ndarray:
         """S11 at modulation ``alpha`` and grid points ``at``, elementwise over their broadcast.
 
-        ``at`` is a slice or an index array into the concatenated grid.  Each
-        element goes through the same arithmetic whatever the shapes, so it
-        is bit for bit what its (α, point) pair gives alone.  α is not checked.
+        ``at`` is a slice or an index array into the concatenated grid, such
+        as a cell of :attr:`cells`; a column of α against a slice gives one
+        row per α.  Each element goes through the same arithmetic whatever
+        the shapes, so it is bit for bit what its (α, point) pair gives alone.
         """
+        values = np.ravel(alpha)
+        outside = values[~((values >= 0) & (values < 1))]
+        if outside.size:
+            raise InvalidParameter(f"alpha = {outside[0]:.4g} outside [0, 1)")
         y_eff, den = self._y_eff(alpha, at)
         with np.errstate(divide="ignore", invalid="ignore"):
             y_node = self.y_c[at] + y_eff
@@ -253,20 +259,9 @@ class ReflectionEngine:
             s11 = np.where(pole, np.inf + 0j, s11)
         return s11
 
-    def gain_db_at(self, alpha, at) -> np.ndarray:
-        """20 log10 |S11| at (α, point) pairs, see :meth:`s11_at`."""
-        return _to_db(self.s11_at(alpha, at))
-
-    def s11(self, alpha, cells: slice = slice(None)) -> np.ndarray:
-        """S11 over ``cells`` at one α, or one row per α of a 1-D array of α."""
-        values = np.ravel(alpha)
-        outside = values[~((values >= 0) & (values < 1))]
-        if outside.size:
-            raise InvalidParameter(f"alpha = {outside[0]:.4g} outside [0, 1)")
-        return self.s11_at(values[:, None] if np.ndim(alpha) else alpha, cells)
-
-    def gain_db(self, alpha, cells: slice = slice(None)) -> np.ndarray:
-        return _to_db(self.s11(alpha, cells))
+    def gain_db(self, alpha, at=slice(None)) -> np.ndarray:
+        """20 log10 |S11| at (α, point) pairs, see :meth:`s11`."""
+        return _to_db(self.s11(alpha, at))
 
     def y_eff(self, alpha) -> np.ndarray:
         return self._y_eff(alpha, slice(None))[0]
@@ -590,74 +585,34 @@ def _with_roots(a2, disc):
     return np.flatnonzero(~((a2 < 0) & (disc < 0)))
 
 
-class CellScreen(NamedTuple):
-    """What the α screen keeps of one cell: ladder steps and their windows.
+def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
+    """(cell, step, lo, hi) of the ladder steps of each cell of ``engine`` that may reach ``db``.
 
-    ``steps`` are the kept ladder steps in ladder order; step ``steps[i]``
-    is evaluated on the grid points ``lo[i]`` up to, not including,
-    ``hi[i]`` (indices into the engine's concatenated grid).  Every point
-    of the cell outside its window is finite and below the screened level
-    at that step.
-    """
-
-    steps: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def _step_windows(points, first, stop, cell, at_cell, at_step, m, n):
-    """Window ends (lo, hi) of each queried (cell, ladder step) of :func:`_candidate_steps`.
-
-    The exact window runs from one point before the least point whose
-    interval [first, stop) holds the step to one point after the greatest.
-    Its lower end is bounded from below by the least point of the intervals
-    that start at or before the step (a prefix minimum over intervals
-    sorted by ``first``) and by that of the intervals that stop after it (a
-    suffix minimum over intervals sorted by ``stop``); the larger bound is
-    taken, and the upper end likewise with maxima.  So the window is a
-    superset of the exact one, found with two sorts rather than by
-    expanding every interval over its steps.  Every queried step lies in
-    an interval of its cell, so each bound reads a point of that cell.
-    """
-    # cells take disjoint, ascending point ranges; a running minimum (or a
-    # reverse running maximum) must not carry a value across cells, so for
-    # those the points are shifted down by the cell, which reverses the order
-    shift = cell * (n + 1)
-    key, query = cell * (m + 1), at_cell * (m + 1) + at_step
-    by_first = np.argsort(key + first)
-    j = np.searchsorted((key + first)[by_first], query, side="right") - 1
-    low_first = np.minimum.accumulate((points - shift)[by_first])[j] + at_cell * (n + 1)
-    high_first = np.maximum.accumulate(points[by_first])[j]
-    by_stop = np.argsort(key + stop)
-    j = np.searchsorted((key + stop)[by_stop], query, side="right")
-    low_stop = np.minimum.accumulate(points[by_stop][::-1])[::-1][j]
-    high_stop = np.maximum.accumulate((points - shift)[by_stop][::-1])[::-1][j] + at_cell * (n + 1)
-    return np.maximum(low_first, low_stop) - 1, np.minimum(high_first, high_stop) + 2
-
-
-def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) -> list:
-    """Per cell of ``engine``, a :class:`CellScreen` of the steps that may reach ``db``.
+    The four index arrays run by cell, then by ladder step: step
+    ``step[i]`` of cell ``cell[i]`` is evaluated on the grid points
+    ``lo[i]`` up to, not including, ``hi[i]`` (indices into the engine's
+    concatenated grid), its window.  Every point of the cell outside the
+    window is finite and below ``db`` at that step, and every step not
+    listed is so at every point of the cell.
 
     Per frequency, |S11(α)|² >= G is the real quadratic
     |P + Qα|² - G·|R + Sα|² >= 0, whose solution set is at most two
     intervals of α.  Mapped onto the ladder, each is the step range at
     which that frequency may reach ``db``; an idler pole adds the steps at
-    its α.  A cell keeps the union of its ranges, and every other step is
-    finite and below ``db`` at every frequency of the cell; a kept step is
-    evaluated on the window of the frequencies whose ranges hold it (see
-    :func:`_step_windows`).  The quadratics are elementwise in ω and the
-    cells share the ladder, so they are solved once over the engine's
-    concatenated grid, at the points that have real roots or a2 >= 0
-    (:func:`_with_roots`), and one ``bincount`` over (cell, step) offsets
-    covers the ladder of every cell.  A cell with a degenerate (a2 = 0) or
-    overflowing quadratic keeps every step on the whole cell.
+    its α.  A cell keeps the union of its ranges.  The quadratics are
+    elementwise in ω and the cells share the ladder, so they are solved
+    once over the engine's concatenated grid, at the points that have real
+    roots or a2 >= 0 (:func:`_with_roots`), and the ranges of every cell go
+    onto one (cell, m + 1 ladder slot) layout: a ``bincount`` there covers
+    the ladders, and running extremes along it bound the windows.  A cell
+    with a degenerate (a2 = 0) or overflowing quadratic keeps every step on
+    the whole cell.
     """
     m = alphas.size
     starts = np.array([cells.start for cells in engine.cells], dtype=np.intp)
     stops = np.array([cells.stop for cells in engine.cells], dtype=np.intp)
     if m == 0:
-        none = np.arange(0)
-        return [CellScreen(none, none, none)] * len(engine.cells)
+        return (np.arange(0),) * 4
     g = 10.0 ** (db / 10.0) * (1.0 - RAMP_SLACK)
     p, q, r, s, a_idler = engine.mobius
     a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
@@ -680,8 +635,7 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) ->
     stop = np.searchsorted(alphas, hi[meets], side="right")
     keep = first < stop
     points, first, stop = points[meets[keep]], first[keep], stop[keep]
-    cell = np.searchsorted(starts, points, side="right") - 1
-    offset = cell * (m + 1)
+    offset = (np.searchsorted(starts, points, side="right") - 1) * (m + 1)
     size = len(starts) * (m + 1)
     cover = np.cumsum((np.bincount(offset + first, minlength=size)
                        - np.bincount(offset + stop, minlength=size)).reshape(-1, m + 1),
@@ -689,14 +643,27 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float) ->
     kept = cover[:, :m] > 0
     kept[keep_all] = True
     at_cell, at_step = np.nonzero(kept)
-    lo, hi = starts[at_cell], stops[at_cell]
-    part = np.flatnonzero(~keep_all[at_cell])
-    if part.size:
-        low, high = _step_windows(points, first, stop, cell, at_cell[part], at_step[part],
-                                  m, p.size)
-        lo[part], hi[part] = np.maximum(low, lo[part]), np.minimum(high, hi[part])
-    bounds = np.searchsorted(at_cell, np.arange(len(starts) + 1))
-    return [CellScreen(at_step[i:j], lo[i:j], hi[i:j]) for i, j in zip(bounds[:-1], bounds[1:])]
+
+    def extreme(ufunc, blank, slot, upto):
+        """``ufunc`` over the points of each kept step's cell whose ``slot`` is at most ``upto``."""
+        ladder = np.full(size, blank, dtype=np.intp)
+        ufunc.at(ladder, offset + slot, points)
+        return ufunc.accumulate(ladder.reshape(-1, m + 1), axis=1)[at_cell, upto]
+
+    # the exact window runs from one point before the least point whose
+    # interval [first, stop) holds the step to one point after the greatest.
+    # Those are bounded by the extremes over the intervals that start at or
+    # before the step and over those that stop after it (slot m + 1 - stop
+    # at most m - step); the tighter bounds give a window that holds the exact one
+    down, back = m + 1 - stop, m - at_step
+    lo = np.maximum(extreme(np.minimum, p.size, first, at_step),
+                    extreme(np.minimum, p.size, down, back)) - 1
+    hi = np.minimum(extreme(np.maximum, -1, first, at_step),
+                    extreme(np.maximum, -1, down, back)) + 2
+    whole = keep_all[at_cell]
+    lo = np.where(whole, starts[at_cell], np.maximum(lo, starts[at_cell]))
+    hi = np.where(whole, stops[at_cell], np.minimum(hi, stops[at_cell]))
+    return at_cell, at_step, lo, hi
 
 
 def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
@@ -713,9 +680,9 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     The rest run in rounds over the whole engine.  A round takes the next
     kept steps of every cell that has not stopped, in ladder order, until
     it holds :data:`RAMP_BLOCK_POINTS` grid points (at least one step), and
-    evaluates them in one :meth:`ReflectionEngine.gain_db_at` call on flat
-    (α, point) pairs.  Each step is evaluated only on its window
-    (:class:`CellScreen`): every point outside it is finite and below
+    evaluates them in one :meth:`ReflectionEngine.gain_db` call on flat
+    (α, point) pairs.  Each step is evaluated only on its window (see
+    :func:`_candidate_steps`): every point outside it is finite and below
     ``min(threshold_db, stop_db)`` at that step, so the stop test, the
     rising-maxima count and the widest span, whose edges interpolate
     against the window's end points, read the same numbers from the window
@@ -734,13 +701,11 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     equal widths, until one qualifies; only those steps are evaluated
     again over the whole cell.
     """
-    screens = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
-    cell = np.repeat(np.arange(len(screens)), [screen.steps.size for screen in screens])
-    step, lo, hi = (np.concatenate(field) for field in zip(*screens))
+    cell, step, lo, hi = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
     size = hi - lo
     queue = np.lexsort((cell, step))   # the rows of every cell, in ladder order
-    stopped = np.zeros(len(screens), dtype=bool)
-    candidates = [[] for _ in screens]   # (width, ladder index) per candidate step
+    stopped = np.zeros(len(engine.cells), dtype=bool)
+    candidates = [[] for _ in engine.cells]   # (width, ladder index) per candidate step
     while queue.size:
         take = max(1, int(np.searchsorted(np.cumsum(size[queue]), RAMP_BLOCK_POINTS,
                                           side="right")))
@@ -748,10 +713,10 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
         ks, cs, n = step[rows], cell[rows], size[rows]
         starts = np.cumsum(n) - n
         at = np.arange(starts[-1] + n[-1]) + np.repeat(lo[rows] - starts, n)
-        gain = engine.gain_db_at(np.repeat(alphas[ks], n), at)
+        gain = engine.gain_db(np.repeat(alphas[ks], n), at)
         # the first row past an oscillation pole or above stop_db ends its cell's ramp
         halt = np.logical_or.reduceat(~np.isfinite(gain) | (gain > stop_db), starts)
-        last = np.full(len(screens), alphas.size)
+        last = np.full(len(engine.cells), alphas.size)
         np.minimum.at(last, cs[halt], ks[halt])
         live = ks < last[cs]
         live &= _rising_maxima(gain, threshold_db, starts) >= 2
@@ -769,7 +734,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
         best, best_drive = None, 0.0
         # a stable sort keeps ladder order among equal widths
         for _, k in sorted(found, key=lambda c: -c[0]):
-            gain, = engine.gain_db(alphas[k:k + 1], cells)
+            gain = engine.gain_db(alphas[k], cells)
             rep = bandwidth_report(GainProfile(engine.ws[cells], None, gain, omega_p),
                                    threshold_db, ripple_max_db, require_two_peaks=True)
             if rep.qualified:

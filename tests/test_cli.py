@@ -47,6 +47,11 @@ def test_parse_quantity_units():
         parse_quantity("notanumber")
 
 
+@pytest.mark.parametrize("text", ["60Ω", "0.06kΩ", "0.06kohm"])
+def test_parse_quantity_reads_prefixed_ohm_signs(text):
+    assert parse_quantity(text) == (60.0, "impedance")
+
+
 def test_parse_span():
     assert parse_span("7.9GHz:8.9GHz:1MHz") == (7.9e9, 8.9e9, 1e6)
     with pytest.raises(InvalidParameter):

@@ -65,19 +65,12 @@ TWO_PI = 2 * math.pi
 ENVS = {"ideal": IDEAL_ENV, "rippled": paper_env()}
 
 
-def _axis(lo, hi, step):
-    return [lo + k * step for k in range(int(round((hi - lo) / step)) + 1)]
-
-
 @st.composite
 def search_cells(draw):
     """A (design, z14, z12, z_nr, fp2) cell of the desk search grids."""
     kind = draw(st.sampled_from(["three-stage", "conventional"]))
     ranges = default_ranges(kind)
-    z14 = draw(st.sampled_from(_axis(*ranges.z_quarter_range)))
-    z12 = draw(st.sampled_from(_axis(*ranges.z_half_range)))
-    z_nr = draw(st.sampled_from(_axis(*ranges.z_nr_range)))
-    wp2 = draw(st.sampled_from(_axis(*ranges.omega_p_half_range)))
+    z14, z12, z_nr, wp2 = (draw(st.sampled_from(axis)) for axis in ranges.axes())
     return ranges, _design_for(ranges, z14, z12, z_nr), z14, z12, z_nr, wp2
 
 
@@ -150,7 +143,8 @@ def test_s11_over_alpha_array_equals_each_alpha_alone(cell, env, alphas, pole_at
         assume(y is not None)
         engine.y_idler_conj = engine.y_idler_conj.copy()
         engine.y_idler_conj[pole_at] = y
-    block, block_db = engine.s11(np.array(alphas)), engine.gain_db(np.array(alphas))
+    column = np.array(alphas)[:, None]
+    block, block_db = engine.s11(column), engine.gain_db(column)
     assert block.shape == (len(alphas), ws.size)
     for row, row_db, alpha in zip(block, block_db, alphas):
         assert _same_bits(row, engine.s11(alpha))
@@ -195,7 +189,7 @@ def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
     _, alphas = policy_ladder(engine, SEARCH_RAMP)
     peaks = np.array([engine.gain_db(float(a)).max() for a in alphas])  # inf at poles
-    (kept, *_), = _candidate_steps(engine, alphas, db)
+    _, kept, _, _ = _candidate_steps(engine, alphas, db)
     assert set(np.flatnonzero(peaks >= db)) <= set(kept)
     assert np.all(peaks[kept] >= db - 1e-4)
 
@@ -479,7 +473,7 @@ def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
 def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz):
     ranges, design, _, _, _, _ = cell
     grids = []
-    for wp2 in _axis(*ranges.omega_p_half_range)[1:4]:
+    for wp2 in ranges.axes()[3][1:4]:
         ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
         if not grids:  # a clipped cell beside full ones
             ws = ws[ws < wp2 + TWO_PI * clip_hz]
@@ -487,9 +481,9 @@ def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz
     row = ReflectionEngine(design, ENVS[env], grids)
     ladder = policy_ladder(row, SEARCH_RAMP)
     alone = [ReflectionEngine(design, ENVS[env], [grid]) for grid in grids]
-    for got, want in zip((screen.steps for screen in _candidate_steps(row, ladder[1], 17.0)),
-                         (_candidate_steps(engine, ladder[1], 17.0)[0].steps
-                          for engine in alone)):
+    for got, want in zip((steps for _, steps, _, _ in
+                          _per_cell(row, _candidate_steps(row, ladder[1], 17.0))),
+                         (_candidate_steps(engine, ladder[1], 17.0)[1] for engine in alone)):
         assert np.array_equal(got, want)
     assert ramp(row, *ladder, 17.0, 5.0, 40.0) == [
         _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0) for engine in alone]
@@ -506,8 +500,8 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     full = _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
     assert full.report is not None
     # candidate steps up to and including the one that stops the ramp
-    (steps, *_), = _candidate_steps(engine, alphas, 17.0)
-    evaluated = np.flatnonzero(engine.gain_db(alphas[steps]).max(axis=1) > 40.0)[0] + 1
+    _, steps, _, _ = _candidate_steps(engine, alphas, 17.0)
+    evaluated = np.flatnonzero(engine.gain_db(alphas[steps][:, None]).max(axis=1) > 40.0)[0] + 1
     assert evaluated >= 3
     # round budgets of one whole row of the cell, and of one less than, as
     # many as and one more than the evaluated steps' whole rows
@@ -544,7 +538,7 @@ def _row_designs():
 @pytest.mark.parametrize("name, design, i_dc", list(_row_designs()))
 def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
     # the first pump value leaves fewer than 16 grid points: the row drops it
-    fp2s = [TWO_PI * 5e6] + _axis(TWO_PI * 7.5e9, TWO_PI * 8.5e9, TWO_PI * 0.25e9)
+    fp2s = [TWO_PI * 5e6] + default_ranges("three-stage").axes()[3]   # 7.5-8.5 GHz
     cells = _row_grids(fp2s)
     assert [wp2 for wp2, _, _ in cells] == fp2s[1:]
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], i_dc)
@@ -669,13 +663,11 @@ class _ScriptedEngine:
         # a2 = 0 everywhere: the α screen keeps every step
         self.mobius = MobiusForm(zero, zero, zero, zero, zero + 1j)
 
-    def gain_db(self, alpha, cells=slice(None)):
+    def gain_db(self, alpha, at=slice(None)):
+        """The scripted gain at (α, point) pairs: flat arrays, or one α over a slice."""
         if np.ndim(alpha):
-            return np.array([self.profiles[a] for a in alpha.tolist()])
-        return self.profiles[alpha].copy()
-
-    def gain_db_at(self, alpha, at):
-        return np.array([self.profiles[a][i] for a, i in zip(alpha.tolist(), at.tolist())])
+            return np.array([self.profiles[a][i] for a, i in zip(alpha.tolist(), at.tolist())])
+        return self.profiles[alpha][at].copy()
 
 
 X = np.linspace(-1.0, 1.0, 101)
@@ -751,8 +743,21 @@ def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
     engine = types.SimpleNamespace(mobius=MobiusForm(p, q, r, s, np.full(4, 1j)),
                                    cells=[slice(0, 2), slice(2, 4)])
     alphas = np.array([0.1, 0.3, 0.5, 0.7])
-    got = [screen.steps for screen in _candidate_steps(engine, alphas, 10.0 * math.log10(0.25))]
+    got = [steps for _, steps, _, _ in
+           _per_cell(engine, _candidate_steps(engine, alphas, 10.0 * math.log10(0.25)))]
     assert [steps.tolist() for steps in got] == [[0, 1, 2, 3], [2, 3]]
+
+
+def test_row_with_an_empty_ladder_keeps_no_step():
+    # an unbiased design has no current ladder, as a current-mode map cell at 0 A
+    ranges = default_ranges("three-stage")
+    grids = [(ws, wp) for _, ws, wp in _row_grids(ranges.axes()[3][:2])]
+    engine = ReflectionEngine(_design_for(ranges, 70.0, 30.0, 80.0), IDEAL_ENV, grids)
+    drives, alphas = policy_ladder(engine, PumpRampPolicy(mode="current"))
+    assert len(engine.cells) == 2 and alphas.size == 0
+    screen = _candidate_steps(engine, alphas, 17.0)
+    assert len(screen) == 4 and all(x.size == 0 and x.dtype == np.intp for x in screen)
+    assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [RampResult(None, 0.0)] * 2
 
 
 def _row_of_two(cell, env):
@@ -763,13 +768,20 @@ def _row_of_two(cell, env):
     return engine, policy_ladder(engine, SEARCH_RAMP)
 
 
-def _rounds(screens, per_round):
+def _per_cell(engine, screen):
+    """(cells, steps, lo, hi) of each cell of ``engine`` in the flat ``screen``."""
+    cell, step, lo, hi = screen
+    for c, cells in enumerate(engine.cells):
+        yield cells, step[cell == c], lo[cell == c], hi[cell == c]
+
+
+def _rounds(screen, per_round):
     """(cell, steps, lo, hi) of the engine's kept steps in ladder order, ``per_round`` at a time."""
-    rows = sorted((k, c, lo, hi) for c, screen in enumerate(screens)
-                  for k, lo, hi in zip(*(x.tolist() for x in screen)))
-    for at in range(0, len(rows), per_round):
-        ks, cs, lo, hi = (np.array(x) for x in zip(*rows[at:at + per_round]))
-        yield cs, ks, lo, hi
+    cell, step, lo, hi = screen
+    order = np.lexsort((cell, step))
+    for at in range(0, order.size, per_round):
+        rows = order[at:at + per_round]
+        yield cell[rows], step[rows], lo[rows], hi[rows]
 
 
 def _local(window, cells):
@@ -787,16 +799,15 @@ def _flat(lo, hi):
 def test_block_on_its_window_equals_the_full_row_bit_for_bit(cell, env, per_block):
     # each kept step on its own window, rounds of steps of both cells in one flat call
     engine, (_, alphas) = _row_of_two(cell, env)
-    screens = _candidate_steps(engine, alphas, 17.0)
-    for cells, screen in zip(engine.cells, screens):
-        assert np.all((cells.start <= screen.lo) & (screen.lo < screen.hi)
-                      & (screen.hi <= cells.stop))
-    for cs, ks, lo, hi in _rounds(screens, per_block):
+    screen = _candidate_steps(engine, alphas, 17.0)
+    for cells, _, lo, hi in _per_cell(engine, screen):
+        assert np.all((cells.start <= lo) & (lo < hi) & (hi <= cells.stop))
+    for cs, ks, lo, hi in _rounds(screen, per_block):
         at, alpha = _flat(lo, hi), np.repeat(alphas[ks], hi - lo)
         rows = [(engine.s11(alphas[k], engine.cells[c]), engine.gain_db(alphas[k], engine.cells[c]),
                  _local(slice(a, b), engine.cells[c])) for c, k, a, b in zip(cs, ks, lo, hi)]
-        assert _same_bits(engine.s11_at(alpha, at), np.concatenate([s[w] for s, _, w in rows]))
-        assert _same_bits(engine.gain_db_at(alpha, at),
+        assert _same_bits(engine.s11(alpha, at), np.concatenate([s[w] for s, _, w in rows]))
+        assert _same_bits(engine.gain_db(alpha, at),
                           np.concatenate([g[w] for _, g, w in rows]))
 
 
@@ -807,7 +818,7 @@ def test_points_outside_a_block_window_stay_below_the_screened_level(cell, env,
                                                                       threshold_db, stop_db):
     engine, (_, alphas) = _row_of_two(cell, env)
     db = min(threshold_db, stop_db)
-    for cells, screen in zip(engine.cells, _candidate_steps(engine, alphas, db)):
+    for cells, *screen in _per_cell(engine, _candidate_steps(engine, alphas, db)):
         for k, lo, hi in zip(*(x.tolist() for x in screen)):
             outside = np.ones(cells.stop - cells.start, dtype=bool)
             outside[_local(slice(lo, hi), cells)] = False
@@ -836,17 +847,17 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
         engine.y_idler_conj = engine.y_idler_conj.copy()
         engine.y_idler_conj[point] = y
     cells = engine.cells[0]
-    screen, = _candidate_steps(engine, alphas, 17.0)
+    _, steps, lo, hi = _candidate_steps(engine, alphas, 17.0)
     if degenerate:
-        assert screen.steps.tolist() == list(range(alphas.size))
-        assert np.all(screen.lo == cells.start) and np.all(screen.hi == cells.stop)
+        assert steps.tolist() == list(range(alphas.size))
+        assert np.all(lo == cells.start) and np.all(hi == cells.stop)
     else:
         # the window of the pole step holds the pole point
-        i, = np.flatnonzero(screen.steps == step)
-        assert screen.lo[i] <= point < screen.hi[i]
-        at = np.arange(screen.lo[i], screen.hi[i])
-        gain = engine.gain_db_at(np.full(at.size, alphas[step]), at)
-        assert gain[point - screen.lo[i]] == np.inf
+        i, = np.flatnonzero(steps == step)
+        assert lo[i] <= point < hi[i]
+        at = np.arange(lo[i], hi[i])
+        gain = engine.gain_db(np.full(at.size, alphas[step]), at)
+        assert gain[point - lo[i]] == np.inf
     assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, drives, alphas, 17.0, 5.0, 40.0)]
 
@@ -885,9 +896,8 @@ def test_screen_solving_points_with_roots_equals_solving_every_point(cell, env, 
         patch.setattr(simulator, "_with_roots", lambda a2, disc: np.arange(a2.size))
         want = _candidate_steps(engine, alphas, db)
     assert len(got) == len(want)
-    for screen, expected in zip(got, want):
-        for field, value in zip(screen, expected):
-            assert field.dtype == value.dtype and np.array_equal(field, value)
+    for field, value in zip(got, want):
+        assert field.dtype == value.dtype and np.array_equal(field, value)
 
 
 @settings(max_examples=8, deadline=None)
@@ -898,7 +908,7 @@ def test_rounds_equal_exhaustive_per_cell_ramps_at_every_budget(cell, env, clip_
     # round holds steps of several cells
     ranges, design, _, _, _, _ = cell
     grids = []
-    for wp2 in _axis(*ranges.omega_p_half_range)[:3]:
+    for wp2 in ranges.axes()[3][:3]:
         ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
         if not grids:  # a clipped cell beside full ones
             ws = ws[ws < wp2 + TWO_PI * clip_hz]
