@@ -150,12 +150,15 @@ class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
     An engine covers one or more ``(freqs, omega_p)`` grids, its cells, of
-    one design, environment and bias.  The line cascade, idler chain and
-    environment are elementwise in ω, so they are built once over the
-    concatenated grids: ``cells`` holds each grid's slice of them and
-    ``omega_ps`` its pump frequency, and a cell is bit for bit what an
-    engine of that grid alone gives.  Sweeping pump strength then reduces
-    to scalar-vector arithmetic per step.
+    one design and environment, each cell at its own bias.  The line
+    cascade, idler chain and environment are elementwise in ω, so they are
+    built once over the concatenated grids: ``cells`` holds each grid's
+    slice of them and ``omega_ps`` its pump frequency, and a cell is bit
+    for bit what an engine of that grid alone at that bias gives.
+    ``i_dc`` and ``omega0`` hold each cell's bias and resonance, ``l0`` the
+    biased inductance at every grid point, and ``ladder`` each cell's pump
+    ladder: one per bias (see :func:`policy_ladder`).  Sweeping pump
+    strength then reduces to vector arithmetic per step.
 
     With A = iω_i·l0·Y_idler*(ω_i), the pumped inductor presents
     Y_eff = (A-1)/(iω_s·l0·D(α)), D(α) = (A-1) - αA, so S11 is a bilinear
@@ -170,7 +173,7 @@ class ReflectionEngine:
                  grids: Sequence[Tuple[np.ndarray, float]], i_dc: float = 0.0):
         self.design = design
         self.c = design.c_shunt
-        self._set_bias(i_dc)   # a bias fault is reported before a grid fault
+        l0 = design.inductance_at_bias(i_dc)   # a bias fault is reported before a grid fault
         checked = [_checked_grid(freqs, omega_p) for freqs, omega_p in grids]
         self.omega_ps = [omega_p for _, _, omega_p in checked]
         self.cells, stop = [], 0
@@ -178,29 +181,43 @@ class ReflectionEngine:
             self.cells.append(slice(stop, stop + ws.size))
             stop += ws.size
         self.ws = np.concatenate([ws for ws, _, _ in checked])
-        self.wi = np.concatenate([wi for _, wi, _ in checked])
-        self.jws, self.jwi = 1j * self.ws, 1j * self.wi
+        wi = np.concatenate([wi for _, wi, _ in checked])
+        self.jws, self.jwi = 1j * self.ws, 1j * wi
         self.y_c = self.jws * self.c
-        self.y_idler_conj = np.conj(idler_admittance(design, env, self.wi))
+        self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
         self.abcd = port_line_abcd(design, self.ws)
         self.z_env = np.asarray(environment_impedance(env, self.ws), dtype=complex)
+        self._set_biases([i_dc], [l0], np.zeros(len(self.cells), dtype=np.intp))
 
-    def _set_bias(self, i_dc: float) -> None:
-        self.i_dc = i_dc
-        self.l0 = self.design.inductance_at_bias(i_dc)
-        self.omega0 = 1.0 / np.sqrt(self.l0 * self.c)
+    def _set_biases(self, biases, l0s, ladder) -> None:
+        """Per-cell bias and resonance, per-point l0, from ``biases[ladder[cell]]``."""
+        l0 = np.array(l0s, dtype=float)[ladder]
+        self.ladder = ladder
+        self.i_dc = np.array(biases, dtype=float)[ladder]
+        self.omega0 = 1.0 / np.sqrt(l0 * self.c)
+        self.l0 = np.repeat(l0, [cells.stop - cells.start for cells in self.cells])
 
-    def at_bias(self, i_dc: float) -> "ReflectionEngine":
-        """The same network at bias ``i_dc``, bit for bit a fresh build.
+    def over_biases(self, i_dcs: Sequence[float]) -> "ReflectionEngine":
+        """One engine of this network's cells at each bias of ``i_dcs`` in turn.
 
-        Only l0, ω0 and the Möbius form depend on the bias: every other
-        array is shared, the port terms of the Möbius form included, and
-        the form is built again on first use.
+        Its cells are this engine's cells at ``i_dcs[0]``, then at
+        ``i_dcs[1]`` and so on, each cell bit for bit a fresh build at its
+        bias, and the cells of one bias share a ladder.  Only l0, ω0 and
+        the Möbius form depend on the bias: every other array, the port
+        terms of the Möbius form included, is built once here and tiled.
         """
-        self._port_terms   # built here once, so that every bias shares it
+        l0s = [self.design.inductance_at_bias(i_dc) for i_dc in i_dcs]
+        n, size = len(l0s), self.ws.size
         other = object.__new__(ReflectionEngine)
-        other.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "mobius")
-        other._set_bias(i_dc)
+        other.design, other.c = self.design, self.c
+        other.omega_ps = self.omega_ps * n
+        other.cells = [slice(cells.start + k * size, cells.stop + k * size)
+                       for k in range(n) for cells in self.cells]
+        for name in ("ws", "jws", "jwi", "y_c", "y_idler_conj", "z_env"):
+            setattr(other, name, np.concatenate([getattr(self, name)] * n))
+        other.abcd = tuple(np.concatenate([x] * n) for x in self.abcd)
+        other._port_terms = tuple(np.concatenate([x] * n) for x in self._port_terms)
+        other._set_biases(i_dcs, l0s, np.repeat(np.arange(n), len(self.cells)))
         return other
 
     @cached_property
@@ -226,13 +243,13 @@ class ReflectionEngine:
         return MobiusForm(num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
                           den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
 
-    def alpha_for_xi3(self, xi3_mag):
-        """α = (|ξ3|/2ω0)² for a scalar drive or an array of drives.
+    def alpha_for_xi3(self, xi3_mag, cell: int = 0):
+        """α = (|ξ3|/2ω0)² at the resonance of cell ``cell``, for one drive or an array.
 
         Squared as r·r, so a drive gets the same α bits alone as inside a
         ladder (numpy would square a scalar through C ``pow``).
         """
-        r = xi3_mag / (2.0 * self.omega0)
+        r = xi3_mag / (2.0 * self.omega0[cell])
         return r * r
 
     def s11(self, alpha, at=slice(None)) -> np.ndarray:
@@ -268,7 +285,7 @@ class ReflectionEngine:
 
     def _y_eff(self, alpha, at):
         """Y_eff and its idler denominator iω_i·l0'·Y_idler* - 1 (0 at a pole)."""
-        lp = self.l0 * (1.0 - alpha)
+        lp = self.l0[at] * (1.0 - alpha)
         den = self.jwi[at] * lp * self.y_idler_conj[at] - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             return (1.0 / (self.jws[at] * lp)) * (1.0 + alpha / den), den
@@ -420,13 +437,15 @@ def _peaks(x, height, prominence):
 
 def bandwidth_report(profile: GainProfile, threshold_db: float = GAIN_THRESHOLD_DB,
                      ripple_max_db: float = RIPPLE_MAX_DB,
-                     require_two_peaks: bool = False) -> BandwidthReport:
+                     require_two_peaks: bool = False, span=None) -> BandwidthReport:
     """Bandwidth, peaks, and ripple of the largest contiguous >=threshold span.
 
     Peaks are local maxima of the profile with prominence >= 0.5 dB sitting
     at or above the threshold (:func:`_peaks`).  Oscillation-pole points
     never count toward a span.  Rejection (two-peak or ripple rule) is
-    reported as a value.
+    reported as a value.  ``span``, when given, is the profile's widest
+    span as :func:`_widest_spans` gives it for this one row, already at
+    hand, and is not computed again.
     """
     f, g = profile.freqs, profile.gain_db
     if f.size == 0:
@@ -435,7 +454,7 @@ def bandwidth_report(profile: GainProfile, threshold_db: float = GAIN_THRESHOLD_
     finite_g = np.where(np.isfinite(g), g, -np.inf)
     peaks = tuple(map(float, f[_peaks(finite_g, threshold_db, PEAK_PROMINENCE_DB)]))
 
-    (lo,), (hi,), (ripple,), (found,) = _widest_spans(f, g, threshold_db)
+    (lo,), (hi,), (ripple,), (found,) = _widest_spans(f, g, threshold_db) if span is None else span
     if not found:
         return BandwidthReport(0.0, peaks, len(peaks), 0.0, threshold_db, None,
                                qualified=False, rejection_reason="below threshold",
@@ -504,6 +523,10 @@ RAMP_SLACK = 1e-6
 # 2,048 points already holds nearly every kept step of a map cell.  The
 # transient peak of 60 desk rows (tracemalloc) is 1.42, 1.86 and 2.75 MB.
 RAMP_BLOCK_POINTS = 4096
+# Most grid points one map engine holds, over all its biases: an engine
+# keeps about twenty complex arrays per point, ~5 MB at this size, so a
+# line of many biases ramps in several engines.
+MAP_ENGINE_POINTS = 16384
 _LADDER_CHUNK = 1024
 
 
@@ -585,30 +608,49 @@ def _with_roots(a2, disc):
     return np.flatnonzero(~((a2 < 0) & (disc < 0)))
 
 
+def _ladder_steps(ladder, points, lo, hi):
+    """(points, first, stop) of the α intervals [lo, hi] that hold steps of ``ladder``.
+
+    Steps ``first`` up to, not including, ``stop`` lie in the interval of ``points``.
+    """
+    if not ladder.size:
+        return points[:0], points[:0], points[:0]
+    # only intervals that can hold a ladder step, written so that a NaN end
+    # is kept or dropped exactly as searchsorted would
+    meets = np.flatnonzero((lo <= ladder[-1]) & ~(hi < ladder[0]) & ~(hi < lo))
+    first = np.searchsorted(ladder, lo[meets], side="left")
+    stop = np.searchsorted(ladder, hi[meets], side="right")
+    keep = first < stop
+    return points[meets[keep]], first[keep], stop[keep]
+
+
 def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
     """(cell, step, lo, hi) of the ladder steps of each cell of ``engine`` that may reach ``db``.
 
-    The four index arrays run by cell, then by ladder step: step
-    ``step[i]`` of cell ``cell[i]`` is evaluated on the grid points
-    ``lo[i]`` up to, not including, ``hi[i]`` (indices into the engine's
-    concatenated grid), its window.  Every point of the cell outside the
-    window is finite and below ``db`` at that step, and every step not
-    listed is so at every point of the cell.
+    ``alphas`` holds the engine's pump ladders, one row per ladder (see
+    :func:`policy_ladder`).  The four index arrays run by cell, then by
+    ladder step: step ``step[i]`` of cell ``cell[i]`` is evaluated on the
+    grid points ``lo[i]`` up to, not including, ``hi[i]`` (indices into the
+    engine's concatenated grid), its window.  Every point of the cell
+    outside the window is finite and below ``db`` at that step, and every
+    step not listed is so at every point of the cell.
 
     Per frequency, |S11(α)|² >= G is the real quadratic
     |P + Qα|² - G·|R + Sα|² >= 0, whose solution set is at most two
-    intervals of α.  Mapped onto the ladder, each is the step range at
-    which that frequency may reach ``db``; an idler pole adds the steps at
-    its α.  A cell keeps the union of its ranges.  The quadratics are
-    elementwise in ω and the cells share the ladder, so they are solved
-    once over the engine's concatenated grid, at the points that have real
-    roots or a2 >= 0 (:func:`_with_roots`), and the ranges of every cell go
-    onto one (cell, m + 1 ladder slot) layout: a ``bincount`` there covers
-    the ladders, and running extremes along it bound the windows.  A cell
-    with a degenerate (a2 = 0) or overflowing quadratic keeps every step on
-    the whole cell.
+    intervals of α.  Mapped onto the cell's ladder, each is the step range
+    at which that frequency may reach ``db``; an idler pole adds the steps
+    at its α.  A cell keeps the union of its ranges.  The quadratics are
+    elementwise in ω, so they are solved once over the engine's
+    concatenated grid, at the points that have real roots or a2 >= 0
+    (:func:`_with_roots`); the intervals of all cells that share a ladder
+    are mapped onto it in one pass, and the ranges of every cell go onto
+    one (cell, m + 1 ladder slot) layout: a ``bincount`` there covers the
+    ladders, and running extremes along it bound the windows.  A cell with
+    a degenerate (a2 = 0) or overflowing quadratic keeps every step of its
+    ladder on the whole cell.
     """
-    m = alphas.size
+    m = alphas.shape[1]
+    ends = np.count_nonzero(~np.isnan(alphas), axis=1)
     starts = np.array([cells.start for cells in engine.cells], dtype=np.intp)
     stops = np.array([cells.stop for cells in engine.cells], dtype=np.intp)
     if m == 0:
@@ -628,20 +670,21 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
     hi = np.concatenate([hi[0], hi[1], pole_alphas])
     lo = np.where(lo > 0, lo * (1.0 - RAMP_SLACK), lo * (1.0 + RAMP_SLACK))
     hi = np.where(hi > 0, hi * (1.0 + RAMP_SLACK), hi * (1.0 - RAMP_SLACK))
-    # only intervals that can hold a ladder step, written so that a NaN end
-    # is kept or dropped exactly as searchsorted would
-    meets = np.flatnonzero((lo <= alphas[-1]) & ~(hi < alphas[0]) & ~(hi < lo))
-    first = np.searchsorted(alphas, lo[meets], side="left")
-    stop = np.searchsorted(alphas, hi[meets], side="right")
-    keep = first < stop
-    points, first, stop = points[meets[keep]], first[keep], stop[keep]
+    if len(alphas) == 1:   # a search row: one pass, without splitting the intervals by ladder
+        points, first, stop = _ladder_steps(alphas[0, :ends[0]], points, lo, hi)
+    else:
+        row = engine.ladder[np.searchsorted(starts, points, side="right") - 1]
+        on = [np.flatnonzero(row == k) for k in range(len(alphas))]
+        points, first, stop = (np.concatenate(x) for x in zip(*(
+            _ladder_steps(ladder[:end], points[at], lo[at], hi[at])
+            for ladder, end, at in zip(alphas, ends, on))))
     offset = (np.searchsorted(starts, points, side="right") - 1) * (m + 1)
     size = len(starts) * (m + 1)
     cover = np.cumsum((np.bincount(offset + first, minlength=size)
                        - np.bincount(offset + stop, minlength=size)).reshape(-1, m + 1),
                       axis=1)
     kept = cover[:, :m] > 0
-    kept[keep_all] = True
+    kept[keep_all] = np.arange(m) < ends[engine.ladder[keep_all], None]
     at_cell, at_step = np.nonzero(kept)
 
     def extreme(ufunc, blank, slot, upto):
@@ -668,14 +711,16 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
 
 def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
          threshold_db: float, ripple_max_db: float, stop_db: float) -> list:
-    """Widest qualifying two-peak profile along a pump ladder, per cell of ``engine``.
+    """Widest qualifying two-peak profile along its pump ladder, per cell of ``engine``.
 
-    Every cell runs the same ladder.  At each cell, steps run in ladder
-    order until one crosses an oscillation pole or exceeds ``stop_db``;
-    profiles at or above ``threshold_db`` compete on bandwidth.  Steps
-    that can neither stop the ramp nor reach the threshold (see
-    :func:`_candidate_steps`) are skipped unevaluated, which leaves the
-    result identical to evaluating every step.
+    Every cell steps through ``drives``, each along its own ladder of α,
+    row ``engine.ladder[cell]`` of ``alphas`` (:func:`policy_ladder`),
+    which may end earlier.  At
+    each cell, steps run in ladder order until one crosses an oscillation
+    pole or exceeds ``stop_db``; profiles at or above ``threshold_db``
+    compete on bandwidth.  Steps that can neither stop the ramp nor reach
+    the threshold (see :func:`_candidate_steps`) are skipped unevaluated,
+    which leaves the result identical to evaluating every step.
 
     The rest run in rounds over the whole engine.  A round takes the next
     kept steps of every cell that has not stopped, in ladder order, until
@@ -696,66 +741,104 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     :func:`_peaks` peak, plateau or not, begins with one), ripple of the
     widest span within ``ripple_max_db``, and a widest span of positive
     width.  The ramp keeps the widest qualifying profile, the first of
-    equal widths, so once the ramp stops, candidates get a full
-    :func:`bandwidth_report` from widest to narrowest, earlier first on
-    equal widths, until one qualifies; only those steps are evaluated
-    again over the whole cell.
+    equal widths, so once the ramp stops, each cell's candidates get a
+    full :func:`bandwidth_report` from widest to narrowest, earlier first
+    on equal widths, until one qualifies.  The next candidate of every
+    undecided cell is evaluated again over its whole cell, all in one
+    :meth:`ReflectionEngine.gain_db` call, and its report reuses the
+    widest span its round found, which is the whole row's.
     """
     cell, step, lo, hi = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
+    alpha = alphas[engine.ladder[cell], step]
     size = hi - lo
     queue = np.lexsort((cell, step))   # the rows of every cell, in ladder order
     stopped = np.zeros(len(engine.cells), dtype=bool)
-    candidates = [[] for _ in engine.cells]   # (width, ladder index) per candidate step
+    candidates = [[] for _ in engine.cells]   # (width, ladder index, span) per candidate step
     while queue.size:
         take = max(1, int(np.searchsorted(np.cumsum(size[queue]), RAMP_BLOCK_POINTS,
                                           side="right")))
-        rows, queue = queue[:take], queue[take:]
-        ks, cs, n = step[rows], cell[rows], size[rows]
+        taken, queue = queue[:take], queue[take:]
+        ks, cs, n = step[taken], cell[taken], size[taken]
         starts = np.cumsum(n) - n
-        at = np.arange(starts[-1] + n[-1]) + np.repeat(lo[rows] - starts, n)
-        gain = engine.gain_db(np.repeat(alphas[ks], n), at)
+        at = np.arange(starts[-1] + n[-1]) + np.repeat(lo[taken] - starts, n)
+        gain = engine.gain_db(np.repeat(alpha[taken], n), at)
         # the first row past an oscillation pole or above stop_db ends its cell's ramp
         halt = np.logical_or.reduceat(~np.isfinite(gain) | (gain > stop_db), starts)
-        last = np.full(len(engine.cells), alphas.size)
+        last = np.full(len(engine.cells), alphas.shape[1])
         np.minimum.at(last, cs[halt], ks[halt])
         live = ks < last[cs]
         live &= _rising_maxima(gain, threshold_db, starts) >= 2
         if live.any():
-            span_lo, span_hi, ripple, _ = _widest_spans(engine.ws[at], gain, threshold_db, starts)
-            width = span_hi - span_lo
-            live &= (width > 0.0) & (ripple <= ripple_max_db)
+            spans = _widest_spans(engine.ws[at], gain, threshold_db, starts)
+            width = spans[1] - spans[0]
+            live &= (width > 0.0) & (spans[2] <= ripple_max_db)
             for j in np.flatnonzero(live).tolist():
-                candidates[cs[j]].append((float(width[j]), ks[j]))
+                candidates[cs[j]].append((float(width[j]), ks[j],
+                                          tuple(x[j:j + 1] for x in spans)))
         if halt.any():
             stopped[cs[halt]] = True
             queue = queue[~stopped[cell[queue]]]
-    results = []
-    for cells, omega_p, found in zip(engine.cells, engine.omega_ps, candidates):
-        best, best_drive = None, 0.0
-        # a stable sort keeps ladder order among equal widths
-        for _, k in sorted(found, key=lambda c: -c[0]):
-            gain = engine.gain_db(alphas[k], cells)
-            rep = bandwidth_report(GainProfile(engine.ws[cells], None, gain, omega_p),
-                                   threshold_db, ripple_max_db, require_two_peaks=True)
+    # a stable sort keeps ladder order among equal widths
+    candidates = [sorted(found, key=lambda c: -c[0]) for found in candidates]
+    results = [RampResult(None, 0.0)] * len(engine.cells)
+    undecided = [c for c, found in enumerate(candidates) if found]
+    tried = 0
+    while undecided:
+        picks = [candidates[c][tried] for c in undecided]
+        cells = [engine.cells[c] for c in undecided]
+        n = np.array([x.stop - x.start for x in cells])
+        gain = engine.gain_db(np.repeat([alphas[engine.ladder[c], k] for c, (_, k, _) in
+                                         zip(undecided, picks)], n), _grid_points(cells))
+        for c, x, (_, k, span), row in zip(undecided, cells, picks,
+                                           np.split(gain, np.cumsum(n)[:-1])):
+            rep = bandwidth_report(GainProfile(engine.ws[x], None, row, engine.omega_ps[c]),
+                                   threshold_db, ripple_max_db, require_two_peaks=True,
+                                   span=span)
             if rep.qualified:
-                best, best_drive = rep, float(drives[k])
-                break
-        results.append(RampResult(best, best_drive))
+                results[c] = RampResult(rep, float(drives[k]))
+        tried += 1
+        undecided = [c for c in undecided
+                     if results[c].report is None and len(candidates[c]) > tried]
     return results
 
 
-def policy_ladder(engine: ReflectionEngine, policy: PumpRampPolicy):
-    """(drives, alphas) of the pump ramp that ``policy`` runs on ``engine``."""
+def _grid_points(cells):
+    """The grid points of the cells ``cells`` end to end: a slice where they so lie in the grid."""
+    if all(a.stop == b.start for a, b in zip(cells, cells[1:])):
+        return slice(cells[0].start, cells[-1].stop)
+    return np.concatenate([np.arange(x.start, x.stop) for x in cells])
+
+
+def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, cell: int):
+    """(drives, alphas) of the pump ramp that ``policy`` runs at cell ``cell`` of ``engine``."""
     if policy.mode == "xi3":
         cap = policy.xi3_cap
         budget = None if cap is None else (lambda drive: drive <= cap)
-        return drive_ladder(START_XI3, policy.ratio, engine.alpha_for_xi3, ALPHA_MAX, budget)
-    model, i_dc = engine.design.ki_model, engine.i_dc
+        return drive_ladder(START_XI3, policy.ratio,
+                            lambda drive: engine.alpha_for_xi3(drive, cell), ALPHA_MAX, budget)
+    model, i_dc = engine.design.ki_model, float(engine.i_dc[cell])
     if i_dc <= 0:
         return np.empty(0), np.empty(0)  # no three-wave mixing without bias
     budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
     return drive_ladder(START_CURRENT, policy.ratio,
                         lambda drive: modulation_alpha(model, i_dc, drive), ALPHA_MAX, budget)
+
+
+def policy_ladder(engine: ReflectionEngine, policy: PumpRampPolicy):
+    """(drives, alphas) of the pump ramps that ``policy`` runs on ``engine``.
+
+    ``alphas`` holds one row per ladder of the engine (``engine.ladder``
+    gives each cell's; the cells of one bias share one).  Every ladder
+    steps through the same drives, the longest ladder's ``drives``, and
+    ends where its own α or budget ends it: its row is NaN from there on.
+    """
+    firsts = np.unique(engine.ladder, return_index=True)[1]
+    ladders = [_bias_ladder(engine, policy, cell) for cell in firsts.tolist()]
+    drives = max((d for d, _ in ladders), key=len)
+    alphas = np.full((len(ladders), drives.size), np.nan)
+    for row, (_, a) in zip(alphas, ladders):
+        row[:a.size] = a
+    return drives, alphas
 
 
 def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
@@ -765,7 +848,10 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
     """Best qualifying bandwidth per (omega_p, i_dc) cell, in grid order.
 
     Cells without any qualifying profile report zero bandwidth.  Output
-    order is lexicographic in (omega_p, i_dc).
+    order is lexicographic in (omega_p, i_dc).  The network at ω_s and ω_i
+    is built once per pump frequency, and one :func:`ramp` runs over its
+    cells at every bias (:meth:`ReflectionEngine.over_biases`), or over
+    as many biases at a time as :data:`MAP_ENGINE_POINTS` allows.
     """
     env = env if env is not None else IDEAL_ENV
     omega_p_grid = list(omega_p_grid)
@@ -781,18 +867,19 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
     cells = []
     for wp in omega_p_grid:
         ws = np.arange(wp / 2 - FREQ_HALF_SPAN, wp / 2 + FREQ_HALF_SPAN, freq_step)
-        # the network at ω_s and ω_i is the same at every bias of this pump
         network = ReflectionEngine(design, env, [(ws, wp)])
-        for idc in i_dc_grid:
-            engine = network.at_bias(idc)
-            res, = ramp(engine, *policy_ladder(engine, policy),
-                        GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)
-            rep = res.report
-            if rep is None:
-                cells.append(MapCell(wp, idc, 0.0, 0, 0.0, 0.0))
-            else:
-                cells.append(MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db,
-                                     res.drive))
+        per_engine = max(1, MAP_ENGINE_POINTS // ws.size)
+        for first in range(0, len(i_dc_grid), per_engine):
+            biases = i_dc_grid[first:first + per_engine]
+            engine = network.over_biases(biases)
+            for idc, res in zip(biases, ramp(engine, *policy_ladder(engine, policy),
+                                             GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)):
+                rep = res.report
+                if rep is None:
+                    cells.append(MapCell(wp, idc, 0.0, 0, 0.0, 0.0))
+                else:
+                    cells.append(MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db,
+                                         res.drive))
     return cells
 
 

@@ -88,7 +88,8 @@ def _composed_s11(design, env, ws, omega_p, i_dc, alpha):
 
 
 def _exhaustive_ramp(engine, drives, alphas, threshold_db, ripple_max_db, stop_db):
-    """The ramp evaluating every ladder step in turn."""
+    """The ramp evaluating every ladder step in turn, on the engine's one ladder."""
+    (alphas,) = alphas
     best, best_drive = None, 0.0
     for drive, alpha in zip(drives, alphas):
         gdb = engine.gain_db(float(alpha))
@@ -123,7 +124,7 @@ def _same_bits(got, want):
 def _pole_admittance(engine, k, alpha):
     """An idler Y* at grid point k that puts an exact pole (D = 0) at α, or None."""
     # iω_i·l0(1-α) is +0 + t·i, so Y* = y·i gives D = -t·y - 1 = 0 when t·y rounds to -1
-    t = (engine.jwi[k] * (engine.l0 * (1.0 - alpha))).imag
+    t = (engine.jwi[k] * (engine.l0[k] * (1.0 - alpha))).imag
     for y in (-1.0 / t, np.nextafter(-1.0 / t, 0.0), np.nextafter(-1.0 / t, -np.inf)):
         if t * y == -1.0:
             return complex(0.0, y)
@@ -187,9 +188,9 @@ def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    _, alphas = policy_ladder(engine, SEARCH_RAMP)
-    peaks = np.array([engine.gain_db(float(a)).max() for a in alphas])  # inf at poles
-    _, kept, _, _ = _candidate_steps(engine, alphas, db)
+    _, ladder = policy_ladder(engine, SEARCH_RAMP)
+    peaks = np.array([engine.gain_db(float(a)).max() for a in ladder[0]])  # inf at poles
+    _, kept, _, _ = _candidate_steps(engine, ladder, db)
     assert set(np.flatnonzero(peaks >= db)) <= set(kept)
     assert np.all(peaks[kept] >= db - 1e-4)
 
@@ -236,7 +237,7 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
     engine = ReflectionEngine(design, IDEAL_ENV, [(TWO_PI * np.arange(8.0e9, 8.9e9, 10e6),
                                                    TWO_PI * 16.9e9)], 0.57e-3)
     policy = PumpRampPolicy(mode=mode)
-    drives, alphas = policy_ladder(engine, policy)
+    drives, (alphas,) = policy_ladder(engine, policy)
     # the loop the ladder replaces, in 0.1-dB power steps
     ratio = 10.0 ** (MAP_STEP_DB / 20.0)
     assert policy.ratio == ratio == 10.0 ** (0.1 / 20.0)
@@ -353,7 +354,7 @@ def test_search_ladder_is_the_policy_budget():
     assert SEARCH_RAMP == PumpRampPolicy(mode="xi3", ratio=1.02)
     engine = ReflectionEngine(_design_for(point, 70.0, 30.0, 80.0), IDEAL_ENV,
                               [(ws, wp) for _, ws, wp in _row_grids(point.axes()[3])])
-    drives, alphas = policy_ladder(engine, SEARCH_RAMP)
+    drives, (alphas,) = policy_ladder(engine, SEARCH_RAMP)
     want = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
     assert drives.tolist() == want[0].tolist() and alphas.tolist() == want[1].tolist()
     first = min(records, key=lambda r: r.optimal_xi3)
@@ -496,35 +497,36 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     wp2 = TWO_PI * 7.75e9
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
-    drives, alphas = policy_ladder(engine, SEARCH_RAMP)
-    full = _exhaustive_ramp(engine, drives, alphas, 17.0, 5.0, 40.0)
+    drives, ladder = policy_ladder(engine, SEARCH_RAMP)
+    full = _exhaustive_ramp(engine, drives, ladder, 17.0, 5.0, 40.0)
     assert full.report is not None
     # candidate steps up to and including the one that stops the ramp
-    _, steps, _, _ = _candidate_steps(engine, alphas, 17.0)
-    evaluated = np.flatnonzero(engine.gain_db(alphas[steps][:, None]).max(axis=1) > 40.0)[0] + 1
+    _, steps, _, _ = _candidate_steps(engine, ladder, 17.0)
+    evaluated = np.flatnonzero(engine.gain_db(ladder[0, steps][:, None]).max(axis=1) > 40.0)[0] + 1
     assert evaluated >= 3
     # round budgets of one whole row of the cell, and of one less than, as
     # many as and one more than the evaluated steps' whole rows
     for per_block in (1, evaluated - 1, evaluated, evaluated + 1):
         monkeypatch.setattr(simulator, "RAMP_BLOCK_POINTS", per_block * ws.size)
-        assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [full], per_block
+        assert ramp(engine, drives, ladder, 17.0, 5.0, 40.0) == [full], per_block
 
 
-ENGINE_ARRAYS = ("ws", "wi", "jws", "jwi", "y_c", "y_idler_conj", "z_env")
-ENGINE_SCALARS = ("i_dc", "l0", "c", "omega0")
+ENGINE_ARRAYS = ("ws", "jws", "jwi", "y_c", "y_idler_conj", "z_env", "l0")
+CELL_VALUES = ("i_dc", "omega0")
 
 
-def _assert_cell_equals(engine, cells, ref, same):
-    """Cell ``cells`` of ``engine`` equals the one-grid engine ``ref`` under ``same``."""
+def _assert_cell_equals(engine, cell, ref, same):
+    """Cell ``cell`` of ``engine`` equals the one-grid engine ``ref`` under ``same``."""
+    cells = engine.cells[cell]
     for field in ENGINE_ARRAYS:
         assert same(getattr(engine, field)[cells], getattr(ref, field)), field
     for got, want in zip(engine.abcd, ref.abcd):
         assert same(got[cells], want)
     for field, got, want in zip(ref.mobius._fields, engine.mobius, ref.mobius):
         assert same(got[cells], want), field
-    assert engine.omega_ps[engine.cells.index(cells)] == ref.omega_ps[0]
-    assert [getattr(engine, k) for k in ENGINE_SCALARS] == [
-        getattr(ref, k) for k in ENGINE_SCALARS]
+    assert engine.omega_ps[cell] == ref.omega_ps[0] and engine.c == ref.c
+    for field in CELL_VALUES:
+        assert same(getattr(engine, field)[cell:cell + 1], getattr(ref, field)), field
 
 
 def _row_designs():
@@ -542,48 +544,98 @@ def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
     cells = _row_grids(fp2s)
     assert [wp2 for wp2, _, _ in cells] == fp2s[1:]
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], i_dc)
-    assert len(engine.cells) == len(cells)
-    for (_, ws, wp), at in zip(cells, engine.cells):
+    assert len(engine.cells) == len(cells) and engine.ladder.tolist() == [0] * len(cells)
+    for c, (_, ws, wp) in enumerate(cells):
         ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
-        _assert_cell_equals(engine, at, ref, np.array_equal)
+        _assert_cell_equals(engine, c, ref, np.array_equal)
 
 
 BIASES = [0.0, 0.45e-3, PAPER_DEVICE_BIAS, 0.6e-3]
 
 
-@pytest.mark.parametrize("env", sorted(ENVS))
-def test_bias_shared_engines_equal_standalone_engines(env, monkeypatch):
+@settings(max_examples=20, deadline=None)
+@given(biases=st.lists(st.one_of(st.sampled_from(BIASES), st.floats(0.0, 0.7e-3)),
+                       min_size=1, max_size=5),
+       env=st.sampled_from(sorted(ENVS)), mode=st.sampled_from(["current", "xi3"]))
+def test_bias_engine_cells_equal_fresh_engines(biases, env, mode):
+    # bias lists hold 0 A, duplicates and unsorted values; a network of two
+    # grids, so that every bias holds several cells
     design = paper_device()
-    wp = TWO_PI * 16.9e9
-    ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    grids = [(np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 8e6), wp)
+             for wp in TWO_PI * np.array([16.8e9, 16.9e9])]
     builds = []
-    monkeypatch.setattr(simulator, "idler_admittance",
-                        lambda *args: builds.append(args) or idler_admittance(*args))
-    network = ReflectionEngine(design, ENVS[env], [(ws, wp)])
-    network.mobius   # a Möbius form built at another bias is not carried over
-    engines = [network.at_bias(i_dc) for i_dc in BIASES]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "idler_admittance",
+                      lambda *args: builds.append(args) or idler_admittance(*args))
+        network = ReflectionEngine(design, ENVS[env], grids)
+        network.s11(0.01)
+        # an engine that only evaluates S11 builds neither the port terms nor the Möbius form
+        assert "_port_terms" not in vars(network) and "mobius" not in vars(network)
+        network.mobius   # the network's own Möbius form, at 0 A, is not carried over
+        engine = network.over_biases(biases)
+        engine.mobius
     assert len(builds) == 1   # one network for every bias
-    monkeypatch.undo()
-    for i_dc, eng in zip(BIASES, engines):
-        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
-        _assert_cell_equals(eng, eng.cells[0], ref, _same_bits)
-    # the bias-free arrays are shared, the Möbius form is not
-    assert np.shares_memory(engines[1].y_idler_conj, engines[0].y_idler_conj)
-    assert not np.shares_memory(engines[1].mobius.p, engines[0].mobius.p)
+    policy = PumpRampPolicy(mode=mode)
+    drives, alphas = policy_ladder(engine, policy)
+    assert len(engine.cells) == len(biases) * len(grids) and len(alphas) == len(biases)
+    for c in range(len(engine.cells)):
+        k, grid = divmod(c, len(grids))
+        ref = ReflectionEngine(design, ENVS[env], [grids[grid]], biases[k])
+        _assert_cell_equals(engine, c, ref, _same_bits)
+        # the cells of one bias share its ladder, bit for bit a fresh build's
+        ref_drives, (ref_alphas,) = policy_ladder(ref, policy)
+        row = alphas[engine.ladder[c]]
+        assert engine.ladder[c] == k
+        assert _same_bits(drives[:ref_drives.size], ref_drives)
+        assert _same_bits(row[:ref_alphas.size], ref_alphas)
+        assert np.isnan(row[ref_alphas.size:]).all()
+        for alpha in [0.0, 0.02, *ref_alphas[-3:]]:
+            assert _same_bits(engine.s11(alpha, engine.cells[c]), ref.s11(alpha))
+    # the longest ladder sets the drives
+    assert drives.size == max(np.count_nonzero(~np.isnan(alphas), axis=1), default=0)
 
 
-def test_biases_share_the_port_terms_and_one_shot_engines_skip_them():
-    design = paper_device()
+@pytest.mark.parametrize("env", sorted(ENVS))
+def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
+    # a 3.2-mA budget ends each bias's current ladder at its own step, and
+    # 0 A has none; 6 dB is a threshold these ladders reach
+    design = dataclasses.replace(paper_device(),
+                                 ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=3.2e-3))
+    policy = PumpRampPolicy(mode="current", ratio=10.0 ** (0.25 / 20.0))
+    biases = [0.57e-3, 0.0, 0.5e-3, 1.6e-3, 0.6e-3, 0.54e-3, 0.63e-3]
     wp = TWO_PI * 16.9e9
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    network = ReflectionEngine(design, paper_env(), [(ws, wp)])
-    network.s11(0.01)
-    # an engine that only evaluates S11 builds neither the port terms nor the Möbius form
-    assert "_port_terms" not in vars(network) and "mobius" not in vars(network)
-    engines = [network.at_bias(i_dc) for i_dc in BIASES]
-    for eng in engines:
-        eng.mobius
-        assert all(x is y for x, y in zip(eng._port_terms, network._port_terms))
+    engine = ReflectionEngine(design, ENVS[env], [(ws, wp)]).over_biases(biases)
+    drives, alphas = policy_ladder(engine, policy)
+    ends = np.count_nonzero(~np.isnan(alphas), axis=1)
+    assert ends[1] == 0 and len(set(ends.tolist())) >= 4
+    want = []
+    for i_dc in biases:
+        alone = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
+        ladder = policy_ladder(alone, policy)
+        want += ramp(alone, *ladder, 6.0, 5.0, 40.0)
+        assert want[-1] == _exhaustive_ramp(alone, *ladder, 6.0, 5.0, 40.0)
+    assert sum(res.report is not None for res in want) >= 4
+    for budget in (1, ws.size, simulator.RAMP_BLOCK_POINTS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "RAMP_BLOCK_POINTS", budget)
+            assert ramp(engine, drives, alphas, 6.0, 5.0, 40.0) == want, budget
+
+
+def _per_bias_map(design, env, fps, idcs, policy, step):
+    """The map cells of fresh one-bias engines, one ramp per bias."""
+    half, cells = TWO_PI * 1.2e9, []
+    for wp in fps:
+        ws = np.arange(wp / 2 - half, wp / 2 + half, step)
+        for idc in idcs:
+            engine = ReflectionEngine(design, env, [(ws, wp)], idc)
+            res, = ramp(engine, *policy_ladder(engine, policy), GAIN_THRESHOLD_DB,
+                        RIPPLE_MAX_DB, GAIN_STOP_DB)
+            rep = res.report
+            cells.append(simulator.MapCell(
+                wp, idc, *((rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
+                           if rep else (0.0, 0, 0.0, 0.0))))
+    return cells
 
 
 @pytest.mark.parametrize("env", sorted(ENVS))
@@ -628,10 +680,36 @@ def test_one_engine_build_per_search_row_and_per_map_pump(monkeypatch):
     assert list(search_designs(dataclasses.replace(
         ranges, omega_p_half_range=(TWO_PI * 5e6, TWO_PI * 5e6, 1.0)))) == []
     assert builds == []
+    ramps = []
+    monkeypatch.setattr(simulator, "ramp",
+                        lambda engine, *args: ramps.append(engine) or ramp(engine, *args))
     fps = TWO_PI * np.array([16.8e9, 16.9e9, 17.0e9])
     pump_bias_map(paper_device(), IDEAL_ENV, fps, [0.0, 0.52e-3, 0.57e-3],
                   PumpRampPolicy(mode="xi3", ratio=10.0 ** (0.5 / 20.0)), freq_step=TWO_PI * 4e6)
     assert len(builds) == len(fps)   # one per pump frequency
+    # and one ramp per pump frequency, over all three biases
+    assert [(len(engine.cells), engine.omega_ps[0]) for engine in ramps] == [
+        (3, wp) for wp in fps]
+
+
+@pytest.mark.parametrize("env", sorted(ENVS))
+def test_many_bias_line_ramps_in_engines_under_the_cap(env, monkeypatch):
+    # a 60-point grid and a cap of 250 points: four biases per engine
+    design = dataclasses.replace(paper_device(),
+                                 ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=None))
+    policy = PumpRampPolicy(mode="current", ratio=10.0 ** (0.5 / 20.0))
+    fps, step = [TWO_PI * 16.9e9], TWO_PI * 40e6
+    idcs = [0.57e-3, 0.0, 0.52e-3, 0.6e-3, 0.57e-3, 0.45e-3, 0.3e-3, 0.55e-3, 0.62e-3, 0.5e-3,
+            0.58e-3]
+    monkeypatch.setattr(simulator, "MAP_ENGINE_POINTS", 250)
+    ramps = []
+    monkeypatch.setattr(simulator, "ramp",
+                        lambda engine, *args: ramps.append(engine) or ramp(engine, *args))
+    cells = pump_bias_map(design, ENVS[env], fps, idcs, policy, freq_step=step)
+    assert [len(engine.cells) for engine in ramps] == [4, 4, 3]
+    assert all(engine.ws.size <= 250 for engine in ramps)
+    assert cells == _per_bias_map(design, ENVS[env], fps, idcs, policy, step)
+    assert sum(c.bandwidth > 0 for c in cells) >= 2
 
 
 @pytest.mark.parametrize("bad", [
@@ -655,24 +733,26 @@ class _ScriptedEngine:
 
     omega_ps = [2.0]
 
-    def __init__(self, profiles, alphas):
+    def __init__(self, profiles, ladder):
         self.ws = np.linspace(0.5, 1.5, profiles[0].size)
-        self.profiles = dict(zip(alphas.tolist(), profiles))
+        self.profiles = dict(zip(ladder[0].tolist(), profiles))
         self.cells = [slice(0, self.ws.size)]
+        self.ladder = np.zeros(1, dtype=np.intp)
         zero = np.zeros(self.ws.size, dtype=complex)
         # a2 = 0 everywhere: the α screen keeps every step
         self.mobius = MobiusForm(zero, zero, zero, zero, zero + 1j)
 
     def gain_db(self, alpha, at=slice(None)):
-        """The scripted gain at (α, point) pairs: flat arrays, or one α over a slice."""
+        """The scripted gain at (α, point) pairs, or at one α over a slice."""
         if np.ndim(alpha):
+            at = np.arange(self.ws.size)[at]
             return np.array([self.profiles[a][i] for a, i in zip(alpha.tolist(), at.tolist())])
         return self.profiles[alpha][at].copy()
 
 
 X = np.linspace(-1.0, 1.0, 101)
 TWO_PEAKS = 20.0 - 8.0 * (X * X - 0.25) ** 2 * 16.0
-DRIVES, ALPHAS = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])
+DRIVES, ALPHAS = np.array([1.0, 2.0, 3.0]), np.array([[0.1, 0.2, 0.3]])
 
 
 def test_ramp_keeps_the_first_of_equal_width_profiles():
@@ -711,8 +791,8 @@ def test_ramp_reports_widest_first(profiles, drive, reports, monkeypatch):
     calls = []
     monkeypatch.setattr(simulator, "bandwidth_report",
                         lambda *args, **kw: calls.append(args) or bandwidth_report(*args, **kw))
-    engine = _ScriptedEngine(profiles, ALPHAS[:len(profiles)])
-    ladder = DRIVES[:len(profiles)], ALPHAS[:len(profiles)]
+    engine = _ScriptedEngine(profiles, ALPHAS[:, :len(profiles)])
+    ladder = DRIVES[:len(profiles)], ALPHAS[:, :len(profiles)]
     res, = ramp(engine, *ladder, 17.0, 5.0, 40.0)
     assert (res.drive, res.report.qualified, len(calls)) == (drive, True, reports)
     monkeypatch.undo()
@@ -741,11 +821,18 @@ def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
     p, q, r, s = (np.array(point, dtype=complex)
                   for point in ([0, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]))
     engine = types.SimpleNamespace(mobius=MobiusForm(p, q, r, s, np.full(4, 1j)),
-                                   cells=[slice(0, 2), slice(2, 4)])
-    alphas = np.array([0.1, 0.3, 0.5, 0.7])
+                                   cells=[slice(0, 2), slice(2, 4)], ladder=np.zeros(2, np.intp))
+    alphas = np.array([[0.1, 0.3, 0.5, 0.7]])
     got = [steps for _, steps, _, _ in
            _per_cell(engine, _candidate_steps(engine, alphas, 10.0 * math.log10(0.25)))]
     assert [steps.tolist() for steps in got] == [[0, 1, 2, 3], [2, 3]]
+    # on ladders of their own, the degenerate cell keeps every step of its
+    # shorter ladder and no step past its end
+    engine.ladder = np.array([1, 0])
+    ladders = np.array([alphas[0], [0.1, 0.3, 0.5, np.nan]])
+    got = [steps for _, steps, _, _ in
+           _per_cell(engine, _candidate_steps(engine, ladders, 10.0 * math.log10(0.25)))]
+    assert [steps.tolist() for steps in got] == [[0, 1, 2], [2, 3]]
 
 
 def test_row_with_an_empty_ladder_keeps_no_step():
@@ -754,7 +841,7 @@ def test_row_with_an_empty_ladder_keeps_no_step():
     grids = [(ws, wp) for _, ws, wp in _row_grids(ranges.axes()[3][:2])]
     engine = ReflectionEngine(_design_for(ranges, 70.0, 30.0, 80.0), IDEAL_ENV, grids)
     drives, alphas = policy_ladder(engine, PumpRampPolicy(mode="current"))
-    assert len(engine.cells) == 2 and alphas.size == 0
+    assert len(engine.cells) == 2 and alphas.shape == (1, 0)
     screen = _candidate_steps(engine, alphas, 17.0)
     assert len(screen) == 4 and all(x.size == 0 and x.dtype == np.intp for x in screen)
     assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [RampResult(None, 0.0)] * 2
@@ -798,8 +885,9 @@ def _flat(lo, hi):
 @given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)), per_block=st.integers(1, 12))
 def test_block_on_its_window_equals_the_full_row_bit_for_bit(cell, env, per_block):
     # each kept step on its own window, rounds of steps of both cells in one flat call
-    engine, (_, alphas) = _row_of_two(cell, env)
-    screen = _candidate_steps(engine, alphas, 17.0)
+    engine, (_, ladder) = _row_of_two(cell, env)
+    screen = _candidate_steps(engine, ladder, 17.0)
+    alphas = ladder[0]
     for cells, _, lo, hi in _per_cell(engine, screen):
         assert np.all((cells.start <= lo) & (lo < hi) & (hi <= cells.stop))
     for cs, ks, lo, hi in _rounds(screen, per_block):
@@ -816,9 +904,10 @@ def test_block_on_its_window_equals_the_full_row_bit_for_bit(cell, env, per_bloc
        threshold_db=st.floats(3.0, 45.0), stop_db=st.floats(3.0, 45.0))
 def test_points_outside_a_block_window_stay_below_the_screened_level(cell, env,
                                                                       threshold_db, stop_db):
-    engine, (_, alphas) = _row_of_two(cell, env)
+    engine, (_, ladder) = _row_of_two(cell, env)
     db = min(threshold_db, stop_db)
-    for cells, *screen in _per_cell(engine, _candidate_steps(engine, alphas, db)):
+    alphas = ladder[0]
+    for cells, *screen in _per_cell(engine, _candidate_steps(engine, ladder, db)):
         for k, lo, hi in zip(*(x.tolist() for x in screen)):
             outside = np.ones(cells.stop - cells.start, dtype=bool)
             outside[_local(slice(lo, hi), cells)] = False
@@ -834,7 +923,8 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    drives, alphas = policy_ladder(engine, SEARCH_RAMP)
+    drives, ladder = policy_ladder(engine, SEARCH_RAMP)
+    alphas = ladder[0]
     assume(step < alphas.size)
     if degenerate:   # a2 = 0 at one point: the screen keeps every step and point
         m = engine.mobius
@@ -847,7 +937,7 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
         engine.y_idler_conj = engine.y_idler_conj.copy()
         engine.y_idler_conj[point] = y
     cells = engine.cells[0]
-    _, steps, lo, hi = _candidate_steps(engine, alphas, 17.0)
+    _, steps, lo, hi = _candidate_steps(engine, ladder, 17.0)
     if degenerate:
         assert steps.tolist() == list(range(alphas.size))
         assert np.all(lo == cells.start) and np.all(hi == cells.stop)
@@ -858,8 +948,8 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
         at = np.arange(lo[i], hi[i])
         gain = engine.gain_db(np.full(at.size, alphas[step]), at)
         assert gain[point - lo[i]] == np.inf
-    assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
-        engine, drives, alphas, 17.0, 5.0, 40.0)]
+    assert ramp(engine, drives, ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
+        engine, drives, ladder, 17.0, 5.0, 40.0)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -873,7 +963,8 @@ def test_screen_solving_points_with_roots_equals_solving_every_point(cell, env, 
     # unsolved changes no screen; the fault goes into the row's second cell.
     # a2 > 0 does not occur on the desk grids, so "flat" makes one such point
     # (40 dB at every α: a2 > 0 with no real root)
-    engine, (_, alphas) = _row_of_two(cell, env)
+    engine, (_, ladder) = _row_of_two(cell, env)
+    alphas = ladder[0]
     k = engine.cells[1].start + point
     assume(step < alphas.size and k < engine.ws.size)
     if fault == "pole":
@@ -891,10 +982,10 @@ def test_screen_solving_points_with_roots_equals_solving_every_point(cell, env, 
         p, q = m.p.copy(), m.q.copy()
         p[k], q[k] = 100.0 * m.r[k], 100.0 * m.s[k]
         engine.mobius = m._replace(p=p, q=q)
-    got = _candidate_steps(engine, alphas, db)
+    got = _candidate_steps(engine, ladder, db)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_with_roots", lambda a2, disc: np.arange(a2.size))
-        want = _candidate_steps(engine, alphas, db)
+        want = _candidate_steps(engine, ladder, db)
     assert len(got) == len(want)
     for field, value in zip(got, want):
         assert field.dtype == value.dtype and np.array_equal(field, value)

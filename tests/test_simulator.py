@@ -190,6 +190,25 @@ def test_spans_above_matches_point_scan(rows):
         assert [v.hex() for v in got] == [v.hex() for v in (want or (0.0, 0.0, 0.0))]
 
 
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(span_row.map(lambda r: r + r[::-1]) | span_row, min_size=1, max_size=6),
+       threshold=st.sampled_from([10.0, 17.0]), ripple_max=st.sampled_from([0.5, 5.0]),
+       two_peaks=st.booleans())
+def test_report_given_its_row_of_a_span_round_equals_the_report_alone(rows, threshold,
+                                                                      ripple_max, two_peaks):
+    # as a ramp passes it: each row's slice of one _widest_spans call over
+    # rows end to end, with poles (+inf), rows without a span and ties
+    gain = np.concatenate([np.array(row, dtype=float) for row in rows])
+    freqs = TWO_PI * (8e9 + 1e6 * np.arange(gain.size))
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    spans = _widest_spans(freqs, gain, threshold, starts)
+    for k, (i, j) in enumerate(zip(starts, np.append(starts[1:], gain.size))):
+        profile = GainProfile(freqs[i:j], None, gain[i:j], TWO_PI * 16.9e9)
+        args = profile, threshold, ripple_max, two_peaks
+        assert bandwidth_report(*args, span=tuple(x[k:k + 1] for x in spans)) == \
+            bandwidth_report(*args)
+
+
 finite_db = st.floats(-400.0, 400.0) | st.sampled_from([16.9, 17.0, 17.0 + 1e-12, 17.1])
 finite_hz = st.floats(-1e12, 1e12) | st.floats(5e10, 6e10)
 
