@@ -553,6 +553,44 @@ def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
 BIASES = [0.0, 0.45e-3, PAPER_DEVICE_BIAS, 0.6e-3]
 
 
+@pytest.mark.parametrize("env", sorted(ENVS))
+def test_bias_shared_engines_equal_standalone_engines(env, monkeypatch):
+    design = paper_device()
+    wp = TWO_PI * 16.9e9
+    ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    builds = []
+    monkeypatch.setattr(simulator, "idler_admittance",
+                        lambda *args: builds.append(args) or idler_admittance(*args))
+    network = ReflectionEngine(design, ENVS[env], [(ws, wp)])
+    network.mobius   # a Möbius form built at another bias is not carried over
+    engine = network.over_biases(BIASES)
+    assert len(builds) == 1   # one network for every bias
+    monkeypatch.undo()
+    assert len(engine.cells) == len(BIASES)
+    for k, (i_dc, at) in enumerate(zip(BIASES, engine.cells)):
+        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
+        _assert_cell_equals(engine, k, ref, _same_bits)
+        # the bias-free arrays are the network's; the Möbius form, checked
+        # above, is the bias's own
+        assert _same_bits(engine.y_idler_conj[at], network.y_idler_conj)
+
+
+def test_biases_share_the_port_terms_and_one_shot_engines_skip_them():
+    design = paper_device()
+    wp = TWO_PI * 16.9e9
+    ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    network = ReflectionEngine(design, paper_env(), [(ws, wp)])
+    network.s11(0.01)
+    # an engine that only evaluates S11 builds neither the port terms nor the Möbius form
+    assert "_port_terms" not in vars(network) and "mobius" not in vars(network)
+    engine = network.over_biases(BIASES)
+    # the port terms come with the engine, built once on the network and tiled
+    assert "_port_terms" in vars(engine) and "mobius" not in vars(engine)
+    engine.mobius
+    for at in engine.cells:
+        assert all(_same_bits(x[at], y) for x, y in zip(engine._port_terms, network._port_terms))
+
+
 @settings(max_examples=20, deadline=None)
 @given(biases=st.lists(st.one_of(st.sampled_from(BIASES), st.floats(0.0, 0.7e-3)),
                        min_size=1, max_size=5),
