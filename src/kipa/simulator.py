@@ -608,20 +608,20 @@ def _with_roots(a2, disc):
     return np.flatnonzero(~((a2 < 0) & (disc < 0)))
 
 
-def _ladder_steps(ladder, points, lo, hi):
-    """(points, first, stop) of the α intervals [lo, hi] that hold steps of ``ladder``.
+def _ladder_steps(ladder, on, lo, hi):
+    """(at, first, stop) of the α intervals [lo, hi] marked ``on`` that hold steps of ``ladder``.
 
-    Steps ``first`` up to, not including, ``stop`` lie in the interval of ``points``.
+    Steps ``first`` up to, not including, ``stop`` lie in interval ``at``.
     """
     if not ladder.size:
-        return points[:0], points[:0], points[:0]
+        return (np.empty(0, dtype=np.intp),) * 3
     # only intervals that can hold a ladder step, written so that a NaN end
     # is kept or dropped exactly as searchsorted would
-    meets = np.flatnonzero((lo <= ladder[-1]) & ~(hi < ladder[0]) & ~(hi < lo))
+    meets = np.flatnonzero(on & (lo <= ladder[-1]) & ~(hi < ladder[0]) & ~(hi < lo))
     first = np.searchsorted(ladder, lo[meets], side="left")
     stop = np.searchsorted(ladder, hi[meets], side="right")
     keep = first < stop
-    return points[meets[keep]], first[keep], stop[keep]
+    return meets[keep], first[keep], stop[keep]
 
 
 def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
@@ -670,15 +670,12 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
     hi = np.concatenate([hi[0], hi[1], pole_alphas])
     lo = np.where(lo > 0, lo * (1.0 - RAMP_SLACK), lo * (1.0 + RAMP_SLACK))
     hi = np.where(hi > 0, hi * (1.0 + RAMP_SLACK), hi * (1.0 - RAMP_SLACK))
-    if len(alphas) == 1:   # a search row: one pass, without splitting the intervals by ladder
-        points, first, stop = _ladder_steps(alphas[0, :ends[0]], points, lo, hi)
-    else:
-        row = engine.ladder[np.searchsorted(starts, points, side="right") - 1]
-        on = [np.flatnonzero(row == k) for k in range(len(alphas))]
-        points, first, stop = (np.concatenate(x) for x in zip(*(
-            _ladder_steps(ladder[:end], points[at], lo[at], hi[at])
-            for ladder, end, at in zip(alphas, ends, on))))
-    offset = (np.searchsorted(starts, points, side="right") - 1) * (m + 1)
+    cell_of = np.searchsorted(starts, points, side="right") - 1
+    ladder_of = engine.ladder[cell_of]
+    at, first, stop = (np.concatenate(x) for x in zip(*(
+        _ladder_steps(ladder[:end], ladder_of == k, lo, hi)
+        for k, (ladder, end) in enumerate(zip(alphas, ends)))))
+    points, offset = points[at], cell_of[at] * (m + 1)
     size = len(starts) * (m + 1)
     cover = np.cumsum((np.bincount(offset + first, minlength=size)
                        - np.bincount(offset + stop, minlength=size)).reshape(-1, m + 1),
@@ -743,10 +740,9 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     width.  The ramp keeps the widest qualifying profile, the first of
     equal widths, so once the ramp stops, each cell's candidates get a
     full :func:`bandwidth_report` from widest to narrowest, earlier first
-    on equal widths, until one qualifies.  The next candidate of every
-    undecided cell is evaluated again over its whole cell, all in one
-    :meth:`ReflectionEngine.gain_db` call, and its report reuses the
-    widest span its round found, which is the whole row's.
+    on equal widths, until one qualifies.  A reported step is evaluated
+    again over its whole cell, and its report reuses the widest span its
+    round found, which is the whole row's.
     """
     cell, step, lo, hi = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
     alpha = alphas[engine.ladder[cell], step]
@@ -778,35 +774,20 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
         if halt.any():
             stopped[cs[halt]] = True
             queue = queue[~stopped[cell[queue]]]
-    # a stable sort keeps ladder order among equal widths
-    candidates = [sorted(found, key=lambda c: -c[0]) for found in candidates]
-    results = [RampResult(None, 0.0)] * len(engine.cells)
-    undecided = [c for c, found in enumerate(candidates) if found]
-    tried = 0
-    while undecided:
-        picks = [candidates[c][tried] for c in undecided]
-        cells = [engine.cells[c] for c in undecided]
-        n = np.array([x.stop - x.start for x in cells])
-        gain = engine.gain_db(np.repeat([alphas[engine.ladder[c], k] for c, (_, k, _) in
-                                         zip(undecided, picks)], n), _grid_points(cells))
-        for c, x, (_, k, span), row in zip(undecided, cells, picks,
-                                           np.split(gain, np.cumsum(n)[:-1])):
-            rep = bandwidth_report(GainProfile(engine.ws[x], None, row, engine.omega_ps[c]),
+    results = []
+    for c, (cells, found) in enumerate(zip(engine.cells, candidates)):
+        best, best_drive = None, 0.0
+        # a stable sort keeps ladder order among equal widths
+        for _, k, span in sorted(found, key=lambda x: -x[0]):
+            gain = engine.gain_db(alphas[engine.ladder[c], k], cells)
+            rep = bandwidth_report(GainProfile(engine.ws[cells], None, gain, engine.omega_ps[c]),
                                    threshold_db, ripple_max_db, require_two_peaks=True,
                                    span=span)
             if rep.qualified:
-                results[c] = RampResult(rep, float(drives[k]))
-        tried += 1
-        undecided = [c for c in undecided
-                     if results[c].report is None and len(candidates[c]) > tried]
+                best, best_drive = rep, float(drives[k])
+                break
+        results.append(RampResult(best, best_drive))
     return results
-
-
-def _grid_points(cells):
-    """The grid points of the cells ``cells`` end to end: a slice where they so lie in the grid."""
-    if all(a.stop == b.start for a, b in zip(cells, cells[1:])):
-        return slice(cells[0].start, cells[-1].stop)
-    return np.concatenate([np.arange(x.start, x.stop) for x in cells])
 
 
 def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, cell: int):
