@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ _UNIT_TABLE = {
 }
 
 _Qty = Tuple[float, str]
+_Columns = Mapping[str, Sequence]
 _NUM_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-ZΩ]*)\s*$")
 
 
@@ -91,6 +92,8 @@ def parse_quantity(text: str) -> _Qty:
         qty = math.inf
     if not math.isfinite(qty):
         raise InvalidParameter(f"quantity {text!r} overflows in SI units")
+    if kind == "frequency" and not math.isfinite(TWO_PI * qty):
+        raise InvalidParameter(f"frequency {text!r} overflows in rad/s")
     return qty, kind
 
 
@@ -183,7 +186,7 @@ def _json_value(x):
     return xf if math.isfinite(xf) else format_number(xf)
 
 
-def emit_results(columns: Mapping[str, Sequence], fmt: str = "csv") -> str:
+def emit_results(columns: _Columns, fmt: str = "csv") -> str:
     """Render {column name: values} as CSV or structured JSON.
 
     Float64 array columns go through one ``%.12g`` row template, other
@@ -304,7 +307,7 @@ def _build_pump(cfg: dict, design) -> PumpDrive:
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_synth(cfg: dict, fmt: str, out: Optional[str]) -> int:
+def _cmd_synth(cfg: dict) -> _Columns:
     _require(cfg, "epsilon", "z_nr", "z_ki")
     proto = synthesis.PrototypeCoefficients(
         g0=cfg.get("g0", synthesis.GETSINGER_17DB[0]),
@@ -315,10 +318,8 @@ def _cmd_synth(cfg: dict, fmt: str, out: Optional[str]) -> int:
     )
     res = synthesis.synthesize_transformer(proto, z_nr=cfg["z_nr"],
                                            z_ki=cfg["z_ki"], z0=cfg.get("z0", 50.0))
-    row = {name: [getattr(res, name)] for name in ("z_ref", "z_quarter", "z_parallel", "z_half",
-                                                   "z_nr_primed", "r_nr_primed", "residual")}
-    _write_out(emit_results(row, fmt), out)
-    return EXIT_OK
+    return {name: [getattr(res, name)] for name in ("z_ref", "z_quarter", "z_parallel", "z_half",
+                                                      "z_nr_primed", "r_nr_primed", "residual")}
 
 
 def _hz_grid(start: float, stop: float, step: float):
@@ -331,19 +332,18 @@ def _hz_grid(start: float, stop: float, step: float):
     return start + step * np.arange(max(n, 1))
 
 
-def _cmd_simulate(cfg: dict, fmt: str, out: Optional[str]) -> int:
+def _cmd_simulate(cfg: dict) -> _Columns:
     design = _build_design(cfg)
     env = _build_env(cfg)
     pump = _build_pump(cfg, design)
     start, stop, step = cfg.get("span", (7.9e9, 8.9e9, 1e6))
     freqs = TWO_PI * _hz_grid(start, stop, step)
     profile = simulator.gain_spectrum(design, pump, env, freqs)
-    _write_out(emit_results({"freq_hz": profile.freqs / TWO_PI, "re_s11": profile.s11.real,
-                             "im_s11": profile.s11.imag, "gain_db": profile.gain_db}, fmt), out)
-    return EXIT_OK
+    return {"freq_hz": profile.freqs / TWO_PI, "re_s11": profile.s11.real,
+            "im_s11": profile.s11.imag, "gain_db": profile.gain_db}
 
 
-def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
+def _cmd_map(cfg: dict) -> _Columns:
     _require(cfg, "fp_span", "idc_start", "idc_stop", "idc_step")
     design = _build_design(cfg)
     env = _build_env(cfg)
@@ -354,15 +354,14 @@ def _cmd_map(cfg: dict, fmt: str, out: Optional[str]) -> int:
     policy = PumpRampPolicy(mode=cfg.get("policy", "current"))
     freq_step = TWO_PI * cfg["freq_step"] if "freq_step" in cfg else simulator.MAP_FREQ_STEP
     cells = simulator.pump_bias_map(design, env, fps, idcs, policy, freq_step)
-    _write_out(emit_results({
+    return {
         "fp_hz": [c.omega_p / TWO_PI for c in cells], "idc_a": [c.i_dc for c in cells],
         "bandwidth_hz": [c.bandwidth / TWO_PI for c in cells],
         "peaks": [c.peak_count for c in cells], "ripple_db": [c.ripple_db for c in cells],
-    }, fmt), out)
-    return EXIT_OK
+    }
 
 
-def _cmd_search(cfg: dict, fmt: str, out: Optional[str]) -> int:
+def _cmd_search(cfg: dict) -> _Columns:
     base = search_mod.default_ranges(cfg.get("kind", "three-stage"))
     if "z_ki" in cfg and base.z_ki is None:
         raise InvalidParameter("the conventional circuit has no z_ki line")
@@ -380,13 +379,12 @@ def _cmd_search(cfg: dict, fmt: str, out: Optional[str]) -> int:
         omega0=TWO_PI * cfg["f0"] if "f0" in cfg else base.omega0,
     )
     found = list(search_mod.search_designs(ranges))
-    _write_out(emit_results({
+    return {
         "z14": [r.z_quarter for r in found], "z12": [r.z_half for r in found],
         "znr": [r.z_nr for r in found], "fp2_hz": [r.omega_p_half / TWO_PI for r in found],
         "bandwidth_hz": [r.max_bandwidth / TWO_PI for r in found],
         "xi3_hz": [r.optimal_xi3 / TWO_PI for r in found], "eta": [r.eta for r in found],
-    }, fmt), out)
-    return EXIT_OK
+    }
 
 
 def _read_text(path: str) -> str:
@@ -398,87 +396,93 @@ def _read_text(path: str) -> str:
                                    f"at offset {exc.start})") from None
 
 
-def _dbm_to_watts(dbm: np.ndarray) -> np.ndarray:
-    """A dBm column in watts by Python's ``**`` per value: it raises OverflowError
+def _dbm_to_watts(dbm: np.ndarray, name: str) -> np.ndarray:
+    """The dBm column ``name`` in watts by Python's ``**`` per value: it raises
     where numpy's power gives inf, and numpy's SIMD power can differ in the last bit."""
-    return np.array([10.0 ** x for x in ((dbm - 30.0) / 10.0).tolist()])
+    try:
+        return np.array([10.0 ** x for x in ((dbm - 30.0) / 10.0).tolist()])
+    except OverflowError:
+        raise NumericalError(f"{name} = {dbm.max():.12g} overflows in watts") from None
 
 
-def _cmd_fit_ki(cfg: dict, fmt: str, out: Optional[str]) -> int:
+def _cmd_fit_ki(cfg: dict) -> _Columns:
     _require(cfg, "input")
     data = material.parse_shift_csv(_read_text(cfg["input"]))
     model, rms = material.fit_ki_curve(
         data, cfg.get("model_kind", "quartic"),
         l_k0=cfg.get("l_k0", 1.0), l_geo=cfg.get("l_geo", 0.0))
-    row = {
+    return {
         "model_kind": [model.model_kind],
         "i_star2_a": [model.i_star2],
         "i_star4_a": [model.i_star4 if model.i_star4 is not None else float("nan")],
         "i_star_star_a": [model.i_star_star if model.i_star_star is not None else float("nan")],
         "rms_residual": [rms],
     }
-    _write_out(emit_results(row, fmt), out)
-    return EXIT_OK
 
 
-def _cmd_fit_qubit(cfg: dict, fmt: str, out: Optional[str]) -> int:
+def _cmd_fit_qubit(cfg: dict) -> _Columns:
     _require(cfg, "input", "fq")
     table = material.parse_csv(_read_text(cfg["input"]),
                                ("detuning_hz", "p_vna_dbm", "re_s21", "im_s21"))
     res = noise_mod.fit_qubit_saturation(
-        TWO_PI * table[:, 0], _dbm_to_watts(table[:, 1]), table[:, 2] + 1j * table[:, 3],
-        omega_q=TWO_PI * cfg["fq"], p_ref=cfg.get("p_ref", 1e-11))
-    row = {"gamma1_hz": [res["gamma_1"] / TWO_PI], "gamma_phi_hz": [res["gamma_phi"] / TWO_PI],
-           "drive_ref_hz": [res["drive_ref"] / TWO_PI],
-           "a_in_db": [10.0 * math.log10(res["a_in"])], "rms_residual": [res["rms_residual"]]}
-    _write_out(emit_results(row, fmt), out)
-    return EXIT_OK
+        TWO_PI * table[:, 0], _dbm_to_watts(table[:, 1], "p_vna_dbm"),
+        table[:, 2] + 1j * table[:, 3], omega_q=TWO_PI * cfg["fq"], p_ref=cfg.get("p_ref", 1e-11))
+    return {"gamma1_hz": [res["gamma_1"] / TWO_PI], "gamma_phi_hz": [res["gamma_phi"] / TWO_PI],
+            "drive_ref_hz": [res["drive_ref"] / TWO_PI],
+            "a_in_db": [10.0 * math.log10(res["a_in"])], "rms_residual": [res["rms_residual"]]}
 
 
-def _cmd_noise(cfg: dict, fmt: str, out: Optional[str]) -> int:
+def _cmd_noise(cfg: dict) -> _Columns:
     _require(cfg, "input", "gs", "gsys_eff")
     table = material.parse_csv(_read_text(cfg["input"]),
                                ("freq_hz", "p_on_dbm", "p_off_dbm"))
     g_sys_eff = cfg["gsys_eff"]
     bm = cfg.get("bm", 10.0)
-    omega = TWO_PI * table[:, 0]
-    n4 = noise_mod.power_to_quanta(_dbm_to_watts(table[:, 1]), omega, bm)
-    n4_off = noise_mod.power_to_quanta(_dbm_to_watts(table[:, 2]), omega, bm)
-    _write_out(emit_results({
-        "freq_hz": table[:, 0], "n4": n4, "n4_off": n4_off,
-        "added_noise": noise_mod.added_noise(n4, n4_off, cfg["gs"], g_sys_eff,
-                                             cfg.get("n1", 0.5)),
-        "t_sys_k": noise_mod.system_noise_temperature(n4_off, omega, g_sys_eff),
-    }, fmt), out)
-    return EXIT_OK
+    # an overflow shows as a value that is not finite, reported below
+    with np.errstate(all="ignore"):
+        omega = TWO_PI * table[:, 0]
+        n4 = noise_mod.power_to_quanta(_dbm_to_watts(table[:, 1], "p_on_dbm"), omega, bm)
+        n4_off = noise_mod.power_to_quanta(_dbm_to_watts(table[:, 2], "p_off_dbm"), omega, bm)
+        columns = {
+            "freq_hz": table[:, 0], "n4": n4, "n4_off": n4_off,
+            "added_noise": noise_mod.added_noise(n4, n4_off, cfg["gs"], g_sys_eff,
+                                                 cfg.get("n1", 0.5)),
+            "t_sys_k": noise_mod.system_noise_temperature(n4_off, omega, g_sys_eff),
+        }
+    for name, values in columns.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericalError(f"{name} overflows at freq_hz = {table[bad[0], 0]:.12g} "
+                                 f"(gs = {cfg['gs']:.4g}, gsys_eff = {g_sys_eff:.4g}, "
+                                 f"bm = {bm:.4g} Hz)")
+    return columns
 
 
 # ---------------------------------------------------------------- argparse
 
-_SCHEMAS = {
-    "synth": {"epsilon": "none", "g0": "none", "g1": "none", "g2": "none",
-              "g3": "none", "z_nr": "impedance", "z_ki": "impedance", "z0": "impedance"},
-    "simulate": {**_DESIGN_KEYS, **_PUMP_KEYS, **_ENV_KEYS, "span": "span"},
-    "map": {**_DESIGN_KEYS, **_ENV_KEYS, "fp_span": "span", "idc_start": "current",
-            "idc_stop": "current", "idc_step": "current", "policy": "str",
-            "freq_step": "frequency"},
-    "search": {"kind": "str", "z14": "span", "z12": "span", "znr": "span",
-               "fp2": "span", "z_ki": "impedance", "f0": "frequency"},
-    "fit-ki": {"input": "str", "model_kind": "str", "l_k0": "inductance",
-               "l_geo": "inductance"},
-    "fit-qubit": {"input": "str", "fq": "frequency", "p_ref": "power"},
-    "noise": {"input": "str", "gs": "ratio", "gsys_eff": "ratio",
-              "bm": "frequency", "n1": "none"},
-}
+class _Command(NamedTuple):
+    run: Callable[[dict], _Columns]   # the config's output columns
+    schema: Dict[str, str]            # config key -> dimension tag (see parse_config)
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "simulate": _cmd_simulate,
-    "map": _cmd_map,
-    "search": _cmd_search,
-    "fit-ki": _cmd_fit_ki,
-    "fit-qubit": _cmd_fit_qubit,
-    "noise": _cmd_noise,
+
+_COMMANDS = {
+    "synth": _Command(_cmd_synth, {
+        "epsilon": "none", "g0": "none", "g1": "none", "g2": "none", "g3": "none",
+        "z_nr": "impedance", "z_ki": "impedance", "z0": "impedance"}),
+    "simulate": _Command(_cmd_simulate, {**_DESIGN_KEYS, **_PUMP_KEYS, **_ENV_KEYS,
+                                         "span": "span"}),
+    "map": _Command(_cmd_map, {
+        **_DESIGN_KEYS, **_ENV_KEYS, "fp_span": "span", "idc_start": "current",
+        "idc_stop": "current", "idc_step": "current", "policy": "str",
+        "freq_step": "frequency"}),
+    "search": _Command(_cmd_search, {
+        "kind": "str", "z14": "span", "z12": "span", "znr": "span", "fp2": "span",
+        "z_ki": "impedance", "f0": "frequency"}),
+    "fit-ki": _Command(_cmd_fit_ki, {
+        "input": "str", "model_kind": "str", "l_k0": "inductance", "l_geo": "inductance"}),
+    "fit-qubit": _Command(_cmd_fit_qubit, {"input": "str", "fq": "frequency", "p_ref": "power"}),
+    "noise": _Command(_cmd_noise, {
+        "input": "str", "gs": "ratio", "gsys_eff": "ratio", "bm": "frequency", "n1": "none"}),
 }
 
 
@@ -510,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinetic-inductance parametric amplifier design toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
 
@@ -567,10 +571,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _keep_freed_heap()
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    schema = _SCHEMAS[args.command]
+    command = _COMMANDS[args.command]
     try:
-        cfg = _gather_config(args, schema)
-        return _HANDLERS[args.command](cfg, args.format, args.out)
+        columns = command.run(_gather_config(args, command.schema))
+        _write_out(emit_results(columns, args.format), args.out)
+        return EXIT_OK
     except (ValidationError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -218,11 +218,13 @@ def frequency_shift(model: KineticInductorModel, i_dc) -> np.ndarray:
 
 
 _SENTINEL_ZERO = 1e-12   # below this |u|, a fitted 1/I*^2 is treated as zero
+# tolerance and evaluation cap of the clem law's Levenberg-Marquardt fit
+CLEM_FIT_TOL = 1e-10
+CLEM_FIT_MAX_NFEV = 200
 
 
 def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
-                 l_k0: float = 1.0, l_geo: float = 0.0,
-                 max_iter: int = 200, tol: float = 1e-10):
+                 l_k0: float = 1.0, l_geo: float = 0.0):
     """Fit the current scales of an inductance model to shift data.
 
     data : sequence of (i_dc [A], δω/ω [dimensionless]) pairs
@@ -310,7 +312,8 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
 
     # a trial v far beyond the data overflows x: a rejected step
     with np.errstate(over="ignore"):
-        fit = levenberg_marquardt(evaluate, [v0], i.size, tol, max_iter, "clem fit")
+        fit = levenberg_marquardt(evaluate, [v0], i.size, CLEM_FIT_TOL, CLEM_FIT_MAX_NFEV,
+                                  "clem fit")
     rms = float(np.sqrt(np.mean(fit.fun**2)))
     # a law that explains the data no better than no shift at all is flat
     rms_flat = float(np.sqrt(np.mean(y**2)))

@@ -213,8 +213,13 @@ def _saturation_residual(det: np.ndarray, ratio: np.ndarray, s21: np.ndarray):
     return evaluate
 
 
-def fit_qubit_saturation(detuning, power, s21, omega_q: float, p_ref: float = 1e-11,
-                         max_iter: int = 200, tol: float = 1e-10) -> dict:
+# tolerance and evaluation cap of the saturation fit's Levenberg-Marquardt run
+SATURATION_FIT_TOL = 1e-10
+SATURATION_FIT_MAX_NFEV = 800
+
+
+def fit_qubit_saturation(detuning, power, s21, omega_q: float,
+                         p_ref: float = 1e-11) -> dict:
     """Joint saturation fit over a (detuning, VNA power, S21) grid.
 
     detuning, power, s21 : one row of the grid per element: detuning rad/s,
@@ -264,8 +269,8 @@ def fit_qubit_saturation(detuning, power, s21, omega_q: float, p_ref: float = 1e
     # rows without a dip drive the rates to extremes where these powers
     # overflow; such a fit fails the drive check below (FitFailure)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fit = levenberg_marquardt(evaluate, x0, 2 * k, tol, max_iter * 4,
-                                  "qubit saturation fit")
+        fit = levenberg_marquardt(evaluate, x0, 2 * k, SATURATION_FIT_TOL,
+                                  SATURATION_FIT_MAX_NFEV, "qubit saturation fit")
         g1, gphi, om_ref = np.exp(fit.x)
         p_d = HBAR * omega_q * om_ref**2 / (2.0 * g1)
         # a drive whose saturation term Ω²/(γ1·γ2) stays below machine

@@ -8,7 +8,7 @@ together with its drive strength and the pump efficiency eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -111,19 +111,17 @@ def _design_for(ranges: SearchRanges, z14: float, z12: float, z_nr: float):
 
 
 def search_designs(ranges: SearchRanges,
-                   policy: PumpRampPolicy = SEARCH_RAMP) -> Iterator[DesignRecord]:
+                   xi3_cap: Optional[float] = None) -> Iterator[DesignRecord]:
     """Yield one record per qualifying grid point, in lexicographic order.
 
-    At each grid point |xi3| grows along the ``policy`` ladder (designs are
-    unbiased, so mode "xi3" only) until the maximum gain passes 40 dB (or an
-    oscillation pole is crossed); profiles that meet the amplifier criterion
-    along the way compete for the recorded maximum bandwidth.  The cells of
-    one (z14, z12, z_nr) row share their design and drive ladder, so each
-    row is one engine over all of its cells.
+    At each grid point |xi3| grows along the :data:`SEARCH_RAMP` ladder,
+    up to ``xi3_cap`` (rad/s) when one is given, until the maximum gain
+    passes 40 dB (or an oscillation pole is crossed); profiles that meet
+    the amplifier criterion along the way compete for the recorded maximum
+    bandwidth.  The cells of one (z14, z12, z_nr) row share their design
+    and drive ladder, so each row is one engine over all of its cells.
     """
-    if policy.mode != "xi3":
-        raise InvalidParameter("search designs are unbiased, so a search ramps mode 'xi3', "
-                               f"not {policy.mode!r}")
+    policy = replace(SEARCH_RAMP, xi3_cap=xi3_cap)
     z14s, z12s, znrs, fp2s = ranges.axes()
     cells = _row_grids(fp2s)
     for z14 in z14s:

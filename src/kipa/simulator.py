@@ -12,6 +12,7 @@ shows the measured amplitude ripple, while an ideal real environment keeps
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -26,7 +27,7 @@ from .circuits import (
     idler_admittance,
     port_line_abcd,
 )
-from .errors import InsufficientData, InvalidParameter
+from .errors import InsufficientData, InvalidParameter, SingularNetwork
 from .material import modulation_alpha
 
 PEAK_PROMINENCE_DB = 0.5
@@ -136,12 +137,12 @@ def _checked_grid(freqs, omega_p):
     ws = np.asarray(freqs, dtype=float)
     if ws.ndim != 1 or ws.size == 0:
         raise InvalidParameter("frequency grid must be a non-empty 1-D array")
-    if np.any(np.diff(ws) <= 0):
+    if not np.all(np.diff(ws) > 0):
         raise InvalidParameter("frequency grid must be strictly increasing")
     if not ws[0] > 0:
         raise InvalidParameter("grid reaches 0 Hz: omega_s must stay > 0")
     wi = omega_p - ws
-    if np.any(wi <= 0):
+    if not np.all(wi > 0):
         raise InvalidParameter("grid extends beyond the pump: omega_i must stay > 0")
     return ws, wi, omega_p
 
@@ -182,15 +183,25 @@ class ReflectionEngine:
             stop += ws.size
         self.ws = np.concatenate([ws for ws, _, _ in checked])
         wi = np.concatenate([wi for _, wi, _ in checked])
-        self.jws, self.jwi = 1j * self.ws, 1j * wi
-        self.y_c = self.jws * self.c
-        self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
-        self.abcd = port_line_abcd(design, self.ws)
-        self.z_env = np.asarray(environment_impedance(env, self.ws), dtype=complex)
-        self._set_biases([i_dc], [l0], np.zeros(len(self.cells), dtype=np.intp))
+        try:
+            # numpy flags every step that leaves the float range, so a build
+            # whose arrays are all finite costs no check of its own
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                self.jws, self.jwi = 1j * self.ws, 1j * wi
+                self.y_c = self.jws * self.c
+                self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
+                self.abcd = port_line_abcd(design, self.ws)
+                self.z_env = np.asarray(environment_impedance(env, self.ws), dtype=complex)
+                self._set_biases([i_dc], [l0], np.zeros(len(self.cells), dtype=np.intp))
+        except FloatingPointError as exc:
+            raise SingularNetwork(f"network arrays leave the float range: {exc}") from None
 
     def _set_biases(self, biases, l0s, ladder) -> None:
         """Per-cell bias and resonance, per-point l0, from ``biases[ladder[cell]]``."""
+        bad = [l0 for l0 in l0s if not 0.0 < l0 * self.c < math.inf]   # ω0 = 1/sqrt(l0·c)
+        if bad:
+            raise SingularNetwork(f"l0 = {bad[0]:.4g} H and c = {self.c:.4g} F "
+                                  "give no finite resonance")
         l0 = np.array(l0s, dtype=float)[ladder]
         self.ladder = ladder
         self.i_dc = np.array(biases, dtype=float)[ladder]
@@ -530,13 +541,13 @@ MAP_ENGINE_POINTS = 16384
 _LADDER_CHUNK = 1024
 
 
-def drive_ladder(start: float, ratio: float, alpha_of: Callable, alpha_max: float,
+def drive_ladder(start: float, ratio: float, alpha_of: Callable,
                  drive_ok: Optional[Callable] = None):
     """(drives, alphas) of a geometric pump ramp, as arrays.
 
     The drive grows by repeated multiplication from ``start`` (the same
     floating-point sequence as ``drive *= ratio``) and the ladder ends
-    before the first step whose alpha reaches ``alpha_max`` or whose drive
+    before the first step whose alpha reaches :data:`ALPHA_MAX` or whose drive
     fails the vectorized budget check ``drive_ok``.  A start that cannot
     grow, or a ladder that has not ended after :data:`MAX_GRID_POINTS`
     steps, raises ``InvalidParameter``.
@@ -545,15 +556,13 @@ def drive_ladder(start: float, ratio: float, alpha_of: Callable, alpha_max: floa
         raise InvalidParameter(f"ramp start must be > 0, got {start:g}")
     if not ratio > 1:
         raise InvalidParameter("ramp ratio must be > 1")
-    if alpha_max > 1:
-        raise InvalidParameter("alpha_max must be <= 1")
     parts = []
     drive = start
     while True:
         seq = np.full(_LADDER_CHUNK, ratio)
         seq[0] = drive
         drives = np.cumprod(seq)
-        ok = alpha_of(drives) < alpha_max
+        ok = alpha_of(drives) < ALPHA_MAX
         if drive_ok is not None:
             ok &= drive_ok(drives)
         stop = np.flatnonzero(~ok)
@@ -796,13 +805,13 @@ def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, cell: int):
         cap = policy.xi3_cap
         budget = None if cap is None else (lambda drive: drive <= cap)
         return drive_ladder(START_XI3, policy.ratio,
-                            lambda drive: engine.alpha_for_xi3(drive, cell), ALPHA_MAX, budget)
+                            lambda drive: engine.alpha_for_xi3(drive, cell), budget)
     model, i_dc = engine.design.ki_model, float(engine.i_dc[cell])
     if i_dc <= 0:
         return np.empty(0), np.empty(0)  # no three-wave mixing without bias
     budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
     return drive_ladder(START_CURRENT, policy.ratio,
-                        lambda drive: modulation_alpha(model, i_dc, drive), ALPHA_MAX, budget)
+                        lambda drive: modulation_alpha(model, i_dc, drive), budget)
 
 
 def policy_ladder(engine: ReflectionEngine, policy: PumpRampPolicy):
@@ -865,22 +874,20 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
 
 
 def rnr_power_law(design: DesignSpec, xi3_grid: Sequence[float], omega_p: float,
-                  i_dc: float = 0.0, env: Optional[EnvironmentModel] = None,
-                  signal_offset: float = 0.0) -> dict:
+                  i_dc: float = 0.0) -> dict:
     """Power-law fit of the node negative resistance against |xi3|.
 
-    Evaluates R_NR = -1/Re[Y_eff] at ω_s = ω_p/2 + signal_offset for each
-    grid value; points without gain are excluded.  Returns the log-log
-    slope (exponent), the prefactor, and the retained points.
+    Evaluates R_NR = -1/Re[Y_eff] at ω_s = ω_p/2 in the ideal environment
+    for each grid value; points without gain are excluded.  Returns the
+    log-log slope (exponent), the prefactor, and the retained points.
     """
-    env = env if env is not None else IDEAL_ENV
     xi3 = np.asarray(sorted(xi3_grid), dtype=float)
     if xi3.size < 2 or xi3[0] <= 0:
         raise InvalidParameter("xi3 grid must hold positive values")
     if xi3[-1] / xi3[0] < np.sqrt(10.0):
         raise InvalidParameter("xi3 grid must span at least half a decade")
-    ws = np.array([omega_p / 2.0 + signal_offset])
-    engine = ReflectionEngine(design, env, [(ws, omega_p)], i_dc)
+    ws = np.array([omega_p / 2.0])
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, omega_p)], i_dc)
     rs, xs = [], []
     for x in xi3:
         alpha = engine.alpha_for_xi3(x)

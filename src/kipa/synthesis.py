@@ -35,8 +35,8 @@ class PrototypeCoefficients:
 GETSINGER_17DB = (1.0, 0.408, 0.234, 1.106)
 
 
-def prototype(epsilon: float, g=GETSINGER_17DB) -> PrototypeCoefficients:
-    return PrototypeCoefficients(g[0], g[1], g[2], g[3], epsilon)
+def prototype(epsilon: float) -> PrototypeCoefficients:
+    return PrototypeCoefficients(*GETSINGER_17DB, epsilon)
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,24 @@ def transform_nr(z_ki: float, z_nr: float, r_nr: float) -> dict:
     return {"z_nr_primed": z_ki**2 / z_nr, "r_nr_primed": z_ki**2 / r_nr}
 
 
+def _square(name: str, x: float) -> float:
+    """x**2, or SynthesisInfeasible naming ``name`` where it leaves the float range."""
+    try:
+        sq = x**2
+    except OverflowError:
+        sq = math.inf
+    if not math.isfinite(sq):
+        raise SynthesisInfeasible(f"{name} = {x:.4g} ohm overflows when squared")
+    return sq
+
+
 def _half_wave_quadratic_coeffs(z_quarter: float, z_parallel: float, z0: float):
-    z0p = z_quarter**2 / z0
+    z0p = _square("z_quarter", z_quarter) / z0
+    z0p_sq = _square("z_quarter^2/z0", z0p)
     b = (z_quarter / 2.0
          - z_quarter * z0p / (2.0 * z0)
-         + 2.0 * z0p**2 / (math.pi * z_parallel))
-    c = -z0p**2
-    return b, c
+         + 2.0 * z0p_sq / (math.pi * z_parallel))
+    return b, -z0p_sq
 
 
 def synthesize_transformer(proto: PrototypeCoefficients, z_nr: float,
@@ -77,7 +88,7 @@ def synthesize_transformer(proto: PrototypeCoefficients, z_nr: float,
     if min(z_nr, z_ki, z0) <= 0:
         raise InvalidParameter("impedances must be > 0")
     eps, g1, g2, g3 = proto.epsilon, proto.g1, proto.g2, proto.g3
-    z_nr_primed = z_ki**2 / z_nr
+    z_nr_primed = _square("z_ki", z_ki) / z_nr
     z_ref = eps * z_nr_primed / g1
     if z_ref < 1e-6 * z0:
         raise SynthesisInfeasible(
@@ -97,7 +108,7 @@ def synthesize_transformer(proto: PrototypeCoefficients, z_nr: float,
         raise SynthesisInfeasible(
             f"no positive half-wave impedance (roots {roots[0]:.4g}, {roots[1]:.4g})"
         )
-    residual = z_half**2 + b * z_half + c
+    residual = _square("z_half", z_half) + b * z_half + c
     return SynthesisResult(
         z_ref=z_ref,
         z_quarter=z_quarter,

@@ -99,7 +99,7 @@ def _ramp_fabricated_device(freq_step_hz=1e6):
     design = paper_device()
     ws = TWO_PI * np.arange(7.35e9, 9.55e9, freq_step_hz)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, PAPER_DEVICE_PUMP)], PAPER_DEVICE_BIAS)
-    drives, alphas = drive_ladder(TWO_PI * 0.1e9, 1.02, engine.alpha_for_xi3, 0.9)
+    drives, alphas = drive_ladder(TWO_PI * 0.1e9, 1.02, engine.alpha_for_xi3)
     res, = ramp(engine, drives, alphas[None], threshold_db=17.0, ripple_max_db=5.0, stop_db=40.0)
     best = None if res.report is None else (res.report, res.drive)
     return engine, best

@@ -159,10 +159,10 @@ def test_unwritable_output_io_exit_code(tmp_path, capsys):
 
 
 def test_runtime_error_is_numerical_exit_code(monkeypatch, capsys):
-    def diverged(*args):
+    def diverged(cfg):
         raise RuntimeError("solver diverged")
 
-    monkeypatch.setitem(cli._HANDLERS, "synth", diverged)
+    monkeypatch.setitem(cli._COMMANDS, "synth", cli._COMMANDS["synth"]._replace(run=diverged))
     assert main(["synth"]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == "numerical failure: solver diverged\n"
 
@@ -417,20 +417,23 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
         assert capsys.readouterr().out == _HELP[command]
 
 
-def test_reused_parser_keeps_no_state_between_calls(monkeypatch):
+def test_reused_parser_keeps_no_state_between_calls(monkeypatch, tmp_path, capsys):
     seen = []
 
-    def record(cfg, fmt, out):
-        seen.append((cfg, fmt, out))
-        return EXIT_OK
+    def record(cfg):
+        seen.append(cfg)
+        return {"n": [len(seen)]}
 
-    monkeypatch.setitem(cli._HANDLERS, "synth", record)
+    monkeypatch.setitem(cli._COMMANDS, "synth", cli._COMMANDS["synth"]._replace(run=record))
+    monkeypatch.chdir(tmp_path)
     # --threads is accepted and passed to no handler
     assert main(["synth", "--set", "epsilon=0.25", "--set", "z_nr=60ohm",
                  "--threads", "3", "--format", "structured", "--out", "a.json"]) == EXIT_OK
     assert main(["synth", "--set", "z_ki=180ohm"]) == EXIT_OK
-    assert seen == [({"epsilon": 0.25, "z_nr": 60.0}, "structured", "a.json"),
-                    ({"z_ki": 180.0}, "csv", None)]
+    assert seen == [{"epsilon": 0.25, "z_nr": 60.0}, {"z_ki": 180.0}]
+    assert json.loads((tmp_path / "a.json").read_text()) == {"columns": ["n"],
+                                                             "records": [{"n": 1}]}
+    assert capsys.readouterr().out == "n\n2\n"
     assert cli._PARSER is not None
     assert cli._PARSER.parse_args(["synth"]).set == []
 
@@ -477,6 +480,54 @@ def test_arithmetic_overflow_is_numerical_failure(capsys):
     assert rc == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+
+
+_OVERFLOW_DESIGN = ["--set", "z_half=50ohm", "--set", "c_shunt=330fF", "--set", "f0=8GHz",
+                    "--set", "l_k0=1nH"]
+_NETWORK_OVERFLOW = "network arrays leave the float range: overflow encountered in multiply"
+
+
+# finite inputs whose arithmetic overflows: each printed numpy RuntimeWarnings
+# and exited 0 with inf or nan columns, or ended in a bare
+# "(34, 'Numerical result out of range')"
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["simulate", "--set", "z_quarter=1e300ohm", *_OVERFLOW_DESIGN, "--fp", "16GHz",
+                  "--xi3", "1GHz", "--span", "8GHz:8.002GHz:1MHz"], _NETWORK_OVERFLOW,
+                 id="simulate-line"),
+    pytest.param(["map", "--set", "z_quarter=1e300ohm", *_OVERFLOW_DESIGN, "--set", "policy=xi3",
+                  "--set", "fp_span=16GHz:16GHz:1GHz", "--set", "idc_start=0uA",
+                  "--set", "idc_stop=0uA", "--set", "idc_step=1uA"], _NETWORK_OVERFLOW,
+                 id="map-line"),
+    pytest.param(["search", "--set", "z_ki=1e200ohm"], _NETWORK_OVERFLOW, id="search-z-ki"),
+    pytest.param(["search", "--set", "f0=1e-300Hz"], _NETWORK_OVERFLOW, id="search-f0"),
+    pytest.param(["simulate", "--set", "z_quarter=50ohm", "--set", "z_half=50ohm",
+                  "--set", "c_shunt=1e200F", "--set", "f0=8GHz", "--set", "l_k0=1e200H",
+                  "--fp", "16GHz", "--xi3", "1GHz", "--span", "8GHz:8.002GHz:1MHz"],
+                 "l0 = 1e+200 H and c = 1e+200 F give no finite resonance", id="resonance"),
+    pytest.param(["synth", "--set", "epsilon=0.1", "--set", "z_nr=50ohm",
+                  "--set", "z_ki=1e300ohm"], "z_ki = 1e+300 ohm overflows when squared",
+                 id="synth-z-ki"),
+    pytest.param(["noise", "--set", "gs=20dB", "--set", "gsys_eff=1e-320"],
+                 "added_noise overflows at freq_hz = 8400000000 (gs = 100, gsys_eff = 1e-320, "
+                 "bm = 10 Hz)", id="noise-gsys-eff"),
+    pytest.param(["noise", "--set", "gs=20dB", "--set", "gsys_eff=75dB", "--set", "bm=1e-320Hz"],
+                 "n4 overflows at freq_hz = 8400000000 (gs = 100, gsys_eff = 3.162e+07, "
+                 "bm = 1e-320 Hz)", id="noise-bm"),
+    pytest.param(["noise", "--set", "gs=20dB", "--set", "gsys_eff=75dB"],
+                 "p_on_dbm = 4000 overflows in watts", id="noise-dbm"),
+])
+def test_overflow_is_one_line_numerical_failure(argv, message, tmp_path, capsys):
+    if argv[0] == "noise":
+        data = tmp_path / "noise.csv"
+        p_on = 4000 if message.startswith("p_on_dbm") else -62
+        data.write_text(f"freq_hz,p_on_dbm,p_off_dbm\n8.4e9,{p_on},-75\n8.5e9,-61,-75\n")
+        argv = [*argv, "--input", str(data)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {message}\n"
 
 
 @pytest.mark.parametrize("fq", ["0Hz", "-8.4GHz"])
@@ -584,6 +635,10 @@ def _case(name, argv, message):
     _case("impedance-overflow", ["synth", "--set", "epsilon=0.1", "--set", "z_ki=150ohm",
                                  "--set", "z_nr=1e308kohm"],
           "quantity '1e308kohm' overflows in SI units"),
+    # 2π times it overflows: the signal grid's rad/s product printed a numpy warning
+    _case("span-rad-overflow", ["simulate", "--preset", "paper-device", "--fp", "16.9GHz",
+                                "--span", "1e308Hz:1e308Hz:1Hz"],
+          "frequency '1e308Hz' overflows in rad/s"),
 ])
 def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_path, capsys):
     if argv[0] == "fit-ki":

@@ -97,7 +97,7 @@ def test_fuzzed_input_file_ends_in_documented_exit_code(command, tmp_path, capsy
 
 # Keys whose value sets a grid's point count with other keys; they stay fixed.
 _GRID_KEYS = {"idc_start", "idc_stop", "idc_step", "freq_step"}
-_KEYS = sorted({k for schema in cli._SCHEMAS.values() for k in schema} - _GRID_KEYS)
+_KEYS = sorted({k for command in cli._COMMANDS.values() for k in command.schema} - _GRID_KEYS)
 _OPTIONS = ["--config", "--preset", "--out", "--format", "--threads", "--set", "--idc",
             "--fp", "--xi3", "--span", "--input", "--help", "-h", "--bogus", "--", "-"]
 # Spans here give one to three points in any unit; no value parses as a large count.
@@ -123,7 +123,7 @@ _PREFIX = {"map": _MAP_GRID, "search": _SEARCH_GRID}
 
 
 @settings(_SETTINGS, max_examples=150)
-@given(command=st.one_of(st.sampled_from(sorted(cli._HANDLERS)), _GARBAGE),
+@given(command=st.one_of(st.sampled_from(sorted(cli._COMMANDS)), _GARBAGE),
        items=st.lists(_ITEM, max_size=8))
 @example(command="simulate",
          items=[("--preset", "paper-device"), ("--fp", "16.9GHz"), ("--span", "1:1e999:1")])

@@ -297,7 +297,7 @@ def test_ladder_start_must_be_positive(start):
         return drives * 0.0
 
     with pytest.raises(InvalidParameter, match="ramp start must be > 0"):
-        drive_ladder(start, 1.02, alpha_of, 0.9)
+        drive_ladder(start, 1.02, alpha_of)
     assert chunks == []
 
 
@@ -325,7 +325,7 @@ def test_ladder_that_does_not_end_is_rejected(mode, monkeypatch):
 
 def test_ladder_below_the_step_cap_ends():
     # drive n is (1 + 1e-9)^n ≈ 1 + n·1e-9, so alpha reaches 0.9 near step 999,000
-    drives, _ = drive_ladder(1.0, 1.0 + 1e-9, lambda d: (d - 1.0) * (0.9 / 999_000e-9), 0.9)
+    drives, _ = drive_ladder(1.0, 1.0 + 1e-9, lambda d: (d - 1.0) * (0.9 / 999_000e-9))
     assert abs(drives.size - 999_000) < 1_000
 
 
@@ -333,16 +333,6 @@ def test_ladder_below_the_step_cap_ends():
 def test_policy_rejects_a_ratio_that_cannot_grow(ratio):
     with pytest.raises(InvalidParameter, match="ramp ratio must be > 1"):
         PumpRampPolicy(mode="xi3", ratio=ratio)
-
-
-def test_search_rejects_a_current_ramp():
-    # search designs are unbiased, so a current ladder would be empty and
-    # every row silently recordless
-    point = SearchRanges((80.0, 80.0, 1.0), (60.0, 60.0, 1.0), (50.0, 50.0, 1.0),
-                         (TWO_PI * 8e9, TWO_PI * 8e9, 1.0), 180.0, TWO_PI * 8e9)
-    with pytest.raises(InvalidParameter, match="^search designs are unbiased, so a search "
-                                               "ramps mode 'xi3', not 'current'$"):
-        list(search_designs(point, PumpRampPolicy(mode="current")))
 
 
 def test_search_ladder_is_the_policy_budget():
@@ -355,13 +345,13 @@ def test_search_ladder_is_the_policy_budget():
     engine = ReflectionEngine(_design_for(point, 70.0, 30.0, 80.0), IDEAL_ENV,
                               [(ws, wp) for _, ws, wp in _row_grids(point.axes()[3])])
     drives, (alphas,) = policy_ladder(engine, SEARCH_RAMP)
-    want = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3, 0.9)
+    want = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3)
     assert drives.tolist() == want[0].tolist() and alphas.tolist() == want[1].tolist()
     first = min(records, key=lambda r: r.optimal_xi3)
     budget = dataclasses.replace(SEARCH_RAMP, xi3_cap=first.optimal_xi3)
     assert policy_ladder(engine, budget)[0].tolist() == [
         d for d in drives.tolist() if d <= first.optimal_xi3]
-    capped = list(search_designs(point, budget))
+    capped = list(search_designs(point, xi3_cap=first.optimal_xi3))
     assert first in capped and all(r.optimal_xi3 <= first.optimal_xi3 for r in capped)
 
 

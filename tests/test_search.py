@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from pathlib import Path
 
@@ -7,7 +6,6 @@ import pytest
 from kipa.cli import main
 from kipa.errors import InvalidParameter
 from kipa.search import (
-    SEARCH_RAMP,
     DesignRecord,
     SearchRanges,
     aggregate_by_znr,
@@ -39,7 +37,7 @@ def test_single_point_produces_one_qualifying_record():
 def test_empty_stream_when_ramp_capped_low():
     ranges = _point_ranges(80.0, 60.0, 50.0, 8.0e9)
     # α = (|ξ3|/2ω0)² stays below 1e-8 up to |ξ3| = 2π·1.6 MHz
-    recs = list(search_designs(ranges, dataclasses.replace(SEARCH_RAMP, xi3_cap=TWO_PI * 1.6e6)))
+    recs = list(search_designs(ranges, xi3_cap=TWO_PI * 1.6e6))
     assert recs == []
 
 

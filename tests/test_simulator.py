@@ -87,6 +87,18 @@ def test_grid_validation():
         ReflectionEngine(design, IDEAL_ENV, [(np.array([]), PAPER_DEVICE_PUMP)])
 
 
+@pytest.mark.parametrize("ws, wp, message", [
+    ([TWO_PI * 8e9, np.nan, TWO_PI * 8.2e9], PAPER_DEVICE_PUMP, "strictly increasing"),
+    ([TWO_PI * 8e9, TWO_PI * 8.1e9, np.nan], PAPER_DEVICE_PUMP, "strictly increasing"),
+    ([TWO_PI * 8e9, TWO_PI * 8.1e9], np.nan, "omega_i must stay > 0"),
+])
+def test_nan_grid_is_rejected(ws, wp, message):
+    # a NaN passed every grid check and gave NaN network arrays, which no
+    # floating-point flag reports
+    with pytest.raises(InvalidParameter, match=message):
+        ReflectionEngine(paper_device(), IDEAL_ENV, [(np.array(ws), wp)])
+
+
 def _rect_profile(width_hz=0.4e9, level_db=20.0):
     f = TWO_PI * np.arange(8.0e9, 9.0e9, 1e6)
     g = np.zeros_like(f)
