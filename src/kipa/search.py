@@ -7,6 +7,7 @@ together with its drive strength and the pump efficiency eta.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -16,8 +17,7 @@ import numpy as np
 from .circuits import CIRCUIT_KINDS, IDEAL_ENV, DesignSpec, circuit_kind_of
 from .errors import InvalidParameter
 from .material import KineticInductorModel
-from .simulator import (FREQ_HALF_SPAN, GAIN_STOP_DB, GAIN_THRESHOLD_DB, RIPPLE_MAX_DB,
-                        PumpRampPolicy, ReflectionEngine, grid_axis, policy_ladder, ramp)
+from .simulator import FREQ_HALF_SPAN, PumpRampPolicy, grid_axis, sweep
 
 TWO_PI = 2.0 * math.pi
 # the search ramps |xi3| in 2-% steps over a 4-MHz signal grid
@@ -124,10 +124,8 @@ def search_designs(ranges: SearchRanges,
     policy = replace(SEARCH_RAMP, xi3_cap=xi3_cap)
     z14s, z12s, znrs, fp2s = ranges.axes()
     cells = _row_grids(fp2s)
-    for z14 in z14s:
-        for z12 in z12s:
-            for z_nr in znrs:
-                yield from _search_row(ranges, z14, z12, z_nr, cells, policy)
+    for z14, z12, z_nr in itertools.product(z14s, z12s, znrs):
+        yield from _search_row(ranges, z14, z12, z_nr, cells, policy)
 
 
 def _row_grids(fp2s) -> list:
@@ -147,17 +145,10 @@ def _search_row(ranges, z14, z12, z_nr, cells, policy) -> List[DesignRecord]:
     design = _design_for(ranges, z14, z12, z_nr)
     if not cells:
         return []
-    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells])
-    # the ladder depends on the resonance alone, which the row shares
-    ladder = policy_ladder(engine, policy)
-    records = []
-    for (wp2, _, _), res in zip(cells, ramp(engine, *ladder, GAIN_THRESHOLD_DB,
-                                            RIPPLE_MAX_DB, GAIN_STOP_DB)):
-        if res.report is not None:
-            best_bw, best_xi = res.report.bandwidth, res.drive
-            records.append(DesignRecord(z14, z12, z_nr, wp2, best_bw, best_xi,
-                                        best_bw / best_xi, ranges.omega0))
-    return records
+    results = sweep(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells], [0.0], policy)
+    return [DesignRecord(z14, z12, z_nr, wp2, res.report.bandwidth, res.drive,
+                         res.report.bandwidth / res.drive, ranges.omega0)
+            for (wp2, _, _), res in zip(cells, results) if res.report is not None]
 
 
 @dataclass(frozen=True)

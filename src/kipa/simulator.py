@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,7 +96,6 @@ class GainProfile:
     freqs: np.ndarray        # angular signal frequencies, strictly increasing
     s11: np.ndarray          # complex reflection per point
     gain_db: np.ndarray      # 20 log10 |s11|; +inf marks oscillation poles
-    omega_p: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _idler_poles(a_idler):
 
 
 def _checked_grid(freqs, omega_p):
-    """(ws, wi, omega_p) of a valid engine grid; raises on an invalid one."""
+    """(ws, wi) of a valid engine grid; raises on an invalid one."""
     ws = np.asarray(freqs, dtype=float)
     if ws.ndim != 1 or ws.size == 0:
         raise InvalidParameter("frequency grid must be a non-empty 1-D array")
@@ -144,22 +144,22 @@ def _checked_grid(freqs, omega_p):
     wi = omega_p - ws
     if not np.all(wi > 0):
         raise InvalidParameter("grid extends beyond the pump: omega_i must stay > 0")
-    return ws, wi, omega_p
+    return ws, wi
 
 
 class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
-    An engine covers one or more ``(freqs, omega_p)`` grids, its cells, of
-    one design and environment, each cell at its own bias.  The line
-    cascade, idler chain and environment are elementwise in ω, so they are
-    built once over the concatenated grids: ``cells`` holds each grid's
-    slice of them and ``omega_ps`` its pump frequency, and a cell is bit
-    for bit what an engine of that grid alone at that bias gives.
-    ``i_dc`` and ``omega0`` hold each cell's bias and resonance, ``l0`` the
-    biased inductance at every grid point, and ``ladder`` each cell's pump
-    ladder: one per bias (see :func:`policy_ladder`).  Sweeping pump
-    strength then reduces to vector arithmetic per step.
+    An engine covers one or more ``(freqs, omega_p)`` grids of one design
+    and environment at each bias of ``i_dcs``.  Its cells are every grid
+    at ``i_dcs[0]``, then every grid at ``i_dcs[1]``, and so on; ``cells``
+    holds their slices of the concatenated arrays.  The line cascade,
+    idler chain and environment are elementwise in ω and free of the bias,
+    so they are built once and tiled for each further bias: a cell is bit
+    for bit an engine of its grid alone at its bias.  ``i_dc`` and
+    ``omega0`` hold each bias and its resonance, ``ladder`` each cell's
+    bias row, and ``l0`` the biased inductance at every grid point.
+    Sweeping pump strength then reduces to vector arithmetic per step.
 
     With A = iω_i·l0·Y_idler*(ω_i), the pumped inductor presents
     Y_eff = (A-1)/(iω_s·l0·D(α)), D(α) = (A-1) - αA, so S11 is a bilinear
@@ -171,76 +171,40 @@ class ReflectionEngine:
     """
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel,
-                 grids: Sequence[Tuple[np.ndarray, float]], i_dc: float = 0.0):
-        self.design = design
-        self.c = design.c_shunt
-        l0 = design.inductance_at_bias(i_dc)   # a bias fault is reported before a grid fault
+                 grids: Sequence[Tuple[np.ndarray, float]], i_dcs: Sequence[float] = (0.0,)):
+        self.design, self.c = design, design.c_shunt
+        # a bias fault is reported before a grid fault
+        l0s = [design.inductance_at_bias(i_dc) for i_dc in i_dcs]
+        if not l0s:
+            raise InvalidParameter("an engine needs at least one bias current")
         checked = [_checked_grid(freqs, omega_p) for freqs, omega_p in grids]
-        self.omega_ps = [omega_p for _, _, omega_p in checked]
-        self.cells, stop = [], 0
-        for ws, _, _ in checked:
-            self.cells.append(slice(stop, stop + ws.size))
-            stop += ws.size
-        self.ws = np.concatenate([ws for ws, _, _ in checked])
-        wi = np.concatenate([wi for _, wi, _ in checked])
+        n, sizes = len(l0s), [ws.size for ws, _ in checked] * len(l0s)
+        self.cells = [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+        self.ladder = np.arange(n).repeat(len(checked))
+        ws, wi = (np.concatenate(x) for x in zip(*checked))
+
+        def tiled(x):
+            return x if n == 1 else np.tile(x, n)
+
         try:
             # numpy flags every step that leaves the float range, so a build
             # whose arrays are all finite costs no check of its own
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                self.jws, self.jwi = 1j * self.ws, 1j * wi
+                self.ws = tiled(ws)
+                self.jws, self.jwi = 1j * self.ws, 1j * tiled(wi)
                 self.y_c = self.jws * self.c
-                self.y_idler_conj = np.conj(idler_admittance(design, env, wi))
-                self.abcd = port_line_abcd(design, self.ws)
-                self.z_env = np.asarray(environment_impedance(env, self.ws), dtype=complex)
-                self._set_biases([i_dc], [l0], np.zeros(len(self.cells), dtype=np.intp))
+                self.y_idler_conj = tiled(np.conj(idler_admittance(design, env, wi)))
+                self.abcd = tuple(tiled(x) for x in port_line_abcd(design, ws))
+                self.z_env = tiled(np.asarray(environment_impedance(env, ws), dtype=complex))
         except FloatingPointError as exc:
             raise SingularNetwork(f"network arrays leave the float range: {exc}") from None
-
-    def _set_biases(self, biases, l0s, ladder) -> None:
-        """Per-cell bias and resonance, per-point l0, from ``biases[ladder[cell]]``."""
         bad = [l0 for l0 in l0s if not 0.0 < l0 * self.c < math.inf]   # ω0 = 1/sqrt(l0·c)
         if bad:
             raise SingularNetwork(f"l0 = {bad[0]:.4g} H and c = {self.c:.4g} F "
                                   "give no finite resonance")
-        l0 = np.array(l0s, dtype=float)[ladder]
-        self.ladder = ladder
-        self.i_dc = np.array(biases, dtype=float)[ladder]
-        self.omega0 = 1.0 / np.sqrt(l0 * self.c)
-        self.l0 = np.repeat(l0, [cells.stop - cells.start for cells in self.cells])
-
-    def over_biases(self, i_dcs: Sequence[float]) -> "ReflectionEngine":
-        """One engine of this network's cells at each bias of ``i_dcs`` in turn.
-
-        Its cells are this engine's cells at ``i_dcs[0]``, then at
-        ``i_dcs[1]`` and so on, each cell bit for bit a fresh build at its
-        bias, and the cells of one bias share a ladder.  Only l0, ω0 and
-        the Möbius form depend on the bias: every other array, the port
-        terms of the Möbius form included, is built once here and tiled.
-        """
-        l0s = [self.design.inductance_at_bias(i_dc) for i_dc in i_dcs]
-        n, size = len(l0s), self.ws.size
-        other = object.__new__(ReflectionEngine)
-        other.design, other.c = self.design, self.c
-        other.omega_ps = self.omega_ps * n
-        other.cells = [slice(cells.start + k * size, cells.stop + k * size)
-                       for k in range(n) for cells in self.cells]
-        for name in ("ws", "jws", "jwi", "y_c", "y_idler_conj", "z_env"):
-            setattr(other, name, np.concatenate([getattr(self, name)] * n))
-        other.abcd = tuple(np.concatenate([x] * n) for x in self.abcd)
-        other._port_terms = tuple(np.concatenate([x] * n) for x in self._port_terms)
-        other._set_biases(i_dcs, l0s, np.repeat(np.arange(n), len(self.cells)))
-        return other
-
-    @cached_property
-    def _port_terms(self):
-        """(a - z·c, b - z·d, a + z·c, b + z·d): the bias-free part of :attr:`mobius`.
-
-        S11 = (p - z·q)/(p + z·q) with (p, q) = (a + b·y, c + d·y) at node
-        admittance y, so numerator and denominator are linear in y.
-        """
-        a, b, c, d = self.abcd
-        z = self.z_env
-        return a - z * c, b - z * d, a + z * c, b + z * d
+        self.i_dc = np.array(i_dcs, dtype=float)
+        self.omega0 = 1.0 / np.sqrt(np.array(l0s) * self.c)
+        self.l0 = np.array(l0s).repeat(ws.size)
 
     @cached_property
     def mobius(self) -> MobiusForm:
@@ -250,17 +214,21 @@ class ReflectionEngine:
         d0, d1 = a_idler - 1.0, -a_idler
         n0 = d0 * (self.y_c + 1.0 / (self.jws * self.l0))
         n1 = -self.y_c * a_idler
-        num_a, num_b, den_a, den_b = self._port_terms
+        # S11 = (u - z·v)/(u + z·v) with (u, v) = (a + b·y, c + d·y) at node
+        # admittance y, so numerator and denominator are linear in y
+        a, b, c, d = self.abcd
+        z = self.z_env
+        num_a, num_b, den_a, den_b = a - z * c, b - z * d, a + z * c, b + z * d
         return MobiusForm(num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
                           den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
 
-    def alpha_for_xi3(self, xi3_mag, cell: int = 0):
-        """α = (|ξ3|/2ω0)² at the resonance of cell ``cell``, for one drive or an array.
+    def alpha_for_xi3(self, xi3_mag, row: int = 0):
+        """α = (|ξ3|/2ω0)² at the resonance of bias ``row``, for one drive or an array.
 
         Squared as r·r, so a drive gets the same α bits alone as inside a
         ladder (numpy would square a scalar through C ``pow``).
         """
-        r = xi3_mag / (2.0 * self.omega0[cell])
+        r = xi3_mag / (2.0 * self.omega0[row])
         return r * r
 
     def s11(self, alpha, at=slice(None)) -> np.ndarray:
@@ -275,13 +243,17 @@ class ReflectionEngine:
         outside = values[~((values >= 0) & (values < 1))]
         if outside.size:
             raise InvalidParameter(f"alpha = {outside[0]:.4g} outside [0, 1)")
-        y_eff, den = self._y_eff(alpha, at)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_node = self.y_c[at] + y_eff
-            a, b, c, d = (x[at] for x in self.abcd)
-            p = a + b * y_node
-            zq = self.z_env[at] * (c + d * y_node)
-            s11 = (p - zq) / (p + zq)
+        try:
+            # a pole divides by zero; a finite value that overflows is no pole
+            with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+                y_eff, den = self._y_eff(alpha, at)
+                y_node = self.y_c[at] + y_eff
+                a, b, c, d = (x[at] for x in self.abcd)
+                p = a + b * y_node
+                zq = self.z_env[at] * (c + d * y_node)
+                s11 = (p - zq) / (p + zq)
+        except FloatingPointError as exc:
+            raise SingularNetwork(f"S11 leaves the float range: {exc}") from None
         pole = den == 0
         if np.any(pole):
             s11 = np.where(pole, np.inf + 0j, s11)
@@ -292,14 +264,14 @@ class ReflectionEngine:
         return _to_db(self.s11(alpha, at))
 
     def y_eff(self, alpha) -> np.ndarray:
-        return self._y_eff(alpha, slice(None))[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._y_eff(alpha, slice(None))[0]
 
     def _y_eff(self, alpha, at):
         """Y_eff and its idler denominator iω_i·l0'·Y_idler* - 1 (0 at a pole)."""
         lp = self.l0[at] * (1.0 - alpha)
         den = self.jwi[at] * lp * self.y_idler_conj[at] - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (1.0 / (self.jws[at] * lp)) * (1.0 + alpha / den), den
+        return (1.0 / (self.jws[at] * lp)) * (1.0 + alpha / den), den
 
 
 def _to_db(s11: np.ndarray) -> np.ndarray:
@@ -318,10 +290,9 @@ def gain_spectrum(design: DesignSpec, pump: PumpDrive, env: Optional[Environment
     reported as +inf gain at the affected grid points.
     """
     env = env if env is not None else IDEAL_ENV
-    engine = ReflectionEngine(design, env, [(freqs, pump.omega_p)], pump.i_dc)
+    engine = ReflectionEngine(design, env, [(freqs, pump.omega_p)], [pump.i_dc])
     s11 = engine.s11(engine.alpha_for_xi3(pump.xi3_mag))
-    return GainProfile(freqs=np.asarray(freqs, dtype=float), s11=s11,
-                       gain_db=_to_db(s11), omega_p=pump.omega_p)
+    return GainProfile(freqs=np.asarray(freqs, dtype=float), s11=s11, gain_db=_to_db(s11))
 
 
 def _edge(t, g_in, g_out, f_in, f_out):
@@ -446,19 +417,21 @@ def _peaks(x, height, prominence):
     return peaks[prominence <= h - np.maximum(lows[0::4], lows[2::4])]
 
 
-def bandwidth_report(profile: GainProfile, threshold_db: float = GAIN_THRESHOLD_DB,
-                     ripple_max_db: float = RIPPLE_MAX_DB,
+def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray,
+                     threshold_db: float = GAIN_THRESHOLD_DB, ripple_max_db: float = RIPPLE_MAX_DB,
                      require_two_peaks: bool = False, span=None) -> BandwidthReport:
-    """Bandwidth, peaks, and ripple of the largest contiguous >=threshold span.
+    """Bandwidth, peaks, and ripple of the largest contiguous >=threshold span of a profile.
 
-    Peaks are local maxima of the profile with prominence >= 0.5 dB sitting
-    at or above the threshold (:func:`_peaks`).  Oscillation-pole points
-    never count toward a span.  Rejection (two-peak or ripple rule) is
-    reported as a value.  ``span``, when given, is the profile's widest
-    span as :func:`_widest_spans` gives it for this one row, already at
-    hand, and is not computed again.
+    The profile is ``gain_db`` (+inf at oscillation poles) over the strictly
+    increasing angular frequencies ``freqs``.  Peaks are local maxima of
+    the profile with prominence >= 0.5 dB sitting at or above the
+    threshold (:func:`_peaks`).  Oscillation-pole points never count toward
+    a span.  Rejection (two-peak or ripple rule) is reported as a value.
+    ``span``, when given, is the profile's widest span as
+    :func:`_widest_spans` gives it for this one row, already at hand, and
+    is not computed again.
     """
-    f, g = profile.freqs, profile.gain_db
+    f, g = freqs, gain_db
     if f.size == 0:
         raise InvalidParameter("empty gain profile")
     n_osc = int(np.sum(~np.isfinite(g)))
@@ -534,9 +507,9 @@ RAMP_SLACK = 1e-6
 # 2,048 points already holds nearly every kept step of a map cell.  The
 # transient peak of 60 desk rows (tracemalloc) is 1.42, 1.86 and 2.75 MB.
 RAMP_BLOCK_POINTS = 4096
-# Most grid points one map engine holds, over all its biases: an engine
-# keeps about twenty complex arrays per point, ~5 MB at this size, so a
-# line of many biases ramps in several engines.
+# Most grid points one engine of a sweep holds, over all its biases: an
+# engine keeps about twenty complex arrays per point, ~5 MB at this size,
+# so a sweep of many biases ramps in several engines.
 MAP_ENGINE_POINTS = 16384
 _LADDER_CHUNK = 1024
 
@@ -789,9 +762,8 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
         # a stable sort keeps ladder order among equal widths
         for _, k, span in sorted(found, key=lambda x: -x[0]):
             gain = engine.gain_db(alphas[engine.ladder[c], k], cells)
-            rep = bandwidth_report(GainProfile(engine.ws[cells], None, gain, engine.omega_ps[c]),
-                                   threshold_db, ripple_max_db, require_two_peaks=True,
-                                   span=span)
+            rep = bandwidth_report(engine.ws[cells], gain, threshold_db, ripple_max_db,
+                                   require_two_peaks=True, span=span)
             if rep.qualified:
                 best, best_drive = rep, float(drives[k])
                 break
@@ -799,14 +771,14 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     return results
 
 
-def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, cell: int):
-    """(drives, alphas) of the pump ramp that ``policy`` runs at cell ``cell`` of ``engine``."""
+def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, row: int):
+    """(drives, alphas) of the pump ramp that ``policy`` runs at bias ``row`` of ``engine``."""
     if policy.mode == "xi3":
         cap = policy.xi3_cap
         budget = None if cap is None else (lambda drive: drive <= cap)
         return drive_ladder(START_XI3, policy.ratio,
-                            lambda drive: engine.alpha_for_xi3(drive, cell), budget)
-    model, i_dc = engine.design.ki_model, float(engine.i_dc[cell])
+                            lambda drive: engine.alpha_for_xi3(drive, row), budget)
+    model, i_dc = engine.design.ki_model, float(engine.i_dc[row])
     if i_dc <= 0:
         return np.empty(0), np.empty(0)  # no three-wave mixing without bias
     budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
@@ -817,18 +789,32 @@ def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, cell: int):
 def policy_ladder(engine: ReflectionEngine, policy: PumpRampPolicy):
     """(drives, alphas) of the pump ramps that ``policy`` runs on ``engine``.
 
-    ``alphas`` holds one row per ladder of the engine (``engine.ladder``
-    gives each cell's; the cells of one bias share one).  Every ladder
-    steps through the same drives, the longest ladder's ``drives``, and
-    ends where its own α or budget ends it: its row is NaN from there on.
+    ``alphas`` holds one row per bias of the engine (``engine.ladder``
+    gives each cell's).  Every ladder steps through the same drives, the
+    longest ladder's ``drives``, and ends where its own α or budget ends
+    it: its row is NaN from there on.
     """
-    firsts = np.unique(engine.ladder, return_index=True)[1]
-    ladders = [_bias_ladder(engine, policy, cell) for cell in firsts.tolist()]
+    ladders = [_bias_ladder(engine, policy, row) for row in range(engine.i_dc.size)]
     drives = max((d for d, _ in ladders), key=len)
     alphas = np.full((len(ladders), drives.size), np.nan)
     for row, (_, a) in zip(alphas, ladders):
         row[:a.size] = a
     return drives, alphas
+
+
+def sweep(design: DesignSpec, env: EnvironmentModel, grids: Sequence[Tuple[np.ndarray, float]],
+          i_dcs: Sequence[float], policy: PumpRampPolicy) -> list:
+    """The :func:`ramp` result of every grid at ``i_dcs[0]``, then at ``i_dcs[1]``, and so on.
+
+    Each engine holds as many biases as :data:`MAP_ENGINE_POINTS` allows, at least one.
+    """
+    per_engine = max(1, MAP_ENGINE_POINTS // max(1, sum(np.size(f) for f, _ in grids)))
+    results = []
+    for first in range(0, len(i_dcs), per_engine):
+        engine = ReflectionEngine(design, env, grids, i_dcs[first:first + per_engine])
+        results += ramp(engine, *policy_ladder(engine, policy),
+                        GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)
+    return results
 
 
 def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
@@ -838,14 +824,11 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
     """Best qualifying bandwidth per (omega_p, i_dc) cell, in grid order.
 
     Cells without any qualifying profile report zero bandwidth.  Output
-    order is lexicographic in (omega_p, i_dc).  The network at ω_s and ω_i
-    is built once per pump frequency, and one :func:`ramp` runs over its
-    cells at every bias (:meth:`ReflectionEngine.over_biases`), or over
-    as many biases at a time as :data:`MAP_ENGINE_POINTS` allows.
+    order is lexicographic in (omega_p, i_dc).  Each pump frequency is
+    one :func:`sweep` over every bias.
     """
     env = env if env is not None else IDEAL_ENV
-    omega_p_grid = list(omega_p_grid)
-    i_dc_grid = list(i_dc_grid)
+    omega_p_grid, i_dc_grid = list(omega_p_grid), list(i_dc_grid)
     if not omega_p_grid or not i_dc_grid:
         raise InvalidParameter("map grids must be non-empty")
     if not freq_step > 0:
@@ -857,19 +840,10 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
     cells = []
     for wp in omega_p_grid:
         ws = np.arange(wp / 2 - FREQ_HALF_SPAN, wp / 2 + FREQ_HALF_SPAN, freq_step)
-        network = ReflectionEngine(design, env, [(ws, wp)])
-        per_engine = max(1, MAP_ENGINE_POINTS // ws.size)
-        for first in range(0, len(i_dc_grid), per_engine):
-            biases = i_dc_grid[first:first + per_engine]
-            engine = network.over_biases(biases)
-            for idc, res in zip(biases, ramp(engine, *policy_ladder(engine, policy),
-                                             GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)):
-                rep = res.report
-                if rep is None:
-                    cells.append(MapCell(wp, idc, 0.0, 0, 0.0, 0.0))
-                else:
-                    cells.append(MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db,
-                                         res.drive))
+        for idc, res in zip(i_dc_grid, sweep(design, env, [(ws, wp)], i_dc_grid, policy)):
+            rep = res.report
+            cells.append(MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
+                         if rep else MapCell(wp, idc, 0.0, 0, 0.0, 0.0))
     return cells
 
 
@@ -886,8 +860,7 @@ def rnr_power_law(design: DesignSpec, xi3_grid: Sequence[float], omega_p: float,
         raise InvalidParameter("xi3 grid must hold positive values")
     if xi3[-1] / xi3[0] < np.sqrt(10.0):
         raise InvalidParameter("xi3 grid must span at least half a decade")
-    ws = np.array([omega_p / 2.0])
-    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, omega_p)], i_dc)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([omega_p / 2.0]), omega_p)], [i_dc])
     rs, xs = [], []
     for x in xi3:
         alpha = engine.alpha_for_xi3(x)

@@ -68,6 +68,13 @@ def _square(name: str, x: float) -> float:
     return sq
 
 
+def _finite(name: str, value: float) -> float:
+    """``value``, or SynthesisInfeasible naming ``name`` where it overflows."""
+    if not math.isfinite(value):
+        raise SynthesisInfeasible(f"{name} overflows")
+    return value
+
+
 def _half_wave_quadratic_coeffs(z_quarter: float, z_parallel: float, z0: float):
     z0p = _square("z_quarter", z_quarter) / z0
     z0p_sq = _square("z_quarter^2/z0", z0p)
@@ -88,14 +95,13 @@ def synthesize_transformer(proto: PrototypeCoefficients, z_nr: float,
     if min(z_nr, z_ki, z0) <= 0:
         raise InvalidParameter("impedances must be > 0")
     eps, g1, g2, g3 = proto.epsilon, proto.g1, proto.g2, proto.g3
-    z_nr_primed = _square("z_ki", z_ki) / z_nr
-    z_ref = eps * z_nr_primed / g1
-    if z_ref < 1e-6 * z0:
-        raise SynthesisInfeasible(
-            f"vanishing bandwidth: reference impedance {z_ref:.3g} ohm is degenerate"
-        )
-    z_quarter = math.sqrt(g3 * z_ref * z0)
+    z_nr_primed = _finite("z_nr_primed = z_ki^2/z_nr", _square("z_ki", z_ki) / z_nr)
+    z_ref = _finite("z_ref = epsilon*z_nr_primed/g1", eps * z_nr_primed / g1)
+    z_quarter = math.sqrt(_finite("z_quarter^2 = g3*z_ref*z0", g3 * z_ref * z0))
     z_parallel = eps * z_ref / g2
+    if not z_parallel > 0:   # the half-wave quadratic divides by it
+        raise SynthesisInfeasible(f"vanishing bandwidth: z_parallel = epsilon*z_ref/g2 underflows "
+                                  f"to 0 ohm (epsilon = {eps:.4g}, z_ref = {z_ref:.4g} ohm)")
     b, c = _half_wave_quadratic_coeffs(z_quarter, z_parallel, z0)
     disc = b * b - 4.0 * c
     if disc < 0:

@@ -143,8 +143,35 @@ def test_synth_command_validation_exit_code(tmp_path, capsys):
 
 def test_synth_numerical_exit_code(tmp_path):
     cfg = tmp_path / "synth.cfg"
-    cfg.write_text("epsilon = 1e-8\nz_nr = 60 ohm\nz_ki = 180 ohm\n")
+    cfg.write_text("epsilon = 1e-300\nz_nr = 60 ohm\nz_ki = 180 ohm\n")
     assert main(["synth", "--config", str(cfg)]) == EXIT_NUMERICAL
+
+
+_SYNTH = ["synth", "--set", "z_nr=50ohm"]
+
+
+# a large z0 synthesizes; the synthesis fails where its arithmetic leaves
+# the float range: z_parallel = epsilon·z_ref/g2 underflows to 0 (the
+# half-wave quadratic divides by it), or z_quarter² = g3·z_ref·z0 overflows
+@pytest.mark.parametrize("argv, rc, out", [
+    pytest.param([*_SYNTH, "--set", "epsilon=0.1", "--set", "z_ki=150ohm", "--set", "z0=1e12ohm"],
+                 EXIT_OK, "z_ref,z_quarter,z_parallel,z_half,z_nr_primed,r_nr_primed,residual\n"
+                 "110.294117647,11044695.2931,47.1342383107,0.00269448274241,450,"
+                 "110.294117647,0\n", id="z0-large"),
+    pytest.param([*_SYNTH, "--set", "epsilon=1e-300", "--set", "z_ki=150ohm"], EXIT_NUMERICAL,
+                 "numerical failure: vanishing bandwidth: z_parallel = epsilon*z_ref/g2 "
+                 "underflows to 0 ohm (epsilon = 1e-300, z_ref = 1.103e-297 ohm)\n",
+                 id="epsilon-underflow"),
+    pytest.param([*_SYNTH, "--set", "epsilon=0.1", "--set", "z_ki=1e100ohm",
+                  "--set", "z0=1e300ohm"], EXIT_NUMERICAL, "numerical failure: z_quarter^2 = g3*z_ref*z0 overflows\n",
+                 id="z0-overflow"),
+])
+def test_synth_fails_only_where_its_arithmetic_does(argv, rc, out, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == rc
+    captured = capsys.readouterr()
+    assert (captured.out if rc == EXIT_OK else captured.err) == out
 
 
 def test_missing_input_io_exit_code(tmp_path):
@@ -507,6 +534,10 @@ _NETWORK_OVERFLOW = "network arrays leave the float range: overflow encountered 
     pytest.param(["synth", "--set", "epsilon=0.1", "--set", "z_nr=50ohm",
                   "--set", "z_ki=1e300ohm"], "z_ki = 1e+300 ohm overflows when squared",
                  id="synth-z-ki"),
+    # every network array is finite; the idler denominator of S11 is not
+    pytest.param(["simulate", "--preset", "paper-device", "--fp", "2.8e307Hz",
+                  "--span", "1e307Hz:1e307Hz:1Hz"],
+                 "S11 leaves the float range: overflow encountered in multiply", id="simulate-s11"),
     pytest.param(["noise", "--set", "gs=20dB", "--set", "gsys_eff=1e-320"],
                  "added_noise overflows at freq_hz = 8400000000 (gs = 100, gsys_eff = 1e-320, "
                  "bm = 10 Hz)", id="noise-gsys-eff"),

@@ -8,9 +8,9 @@ network composition, S11 over a block of α against each α alone bit for
 bit, each step on its own frequency window, gathered into flat rounds,
 against the whole row (and every point outside the window below the
 screened level), the screened row ramp, at several round budgets,
-against evaluating and reporting every step of each cell, the cells of a
-multi-grid engine and an engine moved to another bias against engines
-built one grid at a time, and the map against per-cell builds.
+against evaluating and reporting every step of each cell, the cells of an
+engine over several grids and biases against engines built one grid and
+one bias at a time, and the map against per-cell builds.
 """
 import dataclasses
 import itertools
@@ -23,9 +23,10 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from kipa.circuits import IDEAL_ENV, environment_impedance, idler_admittance, port_line_abcd
-from kipa.errors import InvalidParameter
+from kipa.errors import InvalidParameter, SuperconductivityBreakdown
 from kipa import simulator
-from kipa.material import PumpOperatingPoint, modulation_alpha, pump_coefficients
+from kipa.material import (KineticInductorModel, PumpOperatingPoint, modulation_alpha,
+                           pump_coefficients)
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, paper_device, paper_env
 from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
 from kipa.search import (
@@ -45,7 +46,6 @@ from kipa.simulator import (
     RIPPLE_MAX_DB,
     START_CURRENT,
     START_XI3,
-    GainProfile,
     MobiusForm,
     PumpRampPolicy,
     RampResult,
@@ -96,8 +96,8 @@ def _exhaustive_ramp(engine, drives, alphas, threshold_db, ripple_max_db, stop_d
         if not np.isfinite(gdb).all() or gdb.max() > stop_db:
             break
         if gdb.max() >= threshold_db:
-            rep = bandwidth_report(GainProfile(engine.ws, None, gdb, engine.omega_ps[0]),
-                                   threshold_db, ripple_max_db, require_two_peaks=True)
+            rep = bandwidth_report(engine.ws, gdb, threshold_db, ripple_max_db,
+                                   require_two_peaks=True)
             if rep.qualified and rep.bandwidth > (best.bandwidth if best else 0.0):
                 best, best_drive = rep, float(drive)
     return RampResult(best, best_drive)
@@ -225,7 +225,7 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
                                  ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=None))
     wp = TWO_PI * fp_hz
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], [idc])
     ladder = policy_ladder(engine, PumpRampPolicy(mode=mode, ratio=10.0 ** (step_db / 20.0)))
     assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, *ladder, 17.0, 5.0, 40.0)]
@@ -235,7 +235,7 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
 def test_policy_ladder_repeats_the_multiplied_drive(mode):
     design = paper_device()
     engine = ReflectionEngine(design, IDEAL_ENV, [(TWO_PI * np.arange(8.0e9, 8.9e9, 10e6),
-                                                   TWO_PI * 16.9e9)], 0.57e-3)
+                                                   TWO_PI * 16.9e9)], [0.57e-3])
     policy = PumpRampPolicy(mode=mode)
     drives, (alphas,) = policy_ladder(engine, policy)
     # the loop the ladder replaces, in 0.1-dB power steps
@@ -268,7 +268,7 @@ def test_alpha_squares_keep_the_bits_of_each_caller():
     # at a drive a ramp evaluated uses that step's alpha bit for bit
     design = paper_device()
     engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
-                              PAPER_DEVICE_BIAS)
+                              [PAPER_DEVICE_BIAS])
     rng = np.random.default_rng(5)
     xi3 = np.concatenate([rng.uniform(0.0, TWO_PI * 6e9, 20_000),
                           np.geomspace(TWO_PI * 1e3, TWO_PI * 1e11, 2_000)])
@@ -318,7 +318,7 @@ def test_ladder_that_does_not_end_is_rejected(mode, monkeypatch):
     monkeypatch.setattr(simulator, "modulation_alpha", bounded(modulation_alpha))
     design = paper_device()
     engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
-                              PAPER_DEVICE_BIAS)
+                              [PAPER_DEVICE_BIAS])
     with pytest.raises(InvalidParameter, match="has not ended after 1000000 steps"):
         policy_ladder(engine, PumpRampPolicy(mode=mode, ratio=10.0 ** (1e-7 / 20.0)))
 
@@ -502,21 +502,21 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
 
 
 ENGINE_ARRAYS = ("ws", "jws", "jwi", "y_c", "y_idler_conj", "z_env", "l0")
-CELL_VALUES = ("i_dc", "omega0")
+BIAS_VALUES = ("i_dc", "omega0")
 
 
 def _assert_cell_equals(engine, cell, ref, same):
-    """Cell ``cell`` of ``engine`` equals the one-grid engine ``ref`` under ``same``."""
-    cells = engine.cells[cell]
+    """Cell ``cell`` of ``engine`` equals the one-grid, one-bias engine ``ref`` under ``same``."""
+    cells, row = engine.cells[cell], engine.ladder[cell]
     for field in ENGINE_ARRAYS:
         assert same(getattr(engine, field)[cells], getattr(ref, field)), field
     for got, want in zip(engine.abcd, ref.abcd):
         assert same(got[cells], want)
     for field, got, want in zip(ref.mobius._fields, engine.mobius, ref.mobius):
         assert same(got[cells], want), field
-    assert engine.omega_ps[cell] == ref.omega_ps[0] and engine.c == ref.c
-    for field in CELL_VALUES:
-        assert same(getattr(engine, field)[cell:cell + 1], getattr(ref, field)), field
+    assert engine.c == ref.c
+    for field in BIAS_VALUES:
+        assert same(getattr(engine, field)[row:row + 1], getattr(ref, field)), field
 
 
 def _row_designs():
@@ -533,14 +533,22 @@ def test_row_engines_equal_per_cell_engines(name, design, i_dc, env):
     fp2s = [TWO_PI * 5e6] + default_ranges("three-stage").axes()[3]   # 7.5-8.5 GHz
     cells = _row_grids(fp2s)
     assert [wp2 for wp2, _, _ in cells] == fp2s[1:]
-    engine = ReflectionEngine(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], i_dc)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, wp) for _, ws, wp in cells], [i_dc])
     assert len(engine.cells) == len(cells) and engine.ladder.tolist() == [0] * len(cells)
     for c, (_, ws, wp) in enumerate(cells):
-        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
+        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], [i_dc])
         _assert_cell_equals(engine, c, ref, np.array_equal)
 
 
 BIASES = [0.0, 0.45e-3, PAPER_DEVICE_BIAS, 0.6e-3]
+
+
+def _counting_idler_builds(patch):
+    """The argument tuples of every ``idler_admittance`` call an engine makes under ``patch``."""
+    builds = []
+    patch.setattr(simulator, "idler_admittance",
+                  lambda *args: builds.append(args) or idler_admittance(*args))
+    return builds
 
 
 @pytest.mark.parametrize("env", sorted(ENVS))
@@ -548,37 +556,31 @@ def test_bias_shared_engines_equal_standalone_engines(env, monkeypatch):
     design = paper_device()
     wp = TWO_PI * 16.9e9
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    builds = []
-    monkeypatch.setattr(simulator, "idler_admittance",
-                        lambda *args: builds.append(args) or idler_admittance(*args))
-    network = ReflectionEngine(design, ENVS[env], [(ws, wp)])
-    network.mobius   # a Möbius form built at another bias is not carried over
-    engine = network.over_biases(BIASES)
-    assert len(builds) == 1   # one network for every bias
+    builds = _counting_idler_builds(monkeypatch)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], BIASES)
+    assert len(builds) == 1   # one idler chain for every bias
     monkeypatch.undo()
-    assert len(engine.cells) == len(BIASES)
+    assert len(engine.cells) == len(BIASES) and engine.ladder.tolist() == [0, 1, 2, 3]
+    first = engine.cells[0]
     for k, (i_dc, at) in enumerate(zip(BIASES, engine.cells)):
-        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
+        ref = ReflectionEngine(design, ENVS[env], [(ws, wp)], [i_dc])
         _assert_cell_equals(engine, k, ref, _same_bits)
-        # the bias-free arrays are the network's; the Möbius form, checked
-        # above, is the bias's own
-        assert _same_bits(engine.y_idler_conj[at], network.y_idler_conj)
+        # the bias-free arrays are the first bias's, tiled; the Möbius form,
+        # checked above, is each bias's own
+        assert _same_bits(engine.y_idler_conj[at], engine.y_idler_conj[first])
 
 
-def test_biases_share_the_port_terms_and_one_shot_engines_skip_them():
+def test_one_shot_engines_build_no_mobius_form():
     design = paper_device()
     wp = TWO_PI * 16.9e9
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    network = ReflectionEngine(design, paper_env(), [(ws, wp)])
-    network.s11(0.01)
-    # an engine that only evaluates S11 builds neither the port terms nor the Möbius form
-    assert "_port_terms" not in vars(network) and "mobius" not in vars(network)
-    engine = network.over_biases(BIASES)
-    # the port terms come with the engine, built once on the network and tiled
-    assert "_port_terms" in vars(engine) and "mobius" not in vars(engine)
-    engine.mobius
-    for at in engine.cells:
-        assert all(_same_bits(x[at], y) for x, y in zip(engine._port_terms, network._port_terms))
+    for biases in ([PAPER_DEVICE_BIAS], BIASES):
+        engine = ReflectionEngine(design, paper_env(), [(ws, wp)], biases)
+        engine.s11(0.01)
+        # an engine that only evaluates S11 builds no Möbius form
+        assert "mobius" not in vars(engine)
+        engine.mobius
+        assert "mobius" in vars(engine)
 
 
 @settings(max_examples=20, deadline=None)
@@ -586,29 +588,25 @@ def test_biases_share_the_port_terms_and_one_shot_engines_skip_them():
                        min_size=1, max_size=5),
        env=st.sampled_from(sorted(ENVS)), mode=st.sampled_from(["current", "xi3"]))
 def test_bias_engine_cells_equal_fresh_engines(biases, env, mode):
-    # bias lists hold 0 A, duplicates and unsorted values; a network of two
+    # bias lists hold 0 A, duplicates and unsorted values; an engine of two
     # grids, so that every bias holds several cells
     design = paper_device()
     grids = [(np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 8e6), wp)
              for wp in TWO_PI * np.array([16.8e9, 16.9e9])]
-    builds = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "idler_admittance",
-                      lambda *args: builds.append(args) or idler_admittance(*args))
-        network = ReflectionEngine(design, ENVS[env], grids)
-        network.s11(0.01)
-        # an engine that only evaluates S11 builds neither the port terms nor the Möbius form
-        assert "_port_terms" not in vars(network) and "mobius" not in vars(network)
-        network.mobius   # the network's own Möbius form, at 0 A, is not carried over
-        engine = network.over_biases(biases)
+        builds = _counting_idler_builds(patch)
+        engine = ReflectionEngine(design, ENVS[env], grids, biases)
+        engine.s11(0.01)
+        # an engine that only evaluates S11 builds no Möbius form
+        assert "mobius" not in vars(engine)
         engine.mobius
-    assert len(builds) == 1   # one network for every bias
+    assert len(builds) == 1   # one idler chain for every bias
     policy = PumpRampPolicy(mode=mode)
     drives, alphas = policy_ladder(engine, policy)
     assert len(engine.cells) == len(biases) * len(grids) and len(alphas) == len(biases)
     for c in range(len(engine.cells)):
         k, grid = divmod(c, len(grids))
-        ref = ReflectionEngine(design, ENVS[env], [grids[grid]], biases[k])
+        ref = ReflectionEngine(design, ENVS[env], [grids[grid]], [biases[k]])
         _assert_cell_equals(engine, c, ref, _same_bits)
         # the cells of one bias share its ladder, bit for bit a fresh build's
         ref_drives, (ref_alphas,) = policy_ladder(ref, policy)
@@ -623,6 +621,23 @@ def test_bias_engine_cells_equal_fresh_engines(biases, env, mode):
     assert drives.size == max(np.count_nonzero(~np.isnan(alphas), axis=1), default=0)
 
 
+def test_a_bias_that_breaks_down_is_rejected_before_any_grid_check_or_build(monkeypatch):
+    # the Clem film breaks down at 1 mA; the grid below is invalid too
+    film = KineticInductorModel("clem", l_k0=0.8e-9, l_geo=0.2e-9, i_star_star=1e-3)
+    design = dataclasses.replace(paper_device(), ki_model=film)
+    monkeypatch.setattr(simulator, "_checked_grid", lambda *args: pytest.fail("grid checked"))
+    monkeypatch.setattr(simulator, "idler_admittance", lambda *args: pytest.fail("array built"))
+    with pytest.raises(SuperconductivityBreakdown, match="bias 0.0012 at or beyond"):
+        ReflectionEngine(design, IDEAL_ENV, [(np.array([]), TWO_PI * 16.9e9)],
+                         [0.0, 0.5e-3, 1.2e-3, 0.6e-3])
+
+
+def test_an_engine_needs_a_bias():
+    grid = (TWO_PI * np.arange(7.9e9, 8.1e9, 10e6), TWO_PI * 16.9e9)
+    with pytest.raises(InvalidParameter, match="needs at least one bias current"):
+        ReflectionEngine(paper_device(), IDEAL_ENV, [grid], [])
+
+
 @pytest.mark.parametrize("env", sorted(ENVS))
 def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
     # a 3.2-mA budget ends each bias's current ladder at its own step, and
@@ -633,13 +648,13 @@ def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
     biases = [0.57e-3, 0.0, 0.5e-3, 1.6e-3, 0.6e-3, 0.54e-3, 0.63e-3]
     wp = TWO_PI * 16.9e9
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
-    engine = ReflectionEngine(design, ENVS[env], [(ws, wp)]).over_biases(biases)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], biases)
     drives, alphas = policy_ladder(engine, policy)
     ends = np.count_nonzero(~np.isnan(alphas), axis=1)
     assert ends[1] == 0 and len(set(ends.tolist())) >= 4
     want = []
     for i_dc in biases:
-        alone = ReflectionEngine(design, ENVS[env], [(ws, wp)], i_dc)
+        alone = ReflectionEngine(design, ENVS[env], [(ws, wp)], [i_dc])
         ladder = policy_ladder(alone, policy)
         want += ramp(alone, *ladder, 6.0, 5.0, 40.0)
         assert want[-1] == _exhaustive_ramp(alone, *ladder, 6.0, 5.0, 40.0)
@@ -656,7 +671,7 @@ def _per_bias_map(design, env, fps, idcs, policy, step):
     for wp in fps:
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
-            engine = ReflectionEngine(design, env, [(ws, wp)], idc)
+            engine = ReflectionEngine(design, env, [(ws, wp)], [idc])
             res, = ramp(engine, *policy_ladder(engine, policy), GAIN_THRESHOLD_DB,
                         RIPPLE_MAX_DB, GAIN_STOP_DB)
             rep = res.report
@@ -681,7 +696,7 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
     for wp in fps:
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
-            engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], idc)
+            engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], [idc])
             res, = ramp(engine, *policy_ladder(engine, policy), GAIN_THRESHOLD_DB,
                         RIPPLE_MAX_DB, GAIN_STOP_DB)
             rep = res.report
@@ -702,7 +717,8 @@ def test_one_engine_build_per_search_row_and_per_map_pump(monkeypatch):
     ranges = SearchRanges((60.0, 70.0, 10.0), (80.0, 80.0, 1.0), (50.0, 60.0, 10.0), fp2s,
                           base.z_ki, base.omega0)
     list(search_designs(ranges))
-    assert [len(grids) for _, _, grids in builds] == [3] * 4   # one per (z14, z12, z_nr) row
+    # one per (z14, z12, z_nr) row, at the search's one bias
+    assert [(len(grids), i_dcs) for _, _, grids, i_dcs in builds] == [(3, [0.0])] * 4
     builds.clear()
     # a 5-MHz pump half-frequency leaves fewer than 16 grid points: no cells, no build
     assert list(search_designs(dataclasses.replace(
@@ -712,12 +728,13 @@ def test_one_engine_build_per_search_row_and_per_map_pump(monkeypatch):
     monkeypatch.setattr(simulator, "ramp",
                         lambda engine, *args: ramps.append(engine) or ramp(engine, *args))
     fps = TWO_PI * np.array([16.8e9, 16.9e9, 17.0e9])
-    pump_bias_map(paper_device(), IDEAL_ENV, fps, [0.0, 0.52e-3, 0.57e-3],
+    idcs = [0.0, 0.52e-3, 0.57e-3]
+    pump_bias_map(paper_device(), IDEAL_ENV, fps, idcs,
                   PumpRampPolicy(mode="xi3", ratio=10.0 ** (0.5 / 20.0)), freq_step=TWO_PI * 4e6)
-    assert len(builds) == len(fps)   # one per pump frequency
+    # one per pump frequency, at all three biases
+    assert [(wp, i_dcs) for _, _, ((_, wp),), i_dcs in builds] == [(wp, idcs) for wp in fps]
     # and one ramp per pump frequency, over all three biases
-    assert [(len(engine.cells), engine.omega_ps[0]) for engine in ramps] == [
-        (3, wp) for wp in fps]
+    assert [len(engine.cells) for engine in ramps] == [3] * len(fps)
 
 
 @pytest.mark.parametrize("env", sorted(ENVS))
@@ -758,8 +775,6 @@ def test_row_validates_each_grid_like_a_single_engine(bad):
 
 class _ScriptedEngine:
     """Engine stand-in whose gain at the i-th ladder α is the i-th of ``profiles``."""
-
-    omega_ps = [2.0]
 
     def __init__(self, profiles, ladder):
         self.ws = np.linspace(0.5, 1.5, profiles[0].size)

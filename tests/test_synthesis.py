@@ -67,8 +67,10 @@ def test_residual_is_tiny():
 
 
 def test_vanishing_bandwidth_flagged():
-    with pytest.raises(SynthesisInfeasible):
-        synthesize_transformer(prototype(1e-9), 60.0, 180.0, 50.0)
+    # a bandwidth of 1e-9 still synthesizes; at 1e-300, z_parallel underflows to 0
+    assert synthesize_transformer(prototype(1e-9), 60.0, 180.0, 50.0).z_half > 0
+    with pytest.raises(SynthesisInfeasible, match="vanishing bandwidth: z_parallel"):
+        synthesize_transformer(prototype(1e-300), 60.0, 180.0, 50.0)
 
 
 def test_prototype_validation():
@@ -102,7 +104,7 @@ def test_round_trip_synthesis_to_simulation():
 
     from kipa.circuits import IDEAL_ENV, DesignSpec
     from kipa.material import KineticInductorModel
-    from kipa.simulator import GainProfile, ReflectionEngine, bandwidth_report
+    from kipa.simulator import ReflectionEngine, bandwidth_report
 
     two_pi = 2 * math.pi
     eps = 0.0625
@@ -111,7 +113,7 @@ def test_round_trip_synthesis_to_simulation():
     model = KineticInductorModel("parabolic", l_k0=60.0 / w0, l_geo=0.0)
     design = DesignSpec(res.z_quarter, res.z_half, 180.0, 1.0 / (w0 * 60.0), model, w0)
     ws = np.arange(w0 - two_pi * 1.3e9, w0 + two_pi * 1.3e9, two_pi * 2e6)
-    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * w0)], 0.0)
+    engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * w0)], [0.0])
 
     # design pump: node negative resistance equal to z_ki^2 / z_ref
     r_nr_design = 180.0**2 / res.r_nr_primed
@@ -122,7 +124,7 @@ def test_round_trip_synthesis_to_simulation():
 
     alpha_design = brentq(mismatch, 1e-6, 0.4)
     gdb = engine.gain_db(alpha_design)
-    rep = bandwidth_report(GainProfile(ws, None, gdb, 2 * w0))
+    rep = bandwidth_report(ws, gdb)
     frac = rep.bandwidth / w0
     assert rep.contiguous_span[0] < w0 < rep.contiguous_span[1]
     assert abs(frac - eps) / eps < 0.35
