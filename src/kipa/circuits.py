@@ -7,6 +7,7 @@ superimposed sinusoids.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -104,18 +105,59 @@ class DesignSpec:
         return 1.0 / np.sqrt(self.inductance_at_bias(i_dc) * self.c_shunt)
 
 
+class _Memo:
+    """Content-keyed, read-only results of the last ``size`` computations.
+
+    A hit returns the arrays that the miss computed, so it gives the bits a
+    fresh computation on the same input gives; a computation that raises
+    stores nothing.  ``misses`` counts the computations.  Keys are compared,
+    never hashed: a key holds a grid's bytes, and a few entries are scanned
+    faster than those bytes are hashed.
+    """
+
+    def __init__(self, size: int):
+        self.size, self.entries, self.misses = size, [], 0
+        self._lock = threading.Lock()
+
+    def get(self, key, compute):
+        with self._lock:
+            for k, (held, value) in enumerate(self.entries):
+                if held == key:
+                    del self.entries[k]
+                    break
+            else:
+                del self.entries[:max(0, len(self.entries) + 1 - self.size)]   # oldest first
+                value = compute()
+                self.misses += 1
+                for x in value:
+                    if isinstance(x, np.ndarray):
+                        x.setflags(write=False)
+            self.entries.append((key, value))
+            return value
+
+
+# cos/sin of one engine build's line lengths at its two grids, ω_s and ω_i:
+# the rows of a search share them
+_LINE_TRIG = _Memo(2)
+
+
 def _line_trig(segments, omega) -> list:
     """(cos θ, sin θ) of each segment at ω, computed once per distinct length.
 
-    A design's segments share its ``f0``, so the two quarter-wave lines of
-    the three-stage kind share θ.
+    Keyed on the lengths, their ``f_ref`` and the bytes of ω, so the two
+    quarter-wave lines of the three-stage kind share θ, and so do engine
+    builds on the same grid, of either kind.
     """
-    trig = {}
-    for seg in segments:
-        if seg.length_fraction not in trig:
-            th = seg.electrical_length(omega)
-            trig[seg.length_fraction] = (np.cos(th), np.sin(th))
-    return [trig[seg.length_fraction] for seg in segments]
+    lengths = {(seg.length_fraction, seg.f_ref): seg for seg in segments}
+    w = np.asarray(omega, dtype=float)
+
+    def trig():
+        thetas = [seg.electrical_length(omega) for seg in lengths.values()]
+        return tuple(f(th) for th in thetas for f in (np.cos, np.sin))
+
+    flat = _LINE_TRIG.get((tuple(lengths), w.shape, w.tobytes()), trig)
+    pairs = dict(zip(lengths, zip(flat[::2], flat[1::2])))
+    return [pairs[seg.length_fraction, seg.f_ref] for seg in segments]
 
 
 def chain_impedance_from_node(design: DesignSpec, env: EnvironmentModel, omega):

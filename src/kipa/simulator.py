@@ -24,6 +24,7 @@ from .circuits import (
     DesignSpec,
     EnvironmentModel,
     IDEAL_ENV,
+    _Memo,
     environment_impedance,
     idler_admittance,
     port_line_abcd,
@@ -147,6 +148,23 @@ def _checked_grid(freqs, omega_p):
     return ws, wi
 
 
+# the checked and concatenated grids of the last engine build
+_GRIDS = _Memo(1)
+
+
+def _checked_grids(grids):
+    """(ws, wi, sizes) of the valid engine grids end to end, read-only; raises on an invalid one."""
+    arrays = [(np.asarray(freqs, dtype=float), omega_p) for freqs, omega_p in grids]
+
+    def check():
+        checked = [_checked_grid(ws, omega_p) for ws, omega_p in arrays]
+        ws, wi = (np.concatenate(x) for x in zip(*checked))
+        return ws, wi, tuple(w.size for w, _ in checked)
+
+    return _GRIDS.get(tuple((ws.shape, ws.tobytes(), float(omega_p)) for ws, omega_p in arrays),
+                      check)
+
+
 class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
@@ -156,10 +174,14 @@ class ReflectionEngine:
     holds their slices of the concatenated arrays.  The line cascade,
     idler chain and environment are elementwise in ω and free of the bias,
     so they are built once and tiled for each further bias: a cell is bit
-    for bit an engine of its grid alone at its bias.  ``i_dc`` and
-    ``omega0`` hold each bias and its resonance, ``ladder`` each cell's
-    bias row, and ``l0`` the biased inductance at every grid point.
-    Sweeping pump strength then reduces to vector arithmetic per step.
+    for bit an engine of its grid alone at its bias.  The checked grids
+    and the line cos/sin come from read-only memos of the last build's
+    grids (:func:`_checked_grids`, ``circuits._line_trig``), so builds on
+    the same grids, such as the rows of a search, compute them once.
+    ``i_dc`` and ``omega0`` hold each bias and its resonance, ``ladder``
+    each cell's bias row, and ``l0`` the biased inductance at every grid
+    point.  Sweeping pump strength then reduces to vector arithmetic per
+    step.
 
     With A = iω_i·l0·Y_idler*(ω_i), the pumped inductor presents
     Y_eff = (A-1)/(iω_s·l0·D(α)), D(α) = (A-1) - αA, so S11 is a bilinear
@@ -177,11 +199,10 @@ class ReflectionEngine:
         l0s = [design.inductance_at_bias(i_dc) for i_dc in i_dcs]
         if not l0s:
             raise InvalidParameter("an engine needs at least one bias current")
-        checked = [_checked_grid(freqs, omega_p) for freqs, omega_p in grids]
-        n, sizes = len(l0s), [ws.size for ws, _ in checked] * len(l0s)
-        self.cells = [slice(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
-        self.ladder = np.arange(n).repeat(len(checked))
-        ws, wi = (np.concatenate(x) for x in zip(*checked))
+        ws, wi, sizes = _checked_grids(grids)
+        n = len(l0s)
+        self.cells = [slice(end - size, end) for size, end in zip(sizes * n, accumulate(sizes * n))]
+        self.ladder = np.arange(n).repeat(len(sizes))
 
         def tiled(x):
             return x if n == 1 else np.tile(x, n)

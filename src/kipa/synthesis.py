@@ -78,9 +78,10 @@ def _finite(name: str, value: float) -> float:
 def _half_wave_quadratic_coeffs(z_quarter: float, z_parallel: float, z0: float):
     z0p = _square("z_quarter", z_quarter) / z0
     z0p_sq = _square("z_quarter^2/z0", z0p)
-    b = (z_quarter / 2.0
-         - z_quarter * z0p / (2.0 * z0)
-         + 2.0 * z0p_sq / (math.pi * z_parallel))
+    b = _finite("b = z_quarter/2 - z_quarter*z0p/(2*z0) + 2*z0p^2/(pi*z_parallel)",
+                z_quarter / 2.0
+                - z_quarter * z0p / (2.0 * z0)
+                + 2.0 * z0p_sq / (math.pi * z_parallel))
     return b, -z0p_sq
 
 
@@ -103,7 +104,7 @@ def synthesize_transformer(proto: PrototypeCoefficients, z_nr: float,
         raise SynthesisInfeasible(f"vanishing bandwidth: z_parallel = epsilon*z_ref/g2 underflows "
                                   f"to 0 ohm (epsilon = {eps:.4g}, z_ref = {z_ref:.4g} ohm)")
     b, c = _half_wave_quadratic_coeffs(z_quarter, z_parallel, z0)
-    disc = b * b - 4.0 * c
+    disc = _finite("disc = b^2 - 4*c", b * b - 4.0 * c)
     if disc < 0:
         raise SynthesisInfeasible("half-wave quadratic has no real root")
     # stable form: compute the large-magnitude root first, the other via the product

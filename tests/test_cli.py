@@ -534,6 +534,9 @@ _NETWORK_OVERFLOW = "network arrays leave the float range: overflow encountered 
     pytest.param(["synth", "--set", "epsilon=0.1", "--set", "z_nr=50ohm",
                   "--set", "z_ki=1e300ohm"], "z_ki = 1e+300 ohm overflows when squared",
                  id="synth-z-ki"),
+    # a subnormal z0 keeps b finite (-3e164), but b² is not
+    pytest.param(["synth", "--set", "epsilon=0.1", "--set", "z_nr=50ohm", "--set", "z_ki=150ohm",
+                  "--set", "z0=5e-324ohm"], "disc = b^2 - 4*c overflows", id="synth-discriminant"),
     # every network array is finite; the idler denominator of S11 is not
     pytest.param(["simulate", "--preset", "paper-device", "--fp", "2.8e307Hz",
                   "--span", "1e307Hz:1e307Hz:1Hz"],
