@@ -100,9 +100,15 @@ class DesignSpec:
     def inductance_at_bias(self, i_dc: float) -> float:
         return kinetic_inductance(self.ki_model, i_dc)
 
+    @np.errstate(over="ignore")
     def resonance_at_bias(self, i_dc: float) -> float:
-        """Angular resonance of the shunt-C / biased-inductor tank."""
-        return 1.0 / np.sqrt(self.inductance_at_bias(i_dc) * self.c_shunt)
+        """Angular resonance 1/√(l0·C) of the tank; raises where it is not finite."""
+        l0 = self.inductance_at_bias(i_dc)
+        lc = l0 * self.c_shunt
+        if not 0.0 < lc < np.inf:
+            raise SingularNetwork(f"l0 = {l0:.4g} H and c = {self.c_shunt:.4g} F "
+                                  "give no finite resonance")
+        return 1.0 / np.sqrt(lc)
 
 
 class _Memo:

@@ -104,6 +104,7 @@ class PumpCoefficients:
     l_i: float            # inductance at the dc bias, H
 
 
+@np.errstate(over="ignore", invalid="ignore")   # out of range: inf or nan, for resonance_at_bias
 def kinetic_inductance(model: KineticInductorModel, i_dc: float) -> float:
     """Total inductance L_k(I) + l_geo at bias ``i_dc`` (henries)."""
     i = abs(i_dc)
@@ -121,16 +122,25 @@ def kinetic_inductance(model: KineticInductorModel, i_dc: float) -> float:
     return lk + model.l_geo
 
 
-def modulation_alpha(model: KineticInductorModel, i_dc: float, i_p_mag):
-    """α = (9/16)·(i_dc·|I_p|/(I*₂² + i_dc²))² for a scalar or an array of |I_p|.
+# The two pump conventions, α from |I_p| and from |ξ3|, square as r·r: a drive
+# gets the same α bits alone as in a ladder (numpy squares a scalar by C ``pow``).
+# An α past the float range is inf, or nan for an infinite drive and I*₂; either ends a ladder.
 
-    As in ``ReflectionEngine.alpha_for_xi3``, the square is r·r, so a drive
-    gets the same α bits alone as inside a ladder.
-    """
+@np.errstate(over="ignore", invalid="ignore")
+def modulation_alpha(model: KineticInductorModel, i_dc: float, i_p_mag):
+    """α = (9/16)·(i_dc·|I_p|/(I*₂² + i_dc²))² for a scalar or an array of |I_p|."""
     r = i_dc * i_p_mag / (model.i_star2**2 + i_dc**2)
     return (9.0 / 16.0) * (r * r)
 
 
+@np.errstate(over="ignore")
+def alpha_for_xi3(xi3_mag, omega0: float):
+    """α = (|ξ3|/2ω0)² at the resonance ``omega0`` for a scalar or an array of |ξ3|."""
+    r = xi3_mag / (2.0 * omega0)
+    return r * r
+
+
+@np.errstate(over="ignore", invalid="ignore")   # a coefficient past the float range is inf or nan
 def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,
                       omega0: float) -> PumpCoefficients:
     """Linearization coefficients for ``op`` around resonance ``omega0``.

@@ -12,7 +12,6 @@ shows the measured amplitude ripple, while an ideal real environment keeps
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -30,7 +29,7 @@ from .circuits import (
     port_line_abcd,
 )
 from .errors import InsufficientData, InvalidParameter, SingularNetwork
-from .material import modulation_alpha
+from .material import alpha_for_xi3, modulation_alpha
 
 PEAK_PROMINENCE_DB = 0.5
 
@@ -178,10 +177,10 @@ class ReflectionEngine:
     and the line cos/sin come from read-only memos of the last build's
     grids (:func:`_checked_grids`, ``circuits._line_trig``), so builds on
     the same grids, such as the rows of a search, compute them once.
-    ``i_dc`` and ``omega0`` hold each bias and its resonance, ``ladder``
-    each cell's bias row, and ``l0`` the biased inductance at every grid
-    point.  Sweeping pump strength then reduces to vector arithmetic per
-    step.
+    ``ladder`` holds each cell's bias row and ``l0`` the biased inductance
+    at every grid point: the engine is the network alone, as S11 needs α
+    and never ω0 (``DesignSpec.resonance_at_bias``).  Sweeping pump
+    strength then reduces to vector arithmetic per step.
 
     With A = iω_i·l0·Y_idler*(ω_i), the pumped inductor presents
     Y_eff = (A-1)/(iω_s·l0·D(α)), D(α) = (A-1) - αA, so S11 is a bilinear
@@ -194,7 +193,6 @@ class ReflectionEngine:
 
     def __init__(self, design: DesignSpec, env: EnvironmentModel,
                  grids: Sequence[Tuple[np.ndarray, float]], i_dcs: Sequence[float] = (0.0,)):
-        self.design, self.c = design, design.c_shunt
         # a bias fault is reported before a grid fault
         l0s = [design.inductance_at_bias(i_dc) for i_dc in i_dcs]
         if not l0s:
@@ -213,18 +211,12 @@ class ReflectionEngine:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 self.ws = tiled(ws)
                 self.jws, self.jwi = 1j * self.ws, 1j * tiled(wi)
-                self.y_c = self.jws * self.c
+                self.y_c = self.jws * design.c_shunt
                 self.y_idler_conj = tiled(np.conj(idler_admittance(design, env, wi)))
                 self.abcd = tuple(tiled(x) for x in port_line_abcd(design, ws))
                 self.z_env = tiled(np.asarray(environment_impedance(env, ws), dtype=complex))
         except FloatingPointError as exc:
             raise SingularNetwork(f"network arrays leave the float range: {exc}") from None
-        bad = [l0 for l0 in l0s if not 0.0 < l0 * self.c < math.inf]   # ω0 = 1/sqrt(l0·c)
-        if bad:
-            raise SingularNetwork(f"l0 = {bad[0]:.4g} H and c = {self.c:.4g} F "
-                                  "give no finite resonance")
-        self.i_dc = np.array(i_dcs, dtype=float)
-        self.omega0 = 1.0 / np.sqrt(np.array(l0s) * self.c)
         self.l0 = np.array(l0s).repeat(ws.size)
 
     @cached_property
@@ -242,15 +234,6 @@ class ReflectionEngine:
         num_a, num_b, den_a, den_b = a - z * c, b - z * d, a + z * c, b + z * d
         return MobiusForm(num_a * d0 + num_b * n0, num_a * d1 + num_b * n1,
                           den_a * d0 + den_b * n0, den_a * d1 + den_b * n1, a_idler)
-
-    def alpha_for_xi3(self, xi3_mag, row: int = 0):
-        """α = (|ξ3|/2ω0)² at the resonance of bias ``row``, for one drive or an array.
-
-        Squared as r·r, so a drive gets the same α bits alone as inside a
-        ladder (numpy would square a scalar through C ``pow``).
-        """
-        r = xi3_mag / (2.0 * self.omega0[row])
-        return r * r
 
     def s11(self, alpha, at=slice(None)) -> np.ndarray:
         """S11 at modulation ``alpha`` and grid points ``at``, elementwise over their broadcast.
@@ -312,7 +295,7 @@ def gain_spectrum(design: DesignSpec, pump: PumpDrive, env: Optional[Environment
     """
     env = env if env is not None else IDEAL_ENV
     engine = ReflectionEngine(design, env, [(freqs, pump.omega_p)], [pump.i_dc])
-    s11 = engine.s11(engine.alpha_for_xi3(pump.xi3_mag))
+    s11 = engine.s11(alpha_for_xi3(pump.xi3_mag, design.resonance_at_bias(pump.i_dc)))
     return GainProfile(freqs=np.asarray(freqs, dtype=float), s11=s11, gain_db=_to_db(s11))
 
 
@@ -535,6 +518,7 @@ MAP_ENGINE_POINTS = 16384
 _LADDER_CHUNK = 1024
 
 
+@np.errstate(over="ignore")   # a drive past the float range is inf, where α ends the ladder
 def drive_ladder(start: float, ratio: float, alpha_of: Callable,
                  drive_ok: Optional[Callable] = None):
     """(drives, alphas) of a geometric pump ramp, as arrays.
@@ -585,9 +569,9 @@ def _quadratic_nonnegative(a2, a1, a0):
     [lo[0, i], hi[0, i]] ∪ [lo[1, i], hi[1, i]]; an empty interval has
     lo = +inf and hi = -inf.  Roots use the cancellation-free form.
     """
-    disc = a1 * a1 - 4.0 * a2 * a0
-    real = disc >= 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = a1 * a1 - 4.0 * a2 * a0
+        real = disc >= 0
         root = -0.5 * (a1 + np.copysign(np.sqrt(np.where(real, disc, 0.0)), a1))
         r1, r2 = root / a2, a0 / root
     r1, r2 = np.fmin(r1, r2), np.fmax(r1, r2)
@@ -659,11 +643,12 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
     if m == 0:
         return (np.arange(0),) * 4
     g = 10.0 ** (db / 10.0) * (1.0 - RAMP_SLACK)
-    p, q, r, s, a_idler = engine.mobius
-    a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
-    a1 = 2.0 * ((p * q.conjugate()).real - g * (r * s.conjugate()).real)
-    a0 = p.real**2 + p.imag**2 - g * (r.real**2 + r.imag**2)
-    disc = a1 * a1 - 4.0 * a2 * a0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q, r, s, a_idler = engine.mobius
+        a2 = q.real**2 + q.imag**2 - g * (s.real**2 + s.imag**2)
+        a1 = 2.0 * ((p * q.conjugate()).real - g * (r * s.conjugate()).real)
+        a0 = p.real**2 + p.imag**2 - g * (r.real**2 + r.imag**2)
+        disc = a1 * a1 - 4.0 * a2 * a0
     keep_all = np.logical_or.reduceat(~np.isfinite(disc) | (a2 == 0), starts)
     points = _with_roots(a2, disc)
     lo, hi = _quadratic_nonnegative(a2[points], a1[points], a0[points])
@@ -792,14 +777,14 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     return results
 
 
-def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, row: int):
-    """(drives, alphas) of the pump ramp that ``policy`` runs at bias ``row`` of ``engine``."""
+def _bias_ladder(design: DesignSpec, i_dc: float, omega0: float, policy: PumpRampPolicy):
+    """(drives, alphas) of ``policy``'s ramp at bias ``i_dc``, whose resonance is ``omega0``."""
     if policy.mode == "xi3":
         cap = policy.xi3_cap
         budget = None if cap is None else (lambda drive: drive <= cap)
         return drive_ladder(START_XI3, policy.ratio,
-                            lambda drive: engine.alpha_for_xi3(drive, row), budget)
-    model, i_dc = engine.design.ki_model, float(engine.i_dc[row])
+                            lambda drive: alpha_for_xi3(drive, omega0), budget)
+    model, i_dc = design.ki_model, float(i_dc)
     if i_dc <= 0:
         return np.empty(0), np.empty(0)  # no three-wave mixing without bias
     budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
@@ -807,15 +792,16 @@ def _bias_ladder(engine: ReflectionEngine, policy: PumpRampPolicy, row: int):
                         lambda drive: modulation_alpha(model, i_dc, drive), budget)
 
 
-def policy_ladder(engine: ReflectionEngine, policy: PumpRampPolicy):
-    """(drives, alphas) of the pump ramps that ``policy`` runs on ``engine``.
+def policy_ladder(design: DesignSpec, i_dcs: Sequence[float], policy: PumpRampPolicy):
+    """(drives, alphas) of the pump ramps that ``policy`` runs on ``design`` at each of ``i_dcs``.
 
-    ``alphas`` holds one row per bias of the engine (``engine.ladder``
-    gives each cell's).  Every ladder steps through the same drives, the
-    longest ladder's ``drives``, and ends where its own α or budget ends
-    it: its row is NaN from there on.
+    ``alphas`` holds one row per bias, as ``engine.ladder`` indexes them,
+    after every bias's resonance is checked, in either mode.  Every ladder
+    steps through the same drives, the longest ladder's ``drives``, and ends
+    where its own α or budget ends it: its row is NaN from there on.
     """
-    ladders = [_bias_ladder(engine, policy, row) for row in range(engine.i_dc.size)]
+    omega0s = [design.resonance_at_bias(i_dc) for i_dc in i_dcs]
+    ladders = [_bias_ladder(design, i_dc, w0, policy) for i_dc, w0 in zip(i_dcs, omega0s)]
     drives = max((d for d, _ in ladders), key=len)
     alphas = np.full((len(ladders), drives.size), np.nan)
     for row, (_, a) in zip(alphas, ladders):
@@ -831,9 +817,9 @@ def sweep(design: DesignSpec, env: EnvironmentModel, grids: Sequence[Tuple[np.nd
     """
     per_engine = max(1, MAP_ENGINE_POINTS // max(1, sum(np.size(f) for f, _ in grids)))
     results = []
-    for first in range(0, len(i_dcs), per_engine):
-        engine = ReflectionEngine(design, env, grids, i_dcs[first:first + per_engine])
-        results += ramp(engine, *policy_ladder(engine, policy),
+    for biases in (i_dcs[k:k + per_engine] for k in range(0, len(i_dcs), per_engine)):
+        engine = ReflectionEngine(design, env, grids, biases)
+        results += ramp(engine, *policy_ladder(design, biases, policy),
                         GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)
     return results
 
@@ -883,8 +869,7 @@ def rnr_power_law(design: DesignSpec, xi3_grid: Sequence[float], omega_p: float,
         raise InvalidParameter("xi3 grid must span at least half a decade")
     engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([omega_p / 2.0]), omega_p)], [i_dc])
     rs, xs = [], []
-    for x in xi3:
-        alpha = engine.alpha_for_xi3(x)
+    for x, alpha in zip(xi3, alpha_for_xi3(xi3, design.resonance_at_bias(i_dc))):
         if alpha >= 1:
             continue
         y = engine.y_eff(alpha)[0]

@@ -14,6 +14,7 @@ from scipy.signal import find_peaks
 from kipa.circuits import IDEAL_ENV
 from kipa.material import (
     PumpOperatingPoint,
+    alpha_for_xi3,
     fit_ki_curve,
     frequency_shift,
     pump_coefficients,
@@ -98,7 +99,8 @@ def _ramp_fabricated_device(freq_step_hz=1e6):
     design = paper_device()
     ws = TWO_PI * np.arange(7.35e9, 9.55e9, freq_step_hz)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, PAPER_DEVICE_PUMP)], [PAPER_DEVICE_BIAS])
-    drives, alphas = drive_ladder(TWO_PI * 0.1e9, 1.02, engine.alpha_for_xi3)
+    w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
+    drives, alphas = drive_ladder(TWO_PI * 0.1e9, 1.02, lambda drive: alpha_for_xi3(drive, w0))
     res, = ramp(engine, drives, alphas[None], threshold_db=17.0, ripple_max_db=5.0, stop_db=40.0)
     best = None if res.report is None else (res.report, res.drive)
     return engine, best
@@ -113,7 +115,8 @@ def test_criterion_4_two_peak_bandwidth_and_overpump_collapse():
     assert 340.0 <= bw_mhz <= 460.0  # 400 MHz +/- 15%
     assert rep.peak_count >= 2
     # over-pumped: the band collapses to a single central peak
-    gdb = engine.gain_db(engine.alpha_for_xi3(1.08 * xi3_opt))
+    w0 = paper_device().resonance_at_bias(PAPER_DEVICE_BIAS)
+    gdb = engine.gain_db(alpha_for_xi3(1.08 * xi3_opt, w0))
     over = bandwidth_report(engine.ws, gdb)
     assert over.peak_count == 1
     elapsed = time.perf_counter() - t0

@@ -23,9 +23,9 @@ from kipa.cli import (
     parse_span,
 )
 from kipa.errors import ConfigError, InvalidParameter
-from kipa.material import frequency_shift
+from kipa.material import PumpOperatingPoint, frequency_shift, pump_coefficients
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, design_preset
-from kipa.simulator import MAX_GRID_POINTS
+from kipa.simulator import MAX_GRID_POINTS, PumpDrive, gain_spectrum
 
 TWO_PI = 2 * math.pi
 
@@ -531,6 +531,12 @@ _NETWORK_OVERFLOW = "network arrays leave the float range: overflow encountered 
                   "--set", "c_shunt=1e200F", "--set", "f0=8GHz", "--set", "l_k0=1e200H",
                   "--fp", "16GHz", "--xi3", "1GHz", "--span", "8GHz:8.002GHz:1MHz"],
                  "l0 = 1e+200 H and c = 1e+200 F give no finite resonance", id="resonance"),
+    # the pump current's xi3 needs the resonance too: this read "omega0 must be > 0" (exit 1)
+    pytest.param(["simulate", "--set", "z_quarter=50ohm", "--set", "z_half=50ohm",
+                  "--set", "c_shunt=1e200F", "--set", "f0=8GHz", "--set", "l_k0=1e200H",
+                  "--set", "idc=0.5mA", "--fp", "16GHz", "--set", "ip=0.1mA",
+                  "--span", "8GHz:8.002GHz:1MHz"],
+                 "l0 = 1e+200 H and c = 1e+200 F give no finite resonance", id="resonance-ip"),
     pytest.param(["synth", "--set", "epsilon=0.1", "--set", "z_nr=50ohm",
                   "--set", "z_ki=1e300ohm"], "z_ki = 1e+300 ohm overflows when squared",
                  id="synth-z-ki"),
@@ -562,6 +568,59 @@ def test_overflow_is_one_line_numerical_failure(argv, message, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"numerical failure: {message}\n"
+
+
+_D = ["--set", "z_quarter=50ohm", "--set", "z_half=50ohm", "--set", "z_ki_quarter=150ohm",
+      "--set", "f0=8GHz"]
+_AXES = ["--set", "fp_span=16GHz:16GHz:1GHz", "--set", "idc_step=1uA", "--set", "freq_step=50MHz"]
+_G = [*_AXES, "--set", "policy=xi3", "--set", "idc_start=0A", "--set", "idc_stop=0A"]
+_GC = [*_AXES, "--set", "policy=current", "--set", "idc_start=0.5mA", "--set", "idc_stop=0.5mA"]
+_MAP_HEADER = "fp_hz,idc_a,bandwidth_hz,peaks,ripple_db\n"
+_SEARCH_HEADER = "z14,z12,znr,fp2_hz,bandwidth_hz,xi3_hz,eta\n"
+# finite inputs whose inductance, resonance, α, pump ladder or α screen leave the
+# float range: each printed numpy RuntimeWarnings before the outcome kept here
+OVERFLOW_OUTCOMES = [
+    pytest.param(["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--xi3", "1e300Hz",
+                  "--span", "8GHz:8.2GHz:50MHz"],
+                 EXIT_VALIDATION, "", "error: alpha = inf outside [0, 1)\n", id="simulate-alpha"),
+    pytest.param(["map", *_D, "--set", "c_shunt=1e30fF", "--set", "l_k0=1e300nH", *_G],
+                 EXIT_OK, _MAP_HEADER + "16000000000,0,0,0,0\n", "", id="map-ladder-alpha"),
+    pytest.param(["map", *_D, "--set", "c_shunt=1e300fF", "--set", "l_k0=1e300nH", *_G],
+                 EXIT_NUMERICAL, "", "numerical failure: l0 = 1e+291 H and c = 1e+285 F give "
+                 "no finite resonance\n", id="map-resonance"),
+    pytest.param(["map", *_D, "--set", "c_shunt=330fF", "--set", "l_k0=1nH",
+                  "--set", "i_star2=1e-300A", *_GC],
+                 EXIT_NUMERICAL, "", "numerical failure: l0 = inf H and c = 3.3e-13 F give "
+                 "no finite resonance\n", id="map-inductance"),
+    # no i_star2: α is 0 until the drive overflows, then inf/inf
+    pytest.param(["map", *_D, "--set", "c_shunt=330fF", *_GC],
+                 EXIT_OK, _MAP_HEADER + "16000000000,0.0005,0,0,0\n", "", id="map-ladder-drive"),
+    # ω0 = 3e161 rad/s: the Kerr coefficient of the pump current overflows
+    pytest.param(["simulate", "--set", "z_quarter=50ohm", "--set", "z_half=50ohm",
+                  "--set", "c_shunt=1e-320F", "--set", "f0=8GHz", "--set", "l_geo=0.001H",
+                  "--set", "ip=1e-320A", "--fp", "16GHz", "--span", "8GHz:8.004GHz:2MHz"],
+                 EXIT_OK, "freq_hz,re_s11,im_s11,gain_db\n"
+                 "8000000000,-0.999999999998,-1.98943479958e-06,0\n"
+                 "8002000000,-0.999997228859,0.00235420337801,0\n", "", id="simulate-ip-kerr"),
+    pytest.param(["search", "--set", "kind=three-stage", "--set", "z14=50ohm:50ohm:10ohm",
+                  "--set", "z12=50ohm:50ohm:10ohm", "--set", "znr=1e-100ohm:1e-100ohm:1ohm"],
+                 EXIT_OK, _SEARCH_HEADER, "", id="search-screen-three-stage"),
+    pytest.param(["search", "--set", "kind=conventional", "--set", "z14=1e-300ohm:1e-300ohm:1ohm",
+                  "--set", "z12=50ohm:50ohm:1ohm", "--set", "znr=50ohm:50ohm:1ohm"],
+                 EXIT_OK, _SEARCH_HEADER, "", id="search-screen-conventional"),
+    pytest.param(["map", *_D, "--set", "z_ki_quarter=1e-30ohm", "--set", "c_shunt=330fF",
+                  "--set", "l_k0=1nH", *_G],
+                 EXIT_OK, _MAP_HEADER + "16000000000,0,0,0,0\n", "", id="map-screen"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", OVERFLOW_OUTCOMES)
+def test_overflow_keeps_its_outcome_without_a_warning(argv, code, out, err, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
 
 
 @pytest.mark.parametrize("fq", ["0Hz", "-8.4GHz"])
@@ -673,6 +732,16 @@ def _case(name, argv, message):
     _case("span-rad-overflow", ["simulate", "--preset", "paper-device", "--fp", "16.9GHz",
                                 "--span", "1e308Hz:1e308Hz:1Hz"],
           "frequency '1e308Hz' overflows in rad/s"),
+    _case("fp-required", ["simulate", "--preset", "paper-device", "--span", "8GHz:8.002GHz:1MHz"],
+          "pump frequency 'fp' is required"),
+    _case("xi3-and-ip", ["simulate", "--preset", "paper-device", *_SIM, "--set", "ip=0.5mA"],
+          "give either xi3 or ip, not both"),
+    _case("preset-inline-key", ["simulate", "--preset", "paper-device", "--set", "z_half=30ohm",
+                                *_SIM], "preset designs take no inline design keys"),
+    _case("unit-mismatch", ["simulate", "--preset", "paper-device", "--fp", "50ohm"],
+          "expected frequency, got impedance ('50ohm')"),
+    _case("span-mixed-units", ["simulate", "--preset", "paper-device", "--fp", "16.9GHz",
+                               "--span", "8GHz:9ohm:1MHz"], "span mixes units: '8GHz:9ohm:1MHz'"),
 ])
 def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_path, capsys):
     if argv[0] == "fit-ki":
@@ -684,6 +753,21 @@ def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_simulate_at_a_pump_current_is_gain_spectrum_at_its_xi3(monkeypatch):
+    emitted = []
+    monkeypatch.setattr(cli, "emit_results", lambda columns, fmt: emitted.append(columns) or "")
+    assert main(["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--set", "ip=0.5mA",
+                 "--span", "8GHz:8.002GHz:1MHz"]) == EXIT_OK
+    design, (fp, _) = design_preset("paper-device"), parse_quantity("16.9GHz")
+    coeffs = pump_coefficients(design.ki_model, PumpOperatingPoint(PAPER_DEVICE_BIAS, 0.5e-3),
+                               design.resonance_at_bias(PAPER_DEVICE_BIAS))
+    profile = gain_spectrum(design, PumpDrive(abs(coeffs.xi3), TWO_PI * fp, PAPER_DEVICE_BIAS),
+                            None, TWO_PI * (8e9 + 1e6 * np.arange(2)))
+    for name, want in [("freq_hz", profile.freqs / TWO_PI), ("re_s11", profile.s11.real),
+                       ("im_s11", profile.s11.imag), ("gain_db", profile.gain_db)]:
+        assert emitted[0][name].tobytes() == want.tobytes(), name
 
 
 def test_any_inline_environment_impedance_builds_the_model(tmp_path):

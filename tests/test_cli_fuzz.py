@@ -3,17 +3,21 @@
 Every outcome must be one of the documented exit codes (0 success,
 1 validation, 2 numerical, 3 I/O), returned by ``main`` or raised as
 ``SystemExit``, with no traceback on stderr.  Any other exception escapes
-and fails the test.
+and fails the test, and so does a numpy RuntimeWarning, which would reach
+a user's stderr.
 
 Grids stay small by construction: spans, the map's bias axis and
 ``freq_step`` and the search axes are fixed on the command line (a later
 ``--set`` wins over the config file) or drawn from spans of one to three
 points, so no example asks for a large grid.
 """
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kipa import cli
+from test_cli import OVERFLOW_OUTCOMES
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL, cli.EXIT_IO}
 
@@ -52,10 +56,12 @@ _FILE_CASES = {
 
 
 def _run(argv, capsys):
-    try:
-        rc = cli.main(argv)
-    except SystemExit as exc:
-        rc = exc.code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
     err = capsys.readouterr().err
     assert rc in EXIT_CODES, (argv, rc, err)
     assert "Traceback" not in err, (argv, err)
@@ -106,7 +112,8 @@ _VALUES = ["0", "-1", "1", "2", "-0", "1e999", "nan", "inf", "8.4GHz", "16.9GHz"
            "paper-device", "paper-env", "three-stage", "conventional", "quartic",
            "parabolic", "clem", "xi3", "current", "csv", "structured", "/", ".",
            "8.3GHz:8.35GHz:50MHz", "8.35GHz:8.3GHz:50MHz", "1:2:3", "8GHz:8GHz:0Hz",
-           "1:1e999:1", "a:b:c", "1GHz:2ohm:1", "1:2", ""]
+           "1:1e999:1", "a:b:c", "1GHz:2ohm:1", "1:2", "",
+           "1e-300ohm", "1e300ohm", "1e-300fF", "1e300nH", "1e-300A", "1e300Hz"]
 # No decimal digits (so no count or thread number), no NUL, no '/', no lone
 # surrogates: argv from a shell never holds those last two.
 _GARBAGE = st.text(st.characters(blacklist_categories=("Nd", "Cs"),
@@ -122,6 +129,18 @@ _ITEM = st.one_of(
 _PREFIX = {"map": _MAP_GRID, "search": _SEARCH_GRID}
 
 
+def _overflow_examples(test):
+    """``test`` with each command of ``test_cli.OVERFLOW_OUTCOMES`` as an example.
+
+    Their ``--set`` keys follow the prefix and win over it; a search keeps
+    the prefix's one fp2 value.
+    """
+    for case in OVERFLOW_OUTCOMES:
+        command, *tokens = case.values[0]
+        test = example(command=command, items=[(token,) for token in tokens])(test)
+    return test
+
+
 @settings(_SETTINGS, max_examples=150)
 @given(command=st.one_of(st.sampled_from(sorted(cli._COMMANDS)), _GARBAGE),
        items=st.lists(_ITEM, max_size=8))
@@ -129,6 +148,7 @@ _PREFIX = {"map": _MAP_GRID, "search": _SEARCH_GRID}
          items=[("--preset", "paper-device"), ("--fp", "16.9GHz"), ("--span", "1:1e999:1")])
 @example(command="map", items=[("--preset", "paper-device"), ("--set", "freq_step=0Hz")])
 @example(command="synth", items=[("--threads", "two")])
+@_overflow_examples
 def test_fuzzed_argv_ends_in_documented_exit_code(command, items, tmp_path, capsys,
                                                   monkeypatch):
     monkeypatch.chdir(tmp_path)  # a fuzzed --out lands here

@@ -23,10 +23,10 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from kipa.circuits import IDEAL_ENV, environment_impedance, idler_admittance, port_line_abcd
-from kipa.errors import InvalidParameter, SuperconductivityBreakdown
+from kipa.errors import InvalidParameter, SingularNetwork, SuperconductivityBreakdown
 from kipa import simulator
-from kipa.material import (KineticInductorModel, PumpOperatingPoint, modulation_alpha,
-                           pump_coefficients)
+from kipa.material import (KineticInductorModel, PumpOperatingPoint, alpha_for_xi3,
+                           modulation_alpha, pump_coefficients)
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, paper_device, paper_env
 from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
 from kipa.search import (
@@ -47,6 +47,7 @@ from kipa.simulator import (
     START_CURRENT,
     START_XI3,
     MobiusForm,
+    PumpDrive,
     PumpRampPolicy,
     RampResult,
     ReflectionEngine,
@@ -56,9 +57,11 @@ from kipa.simulator import (
     _rising_maxima,
     bandwidth_report,
     drive_ladder,
+    gain_spectrum,
     policy_ladder,
     pump_bias_map,
     ramp,
+    sweep,
 )
 
 TWO_PI = 2 * math.pi
@@ -188,7 +191,7 @@ def test_step_screen_keeps_exactly_the_steps_near_threshold(cell, env, db):
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    _, ladder = policy_ladder(engine, SEARCH_RAMP)
+    _, ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     peaks = np.array([engine.gain_db(float(a)).max() for a in ladder[0]])  # inf at poles
     _, kept, _, _ = _candidate_steps(engine, ladder, db)
     assert set(np.flatnonzero(peaks >= db)) <= set(kept)
@@ -201,7 +204,7 @@ def test_screened_search_ramp_matches_exhaustive(cell):
     ranges, design, z14, z12, z_nr, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
-    ladder = policy_ladder(engine, SEARCH_RAMP)
+    ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
     assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [full]
     # the search records exactly that best profile
@@ -226,7 +229,7 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
     wp = TWO_PI * fp_hz
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], [idc])
-    ladder = policy_ladder(engine, PumpRampPolicy(mode=mode, ratio=10.0 ** (step_db / 20.0)))
+    ladder = policy_ladder(design, [idc], PumpRampPolicy(mode=mode, ratio=10.0 ** (step_db / 20.0)))
     assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
         engine, *ladder, 17.0, 5.0, 40.0)]
 
@@ -234,10 +237,8 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
 @pytest.mark.parametrize("mode", ["current", "xi3"])
 def test_policy_ladder_repeats_the_multiplied_drive(mode):
     design = paper_device()
-    engine = ReflectionEngine(design, IDEAL_ENV, [(TWO_PI * np.arange(8.0e9, 8.9e9, 10e6),
-                                                   TWO_PI * 16.9e9)], [0.57e-3])
     policy = PumpRampPolicy(mode=mode)
-    drives, (alphas,) = policy_ladder(engine, policy)
+    drives, (alphas,) = policy_ladder(design, [0.57e-3], policy)
     # the loop the ladder replaces, in 0.1-dB power steps
     ratio = 10.0 ** (MAP_STEP_DB / 20.0)
     assert policy.ratio == ratio == 10.0 ** (0.1 / 20.0)
@@ -250,7 +251,7 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
             alpha = (9.0 / 16.0) * (0.57e-3 * drive / (design.ki_model.i_star2**2
                                                         + 0.57e-3**2)) ** 2
         else:
-            alpha = engine.alpha_for_xi3(drive)
+            alpha = alpha_for_xi3(drive, design.resonance_at_bias(0.57e-3))
         if alpha >= ALPHA_MAX:
             break
         expected.append((drive, alpha))
@@ -267,21 +268,19 @@ def test_alpha_squares_keep_the_bits_of_each_caller():
     # a drive squares as r*r alone as inside a ladder array, so `simulate`
     # at a drive a ramp evaluated uses that step's alpha bit for bit
     design = paper_device()
-    engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
-                              [PAPER_DEVICE_BIAS])
+    i_dc, istar2 = PAPER_DEVICE_BIAS, NBTIN_NANOWIRE.i_star2
+    w0 = design.resonance_at_bias(i_dc)
     rng = np.random.default_rng(5)
     xi3 = np.concatenate([rng.uniform(0.0, TWO_PI * 6e9, 20_000),
                           np.geomspace(TWO_PI * 1e3, TWO_PI * 1e11, 2_000)])
-    r = xi3 / (2.0 * engine.omega0)
-    assert _same_bits(engine.alpha_for_xi3(xi3), r * r)
-    assert _same_bits([engine.alpha_for_xi3(float(x)) for x in xi3], r * r)
+    r = xi3 / (2.0 * w0)
+    assert _same_bits(alpha_for_xi3(xi3, w0), r * r)
+    assert _same_bits([alpha_for_xi3(float(x), w0) for x in xi3], r * r)
     ip = rng.uniform(0.0, 0.55e-3, 5_000)
-    i_dc, istar2 = PAPER_DEVICE_BIAS, NBTIN_NANOWIRE.i_star2
     r = i_dc * ip / (istar2**2 + i_dc**2)
     alphas = modulation_alpha(NBTIN_NANOWIRE, i_dc, ip)
     assert _same_bits(alphas, (9.0 / 16.0) * (r * r))
     assert _same_bits([modulation_alpha(NBTIN_NANOWIRE, i_dc, float(i)) for i in ip], alphas)
-    w0 = design.resonance_at_bias(i_dc)
     assert _same_bits([pump_coefficients(NBTIN_NANOWIRE, PumpOperatingPoint(i_dc, float(i)),
                                          w0).alpha for i in ip], alphas)
 
@@ -314,13 +313,10 @@ def test_ladder_that_does_not_end_is_rejected(mode, monkeypatch):
             return alpha_of(*args)
         return wrapped
 
-    monkeypatch.setattr(ReflectionEngine, "alpha_for_xi3", bounded(ReflectionEngine.alpha_for_xi3))
+    monkeypatch.setattr(simulator, "alpha_for_xi3", bounded(alpha_for_xi3))
     monkeypatch.setattr(simulator, "modulation_alpha", bounded(modulation_alpha))
-    design = paper_device()
-    engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([TWO_PI * 8.4e9]), TWO_PI * 16.9e9)],
-                              [PAPER_DEVICE_BIAS])
     with pytest.raises(InvalidParameter, match="has not ended after 1000000 steps"):
-        policy_ladder(engine, PumpRampPolicy(mode=mode, ratio=10.0 ** (1e-7 / 20.0)))
+        policy_ladder(paper_device(), [PAPER_DEVICE_BIAS], PumpRampPolicy(mode=mode, ratio=10.0 ** (1e-7 / 20.0)))
 
 
 def test_ladder_below_the_step_cap_ends():
@@ -342,14 +338,14 @@ def test_search_ladder_is_the_policy_budget():
     records = list(search_designs(point))
     assert records
     assert SEARCH_RAMP == PumpRampPolicy(mode="xi3", ratio=1.02)
-    engine = ReflectionEngine(_design_for(point, 70.0, 30.0, 80.0), IDEAL_ENV,
-                              [(ws, wp) for _, ws, wp in _row_grids(point.axes()[3])])
-    drives, (alphas,) = policy_ladder(engine, SEARCH_RAMP)
-    want = drive_ladder(TWO_PI * 1e6, 1.02, engine.alpha_for_xi3)
+    design = _design_for(point, 70.0, 30.0, 80.0)
+    drives, (alphas,) = policy_ladder(design, [0.0], SEARCH_RAMP)
+    w0 = design.resonance_at_bias(0.0)
+    want = drive_ladder(TWO_PI * 1e6, 1.02, lambda drive: alpha_for_xi3(drive, w0))
     assert drives.tolist() == want[0].tolist() and alphas.tolist() == want[1].tolist()
     first = min(records, key=lambda r: r.optimal_xi3)
     budget = dataclasses.replace(SEARCH_RAMP, xi3_cap=first.optimal_xi3)
-    assert policy_ladder(engine, budget)[0].tolist() == [
+    assert policy_ladder(design, [0.0], budget)[0].tolist() == [
         d for d in drives.tolist() if d <= first.optimal_xi3]
     capped = list(search_designs(point, xi3_cap=first.optimal_xi3))
     assert first in capped and all(r.optimal_xi3 <= first.optimal_xi3 for r in capped)
@@ -429,7 +425,7 @@ def test_screened_ramp_matches_exhaustive_over_limits(cell, env, symmetric,
     else:
         ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    ladder = policy_ladder(engine, SEARCH_RAMP)
+    ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     assert ramp(engine, *ladder, threshold_db, ripple_max_db, 40.0) == [_exhaustive_ramp(
         engine, *ladder, threshold_db, ripple_max_db, 40.0)]
 
@@ -450,7 +446,7 @@ def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
         if ws.size < 16:
             continue
         engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
-        ladder = policy_ladder(engine, SEARCH_RAMP)
+        ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
         full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
         if full.report is not None:
             expected.append((wp2, full.report.bandwidth, full.drive))
@@ -470,7 +466,7 @@ def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz
             ws = ws[ws < wp2 + TWO_PI * clip_hz]
         grids.append((ws, 2 * wp2))
     row = ReflectionEngine(design, ENVS[env], grids)
-    ladder = policy_ladder(row, SEARCH_RAMP)
+    ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     alone = [ReflectionEngine(design, ENVS[env], [grid]) for grid in grids]
     for got, want in zip((steps for _, steps, _, _ in
                           _per_cell(row, _candidate_steps(row, ladder[1], 17.0))),
@@ -487,7 +483,7 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     wp2 = TWO_PI * 7.75e9
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
-    drives, ladder = policy_ladder(engine, SEARCH_RAMP)
+    drives, ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     full = _exhaustive_ramp(engine, drives, ladder, 17.0, 5.0, 40.0)
     assert full.report is not None
     # candidate steps up to and including the one that stops the ramp
@@ -502,21 +498,17 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
 
 
 ENGINE_ARRAYS = ("ws", "jws", "jwi", "y_c", "y_idler_conj", "z_env", "l0")
-BIAS_VALUES = ("i_dc", "omega0")
 
 
 def _assert_cell_equals(engine, cell, ref, same):
     """Cell ``cell`` of ``engine`` equals the one-grid, one-bias engine ``ref`` under ``same``."""
-    cells, row = engine.cells[cell], engine.ladder[cell]
+    cells = engine.cells[cell]
     for field in ENGINE_ARRAYS:
         assert same(getattr(engine, field)[cells], getattr(ref, field)), field
     for got, want in zip(engine.abcd, ref.abcd):
         assert same(got[cells], want)
     for field, got, want in zip(ref.mobius._fields, engine.mobius, ref.mobius):
         assert same(got[cells], want), field
-    assert engine.c == ref.c
-    for field in BIAS_VALUES:
-        assert same(getattr(engine, field)[row:row + 1], getattr(ref, field)), field
 
 
 def _row_designs():
@@ -602,14 +594,14 @@ def test_bias_engine_cells_equal_fresh_engines(biases, env, mode):
         engine.mobius
     assert len(builds) == 1   # one idler chain for every bias
     policy = PumpRampPolicy(mode=mode)
-    drives, alphas = policy_ladder(engine, policy)
+    drives, alphas = policy_ladder(design, biases, policy)
     assert len(engine.cells) == len(biases) * len(grids) and len(alphas) == len(biases)
     for c in range(len(engine.cells)):
         k, grid = divmod(c, len(grids))
         ref = ReflectionEngine(design, ENVS[env], [grids[grid]], [biases[k]])
         _assert_cell_equals(engine, c, ref, _same_bits)
         # the cells of one bias share its ladder, bit for bit a fresh build's
-        ref_drives, (ref_alphas,) = policy_ladder(ref, policy)
+        ref_drives, (ref_alphas,) = policy_ladder(design, [biases[k]], policy)
         row = alphas[engine.ladder[c]]
         assert engine.ladder[c] == k
         assert _same_bits(drives[:ref_drives.size], ref_drives)
@@ -638,6 +630,25 @@ def test_an_engine_needs_a_bias():
         ReflectionEngine(paper_device(), IDEAL_ENV, [grid], [])
 
 
+def test_an_engine_builds_without_a_finite_resonance():
+    # l0·C underflows to 0: S11 needs only α, so the engine builds and
+    # evaluates, and whatever needs ω0 raises, after any grid fault
+    film = KineticInductorModel("parabolic", l_k0=1e-200)
+    design = dataclasses.replace(paper_device(), ki_model=film, c_shunt=1e-200)
+    grid = (TWO_PI * np.arange(7.9e9, 8.1e9, 50e6), TWO_PI * 16.9e9)
+    engine = ReflectionEngine(design, IDEAL_ENV, [grid], [0.0, 1e-3])
+    assert np.isfinite(engine.s11(0.01)).all()
+    for needs_omega0 in (lambda: design.resonance_at_bias(1e-3),
+                         lambda: policy_ladder(design, [1e-3], PumpRampPolicy(mode="current")),
+                         lambda: gain_spectrum(design, PumpDrive(0.0, grid[1]), None, grid[0]),
+                         lambda: sweep(design, IDEAL_ENV, [grid], [0.0], SEARCH_RAMP)):
+        with pytest.raises(SingularNetwork,
+                           match="^l0 = 1e-200 H and c = 1e-200 F give no finite resonance$"):
+            needs_omega0()
+    with pytest.raises(InvalidParameter, match="frequency grid must be a non-empty"):
+        sweep(design, IDEAL_ENV, [(np.array([]), grid[1])], [0.0], SEARCH_RAMP)
+
+
 @pytest.mark.parametrize("env", sorted(ENVS))
 def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
     # a 3.2-mA budget ends each bias's current ladder at its own step, and
@@ -649,13 +660,13 @@ def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
     wp = TWO_PI * 16.9e9
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], biases)
-    drives, alphas = policy_ladder(engine, policy)
+    drives, alphas = policy_ladder(design, biases, policy)
     ends = np.count_nonzero(~np.isnan(alphas), axis=1)
     assert ends[1] == 0 and len(set(ends.tolist())) >= 4
     want = []
     for i_dc in biases:
         alone = ReflectionEngine(design, ENVS[env], [(ws, wp)], [i_dc])
-        ladder = policy_ladder(alone, policy)
+        ladder = policy_ladder(design, [i_dc], policy)
         want += ramp(alone, *ladder, 6.0, 5.0, 40.0)
         assert want[-1] == _exhaustive_ramp(alone, *ladder, 6.0, 5.0, 40.0)
     assert sum(res.report is not None for res in want) >= 4
@@ -672,7 +683,7 @@ def _per_bias_map(design, env, fps, idcs, policy, step):
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
             engine = ReflectionEngine(design, env, [(ws, wp)], [idc])
-            res, = ramp(engine, *policy_ladder(engine, policy), GAIN_THRESHOLD_DB,
+            res, = ramp(engine, *policy_ladder(design, [idc], policy), GAIN_THRESHOLD_DB,
                         RIPPLE_MAX_DB, GAIN_STOP_DB)
             rep = res.report
             cells.append(simulator.MapCell(
@@ -697,7 +708,7 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
             engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], [idc])
-            res, = ramp(engine, *policy_ladder(engine, policy), GAIN_THRESHOLD_DB,
+            res, = ramp(engine, *policy_ladder(design, [idc], policy), GAIN_THRESHOLD_DB,
                         RIPPLE_MAX_DB, GAIN_STOP_DB)
             rep = res.report
             expected.append(simulator.MapCell(
@@ -882,8 +893,9 @@ def test_row_with_an_empty_ladder_keeps_no_step():
     # an unbiased design has no current ladder, as a current-mode map cell at 0 A
     ranges = default_ranges("three-stage")
     grids = [(ws, wp) for _, ws, wp in _row_grids(ranges.axes()[3][:2])]
-    engine = ReflectionEngine(_design_for(ranges, 70.0, 30.0, 80.0), IDEAL_ENV, grids)
-    drives, alphas = policy_ladder(engine, PumpRampPolicy(mode="current"))
+    design = _design_for(ranges, 70.0, 30.0, 80.0)
+    engine = ReflectionEngine(design, IDEAL_ENV, grids)
+    drives, alphas = policy_ladder(design, [0.0], PumpRampPolicy(mode="current"))
     assert len(engine.cells) == 2 and alphas.shape == (1, 0)
     screen = _candidate_steps(engine, alphas, 17.0)
     assert len(screen) == 4 and all(x.size == 0 and x.dtype == np.intp for x in screen)
@@ -895,7 +907,7 @@ def _row_of_two(cell, env):
     _, design, _, _, _, wp2 = cell
     grids = [(ws, wp) for _, ws, wp in _row_grids([wp2 - TWO_PI * 0.25e9, wp2])]
     engine = ReflectionEngine(design, ENVS[env], grids)
-    return engine, policy_ladder(engine, SEARCH_RAMP)
+    return engine, policy_ladder(design, [0.0], SEARCH_RAMP)
 
 
 def _per_cell(engine, screen):
@@ -966,7 +978,7 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
-    drives, ladder = policy_ladder(engine, SEARCH_RAMP)
+    drives, ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     alphas = ladder[0]
     assume(step < alphas.size)
     if degenerate:   # a2 = 0 at one point: the screen keeps every step and point
@@ -1048,7 +1060,7 @@ def test_rounds_equal_exhaustive_per_cell_ramps_at_every_budget(cell, env, clip_
             ws = ws[ws < wp2 + TWO_PI * clip_hz]
         grids.append((ws, 2 * wp2))
     row = ReflectionEngine(design, ENVS[env], grids)
-    ladder = policy_ladder(row, SEARCH_RAMP)
+    ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     want = [_exhaustive_ramp(ReflectionEngine(design, ENVS[env], [grid]), *ladder, 17.0, 5.0, 40.0)
             for grid in grids]
     for budget in (1, grids[-1][0].size, simulator.RAMP_BLOCK_POINTS):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from kipa.circuits import IDEAL_ENV, DesignSpec
 from kipa.errors import InsufficientData, InvalidParameter
-from kipa.material import KineticInductorModel, PumpOperatingPoint, pump_coefficients
+from kipa.material import (KineticInductorModel, PumpOperatingPoint, alpha_for_xi3,
+                           pump_coefficients)
 from kipa.presets import (
     PAPER_DEVICE_BIAS,
     PAPER_DEVICE_PUMP,
@@ -329,10 +330,11 @@ def test_bandwidth_alpha_trend_positive():
     design = paper_device()
     ws = _grid(7.45e9, 9.45e9, 2e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, PAPER_DEVICE_PUMP)], [PAPER_DEVICE_BIAS])
+    w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
     alphas, bws = [], []
     xi3 = TWO_PI * 1.0e9
     while xi3 < TWO_PI * 2.6e9:
-        alpha = engine.alpha_for_xi3(xi3)
+        alpha = alpha_for_xi3(xi3, w0)
         gdb = engine.gain_db(alpha)
         if gdb.max() > 40:
             break
