@@ -9,9 +9,9 @@ the scaled step length, and MINPACK's step-bound updates and
 ftol/xtol/gtol convergence tests.
 
 Where MINPACK factors the Jacobian by QR with column pivoting and folds
-each trial parameter in with Givens rotations, here one numpy SVD of the
-scaled Jacobian per iteration gives the step for every parameter in
-closed form.
+each trial parameter in with Givens rotations, here each iteration's thin SVD
+of the tall scaled Jacobian, J·D⁻¹ = U·diag(s)·Vᵀ, gives every step in closed
+form, and its n-space factors the gradient Jᵀf = D·V·diag(s)·Uᵀf and ‖J·p‖.
 """
 from __future__ import annotations
 
@@ -72,20 +72,20 @@ def levenberg_marquardt(evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray],
             xnorm = _norm(diag * x)
             delta = _FACTOR * xnorm if xnorm != 0.0 else _FACTOR
             first = True
-        # cosine between f and the Jacobian columns
-        gnorm = 0.0
-        if fnorm != 0.0:
-            live = acnorm != 0.0
-            gnorm = float(np.max(np.abs(jt[live] @ (f / fnorm)) / acnorm[live], initial=0.0))
-        if gnorm <= tol:
+        if fnorm == 0.0:
             return LeastSquaresFit(x, f)
         diag = np.maximum(diag, acnorm)
-        # J·D⁻¹ = U·diag(s)·Vᵀ, from its transpose V·diag(s)·Uᵀ
-        v, s, ut = np.linalg.svd(jt / diag[:, None], full_matrices=False)
-        utf = ut @ f
+        # J·D⁻¹ = U·diag(s)·Vᵀ, the thin SVD of the tall m-by-n matrix
+        u, s, vt = np.linalg.svd((jt / diag[:, None]).T, full_matrices=False)
+        utf = f @ u
+        # cosine between f and the Jacobian columns, from Jᵀf = D·V·diag(s)·Uᵀf
+        live = acnorm != 0.0
+        cosines = np.abs(diag * ((s * utf) @ vt) / fnorm)[live] / acnorm[live]
+        if float(np.max(cosines, initial=0.0)) <= tol:
+            return LeastSquaresFit(x, f)
         while True:
             par, q = _lm_step(s, utf, delta, par)
-            step = (v @ q) / -diag
+            step = (q @ vt) / -diag
             pnorm = _norm(q)   # ‖D·step‖, as V is orthogonal
             if first:
                 delta = min(delta, pnorm)
@@ -94,8 +94,8 @@ def levenberg_marquardt(evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray],
             nfev += 1
             fnorm1 = _finite_norm(f_try, jt_try)
             actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-            # reduction the linear model predicts, and its directional derivative
-            temp1 = _norm(step @ jt) / fnorm
+            # reduction the linear model predicts, ‖J·step‖ = ‖diag(s)·q‖, and its slope
+            temp1 = _norm(s * q) / fnorm
             temp2 = math.sqrt(par) * pnorm / fnorm
             prered = temp1 * temp1 + temp2 * temp2 / 0.5
             dirder = -(temp1 * temp1 + temp2 * temp2)

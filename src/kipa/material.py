@@ -104,10 +104,13 @@ class PumpCoefficients:
     l_i: float            # inductance at the dc bias, H
 
 
+# The film arithmetic runs on numpy scalars: where a float's ``**`` raises
+# OverflowError, a numpy scalar's is inf (with the same bits in range).
+
 @np.errstate(over="ignore", invalid="ignore")   # out of range: inf or nan, for resonance_at_bias
 def kinetic_inductance(model: KineticInductorModel, i_dc: float) -> float:
     """Total inductance L_k(I) + l_geo at bias ``i_dc`` (henries)."""
-    i = abs(i_dc)
+    i = np.float64(abs(i_dc))
     if model.model_kind == "parabolic":
         lk = model.l_k0 * (1.0 + (i / model.i_star2) ** 2)
     elif model.model_kind == "quartic":
@@ -129,7 +132,8 @@ def kinetic_inductance(model: KineticInductorModel, i_dc: float) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def modulation_alpha(model: KineticInductorModel, i_dc: float, i_p_mag):
     """α = (9/16)·(i_dc·|I_p|/(I*₂² + i_dc²))² for a scalar or an array of |I_p|."""
-    r = i_dc * i_p_mag / (model.i_star2**2 + i_dc**2)
+    i_dc = np.float64(i_dc)
+    r = i_dc * i_p_mag / (np.float64(model.i_star2)**2 + i_dc**2)
     return (9.0 / 16.0) * (r * r)
 
 
@@ -140,7 +144,7 @@ def alpha_for_xi3(xi3_mag, omega0: float):
     return r * r
 
 
-@np.errstate(over="ignore", invalid="ignore")   # a coefficient past the float range is inf or nan
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # out of range: inf or nan
 def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,
                       omega0: float) -> PumpCoefficients:
     """Linearization coefficients for ``op`` around resonance ``omega0``.
@@ -156,15 +160,15 @@ def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,
             f"i_dc + |I_p| = {op.i_dc + op.i_p_mag:.4g} A reaches i_c = {model.i_c:.4g} A"
         )
     l_i = kinetic_inductance(model, op.i_dc)
-    istar2 = model.i_star2
-    denom = istar2**2 + op.i_dc**2
-    ratio = op.i_dc * op.i_p_mag / denom
+    i_dc, i_p, istar2 = (np.float64(v) for v in (op.i_dc, op.i_p_mag, model.i_star2))
+    denom = istar2**2 + i_dc**2
+    ratio = i_dc * i_p / denom if i_dc else 0.0   # 0, not 0/0, where denom underflows
     delta_l = 1.5 * ratio * l_i * np.exp(-1j * op.phi_p)
     alpha = modulation_alpha(model, op.i_dc, op.i_p_mag)
     xi3 = -1.5 * ratio * omega0 * np.exp(-1j * op.phi_p)
-    quart = (8.0 * op.i_dc**2 - istar2**2) / denom**2
-    kerr = 0.75 * quart * HBAR * omega0**2 / l_i
-    pump_shift = 1.5 * quart * omega0 * op.i_p_mag**2
+    quart = (8.0 * i_dc**2 - istar2**2) / denom**2
+    kerr = 0.75 * quart * HBAR * np.float64(omega0)**2 / l_i
+    pump_shift = 1.5 * quart * omega0 * i_p**2
     return PumpCoefficients(complex(delta_l), float(alpha), complex(xi3),
                             float(kerr), float(pump_shift), float(l_i))
 

@@ -785,8 +785,10 @@ def _bias_ladder(design: DesignSpec, i_dc: float, omega0: float, policy: PumpRam
         return drive_ladder(START_XI3, policy.ratio,
                             lambda drive: alpha_for_xi3(drive, omega0), budget)
     model, i_dc = design.ki_model, float(i_dc)
-    if i_dc <= 0:
-        return np.empty(0), np.empty(0)  # no three-wave mixing without bias
+    with np.errstate(over="ignore"):
+        unmodulated = np.float64(model.i_star2) ** 2 == np.inf   # α ≡ 0
+    if i_dc <= 0 or unmodulated:
+        return np.empty(0), np.empty(0)  # no three-wave mixing without bias or modulation
     budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
     return drive_ladder(START_CURRENT, policy.ratio,
                         lambda drive: modulation_alpha(model, i_dc, drive), budget)

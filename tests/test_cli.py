@@ -592,9 +592,30 @@ OVERFLOW_OUTCOMES = [
                   "--set", "i_star2=1e-300A", *_GC],
                  EXIT_NUMERICAL, "", "numerical failure: l0 = inf H and c = 3.3e-13 F give "
                  "no finite resonance\n", id="map-inductance"),
-    # no i_star2: α is 0 until the drive overflows, then inf/inf
+    # no i_star2: I*₂² is inf, so α ≡ 0 and the current ladder is empty
     pytest.param(["map", *_D, "--set", "c_shunt=330fF", *_GC],
                  EXIT_OK, _MAP_HEADER + "16000000000,0.0005,0,0,0\n", "", id="map-ladder-drive"),
+    # the same overflows at a float bias, which raised OverflowError: (i/I*₂)² in the
+    # inductance and I*₂² in α, both "(34, 'Numerical result out of range')"
+    pytest.param(["simulate", "--set", "z_quarter=50ohm", "--set", "z_half=50ohm",
+                  "--set", "c_shunt=330fF", "--set", "f0=8GHz", "--set", "i_star2=1e-300A",
+                  "--idc", "0.5mA", "--fp", "16GHz", "--xi3", "1GHz",
+                  "--span", "8GHz:8.01GHz:5MHz"],
+                 EXIT_NUMERICAL, "", "numerical failure: l0 = inf H and c = 3.3e-13 F give "
+                 "no finite resonance\n", id="simulate-inductance"),
+    pytest.param(["map", "--set", "z_quarter=50ohm", "--set", "z_half=50ohm",
+                  "--set", "c_shunt=330fF", "--set", "f0=8GHz", "--set", "i_star2=1e300A",
+                  *_GC],
+                 EXIT_OK, _MAP_HEADER + "16000000000,0.0005,0,0,0\n", "", id="map-alpha-film"),
+    # I*₂² + i_dc² underflows to 0 at zero bias: ξ3 is 0 (the unpumped spectrum),
+    # where the ratio 0/0 read "float division by zero"
+    pytest.param(["simulate", "--set", "z_quarter=50ohm", "--set", "z_half=50ohm",
+                  "--set", "c_shunt=330fF", "--set", "f0=8GHz", "--set", "i_star2=1e-200A",
+                  "--idc", "0A", "--set", "ip=1mA", "--fp", "16GHz",
+                  "--span", "8GHz:8.01GHz:5MHz"],
+                 EXIT_OK, "freq_hz,re_s11,im_s11,gain_db\n"
+                 "8000000000,-0.94678154855,-0.321876838752,-1.92865493311e-15\n"
+                 "8005000000,-0.949360675794,-0.314188330871,0\n", "", id="simulate-ip-zero-bias"),
     # ω0 = 3e161 rad/s: the Kerr coefficient of the pump current overflows
     pytest.param(["simulate", "--set", "z_quarter=50ohm", "--set", "z_half=50ohm",
                   "--set", "c_shunt=1e-320F", "--set", "f0=8GHz", "--set", "l_geo=0.001H",

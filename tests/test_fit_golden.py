@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kipa import lsq
 from kipa.cli import main
 from kipa.material import KineticInductorModel
 from test_material import CLEM, QUARTIC, _synthetic_shift
@@ -122,6 +123,25 @@ def test_golden_covers_every_case():
 @pytest.mark.parametrize("key, argv, text", _CASES, ids=[key for key, _, _ in _CASES])
 def test_fit_output_matches_golden(key, argv, text, tmp_path):
     assert _run(argv, text, tmp_path) == _golden()[key]
+
+
+def test_golden_cases_take_704_model_evaluations(monkeypatch, tmp_path):
+    # the solver's iteration path: a change that moves it fails here, not
+    # only where a record's twelfth digit moves
+    evaluations = 0
+    solve = lsq.levenberg_marquardt
+
+    def counted(evaluate, *args, **kwargs):
+        def count(*point):
+            nonlocal evaluations
+            evaluations += 1
+            evaluate(*point)
+        return solve(count, *args, **kwargs)
+
+    monkeypatch.setattr(lsq, "levenberg_marquardt", counted)
+    for _, argv, text in _CASES:
+        _run(argv, text, tmp_path)
+    assert evaluations == 704
 
 
 if __name__ == "__main__":

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from kipa.errors import FitFailure, InvalidParameter
-from kipa.lsq import levenberg_marquardt
+from kipa.lsq import _lm_step, levenberg_marquardt
+
+EPS = float(np.finfo(float).eps)
 
 
 def _rosenbrock(x, f, jt):
@@ -153,3 +156,52 @@ def test_identical_jacobian_columns_fit_the_sum():
     fit = levenberg_marquardt(evaluate, [2.0, 0.5], _T.size, tol=1e-12, max_nfev=100)
     assert fit.x.sum() == pytest.approx(0.7, rel=1e-10)
     assert np.abs(fit.fun).max() < 1e-12
+
+
+@st.composite
+def tall_problems(draw):
+    """(jt, d, f, delta): n = 1-4 parameters, n to 700 residuals, columns of any
+    scale, some zero or repeating an earlier one, and a random positive scaling D."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jt = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    kinds = draw(st.lists(st.sampled_from(["drawn", "zero", "repeat"]), min_size=n, max_size=n))
+    for j, kind in enumerate(kinds):
+        if kind == "zero":
+            jt[j] = 0.0
+        elif kind == "repeat" and j:
+            jt[j] = jt[rng.integers(j)]
+    d = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    f = rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return jt, d, f, 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tall_problems())
+def test_n_space_products_equal_the_m_space_ones(problem):
+    # The solver takes J·D⁻¹ = U·diag(s)·Vᵀ (thin SVD of the tall matrix) and,
+    # for the step p = -D⁻¹·V·q, uses ‖J·p‖ = ‖diag(s)·q‖ and
+    # Jᵀf = D·V·diag(s)·Uᵀf in place of the m-space products.
+    #
+    # The bound: LAPACK's SVD is backward stable, Û·Ŝ·V̂ᵀ = Â + E with
+    # ‖E‖ ≤ γ·s₁ and Û, V̂ orthonormal to within γ, for γ = p(m, n)·ε, a
+    # modestly growing p (LAPACK Users' Guide, section 4.9); take p = m + n.
+    # Then J·p + Û·Ŝ·q = E·V̂·q + Û·Ŝ·(I - V̂ᵀV̂)·q up to the rounding of Â,
+    # of p and of the n-term sums of J·p, together at most
+    # (√n + (n + 1)·√n + n·√n)·ε·s₁·‖q‖ ≤ 20ε·s₁·‖q‖ for n ≤ 4, and ‖Û·Ŝ·q‖
+    # is ‖Ŝ·q‖ to within γ·s₁·‖q‖; so the norms differ by at most
+    # (3γ + 20ε)·s₁·‖q‖.  Component j of Jᵀf differs by
+    # (Eᵀf)_j ≤ γ·s₁·‖f‖, scaled by D_j, plus the m-term sums of Uᵀf and of
+    # the reference Jᵀf, together at most (√n + 1)·m·ε·D_j·s₁·‖f‖ (as
+    # ‖J e_j‖ ≤ D_j·s₁), and the n-term sums, a few ε more.  Both are inside
+    # (4(m + n) + 20)·ε·s₁, times ‖q‖ or D_j·‖f‖.
+    jt, d, f, delta = problem
+    n, m = jt.shape
+    u, s, vt = np.linalg.svd((jt / d[:, None]).T, full_matrices=False)
+    utf = f @ u
+    _, q = _lm_step(s, utf, delta, 0.0)
+    p = (q @ vt) / -d
+    bound = (4 * (m + n) + 20) * EPS * s[0]
+    assert abs(np.linalg.norm(p @ jt) - np.linalg.norm(s * q)) <= bound * np.linalg.norm(q)
+    assert (np.abs(jt @ f - d * ((s * utf) @ vt)) <= bound * d * np.linalg.norm(f)).all()

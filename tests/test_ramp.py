@@ -649,6 +649,26 @@ def test_an_engine_builds_without_a_finite_resonance():
         sweep(design, IDEAL_ENV, [(np.array([]), grid[1])], [0.0], SEARCH_RAMP)
 
 
+@pytest.mark.parametrize("i_star2", [math.inf, 1e300, 1.5e154])
+def test_current_ladder_of_an_unmodulated_film_is_empty(i_star2):
+    # I*₂² past the float range makes α ≡ 0: the ladder is empty, as at 0 A,
+    # and the map cell is the one the 62,851 all-zero steps to the drive's
+    # overflow gave
+    film = KineticInductorModel("parabolic", l_k0=1e-9, i_star2=i_star2)
+    design = dataclasses.replace(paper_device(), ki_model=film)
+    policy = PumpRampPolicy(mode="current")
+    drives, alphas = policy_ladder(design, [0.5e-3, 0.0], policy)
+    assert drives.size == 0 and alphas.shape == (2, 0)
+    zeros = drive_ladder(START_CURRENT, policy.ratio,
+                         lambda drive: modulation_alpha(film, 0.5e-3, drive))
+    assert zeros[0].size == 62851 and not zeros[1].any()
+    wp = TWO_PI * 16e9
+    grid = (np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 50e6), wp)
+    engine = ReflectionEngine(design, IDEAL_ENV, [grid], [0.5e-3])
+    assert sweep(design, IDEAL_ENV, [grid], [0.5e-3], policy) == ramp(
+        engine, zeros[0], zeros[1][None], GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)
+
+
 @pytest.mark.parametrize("env", sorted(ENVS))
 def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
     # a 3.2-mA budget ends each bias's current ladder at its own step, and
