@@ -31,14 +31,15 @@ from .circuits import (
 from .errors import InsufficientData, InvalidParameter, SingularNetwork
 from .material import alpha_for_xi3, modulation_alpha
 
-PEAK_PROMINENCE_DB = 0.5
-
-# The amplifier criterion of every search and map: gain >= 17 dB over a
-# two-peak span with <= 5 dB ripple.  A ramp stops past 40 dB, and its
-# ladder starts at |xi3| = 2π·1 MHz or |I_p| = 1 µA and ends before α reaches
-# 0.9; signal grids span ±1.2 GHz about the pump half-frequency, and a map's
-# ladder and grid step by 0.1 dB and 2 MHz unless told otherwise.
+# The amplifier criterion of every search and map, which `ramp` and
+# `bandwidth_report` read at call time: gain >= 17 dB over a span with two
+# peaks of >= 0.5 dB prominence and <= 5 dB ripple.  A ramp stops past
+# 40 dB, and its ladder starts at |xi3| = 2π·1 MHz or |I_p| = 1 µA and ends
+# before α reaches 0.9; signal grids span ±1.2 GHz about the pump
+# half-frequency, and a map's ladder and grid step by 0.1 dB and 2 MHz
+# unless told otherwise.
 GAIN_THRESHOLD_DB = 17.0
+PEAK_PROMINENCE_DB = 0.5
 RIPPLE_MAX_DB = 5.0
 GAIN_STOP_DB = 40.0
 START_XI3 = 2 * np.pi * 1e6
@@ -104,7 +105,6 @@ class BandwidthReport:
     peak_frequencies: Tuple[float, ...]   # rad/s, at or above threshold
     peak_count: int
     ripple_db: float
-    threshold_db: float
     contiguous_span: Optional[Tuple[float, float]]
     qualified: bool
     rejection_reason: Optional[str] = None
@@ -421,16 +421,18 @@ def _peaks(x, height, prominence):
     return peaks[prominence <= h - np.maximum(lows[0::4], lows[2::4])]
 
 
-def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray,
-                     threshold_db: float = GAIN_THRESHOLD_DB, ripple_max_db: float = RIPPLE_MAX_DB,
-                     require_two_peaks: bool = False, span=None) -> BandwidthReport:
-    """Bandwidth, peaks, and ripple of the largest contiguous >=threshold span of a profile.
+def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None) -> BandwidthReport:
+    """Bandwidth, peaks and ripple of the widest span at or above :data:`GAIN_THRESHOLD_DB`.
 
     The profile is ``gain_db`` (+inf at oscillation poles) over the strictly
     increasing angular frequencies ``freqs``.  Peaks are local maxima of
-    the profile with prominence >= 0.5 dB sitting at or above the
-    threshold (:func:`_peaks`).  Oscillation-pole points never count toward
-    a span.  Rejection (two-peak or ripple rule) is reported as a value.
+    the profile with prominence >= :data:`PEAK_PROMINENCE_DB` sitting at or
+    above the threshold (:func:`_peaks`).  Oscillation-pole points never
+    count toward a span.  The profile qualifies under the amplifier
+    criterion; otherwise ``rejection_reason`` names the first rule it
+    fails, in this order: "below threshold" (no span), "fewer than two
+    peaks", "ripple above limit" (ripple of the span above
+    :data:`RIPPLE_MAX_DB`).  These limits are read at call time.
     ``span``, when given, is the profile's widest span as
     :func:`_widest_spans` gives it for this one row, already at hand, and
     is not computed again.
@@ -440,25 +442,23 @@ def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray,
         raise InvalidParameter("empty gain profile")
     n_osc = int(np.sum(~np.isfinite(g)))
     finite_g = np.where(np.isfinite(g), g, -np.inf)
-    peaks = tuple(map(float, f[_peaks(finite_g, threshold_db, PEAK_PROMINENCE_DB)]))
+    peaks = tuple(map(float, f[_peaks(finite_g, GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)]))
 
-    (lo,), (hi,), (ripple,), (found,) = _widest_spans(f, g, threshold_db) if span is None else span
+    (lo,), (hi,), (ripple,), (found,) = span or _widest_spans(f, g, GAIN_THRESHOLD_DB)
     if not found:
-        return BandwidthReport(0.0, peaks, len(peaks), 0.0, threshold_db, None,
-                               qualified=False, rejection_reason="below threshold",
-                               oscillation_points=n_osc)
+        return BandwidthReport(0.0, peaks, len(peaks), 0.0, None, qualified=False,
+                               rejection_reason="below threshold", oscillation_points=n_osc)
     ripple = float(ripple)
     reason = None
-    if require_two_peaks and len(peaks) < 2:
+    if len(peaks) < 2:
         reason = "fewer than two peaks"
-    elif ripple > ripple_max_db:
+    elif ripple > RIPPLE_MAX_DB:
         reason = "ripple above limit"
     return BandwidthReport(
         bandwidth=float(hi - lo),
         peak_frequencies=peaks,
         peak_count=len(peaks),
         ripple_db=ripple,
-        threshold_db=threshold_db,
         contiguous_span=(float(lo), float(hi)),
         qualified=reason is None,
         rejection_reason=reason,
@@ -694,17 +694,17 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
     return at_cell, at_step, lo, hi
 
 
-def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
-         threshold_db: float, ripple_max_db: float, stop_db: float) -> list:
-    """Widest qualifying two-peak profile along its pump ladder, per cell of ``engine``.
+def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> list:
+    """Widest profile meeting the amplifier criterion along its ladder, per cell of ``engine``.
 
     Every cell steps through ``drives``, each along its own ladder of α,
     row ``engine.ladder[cell]`` of ``alphas`` (:func:`policy_ladder`),
-    which may end earlier.  At
-    each cell, steps run in ladder order until one crosses an oscillation
-    pole or exceeds ``stop_db``; profiles at or above ``threshold_db``
-    compete on bandwidth.  Steps that can neither stop the ramp nor reach
-    the threshold (see :func:`_candidate_steps`) are skipped unevaluated,
+    which may end earlier.  At each cell, steps run in ladder order until
+    one crosses an oscillation pole or exceeds :data:`GAIN_STOP_DB`;
+    profiles at or above :data:`GAIN_THRESHOLD_DB` compete on bandwidth
+    under the criterion of :func:`bandwidth_report`, whose limits are read
+    at call time.  Steps that can neither stop the ramp nor reach the
+    threshold (see :func:`_candidate_steps`) are skipped unevaluated,
     which leaves the result identical to evaluating every step.
 
     The rest run in rounds over the whole engine.  A round takes the next
@@ -713,7 +713,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     evaluates them in one :meth:`ReflectionEngine.gain_db` call on flat
     (α, point) pairs.  Each step is evaluated only on its window (see
     :func:`_candidate_steps`): every point outside it is finite and below
-    ``min(threshold_db, stop_db)`` at that step, so the stop test, the
+    both the threshold and the stop level at that step, so the stop test, the
     rising-maxima count and the widest span, whose edges interpolate
     against the window's end points, read the same numbers from the window
     as from the whole row.  The tests are segment reductions over the
@@ -724,7 +724,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     each a condition under which its report could not qualify or win: at
     least two strict-rise local maxima at or above threshold (every
     :func:`_peaks` peak, plateau or not, begins with one), ripple of the
-    widest span within ``ripple_max_db``, and a widest span of positive
+    widest span within :data:`RIPPLE_MAX_DB`, and a widest span of positive
     width.  The ramp keeps the widest qualifying profile, the first of
     equal widths, so once the ramp stops, each cell's candidates get a
     full :func:`bandwidth_report` from widest to narrowest, earlier first
@@ -732,7 +732,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
     again over its whole cell, and its report reuses the widest span its
     round found, which is the whole row's.
     """
-    cell, step, lo, hi = _candidate_steps(engine, alphas, min(threshold_db, stop_db))
+    cell, step, lo, hi = _candidate_steps(engine, alphas, min(GAIN_THRESHOLD_DB, GAIN_STOP_DB))
     alpha = alphas[engine.ladder[cell], step]
     size = hi - lo
     queue = np.lexsort((cell, step))   # the rows of every cell, in ladder order
@@ -746,16 +746,16 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
         starts = np.cumsum(n) - n
         at = np.arange(starts[-1] + n[-1]) + np.repeat(lo[taken] - starts, n)
         gain = engine.gain_db(np.repeat(alpha[taken], n), at)
-        # the first row past an oscillation pole or above stop_db ends its cell's ramp
-        halt = np.logical_or.reduceat(~np.isfinite(gain) | (gain > stop_db), starts)
+        # the first row past an oscillation pole or above the stop level ends its cell's ramp
+        halt = np.logical_or.reduceat(~np.isfinite(gain) | (gain > GAIN_STOP_DB), starts)
         last = np.full(len(engine.cells), alphas.shape[1])
         np.minimum.at(last, cs[halt], ks[halt])
         live = ks < last[cs]
-        live &= _rising_maxima(gain, threshold_db, starts) >= 2
+        live &= _rising_maxima(gain, GAIN_THRESHOLD_DB, starts) >= 2
         if live.any():
-            spans = _widest_spans(engine.ws[at], gain, threshold_db, starts)
+            spans = _widest_spans(engine.ws[at], gain, GAIN_THRESHOLD_DB, starts)
             width = spans[1] - spans[0]
-            live &= (width > 0.0) & (spans[2] <= ripple_max_db)
+            live &= (width > 0.0) & (spans[2] <= RIPPLE_MAX_DB)
             for j in np.flatnonzero(live).tolist():
                 candidates[cs[j]].append((float(width[j]), ks[j],
                                           tuple(x[j:j + 1] for x in spans)))
@@ -768,8 +768,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray,
         # a stable sort keeps ladder order among equal widths
         for _, k, span in sorted(found, key=lambda x: -x[0]):
             gain = engine.gain_db(alphas[engine.ladder[c], k], cells)
-            rep = bandwidth_report(engine.ws[cells], gain, threshold_db, ripple_max_db,
-                                   require_two_peaks=True, span=span)
+            rep = bandwidth_report(engine.ws[cells], gain, span=span)
             if rep.qualified:
                 best, best_drive = rep, float(drives[k])
                 break
@@ -821,8 +820,7 @@ def sweep(design: DesignSpec, env: EnvironmentModel, grids: Sequence[Tuple[np.nd
     results = []
     for biases in (i_dcs[k:k + per_engine] for k in range(0, len(i_dcs), per_engine)):
         engine = ReflectionEngine(design, env, grids, biases)
-        results += ramp(engine, *policy_ladder(design, biases, policy),
-                        GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)
+        results += ramp(engine, *policy_ladder(design, biases, policy))
     return results
 
 

@@ -39,11 +39,8 @@ from kipa.search import (
 )
 from kipa.simulator import (
     ALPHA_MAX,
-    GAIN_STOP_DB,
-    GAIN_THRESHOLD_DB,
     MAP_STEP_DB,
     PEAK_PROMINENCE_DB,
-    RIPPLE_MAX_DB,
     START_CURRENT,
     START_XI3,
     MobiusForm,
@@ -90,17 +87,19 @@ def _composed_s11(design, env, ws, omega_p, i_dc, alpha):
     return (z_in - z_env) / (z_in + z_env)
 
 
-def _exhaustive_ramp(engine, drives, alphas, threshold_db, ripple_max_db, stop_db):
-    """The ramp evaluating every ladder step in turn, on the engine's one ladder."""
+def _exhaustive_ramp(engine, drives, alphas):
+    """The ramp evaluating every ladder step in turn, on the engine's one ladder.
+
+    The limits are the module's at call time, as the ramp reads them.
+    """
     (alphas,) = alphas
     best, best_drive = None, 0.0
     for drive, alpha in zip(drives, alphas):
         gdb = engine.gain_db(float(alpha))
-        if not np.isfinite(gdb).all() or gdb.max() > stop_db:
+        if not np.isfinite(gdb).all() or gdb.max() > simulator.GAIN_STOP_DB:
             break
-        if gdb.max() >= threshold_db:
-            rep = bandwidth_report(engine.ws, gdb, threshold_db, ripple_max_db,
-                                   require_two_peaks=True)
+        if gdb.max() >= simulator.GAIN_THRESHOLD_DB:
+            rep = bandwidth_report(engine.ws, gdb)
             if rep.qualified and rep.bandwidth > (best.bandwidth if best else 0.0):
                 best, best_drive = rep, float(drive)
     return RampResult(best, best_drive)
@@ -205,8 +204,8 @@ def test_screened_search_ramp_matches_exhaustive(cell):
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
     ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
-    full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
-    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [full]
+    full = _exhaustive_ramp(engine, *ladder)
+    assert ramp(engine, *ladder) == [full]
     # the search records exactly that best profile
     point = SearchRanges((z14, z14, 1.0), (z12, z12, 1.0), (z_nr, z_nr, 1.0),
                          (wp2, wp2, 1.0), ranges.z_ki, ranges.omega0)
@@ -230,8 +229,7 @@ def test_screened_map_ramp_matches_exhaustive(mode, env, fp_hz, idc, step_db):
     ws = np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], [idc])
     ladder = policy_ladder(design, [idc], PumpRampPolicy(mode=mode, ratio=10.0 ** (step_db / 20.0)))
-    assert ramp(engine, *ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
-        engine, *ladder, 17.0, 5.0, 40.0)]
+    assert ramp(engine, *ladder) == [_exhaustive_ramp(engine, *ladder)]
 
 
 @pytest.mark.parametrize("mode", ["current", "xi3"])
@@ -426,8 +424,10 @@ def test_screened_ramp_matches_exhaustive_over_limits(cell, env, symmetric,
         ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
     ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
-    assert ramp(engine, *ladder, threshold_db, ripple_max_db, 40.0) == [_exhaustive_ramp(
-        engine, *ladder, threshold_db, ripple_max_db, 40.0)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "GAIN_THRESHOLD_DB", threshold_db)
+        patch.setattr(simulator, "RIPPLE_MAX_DB", ripple_max_db)
+        assert ramp(engine, *ladder) == [_exhaustive_ramp(engine, *ladder)]
 
 
 @pytest.mark.parametrize("kind, z14, z12, z_nr", [("three-stage", 70.0, 30.0, 80.0),
@@ -447,7 +447,7 @@ def test_search_row_matches_exhaustive_per_cell_ramps(kind, z14, z12, z_nr):
             continue
         engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
         ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
-        full = _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
+        full = _exhaustive_ramp(engine, *ladder)
         if full.report is not None:
             expected.append((wp2, full.report.bandwidth, full.drive))
     assert expected  # the row holds qualifying cells
@@ -472,8 +472,7 @@ def test_row_ramps_equal_exhaustive_per_cell_on_unequal_grids(cell, env, clip_hz
                           _per_cell(row, _candidate_steps(row, ladder[1], 17.0))),
                          (_candidate_steps(engine, ladder[1], 17.0)[1] for engine in alone)):
         assert np.array_equal(got, want)
-    assert ramp(row, *ladder, 17.0, 5.0, 40.0) == [
-        _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0) for engine in alone]
+    assert ramp(row, *ladder) == [_exhaustive_ramp(engine, *ladder) for engine in alone]
 
 
 @pytest.mark.parametrize("kind, z14, z12, z_nr", [("three-stage", 70.0, 30.0, 80.0),
@@ -484,7 +483,7 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(ws, 2 * wp2)])
     drives, ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
-    full = _exhaustive_ramp(engine, drives, ladder, 17.0, 5.0, 40.0)
+    full = _exhaustive_ramp(engine, drives, ladder)
     assert full.report is not None
     # candidate steps up to and including the one that stops the ramp
     _, steps, _, _ = _candidate_steps(engine, ladder, 17.0)
@@ -494,7 +493,7 @@ def test_block_boundaries_leave_the_ramp_unchanged(kind, z14, z12, z_nr, monkeyp
     # many as and one more than the evaluated steps' whole rows
     for per_block in (1, evaluated - 1, evaluated, evaluated + 1):
         monkeypatch.setattr(simulator, "RAMP_BLOCK_POINTS", per_block * ws.size)
-        assert ramp(engine, drives, ladder, 17.0, 5.0, 40.0) == [full], per_block
+        assert ramp(engine, drives, ladder) == [full], per_block
 
 
 ENGINE_ARRAYS = ("ws", "jws", "jwi", "y_c", "y_idler_conj", "z_env", "l0")
@@ -666,13 +665,14 @@ def test_current_ladder_of_an_unmodulated_film_is_empty(i_star2):
     grid = (np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 50e6), wp)
     engine = ReflectionEngine(design, IDEAL_ENV, [grid], [0.5e-3])
     assert sweep(design, IDEAL_ENV, [grid], [0.5e-3], policy) == ramp(
-        engine, zeros[0], zeros[1][None], GAIN_THRESHOLD_DB, RIPPLE_MAX_DB, GAIN_STOP_DB)
+        engine, zeros[0], zeros[1][None])
 
 
 @pytest.mark.parametrize("env", sorted(ENVS))
-def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
+def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env, monkeypatch):
     # a 3.2-mA budget ends each bias's current ladder at its own step, and
     # 0 A has none; 6 dB is a threshold these ladders reach
+    monkeypatch.setattr(simulator, "GAIN_THRESHOLD_DB", 6.0)
     design = dataclasses.replace(paper_device(),
                                  ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=3.2e-3))
     policy = PumpRampPolicy(mode="current", ratio=10.0 ** (0.25 / 20.0))
@@ -687,13 +687,13 @@ def test_ramp_over_unequal_ladders_equals_per_cell_ramps(env):
     for i_dc in biases:
         alone = ReflectionEngine(design, ENVS[env], [(ws, wp)], [i_dc])
         ladder = policy_ladder(design, [i_dc], policy)
-        want += ramp(alone, *ladder, 6.0, 5.0, 40.0)
-        assert want[-1] == _exhaustive_ramp(alone, *ladder, 6.0, 5.0, 40.0)
+        want += ramp(alone, *ladder)
+        assert want[-1] == _exhaustive_ramp(alone, *ladder)
     assert sum(res.report is not None for res in want) >= 4
     for budget in (1, ws.size, simulator.RAMP_BLOCK_POINTS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "RAMP_BLOCK_POINTS", budget)
-            assert ramp(engine, drives, alphas, 6.0, 5.0, 40.0) == want, budget
+            assert ramp(engine, drives, alphas) == want, budget
 
 
 def _per_bias_map(design, env, fps, idcs, policy, step):
@@ -703,8 +703,7 @@ def _per_bias_map(design, env, fps, idcs, policy, step):
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
             engine = ReflectionEngine(design, env, [(ws, wp)], [idc])
-            res, = ramp(engine, *policy_ladder(design, [idc], policy), GAIN_THRESHOLD_DB,
-                        RIPPLE_MAX_DB, GAIN_STOP_DB)
+            res, = ramp(engine, *policy_ladder(design, [idc], policy))
             rep = res.report
             cells.append(simulator.MapCell(
                 wp, idc, *((rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
@@ -728,8 +727,7 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
         ws = np.arange(wp / 2 - half, wp / 2 + half, step)
         for idc in idcs:
             engine = ReflectionEngine(design, ENVS[env], [(ws, wp)], [idc])
-            res, = ramp(engine, *policy_ladder(design, [idc], policy), GAIN_THRESHOLD_DB,
-                        RIPPLE_MAX_DB, GAIN_STOP_DB)
+            res, = ramp(engine, *policy_ladder(design, [idc], policy))
             rep = res.report
             expected.append(simulator.MapCell(
                 wp, idc, *((rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)
@@ -831,10 +829,10 @@ DRIVES, ALPHAS = np.array([1.0, 2.0, 3.0]), np.array([[0.1, 0.2, 0.3]])
 
 def test_ramp_keeps_the_first_of_equal_width_profiles():
     engine = _ScriptedEngine([TWO_PEAKS] * 3, ALPHAS)
-    res, = ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    res, = ramp(engine, DRIVES, ALPHAS)
     assert res.report.qualified and res.report.peak_count == 2
     assert res.drive == 1.0
-    assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS)
 
 
 def _hump(width):
@@ -867,10 +865,10 @@ def test_ramp_reports_widest_first(profiles, drive, reports, monkeypatch):
                         lambda *args, **kw: calls.append(args) or bandwidth_report(*args, **kw))
     engine = _ScriptedEngine(profiles, ALPHAS[:, :len(profiles)])
     ladder = DRIVES[:len(profiles)], ALPHAS[:, :len(profiles)]
-    res, = ramp(engine, *ladder, 17.0, 5.0, 40.0)
+    res, = ramp(engine, *ladder)
     assert (res.drive, res.report.qualified, len(calls)) == (drive, True, reports)
     monkeypatch.undo()
-    assert res == _exhaustive_ramp(engine, *ladder, 17.0, 5.0, 40.0)
+    assert res == _exhaustive_ramp(engine, *ladder)
 
 
 def test_ramp_stops_inside_a_block_at_the_step_above_stop_db():
@@ -880,12 +878,12 @@ def test_ramp_stops_inside_a_block_at_the_step_above_stop_db():
     spiked = TWO_PEAKS + 2.0
     spiked[2] = 45.0
     engine = _ScriptedEngine([TWO_PEAKS, spiked, TWO_PEAKS + 2.0], ALPHAS)
-    res, = ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    res, = ramp(engine, DRIVES, ALPHAS)
     assert res.drive == 1.0
-    assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS, 17.0, 5.0, 40.0)
+    assert res == _exhaustive_ramp(engine, DRIVES, ALPHAS)
     # without the spike the second step is the widest
     assert ramp(_ScriptedEngine([TWO_PEAKS, TWO_PEAKS + 2.0, TWO_PEAKS + 2.0], ALPHAS),
-                DRIVES, ALPHAS, 17.0, 5.0, 40.0)[0].drive == 2.0
+                DRIVES, ALPHAS)[0].drive == 2.0
 
 
 def test_row_screen_keeps_every_step_only_in_a_degenerate_cell():
@@ -919,7 +917,7 @@ def test_row_with_an_empty_ladder_keeps_no_step():
     assert len(engine.cells) == 2 and alphas.shape == (1, 0)
     screen = _candidate_steps(engine, alphas, 17.0)
     assert len(screen) == 4 and all(x.size == 0 and x.dtype == np.intp for x in screen)
-    assert ramp(engine, drives, alphas, 17.0, 5.0, 40.0) == [RampResult(None, 0.0)] * 2
+    assert ramp(engine, drives, alphas) == [RampResult(None, 0.0)] * 2
 
 
 def _row_of_two(cell, env):
@@ -1023,8 +1021,7 @@ def test_degenerate_and_pole_cells_fall_back_to_the_full_window(cell, env, degen
         at = np.arange(lo[i], hi[i])
         gain = engine.gain_db(np.full(at.size, alphas[step]), at)
         assert gain[point - lo[i]] == np.inf
-    assert ramp(engine, drives, ladder, 17.0, 5.0, 40.0) == [_exhaustive_ramp(
-        engine, drives, ladder, 17.0, 5.0, 40.0)]
+    assert ramp(engine, drives, ladder) == [_exhaustive_ramp(engine, drives, ladder)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -1081,9 +1078,9 @@ def test_rounds_equal_exhaustive_per_cell_ramps_at_every_budget(cell, env, clip_
         grids.append((ws, 2 * wp2))
     row = ReflectionEngine(design, ENVS[env], grids)
     ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
-    want = [_exhaustive_ramp(ReflectionEngine(design, ENVS[env], [grid]), *ladder, 17.0, 5.0, 40.0)
+    want = [_exhaustive_ramp(ReflectionEngine(design, ENVS[env], [grid]), *ladder)
             for grid in grids]
     for budget in (1, grids[-1][0].size, simulator.RAMP_BLOCK_POINTS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "RAMP_BLOCK_POINTS", budget)
-            assert ramp(row, *ladder, 17.0, 5.0, 40.0) == want, budget
+            assert ramp(row, *ladder) == want, budget

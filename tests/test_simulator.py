@@ -1,4 +1,8 @@
+import contextlib
+import io
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +18,13 @@ from kipa.presets import (
     paper_device,
     paper_env,
 )
+from kipa import simulator
 from kipa.simulator import (
     PumpDrive,
     PumpRampPolicy,
     ReflectionEngine,
     _edge,
+    _peaks,
     _widest_spans,
     bandwidth_report,
     gain_spectrum,
@@ -99,18 +105,21 @@ def test_nan_grid_is_rejected(ws, wp, message):
         ReflectionEngine(paper_device(), IDEAL_ENV, [(np.array(ws), wp)])
 
 
-def _rect_profile(width_hz=0.4e9, level_db=20.0):
+def _rect_profile(width_hz=0.4e9, level_db=20.0, notch_db=1.0):
+    """A rectangular plateau with a notch in its middle third: two flat-topped peaks."""
     f = TWO_PI * np.arange(8.0e9, 9.0e9, 1e6)
     g = np.zeros_like(f)
     center = TWO_PI * 8.5e9
     g[np.abs(f - center) <= TWO_PI * width_hz / 2] = level_db
+    g[np.abs(f - center) <= TWO_PI * width_hz / 6] -= notch_db
     return f, g
 
 
 def test_bandwidth_report_rectangular_plateau():
-    rep = bandwidth_report(*_rect_profile(), threshold_db=17.0)
+    rep = bandwidth_report(*_rect_profile())
     assert rep.bandwidth / TWO_PI == pytest.approx(0.4e9, abs=3e6)
-    assert rep.ripple_db == pytest.approx(0.0, abs=1e-12)
+    assert rep.ripple_db == 1.0
+    assert rep.peak_count == 2
     assert rep.qualified
 
 
@@ -118,18 +127,16 @@ def test_bandwidth_report_single_lorentzian_rejected_on_two_peak_rule():
     f = TWO_PI * np.arange(8.0e9, 9.0e9, 1e6)
     center, hw = TWO_PI * 8.5e9, TWO_PI * 0.1e9
     g = 22.0 / (1.0 + ((f - center) / hw) ** 2)
-    rep = bandwidth_report(f, g, require_two_peaks=True)
+    rep = bandwidth_report(f, g)
     assert not rep.qualified
     assert rep.rejection_reason == "fewer than two peaks"
     assert rep.peak_count == 1
-    # without the two-peak requirement the span qualifies
-    assert bandwidth_report(f, g).qualified
 
 
 def test_bandwidth_report_interpolates_crossings():
     f = TWO_PI * np.array([8.0e9, 8.1e9, 8.2e9, 8.3e9])
     g = np.array([15.0, 19.0, 19.0, 13.0])
-    rep = bandwidth_report(f, g, threshold_db=17.0)
+    rep = bandwidth_report(f, g)
     lo = 8.0e9 + 0.1e9 * (17 - 15) / (19 - 15)
     hi = 8.2e9 + 0.1e9 * (19 - 17) / (19 - 13)
     assert rep.bandwidth / TWO_PI == pytest.approx(hi - lo, rel=1e-9)
@@ -137,9 +144,10 @@ def test_bandwidth_report_interpolates_crossings():
 
 def test_bandwidth_report_ripple_rejection():
     f = TWO_PI * np.arange(8.0e9, 8.5e9, 1e6)
-    g = 18.0 + 6.0 * np.cos((f - f[0]) / (f[-1] - f[0]) * 4 * np.pi)
-    g = np.clip(g, 17.5, None)  # stay above threshold, ripple 6 dB
-    rep = bandwidth_report(f, g, ripple_max_db=5.0)
+    g = 18.0 + 6.0 * np.cos((f - f[0]) / (f[-1] - f[0]) * 6 * np.pi)
+    g = np.clip(g, 17.5, None)  # stay above threshold, two inner peaks, ripple 6.5 dB
+    rep = bandwidth_report(f, g)
+    assert rep.peak_count == 2
     assert not rep.qualified
     assert rep.rejection_reason == "ripple above limit"
 
@@ -200,20 +208,46 @@ def test_spans_above_matches_point_scan(rows):
 
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(span_row.map(lambda r: r + r[::-1]) | span_row, min_size=1, max_size=6),
-       threshold=st.sampled_from([10.0, 17.0]), ripple_max=st.sampled_from([0.5, 5.0]),
-       two_peaks=st.booleans())
+       threshold=st.sampled_from([10.0, 17.0]), ripple_max=st.sampled_from([0.5, 5.0]))
 def test_report_given_its_row_of_a_span_round_equals_the_report_alone(rows, threshold,
-                                                                      ripple_max, two_peaks):
+                                                                      ripple_max):
     # as a ramp passes it: each row's slice of one _widest_spans call over
     # rows end to end, with poles (+inf), rows without a span and ties
     gain = np.concatenate([np.array(row, dtype=float) for row in rows])
     freqs = TWO_PI * (8e9 + 1e6 * np.arange(gain.size))
     starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
     spans = _widest_spans(freqs, gain, threshold, starts)
-    for k, (i, j) in enumerate(zip(starts, np.append(starts[1:], gain.size))):
-        args = freqs[i:j], gain[i:j], threshold, ripple_max, two_peaks
-        assert bandwidth_report(*args, span=tuple(x[k:k + 1] for x in spans)) == \
-            bandwidth_report(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "GAIN_THRESHOLD_DB", threshold)
+        patch.setattr(simulator, "RIPPLE_MAX_DB", ripple_max)
+        for k, (i, j) in enumerate(zip(starts, np.append(starts[1:], gain.size))):
+            args = freqs[i:j], gain[i:j]
+            assert bandwidth_report(*args, span=tuple(x[k:k + 1] for x in spans)) == \
+                bandwidth_report(*args)
+
+
+# levels at the threshold, at 0.5 dB of prominence above it and at 5 dB of
+# ripple from it, so that every rule is met exactly by some profiles
+criterion_row = st.lists(st.sampled_from([0.0, 16.9, 17.0, 17.5, 19.0, 21.5, 22.0, 22.5, np.inf])
+                         | st.floats(0, 30), min_size=1, max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(row=criterion_row.map(lambda r: r + r[::-1]) | criterion_row)
+def test_report_qualifies_exactly_under_the_amplifier_criterion(row):
+    # repeated levels make plateaus, and a mirrored row has peaks of equal height
+    gain = np.array(row, dtype=float)
+    freqs = TWO_PI * (8e9 + 1e6 * np.arange(gain.size))
+    span = _widest_span_loop(freqs, gain, simulator.GAIN_THRESHOLD_DB)
+    peaks = _peaks(np.where(np.isfinite(gain), gain, -np.inf), simulator.GAIN_THRESHOLD_DB,
+                   simulator.PEAK_PROMINENCE_DB)
+    rules = [("below threshold", span is not None),
+             ("fewer than two peaks", peaks.size >= 2),
+             ("ripple above limit", span is not None and span[2] <= simulator.RIPPLE_MAX_DB)]
+    failed = [reason for reason, met in rules if not met]
+    rep = bandwidth_report(freqs, gain)
+    assert rep.qualified == (not failed)
+    assert rep.rejection_reason == (failed[0] if failed else None)
 
 
 finite_db = st.floats(-400.0, 400.0) | st.sampled_from([16.9, 17.0, 17.0 + 1e-12, 17.1])
@@ -338,7 +372,7 @@ def test_bandwidth_alpha_trend_positive():
         gdb = engine.gain_db(alpha)
         if gdb.max() > 40:
             break
-        rep = bandwidth_report(ws, gdb, require_two_peaks=True)
+        rep = bandwidth_report(ws, gdb)
         if rep.qualified:
             alphas.append(alpha)
             bws.append(rep.bandwidth)
@@ -355,3 +389,18 @@ def test_environment_four_peak_ripple_interplay():
                          paper_env(), _grid(7.4e9, 9.4e9, 2e6))
     assert prof.gain_db.max() - prof.gain_db.min() > 2.0
     assert np.abs(prof.gain_db).max() < 10.0
+
+
+def test_readme_library_example_runs_as_shown():
+    # the example needs numpy and kipa alone, and prints the bandwidth of a
+    # profile that meets the whole criterion, two peaks included
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code, = re.findall(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    imports = re.findall(r"^(?:from|import) (\S+)", code, re.M)
+    assert imports and all(name.split(".")[0] in ("numpy", "kipa") for name in imports)
+    scope, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, scope)
+    report = scope["report"]
+    assert report.qualified and report.peak_count == 2
+    assert re.fullmatch(r"415\.91993\d* MHz\n", out.getvalue())
