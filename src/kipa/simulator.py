@@ -164,6 +164,11 @@ def _checked_grids(grids):
                       check)
 
 
+# the bias-free network arrays of the last engine build: the engines of a
+# sweep over more biases than one engine holds build them once
+_NETWORK = _Memo(1)
+
+
 class ReflectionEngine:
     """Pre-assembled network arrays for repeated pump-strength evaluation.
 
@@ -176,7 +181,10 @@ class ReflectionEngine:
     for bit an engine of its grid alone at its bias.  The checked grids
     and the line cos/sin come from read-only memos of the last build's
     grids (:func:`_checked_grids`, ``circuits._line_trig``), so builds on
-    the same grids, such as the rows of a search, compute them once.
+    the same grids, such as the rows of a search, compute them once.  The
+    bias-free arrays come from a read-only memo of the last build's design,
+    environment and grids, so the engines of one :func:`sweep` build them
+    once.
     ``ladder`` holds each cell's bias row and ``l0`` the biased inductance
     at every grid point: the engine is the network alone, as S11 needs α
     and never ω0 (``DesignSpec.resonance_at_bias``).  Sweeping pump
@@ -212,9 +220,14 @@ class ReflectionEngine:
                 self.ws = tiled(ws)
                 self.jws, self.jwi = 1j * self.ws, 1j * tiled(wi)
                 self.y_c = self.jws * design.c_shunt
-                self.y_idler_conj = tiled(np.conj(idler_admittance(design, env, wi)))
-                self.abcd = tuple(tiled(x) for x in port_line_abcd(design, ws))
-                self.z_env = tiled(np.asarray(environment_impedance(env, ws), dtype=complex))
+                y_idler_conj, *abcd, z_env = _NETWORK.get(
+                    (design, env, ws.tobytes(), wi.tobytes()),
+                    lambda: (np.conj(idler_admittance(design, env, wi)),
+                             *port_line_abcd(design, ws),
+                             np.asarray(environment_impedance(env, ws), dtype=complex)))
+                self.y_idler_conj = tiled(y_idler_conj)
+                self.abcd = tuple(tiled(x) for x in abcd)
+                self.z_env = tiled(z_env)
         except FloatingPointError as exc:
             raise SingularNetwork(f"network arrays leave the float range: {exc}") from None
         self.l0 = np.array(l0s).repeat(ws.size)
@@ -390,6 +403,8 @@ def _peaks(x, height, prominence):
     dropped first.  From each remaining peak a walk goes out either way
     until a strictly higher sample or the row end, and the prominence is
     the height minus the higher of the two lowest samples walked over.
+    A NaN sample ends a row: no maximum starts at it or looks past it, and
+    every walk stops there, so rows joined by NaN give each row's peaks.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -421,7 +436,25 @@ def _peaks(x, height, prominence):
     return peaks[prominence <= h - np.maximum(lows[0::4], lows[2::4])]
 
 
-def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None) -> BandwidthReport:
+def _window_peaks(window, first, last):
+    """The :func:`_peaks` of a finite row at the amplifier criterion, as indices into ``window``.
+
+    Every sample of the row outside ``window`` is finite and below
+    :data:`GAIN_THRESHOLD_DB`; ``first`` and ``last`` say whether the
+    window starts and ends the row.  None where the window cannot decide
+    the peaks, by the subset and superset rule of :func:`ramp`.
+    """
+    # the window alone, then with -inf beyond each end that is no row end,
+    # as two rows of one call
+    left, right = ([] if first else [-np.inf]), ([] if last else [-np.inf])
+    both = _peaks(np.concatenate((window, [np.nan], left, window, right)),
+                  GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
+    inner, outer = both[both < window.size], both[both > window.size] - window.size - 1 - len(left)
+    return inner if np.array_equal(inner, outer) else None
+
+
+def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None,
+                     peaks=None) -> BandwidthReport:
     """Bandwidth, peaks and ripple of the widest span at or above :data:`GAIN_THRESHOLD_DB`.
 
     The profile is ``gain_db`` (+inf at oscillation poles) over the strictly
@@ -435,14 +468,19 @@ def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None) -> Bandw
     :data:`RIPPLE_MAX_DB`).  These limits are read at call time.
     ``span``, when given, is the profile's widest span as
     :func:`_widest_spans` gives it for this one row, already at hand, and
-    is not computed again.
+    is not computed again; so are ``peaks``, when given, the profile's
+    peak indices into ``freqs``.  Given both, the report reads nothing
+    else of the profile but its non-finite points, so ``freqs`` and
+    ``gain_db`` may be a window of it that holds them all, as
+    :func:`ramp` passes (see :func:`_window_peaks`).
     """
     f, g = freqs, gain_db
     if f.size == 0:
         raise InvalidParameter("empty gain profile")
     n_osc = int(np.sum(~np.isfinite(g)))
-    finite_g = np.where(np.isfinite(g), g, -np.inf)
-    peaks = tuple(map(float, f[_peaks(finite_g, GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)]))
+    if peaks is None:
+        peaks = _peaks(np.where(np.isfinite(g), g, -np.inf), GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
+    peaks = tuple(map(float, f[peaks]))
 
     (lo,), (hi,), (ripple,), (found,) = span or _widest_spans(f, g, GAIN_THRESHOLD_DB)
     if not found:
@@ -728,9 +766,15 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
     width.  The ramp keeps the widest qualifying profile, the first of
     equal widths, so once the ramp stops, each cell's candidates get a
     full :func:`bandwidth_report` from widest to narrowest, earlier first
-    on equal widths, until one qualifies.  A reported step is evaluated
-    again over its whole cell, and its report reuses the widest span its
-    round found, which is the whole row's.
+    on equal widths, until one qualifies.  Each candidate keeps its window
+    of the round's gain, and its report reuses the widest span its round
+    found, which is the whole row's.  The peaks come from the window too
+    (:func:`_window_peaks`).  Each lies in it, and a walk for prominence
+    that leaves it goes on over lower samples to the row's end, so the
+    window's peaks with each end that is no row end taken as one are a
+    subset of the row's, and with -inf beyond such an end a superset:
+    where the two agree they are the row's.  Where they do not, the step
+    is evaluated again over its whole cell and reported from there.
     """
     cell, step, lo, hi = _candidate_steps(engine, alphas, min(GAIN_THRESHOLD_DB, GAIN_STOP_DB))
     alpha = alphas[engine.ladder[cell], step]
@@ -757,8 +801,9 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
             width = spans[1] - spans[0]
             live &= (width > 0.0) & (spans[2] <= RIPPLE_MAX_DB)
             for j in np.flatnonzero(live).tolist():
-                candidates[cs[j]].append((float(width[j]), ks[j],
-                                          tuple(x[j:j + 1] for x in spans)))
+                window = slice(int(lo[taken[j]]), int(hi[taken[j]]))
+                candidates[cs[j]].append((float(width[j]), ks[j], tuple(x[j:j + 1] for x in spans),
+                                          window, gain[starts[j]:starts[j] + n[j]].copy()))
         if halt.any():
             stopped[cs[halt]] = True
             queue = queue[~stopped[cell[queue]]]
@@ -766,9 +811,11 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
     for c, (cells, found) in enumerate(zip(engine.cells, candidates)):
         best, best_drive = None, 0.0
         # a stable sort keeps ladder order among equal widths
-        for _, k, span in sorted(found, key=lambda x: -x[0]):
-            gain = engine.gain_db(alphas[engine.ladder[c], k], cells)
-            rep = bandwidth_report(engine.ws[cells], gain, span=span)
+        for _, k, span, window, gain in sorted(found, key=lambda x: -x[0]):
+            peaks = _window_peaks(gain, window.start == cells.start, window.stop == cells.stop)
+            if peaks is None:
+                window, gain = cells, engine.gain_db(alphas[engine.ladder[c], k], cells)
+            rep = bandwidth_report(engine.ws[window], gain, span=span, peaks=peaks)
             if rep.qualified:
                 best, best_drive = rep, float(drives[k])
                 break

@@ -3,11 +3,15 @@
 An engine's checked and concatenated ω_s/ω_i grids and the cos/sin of
 each line length at them depend on the grids and the layout frequency
 alone.  A content-keyed memo that holds one build's grids hands them to
-the next build on the same grids.  These tests check that an engine built
-on a warm memo equals a cold build bit for bit, that a grid that fails
-its check is never stored, that the memo's arrays are read-only and stay
-bounded, and that a desk search computes each grid's cos/sin once.
+the next build on the same grids, and another hands on the bias-free
+network arrays to the next build of the same design and environment too.
+These tests check that an engine built on a warm memo equals a cold build
+bit for bit, that a grid that fails its check is never stored, that the
+memo's arrays are read-only and stay bounded, that a desk search computes
+each grid's cos/sin once, and that a map line of two engines builds its
+network once.
 """
+import collections
 import dataclasses
 import math
 
@@ -40,9 +44,10 @@ def _grid(fp2_ghz, half_mhz, step_mhz):
 
 
 def _forget():
-    """Empty both memos, so the next build computes every grid array."""
+    """Empty the memos, so the next build computes every grid and network array."""
     simulator._GRIDS.entries.clear()
     circuits._LINE_TRIG.entries.clear()
+    simulator._NETWORK.entries.clear()
 
 
 def _same_bits(got, want):
@@ -175,3 +180,34 @@ def test_a_desk_search_computes_each_grid_once(monkeypatch):
     assert simulator._GRIDS.misses - misses[0] == 1
     assert circuits._LINE_TRIG.misses - misses[1] == 2
     assert sorted(thetas) == [0.25, 0.25, 0.5, 0.5]
+
+
+def test_a_map_line_of_two_engines_builds_its_network_once(monkeypatch):
+    # 25 biases on the 1,200-point map grid: 13 biases per engine, so two
+    # engines, which share one idler chain, line cascade and environment
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    for owner, name in ((ReflectionEngine, "__init__"), (simulator, "idler_admittance"),
+                        (simulator, "port_line_abcd")):
+        counted(owner, name)
+    _forget()
+    idcs = np.arange(150e-6, 631e-6, 20e-6)
+    cells = pump_bias_map(paper_device(), paper_env(), [TWO_PI * 16.9e9], idcs,
+                          PumpRampPolicy(mode="xi3"))
+    assert len(cells) == 25
+    assert calls == {"__init__": 2, "idler_admittance": 1, "port_line_abcd": 1}
+    # the memo holds the line's network, read-only
+    ((_, stored),) = simulator._NETWORK.entries
+    assert len(stored) == 6   # the idler chain, the cascade's A, B, C, D and the environment
+    for x in stored:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0

@@ -10,7 +10,8 @@ against the whole row (and every point outside the window below the
 screened level), the screened row ramp, at several round budgets,
 against evaluating and reporting every step of each cell, the cells of an
 engine over several grids and biases against engines built one grid and
-one bias at a time, and the map against per-cell builds.
+one bias at a time, the map against per-cell builds, and the peaks a
+report decides from a step's window against the whole row's.
 """
 import dataclasses
 import itertools
@@ -22,7 +23,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.signal import find_peaks
 
-from kipa.circuits import IDEAL_ENV, environment_impedance, idler_admittance, port_line_abcd
+from kipa.circuits import (IDEAL_ENV, _Memo, environment_impedance, idler_admittance,
+                           port_line_abcd)
+from kipa.cli import main
 from kipa.errors import InvalidParameter, SingularNetwork, SuperconductivityBreakdown
 from kipa import simulator
 from kipa.material import (KineticInductorModel, PumpOperatingPoint, alpha_for_xi3,
@@ -52,6 +55,7 @@ from kipa.simulator import (
     _peaks,
     _quadratic_nonnegative,
     _rising_maxima,
+    _window_peaks,
     bandwidth_report,
     drive_ladder,
     gain_spectrum,
@@ -378,6 +382,20 @@ def test_peaks_equal_scipy_find_peaks(values, mirror, repeat_last, height, promi
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(st.one_of(levels, st.just(-math.inf), st.floats(-40.0, 60.0)),
+                              min_size=1, max_size=30), min_size=1, max_size=3),
+       height=st.sampled_from([16.5, 17.0, 20.0]),
+       prominence=st.sampled_from([0.0, PEAK_PROMINENCE_DB, 3.0]))
+def test_peaks_of_rows_joined_by_nan_are_each_rows_peaks(rows, height, prominence):
+    # repeated levels make plateaus that run into the NaN
+    joined = np.concatenate([x for row in rows for x in ([math.nan], row)][1:])
+    starts = np.cumsum([0] + [len(row) + 1 for row in rows[:-1]])
+    want = [k + at for row, at in zip(rows, starts)
+            for k in _peaks(np.array(row), height, prominence).tolist()]
+    assert _peaks(joined, height, prominence).tolist() == want
+
+
 @pytest.mark.parametrize("prominence", [0.0, PEAK_PROMINENCE_DB])
 def test_peaks_equal_scipy_find_peaks_on_every_short_row(prominence):
     for n in range(4):
@@ -388,7 +406,8 @@ def test_peaks_equal_scipy_find_peaks_on_every_short_row(prominence):
 
 
 def test_peaks_equal_scipy_find_peaks_on_recorded_report_rows(monkeypatch):
-    # every profile both desk searches and the rippled map lattice report,
+    # every row whose peaks both desk searches and the rippled map lattice
+    # report: windows, windows with -inf beyond an end and whole profiles,
     # the lattice on the 2-MHz signal grid that `kipa map` uses
     rows = []
 
@@ -402,10 +421,114 @@ def test_peaks_equal_scipy_find_peaks_on_recorded_report_rows(monkeypatch):
     pump_bias_map(paper_device(), paper_env(), TWO_PI * np.arange(16.8e9, 17.0e9 + 1, 20e6),
                   np.arange(510e-6, 631e-6, 20e-6), PumpRampPolicy(mode="xi3"))
     assert len(rows) > 900
-    assert any(np.unique(x).size < x.size for x, _, _ in rows)   # rows with exact ties
+    # rows with exact ties among their finite samples
+    assert any(np.unique(x[np.isfinite(x)]).size < np.isfinite(x).sum() for x, _, _ in rows)
     for x, height, prominence in rows:
         want, _ = find_peaks(x, height=height, prominence=prominence)
         assert _peaks(x, height, prominence).tolist() == want.tolist()
+
+
+@st.composite
+def windowed_rows(draw):
+    """(row, lo, hi, threshold, prominence): every sample of ``row`` outside [lo, hi) is below threshold.
+
+    The window touches neither row end, one of them or both.
+    """
+    threshold = draw(st.sampled_from([16.5, 17.0, 20.0]))
+    prominence = draw(st.sampled_from([0.0, PEAK_PROMINENCE_DB, 3.0]))
+    inside = draw(st.lists(st.one_of(levels, st.floats(-40.0, 60.0)), min_size=1, max_size=40))
+    below = st.one_of(st.sampled_from([-3.0, 10.0, 16.0, threshold - 1e-12]),
+                      st.floats(-40.0, threshold, exclude_max=True))
+    left, right = (draw(st.lists(below, min_size=int(out), max_size=12 * out))
+                   for out in draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])))
+    row = np.array(left + inside + right, dtype=float)
+    return row, len(left), len(left) + len(inside), threshold, prominence
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=windowed_rows())
+def test_window_peaks_are_the_row_peaks_or_undecided(case):
+    row, lo, hi, threshold, prominence = case
+    want = _peaks(row, threshold, prominence)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "GAIN_THRESHOLD_DB", threshold)
+        patch.setattr(simulator, "PEAK_PROMINENCE_DB", prominence)
+        got = _window_peaks(row[lo:hi], lo == 0, hi == row.size)
+        whole = _window_peaks(row, True, True)
+    assert got is None or (got + lo).tolist() == want.tolist()
+    # a window that is the whole row always decides
+    assert whole.tolist() == want.tolist()
+
+
+def _counting_cell_evaluations(patch):
+    """Counts of the reports and of the one-α (whole-cell) evaluations a ramp makes under ``patch``."""
+    counts = {"reports": 0, "cells": 0}
+
+    def report(*args, **kw):
+        counts["reports"] += 1
+        return bandwidth_report(*args, **kw)
+
+    evaluate = ReflectionEngine.gain_db
+
+    def gain_db(engine, alpha, at=slice(None)):
+        counts["cells"] += np.ndim(alpha) == 0
+        return evaluate(engine, alpha, at)
+
+    patch.setattr(simulator, "bandwidth_report", report)
+    patch.setattr(ReflectionEngine, "gain_db", gain_db)
+    return counts
+
+
+@settings(max_examples=15, deadline=None)
+@given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)),
+       prominence=st.sampled_from([2.0, 2.5, 3.0]))
+def test_ramp_with_undecided_windows_matches_exhaustive(cell, env, prominence):
+    # at a few dB of prominence, peaks whose walks leave the window are common
+    _, design, _, _, _, wp2 = cell
+    ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
+    ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "PEAK_PROMINENCE_DB", prominence)
+        assert ramp(engine, *ladder) == [_exhaustive_ramp(engine, *ladder)]
+
+
+@pytest.mark.parametrize("kind, z14, z12, z_nr, reports", [("three-stage", 70.0, 30.0, 80.0, 3),
+                                                            ("conventional", 30.0, 70.0, 4.0, 1)])
+def test_an_undecided_window_is_reported_from_its_whole_cell(kind, z14, z12, z_nr, reports,
+                                                             monkeypatch):
+    # on the rippled environment at 2.5-dB prominence, one reported step of
+    # each of these cells has a peak that its window cannot decide, and the
+    # ramp still finds the exhaustive ramp's qualifying profile
+    ranges = default_ranges(kind)
+    design = _design_for(ranges, z14, z12, z_nr)
+    wp2 = ranges.axes()[3][3]   # 8.25 GHz
+    ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
+    engine = ReflectionEngine(design, paper_env(), [(ws, 2 * wp2)])
+    ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
+    monkeypatch.setattr(simulator, "PEAK_PROMINENCE_DB", 2.5)
+    want = _exhaustive_ramp(engine, *ladder)
+    counts = _counting_cell_evaluations(monkeypatch)
+    assert ramp(engine, *ladder) == [want]
+    assert counts == {"reports": reports, "cells": 1}
+    assert want.report is not None
+
+
+def test_reports_and_whole_cell_evaluations_are_pinned(tmp_path, monkeypatch):
+    # the 11 seven-bias lines of the rippled map lattice, then the
+    # conventional desk search: a reported step is evaluated again over its
+    # whole cell only where its window cannot decide its peaks
+    counts = _counting_cell_evaluations(monkeypatch)
+    out = str(tmp_path / "out.csv")
+    for fp in range(16800, 17001, 20):
+        assert main(["map", "--preset", "paper-device", "--set", "env=paper-env",
+                     "--set", "policy=xi3", "--set", f"fp_span={fp}MHz:{fp}MHz:20MHz",
+                     "--set", "idc_start=510uA", "--set", "idc_stop=630uA",
+                     "--set", "idc_step=20uA", "--out", out]) == 0
+    assert counts == {"reports": 84, "cells": 8}
+    counts.update(reports=0, cells=0)
+    assert main(["search", "--set", "kind=conventional", "--out", out]) == 0
+    assert counts == {"reports": 214, "cells": 15}
 
 
 LIMITS = dict(threshold_db=st.sampled_from([15.0, 17.0, 20.0]),
@@ -535,7 +658,12 @@ BIASES = [0.0, 0.45e-3, PAPER_DEVICE_BIAS, 0.6e-3]
 
 
 def _counting_idler_builds(patch):
-    """The argument tuples of every ``idler_admittance`` call an engine makes under ``patch``."""
+    """The argument tuples of every ``idler_admittance`` call an engine makes under ``patch``.
+
+    The memo of the bias-free arrays starts empty, so a build on the same
+    design, environment and grids as an earlier test's is counted too.
+    """
+    patch.setattr(simulator, "_NETWORK", _Memo(1))
     builds = []
     patch.setattr(simulator, "idler_admittance",
                   lambda *args: builds.append(args) or idler_admittance(*args))
