@@ -403,54 +403,52 @@ def _peaks(x, height, prominence):
     dropped first.  From each remaining peak a walk goes out either way
     until a strictly higher sample or the row end, and the prominence is
     the height minus the higher of the two lowest samples walked over.
-    A NaN sample ends a row: no maximum starts at it or looks past it, and
-    every walk stops there, so rows joined by NaN give each row's peaks.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     # a maximum starts with a rise into a sample at or above the next one
     mid = x[1:-1]
-    k = np.flatnonzero((x[:-2] < mid) & (mid >= x[2:]) & (height <= mid)) + 1
-    ahead = k + 1
-    flat = np.flatnonzero(x[ahead] == x[k])
+    k = ((x[:-2] < mid) & (mid >= x[2:]) & (height <= mid)).nonzero()[0] + 1
+    h, after = x[k], x[k + 1]
+    flat = (after == h).nonzero()[0]
     if flat.size:
-        # a plateau looks ahead to its first unequal sample, or to the last one
-        change = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, n - 1)
-        ahead[flat] = change[np.searchsorted(change, k[flat], side="right")]
-    top = x[ahead] < x[k]
-    peaks = (k[top] + ahead[top] - 1) // 2
+        # a plateau looks ahead to its first unequal sample, or to the last
+        # one, and moves its peak to its middle
+        change = np.append((x[1:] != x[:-1]).nonzero()[0] + 1, n - 1)
+        ahead = change[np.searchsorted(change, k[flat], side="right")]
+        after[flat] = x[ahead]
+        k[flat] += (ahead - k[flat] - 1) // 2
+    top = after < h
+    peaks, h = k[top], h[top]
     if not peaks.size:
         return peaks
     # with +inf at either end, each walk stops at a sample that is not <= its
     # peak; flat over one padded row per peak, such samples hold the two
     # stops of every walk either side of the peak's position
-    h = x[peaks]
     padded = np.concatenate(([np.inf], x, [np.inf]))
     stops = np.flatnonzero(~(padded <= h[:, None]))
     at = np.arange(1, peaks.size * (n + 2), n + 2) + peaks
     i = np.searchsorted(stops, at)
     # minima over the walked samples, left stop to peak and peak to right
     # stop, at positions taken back into the padded row
-    bounds = np.stack([stops[i - 1] + 1, at + 1, at, stops[i]], axis=1).ravel() % (n + 2)
-    lows = np.minimum.reduceat(padded, bounds)
+    bounds = np.concatenate((stops[i - 1] + 1, at + 1, at, stops[i])).reshape(4, -1).T.ravel()
+    lows = np.minimum.reduceat(padded, bounds % (n + 2))
     return peaks[prominence <= h - np.maximum(lows[0::4], lows[2::4])]
 
 
 def _window_peaks(window, first, last):
-    """The :func:`_peaks` of a finite row at the amplifier criterion, as indices into ``window``.
+    """Indices into ``window`` of the :func:`_peaks` of its row at the amplifier criterion.
 
-    Every sample of the row outside ``window`` is finite and below
-    :data:`GAIN_THRESHOLD_DB`; ``first`` and ``last`` say whether the
-    window starts and ends the row.  None where the window cannot decide
-    the peaks, by the subset and superset rule of :func:`ramp`.
+    The row is finite and below :data:`GAIN_THRESHOLD_DB` outside the
+    window; ``first`` and ``last`` say whether the window starts and ends
+    it.  None where the window cannot decide, by the rule of :func:`ramp`.
     """
-    # the window alone, then with -inf beyond each end that is no row end,
-    # as two rows of one call
-    left, right = ([] if first else [-np.inf]), ([] if last else [-np.inf])
-    both = _peaks(np.concatenate((window, [np.nan], left, window, right)),
-                  GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
-    inner, outer = both[both < window.size], both[both > window.size] - window.size - 1 - len(left)
-    return inner if np.array_equal(inner, outer) else None
+    inner = _peaks(window, GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
+    # with -inf beyond each end that is no row end, a superset of the row's
+    # peaks, which is as large as the subset only where they are equal
+    outer = _peaks(np.concatenate(([-np.inf] * (not first), window, [-np.inf] * (not last))),
+                   GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
+    return inner if inner.size == outer.size else None
 
 
 def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None,
@@ -472,7 +470,7 @@ def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None,
     peak indices into ``freqs``.  Given both, the report reads nothing
     else of the profile but its non-finite points, so ``freqs`` and
     ``gain_db`` may be a window of it that holds them all, as
-    :func:`ramp` passes (see :func:`_window_peaks`).
+    :func:`ramp` passes.
     """
     f, g = freqs, gain_db
     if f.size == 0:
@@ -781,7 +779,7 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
     size = hi - lo
     queue = np.lexsort((cell, step))   # the rows of every cell, in ladder order
     stopped = np.zeros(len(engine.cells), dtype=bool)
-    candidates = [[] for _ in engine.cells]   # (width, ladder index, span) per candidate step
+    candidates = [[] for _ in engine.cells]   # (width, ladder index, span, window, gain) each
     while queue.size:
         take = max(1, int(np.searchsorted(np.cumsum(size[queue]), RAMP_BLOCK_POINTS,
                                           side="right")))
