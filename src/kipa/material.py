@@ -290,8 +290,8 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
         rms = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
         return model, rms
 
-    # clem: dfrac = -(part/2)([1-(I v)^n]^(-1/n) - 1), fit v = 1/I**
-    n = 2.21
+    # clem: dfrac = -(part/2)([1-(I v)^n]^(-1/n) - 1) at the law's exponent n, fit v = 1/I**
+    n = KineticInductorModel.n_exp
     imax = np.max(np.abs(i))
     if imax <= 0:
         raise FitFailure("clem fit needs nonzero bias points")
@@ -336,7 +336,7 @@ def fit_ki_curve(data: Sequence[Tuple[float, float]], model_kind: str,
     else:
         istar_star, rms = math.inf, rms_flat
     model = KineticInductorModel(model_kind="clem", l_k0=l_k0, l_geo=l_geo,
-                                 i_star_star=istar_star, n_exp=n)
+                                 i_star_star=istar_star)
     return model, rms
 
 

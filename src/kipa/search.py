@@ -98,10 +98,6 @@ class DesignRecord:
     eta: float              # max_bandwidth / optimal_xi3
     omega0: float           # rad/s, resonator design point of the search
 
-    @property
-    def capacitance(self) -> float:
-        return 1.0 / (self.omega0 * self.z_nr)
-
 
 def _design_for(ranges: SearchRanges, z14: float, z12: float, z_nr: float):
     l0 = z_nr / ranges.omega0

@@ -436,23 +436,7 @@ def _peaks(x, height, prominence):
     return peaks[prominence <= h - np.maximum(lows[0::4], lows[2::4])]
 
 
-def _window_peaks(window, first, last):
-    """Indices into ``window`` of the :func:`_peaks` of its row at the amplifier criterion.
-
-    The row is finite and below :data:`GAIN_THRESHOLD_DB` outside the
-    window; ``first`` and ``last`` say whether the window starts and ends
-    it.  None where the window cannot decide, by the rule of :func:`ramp`.
-    """
-    inner = _peaks(window, GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
-    # with -inf beyond each end that is no row end, a superset of the row's
-    # peaks, which is as large as the subset only where they are equal
-    outer = _peaks(np.concatenate(([-np.inf] * (not first), window, [-np.inf] * (not last))),
-                   GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
-    return inner if inner.size == outer.size else None
-
-
-def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None,
-                     peaks=None) -> BandwidthReport:
+def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None) -> BandwidthReport:
     """Bandwidth, peaks and ripple of the widest span at or above :data:`GAIN_THRESHOLD_DB`.
 
     The profile is ``gain_db`` (+inf at oscillation poles) over the strictly
@@ -466,19 +450,17 @@ def bandwidth_report(freqs: np.ndarray, gain_db: np.ndarray, span=None,
     :data:`RIPPLE_MAX_DB`).  These limits are read at call time.
     ``span``, when given, is the profile's widest span as
     :func:`_widest_spans` gives it for this one row, already at hand, and
-    is not computed again; so are ``peaks``, when given, the profile's
-    peak indices into ``freqs``.  Given both, the report reads nothing
-    else of the profile but its non-finite points, so ``freqs`` and
-    ``gain_db`` may be a window of it that holds them all, as
-    :func:`ramp` passes.
+    is not computed again.  A window of a profile gives the profile's
+    report where every point of the profile outside it, and the window's
+    end point at each end inside the profile, is finite and below
+    threshold − prominence, as :func:`ramp` passes (see there).
     """
     f, g = freqs, gain_db
     if f.size == 0:
         raise InvalidParameter("empty gain profile")
     n_osc = int(np.sum(~np.isfinite(g)))
-    if peaks is None:
-        peaks = _peaks(np.where(np.isfinite(g), g, -np.inf), GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)
-    peaks = tuple(map(float, f[peaks]))
+    finite_g = np.where(np.isfinite(g), g, -np.inf)
+    peaks = tuple(map(float, f[_peaks(finite_g, GAIN_THRESHOLD_DB, PEAK_PROMINENCE_DB)]))
 
     (lo,), (hi,), (ripple,), (found,) = span or _widest_spans(f, g, GAIN_THRESHOLD_DB)
     if not found:
@@ -655,8 +637,9 @@ def _candidate_steps(engine: ReflectionEngine, alphas: np.ndarray, db: float):
     ladder step: step ``step[i]`` of cell ``cell[i]`` is evaluated on the
     grid points ``lo[i]`` up to, not including, ``hi[i]`` (indices into the
     engine's concatenated grid), its window.  Every point of the cell
-    outside the window is finite and below ``db`` at that step, and every
-    step not listed is so at every point of the cell.
+    outside the window is finite and below ``db`` at that step, and so is
+    the window's end point at each end that is not an end of the cell;
+    every step not listed is so at every point of the cell.
 
     Per frequency, |S11(α)|² >= G is the real quadratic
     |P + Qα|² - G·|R + Sα|² >= 0, whose solution set is at most two
@@ -747,14 +730,15 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
     kept steps of every cell that has not stopped, in ladder order, until
     it holds :data:`RAMP_BLOCK_POINTS` grid points (at least one step), and
     evaluates them in one :meth:`ReflectionEngine.gain_db` call on flat
-    (α, point) pairs.  Each step is evaluated only on its window (see
-    :func:`_candidate_steps`): every point outside it is finite and below
-    both the threshold and the stop level at that step, so the stop test, the
-    rising-maxima count and the widest span, whose edges interpolate
-    against the window's end points, read the same numbers from the window
-    as from the whole row.  The tests are segment reductions over the
-    round's rows, and a row counts only while no row of its cell, up to
-    and including it, has stopped the ramp.
+    (α, point) pairs.  Each step is evaluated only on its window, cut at
+    min(threshold − prominence, stop level) (see :func:`_candidate_steps`):
+    every point outside it is finite and below both the threshold and the
+    stop level at that step, so the stop test, the rising-maxima count and
+    the widest span, whose edges interpolate against the window's end
+    points, read the same numbers from the window as from the whole row.
+    The tests are segment reductions over the round's rows, and a row
+    counts only while no row of its cell, up to and including it, has
+    stopped the ramp.
 
     An evaluated step is a candidate only when it passes three exact tests,
     each a condition under which its report could not qualify or win: at
@@ -765,16 +749,17 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
     equal widths, so once the ramp stops, each cell's candidates get a
     full :func:`bandwidth_report` from widest to narrowest, earlier first
     on equal widths, until one qualifies.  Each candidate keeps its window
-    of the round's gain, and its report reuses the widest span its round
-    found, which is the whole row's.  The peaks come from the window too
-    (:func:`_window_peaks`).  Each lies in it, and a walk for prominence
-    that leaves it goes on over lower samples to the row's end, so the
-    window's peaks with each end that is no row end taken as one are a
-    subset of the row's, and with -inf beyond such an end a superset:
-    where the two agree they are the row's.  Where they do not, the step
-    is evaluated again over its whole cell and reported from there.
+    of the round's gain and is reported from it alone, reusing the widest
+    span its round found, which is the whole row's.  Its peaks are the
+    row's too.  Every point outside the window, and the window's end point
+    at each end that is no row end, lies below the cut, so more than the
+    prominence below any peak at or above threshold.  Such a peak and the
+    look-ahead of its plateau lie in the window, and a prominence walk that
+    leaves it passes that end point first, which settles the prominence
+    test on that side whether the walk reads the window or the row.
     """
-    cell, step, lo, hi = _candidate_steps(engine, alphas, min(GAIN_THRESHOLD_DB, GAIN_STOP_DB))
+    cell, step, lo, hi = _candidate_steps(
+        engine, alphas, min(GAIN_THRESHOLD_DB - PEAK_PROMINENCE_DB, GAIN_STOP_DB))
     alpha = alphas[engine.ladder[cell], step]
     size = hi - lo
     queue = np.lexsort((cell, step))   # the rows of every cell, in ladder order
@@ -806,14 +791,11 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
             stopped[cs[halt]] = True
             queue = queue[~stopped[cell[queue]]]
     results = []
-    for c, (cells, found) in enumerate(zip(engine.cells, candidates)):
+    for found in candidates:
         best, best_drive = None, 0.0
         # a stable sort keeps ladder order among equal widths
         for _, k, span, window, gain in sorted(found, key=lambda x: -x[0]):
-            peaks = _window_peaks(gain, window.start == cells.start, window.stop == cells.stop)
-            if peaks is None:
-                window, gain = cells, engine.gain_db(alphas[engine.ladder[c], k], cells)
-            rep = bandwidth_report(engine.ws[window], gain, span=span, peaks=peaks)
+            rep = bandwidth_report(engine.ws[window], gain, span=span)
             if rep.qualified:
                 best, best_drive = rep, float(drives[k])
                 break

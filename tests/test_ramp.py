@@ -6,12 +6,13 @@ and it reports only the steps that could replace its best profile.
 These properties check the coefficient form against the step-by-step
 network composition, S11 over a block of α against each α alone bit for
 bit, each step on its own frequency window, gathered into flat rounds,
-against the whole row (and every point outside the window below the
-screened level), the screened row ramp, at several round budgets,
-against evaluating and reporting every step of each cell, the cells of an
-engine over several grids and biases against engines built one grid and
-one bias at a time, the map against per-cell builds, and the peaks a
-report decides from a step's window against the whole row's.
+against the whole row (and every point outside the window, and its end
+point at each end inside the cell, below the screened level), the
+screened row ramp, at several round budgets, against evaluating and
+reporting every step of each cell, the cells of an engine over several
+grids and biases against engines built one grid and one bias at a time,
+the map against per-cell builds, and the peaks of a window cut below
+threshold - prominence against the whole row's.
 """
 import dataclasses
 import itertools
@@ -55,7 +56,6 @@ from kipa.simulator import (
     _peaks,
     _quadratic_nonnegative,
     _rising_maxima,
-    _window_peaks,
     bandwidth_report,
     drive_ladder,
     gain_spectrum,
@@ -123,7 +123,8 @@ def test_s11_matches_composition_and_mobius_form(cell, env, alpha):
 
 
 def _same_bits(got, want):
-    """Equal bit for bit, signed zeros and infinities included."""
+    """Equal bit for bit and in shape, signed zeros and infinities included; lists are arrays."""
+    got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -262,10 +263,6 @@ def test_policy_ladder_repeats_the_multiplied_drive(mode):
     np.testing.assert_allclose(alphas, [a for _, a in expected], rtol=1e-15, atol=0)
 
 
-def _same_bits(got, want):
-    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
-
-
 def test_alpha_squares_keep_the_bits_of_each_caller():
     # a drive squares as r*r alone as inside a ladder array, so `simulate`
     # at a drive a ramp evaluated uses that step's alpha bit for bit
@@ -393,8 +390,8 @@ def test_peaks_equal_scipy_find_peaks_on_every_short_row(prominence):
 
 def test_peaks_equal_scipy_find_peaks_on_recorded_report_rows(monkeypatch):
     # every row whose peaks both desk searches and the rippled map lattice
-    # report: windows, windows with -inf beyond an end and whole profiles,
-    # the lattice on the 2-MHz signal grid that `kipa map` uses
+    # report, each a reported step's window of its round, the lattice on
+    # the 2-MHz signal grid that `kipa map` uses
     rows = []
 
     def record(x, height, prominence):
@@ -407,8 +404,7 @@ def test_peaks_equal_scipy_find_peaks_on_recorded_report_rows(monkeypatch):
     pump_bias_map(paper_device(), paper_env(), TWO_PI * np.arange(16.8e9, 17.0e9 + 1, 20e6),
                   np.arange(510e-6, 631e-6, 20e-6), PumpRampPolicy(mode="xi3"))
     assert len(rows) > 900
-    # rows with exact ties among their finite samples (a padded window
-    # holds two -inf samples)
+    # rows with exact ties among their finite samples
     assert any(np.unique(x[np.isfinite(x)]).size < np.isfinite(x).sum() for x, _, _ in rows)
     for x, height, prominence in rows:
         want, _ = find_peaks(x, height=height, prominence=prominence)
@@ -417,39 +413,38 @@ def test_peaks_equal_scipy_find_peaks_on_recorded_report_rows(monkeypatch):
 
 @st.composite
 def windowed_rows(draw):
-    """(row, lo, hi, threshold, prominence): every sample of ``row`` outside [lo, hi) is below threshold.
+    """(row, lo, hi, threshold, prominence): a window [lo, hi) of ``row`` as the ramp cuts one.
 
+    Every sample outside the window lies below threshold - prominence,
+    and so does the window's end sample at each end that is not a row end.
     The window touches neither row end, one of them or both.
     """
     threshold = draw(st.sampled_from([16.5, 17.0, 20.0]))
     prominence = draw(st.sampled_from([0.0, PEAK_PROMINENCE_DB, 3.0]))
+    cut = threshold - prominence
     inside = draw(st.lists(st.one_of(levels, st.floats(-40.0, 60.0)), min_size=1, max_size=40))
-    below = st.one_of(st.sampled_from([-3.0, 10.0, 16.0, threshold - 1e-12]),
-                      st.floats(-40.0, threshold, exclude_max=True))
-    left, right = (draw(st.lists(below, min_size=int(out), max_size=12 * out))
+    below = st.one_of(st.sampled_from([v for v in (-3.0, 10.0, 16.0, cut - 1e-12) if v < cut]),
+                      st.floats(-40.0, cut, exclude_max=True))
+    left, right = (draw(st.lists(below, min_size=2 * out, max_size=12 * out))
                    for out in draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])))
     row = np.array(left + inside + right, dtype=float)
-    return row, len(left), len(left) + len(inside), threshold, prominence
+    # the window keeps one outside sample beyond each end that is no row end
+    lo, hi = len(left) - bool(left), len(left) + len(inside) + bool(right)
+    return row, lo, hi, threshold, prominence
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=windowed_rows())
-def test_window_peaks_are_the_row_peaks_or_undecided(case):
+def test_window_peaks_are_the_row_peaks_below_the_cut(case):
     row, lo, hi, threshold, prominence = case
-    want = _peaks(row, threshold, prominence)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "GAIN_THRESHOLD_DB", threshold)
-        patch.setattr(simulator, "PEAK_PROMINENCE_DB", prominence)
-        got = _window_peaks(row[lo:hi], lo == 0, hi == row.size)
-        whole = _window_peaks(row, True, True)
-    assert got is None or (got + lo).tolist() == want.tolist()
-    # a window that is the whole row always decides
-    assert whole.tolist() == want.tolist()
+    got = _peaks(row[lo:hi], threshold, prominence) + lo
+    assert got.tolist() == _peaks(row, threshold, prominence).tolist()
 
 
-def _counting_cell_evaluations(patch):
-    """Counts of the reports and of the one-α (whole-cell) evaluations a ramp makes under ``patch``."""
-    counts = {"reports": 0, "cells": 0}
+def _counting_evaluations(patch):
+    """Counts of the reports, the one-α (whole-cell) evaluations and the (α, point) pairs
+    evaluated that a ramp makes under ``patch``."""
+    counts = {"reports": 0, "cells": 0, "pairs": 0}
 
     def report(*args, **kw):
         counts["reports"] += 1
@@ -459,6 +454,7 @@ def _counting_cell_evaluations(patch):
 
     def gain_db(engine, alpha, at=slice(None)):
         counts["cells"] += np.ndim(alpha) == 0
+        counts["pairs"] += np.broadcast(alpha, engine.ws[at]).size
         return evaluate(engine, alpha, at)
 
     patch.setattr(simulator, "bandwidth_report", report)
@@ -469,8 +465,9 @@ def _counting_cell_evaluations(patch):
 @settings(max_examples=15, deadline=None)
 @given(cell=search_cells(), env=st.sampled_from(sorted(ENVS)),
        prominence=st.sampled_from([2.0, 2.5, 3.0]))
-def test_ramp_with_undecided_windows_matches_exhaustive(cell, env, prominence):
-    # at a few dB of prominence, peaks whose walks leave the window are common
+def test_ramp_at_wide_prominence_matches_exhaustive(cell, env, prominence):
+    # at a few dB of prominence, peaks whose walks leave a 17-dB window are
+    # common; the ramp's windows are cut that much lower
     _, design, _, _, _, wp2 = cell
     ws = np.arange(wp2 - TWO_PI * 1.2e9, wp2 + TWO_PI * 1.2e9, TWO_PI * 4e6)
     engine = ReflectionEngine(design, ENVS[env], [(ws, 2 * wp2)])
@@ -482,11 +479,12 @@ def test_ramp_with_undecided_windows_matches_exhaustive(cell, env, prominence):
 
 @pytest.mark.parametrize("kind, z14, z12, z_nr, reports", [("three-stage", 70.0, 30.0, 80.0, 3),
                                                             ("conventional", 30.0, 70.0, 4.0, 1)])
-def test_an_undecided_window_is_reported_from_its_whole_cell(kind, z14, z12, z_nr, reports,
-                                                             monkeypatch):
+def test_wide_prominence_cells_report_from_windows(kind, z14, z12, z_nr, reports,
+                                                   monkeypatch):
     # on the rippled environment at 2.5-dB prominence, one reported step of
-    # each of these cells has a peak that its window cannot decide, and the
-    # ramp still finds the exhaustive ramp's qualifying profile
+    # each of these cells has a peak that a window cut at 17 dB could not
+    # decide; reported from windows cut at 14.5 dB, the ramp still finds the
+    # exhaustive ramp's qualifying profile, and evaluates no whole cell
     ranges = default_ranges(kind)
     design = _design_for(ranges, z14, z12, z_nr)
     wp2 = ranges.axes()[3][3]   # 8.25 GHz
@@ -495,27 +493,28 @@ def test_an_undecided_window_is_reported_from_its_whole_cell(kind, z14, z12, z_n
     ladder = policy_ladder(design, [0.0], SEARCH_RAMP)
     monkeypatch.setattr(simulator, "PEAK_PROMINENCE_DB", 2.5)
     want = _exhaustive_ramp(engine, *ladder)
-    counts = _counting_cell_evaluations(monkeypatch)
+    counts = _counting_evaluations(monkeypatch)
     assert ramp(engine, *ladder) == [want]
-    assert counts == {"reports": reports, "cells": 1}
+    assert (counts["reports"], counts["cells"]) == (reports, 0)
     assert want.report is not None
 
 
 def test_reports_and_whole_cell_evaluations_are_pinned(tmp_path, monkeypatch):
     # the 11 seven-bias lines of the rippled map lattice, then the
-    # conventional desk search: a reported step is evaluated again over its
-    # whole cell only where its window cannot decide its peaks
-    counts = _counting_cell_evaluations(monkeypatch)
+    # conventional desk search: every report reads its step's window of a
+    # round, so no step is evaluated over its whole cell, and the (α, point)
+    # pairs pin how wide the windows are
+    counts = _counting_evaluations(monkeypatch)
     out = str(tmp_path / "out.csv")
     for fp in range(16800, 17001, 20):
         assert main(["map", "--preset", "paper-device", "--set", "env=paper-env",
                      "--set", "policy=xi3", "--set", f"fp_span={fp}MHz:{fp}MHz:20MHz",
                      "--set", "idc_start=510uA", "--set", "idc_stop=630uA",
                      "--set", "idc_step=20uA", "--out", out]) == 0
-    assert counts == {"reports": 84, "cells": 8}
-    counts.update(reports=0, cells=0)
+    assert counts == {"reports": 84, "cells": 0, "pairs": 110869}
+    counts.update(reports=0, cells=0, pairs=0)
     assert main(["search", "--set", "kind=conventional", "--out", out]) == 0
-    assert counts == {"reports": 214, "cells": 15}
+    assert counts == {"reports": 214, "cells": 0, "pairs": 969447}
 
 
 LIMITS = dict(threshold_db=st.sampled_from([15.0, 17.0, 20.0]),
@@ -1097,8 +1096,9 @@ def test_points_outside_a_block_window_stay_below_the_screened_level(cell, env,
     alphas = ladder[0]
     for cells, *screen in _per_cell(engine, _candidate_steps(engine, ladder, db)):
         for k, lo, hi in zip(*(x.tolist() for x in screen)):
+            # outside the window, or its end point at an end inside the cell
             outside = np.ones(cells.stop - cells.start, dtype=bool)
-            outside[_local(slice(lo, hi), cells)] = False
+            outside[_local(slice(lo + (lo > cells.start), hi - (hi < cells.stop)), cells)] = False
             gdb = engine.gain_db(float(alphas[k]), cells)[outside]   # the step over the whole cell
             assert np.all(np.isfinite(gdb) & (gdb < db)), k
 
