@@ -536,42 +536,46 @@ MAP_ENGINE_POINTS = 16384
 _LADDER_CHUNK = 1024
 
 
-@np.errstate(over="ignore")   # a drive past the float range is inf, where α ends the ladder
+@np.errstate(over="ignore", invalid="ignore")   # past the float range α is inf or NaN, which ends a row
 def drive_ladder(start: float, ratio: float, alpha_of: Callable,
                  drive_ok: Optional[Callable] = None):
-    """(drives, alphas) of a geometric pump ramp, as arrays.
+    """(drives, alphas) of geometric pump ramps that share one drive sequence, as arrays.
 
     The drive grows by repeated multiplication from ``start`` (the same
-    floating-point sequence as ``drive *= ratio``) and the ladder ends
-    before the first step whose alpha reaches :data:`ALPHA_MAX` or whose drive
-    fails the vectorized budget check ``drive_ok``.  A start that cannot
-    grow, or a ladder that has not ended after :data:`MAX_GRID_POINTS`
-    steps, raises ``InvalidParameter``.
+    floating-point sequence as ``drive *= ratio``).  ``alpha_of(drives)``
+    gives one row of α per ladder (a 1-D result is one row), and each row
+    ends before its first step whose α reaches :data:`ALPHA_MAX` or whose
+    drive fails the vectorized budget check ``drive_ok``: it is NaN from
+    there on.  ``drives`` runs to the end of the longest row.  A start that
+    cannot grow, or a ladder that has not ended after
+    :data:`MAX_GRID_POINTS` steps, raises ``InvalidParameter``.
     """
     if not start > 0:
         raise InvalidParameter(f"ramp start must be > 0, got {start:g}")
     if not ratio > 1:
         raise InvalidParameter("ramp ratio must be > 1")
-    parts = []
-    drive = start
+    parts = []   # (drives, alphas) of each chunk
+    drive, live = start, True
     while True:
         seq = np.full(_LADDER_CHUNK, ratio)
         seq[0] = drive
         drives = np.cumprod(seq)
-        ok = alpha_of(drives) < ALPHA_MAX
+        alphas = np.atleast_2d(alpha_of(drives))
+        ok = alphas < ALPHA_MAX
         if drive_ok is not None:
             ok &= drive_ok(drives)
-        stop = np.flatnonzero(~ok)
-        if stop.size:
-            parts.append(drives[:stop[0]])
+        ok = np.logical_and.accumulate(ok & live, axis=1)
+        parts.append((drives, np.where(ok, alphas, np.nan)))
+        live = ok[:, -1:]
+        if not live.any():
             break
-        parts.append(drives)
         if len(parts) * _LADDER_CHUNK > MAX_GRID_POINTS:
             raise InvalidParameter(f"pump ladder has not ended after {MAX_GRID_POINTS} steps; "
                                    f"ramp ratio {ratio:.17g} is too close to 1")
         drive = drives[-1] * ratio
-    drives = np.concatenate(parts)
-    return drives, alpha_of(drives)
+    drives, alphas = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    end = np.count_nonzero(~np.isnan(alphas), axis=1).max(initial=0)
+    return drives[:end], alphas[:, :end]
 
 
 @dataclass(frozen=True)
@@ -803,38 +807,29 @@ def ramp(engine: ReflectionEngine, drives: np.ndarray, alphas: np.ndarray) -> li
     return results
 
 
-def _bias_ladder(design: DesignSpec, i_dc: float, omega0: float, policy: PumpRampPolicy):
-    """(drives, alphas) of ``policy``'s ramp at bias ``i_dc``, whose resonance is ``omega0``."""
-    if policy.mode == "xi3":
-        cap = policy.xi3_cap
-        budget = None if cap is None else (lambda drive: drive <= cap)
-        return drive_ladder(START_XI3, policy.ratio,
-                            lambda drive: alpha_for_xi3(drive, omega0), budget)
-    model, i_dc = design.ki_model, float(i_dc)
-    with np.errstate(over="ignore"):
-        unmodulated = np.float64(model.i_star2) ** 2 == np.inf   # α ≡ 0
-    if i_dc <= 0 or unmodulated:
-        return np.empty(0), np.empty(0)  # no three-wave mixing without bias or modulation
-    budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
-    return drive_ladder(START_CURRENT, policy.ratio,
-                        lambda drive: modulation_alpha(model, i_dc, drive), budget)
-
-
 def policy_ladder(design: DesignSpec, i_dcs: Sequence[float], policy: PumpRampPolicy):
     """(drives, alphas) of the pump ramps that ``policy`` runs on ``design`` at each of ``i_dcs``.
 
     ``alphas`` holds one row per bias, as ``engine.ladder`` indexes them,
-    after every bias's resonance is checked, in either mode.  Every ladder
-    steps through the same drives, the longest ladder's ``drives``, and ends
-    where its own α or budget ends it: its row is NaN from there on.
+    after every bias's resonance is checked, in either mode.  One
+    :func:`drive_ladder` call builds every row along the longest ladder's
+    ``drives``; a row is NaN past its own end.  In current mode a bias of 0 A
+    or a film whose I*₂² overflows (α ≡ 0) has no three-wave mixing: its α
+    is inf, so its row is empty.
     """
-    omega0s = [design.resonance_at_bias(i_dc) for i_dc in i_dcs]
-    ladders = [_bias_ladder(design, i_dc, w0, policy) for i_dc, w0 in zip(i_dcs, omega0s)]
-    drives = max((d for d, _ in ladders), key=len)
-    alphas = np.full((len(ladders), drives.size), np.nan)
-    for row, (_, a) in zip(alphas, ladders):
-        row[:a.size] = a
-    return drives, alphas
+    omega0s = np.array([design.resonance_at_bias(i_dc) for i_dc in i_dcs])[:, None]
+    if policy.mode == "xi3":
+        cap = policy.xi3_cap
+        budget = None if cap is None else (lambda drive: drive <= cap)
+        return drive_ladder(START_XI3, policy.ratio,
+                            lambda drive: alpha_for_xi3(drive, omega0s), budget)
+    model, i_dc = design.ki_model, np.array(i_dcs, dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        empty = (i_dc <= 0) | (np.float64(model.i_star2) ** 2 == np.inf)
+    budget = None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c)
+    return drive_ladder(START_CURRENT, policy.ratio,
+                        lambda drive: np.where(empty, np.inf, modulation_alpha(model, i_dc, drive)),
+                        budget)
 
 
 def sweep(design: DesignSpec, env: EnvironmentModel, grids: Sequence[Tuple[np.ndarray, float]],
@@ -874,6 +869,9 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
     cells = []
     for wp in omega_p_grid:
         ws = np.arange(wp / 2 - FREQ_HALF_SPAN, wp / 2 + FREQ_HALF_SPAN, freq_step)
+        if not ws.size:
+            raise InvalidParameter(f"signal grid of pump frequency {wp / (2 * np.pi):.6g} Hz holds "
+                                   "no points: its ±1.2-GHz span rounds away in floating point")
         for idc, res in zip(i_dc_grid, sweep(design, env, [(ws, wp)], i_dc_grid, policy)):
             rep = res.report
             cells.append(MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)

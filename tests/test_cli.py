@@ -410,6 +410,19 @@ def test_map_rejects_negative_bias_before_any_build(capsys, monkeypatch):
     assert captured.err == "error: bias current i_dc must be >= 0, got -0.0005 A\n"
 
 
+def test_map_names_the_pump_frequency_whose_signal_grid_is_empty(capsys):
+    # fp/2 ± 1.2 GHz is one float at this pump frequency, so the grid holds no points
+    rc = main(["map", "--preset", "paper-device",
+               "--set", "fp_span=1e300Hz:1e300Hz:1MHz",
+               "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA",
+               "--set", "idc_step=1uA"])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: signal grid of pump frequency 1e+300 Hz holds no points: "
+                            "its ±1.2-GHz span rounds away in floating point\n")
+
+
 def test_search_command_single_point(tmp_path):
     out = tmp_path / "search.csv"
     cfg = tmp_path / "search.cfg"

@@ -11,8 +11,10 @@ point at each end inside the cell, below the screened level), the
 screened row ramp, at several round budgets, against evaluating and
 reporting every step of each cell, the cells of an engine over several
 grids and biases against engines built one grid and one bias at a time,
-the map against per-cell builds, and the peaks of a window cut below
-threshold - prominence against the whole row's.
+the ladders of all biases, built along one drive sequence, against each
+bias's ladder alone, the map against per-cell builds and the stored
+lattice windows, and the peaks of a window cut below threshold -
+prominence against the whole row's.
 """
 import dataclasses
 import itertools
@@ -21,7 +23,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from kipa.circuits import (IDEAL_ENV, _Memo, environment_impedance, idler_admittance,
@@ -64,6 +66,7 @@ from kipa.simulator import (
     ramp,
     sweep,
 )
+from test_reference_outputs import LINE_FPS, LINE_IDCS, WINDOWS, _map_argv, _run
 
 TWO_PI = 2 * math.pi
 ENVS = {"ideal": IDEAL_ENV, "rippled": paper_env()}
@@ -292,7 +295,7 @@ def test_ladder_start_must_be_positive(start):
         # a ladder that never ends fails here instead of running on
         chunks.append(drives.size)
         assert len(chunks) < 4
-        return drives * 0.0
+        return np.zeros((2, drives.size))
 
     with pytest.raises(InvalidParameter, match="ramp start must be > 0"):
         drive_ladder(start, 1.02, alpha_of)
@@ -320,8 +323,22 @@ def test_ladder_that_does_not_end_is_rejected(mode, monkeypatch):
 
 def test_ladder_below_the_step_cap_ends():
     # drive n is (1 + 1e-9)^n ≈ 1 + n·1e-9, so alpha reaches 0.9 near step 999,000
-    drives, _ = drive_ladder(1.0, 1.0 + 1e-9, lambda d: (d - 1.0) * (0.9 / 999_000e-9))
+    drives, (alphas,) = drive_ladder(1.0, 1.0 + 1e-9, lambda d: (d - 1.0) * (0.9 / 999_000e-9))
     assert abs(drives.size - 999_000) < 1_000
+    assert alphas.size == drives.size and alphas[-1] < 0.9
+
+
+def test_ladder_rows_end_at_their_first_failing_step():
+    # drive n is 1 + n·1e-9 to well within a step; each row fails at one step
+    # only, row 0 in the first chunk and row 1 in the second, and stays ended
+    def alpha_of(drives):
+        n = np.rint((drives - 1.0) * 1e9)
+        return np.stack([np.where(n == 5, 1.0, 0.0), np.where(n == 1500, 1.0, 0.0)])
+
+    drives, alphas = drive_ladder(1.0, 1.0 + 1e-9, alpha_of)
+    assert drives.size == 1500 and alphas.shape == (2, 1500)
+    assert (alphas[0, :5] == 0).all() and np.isnan(alphas[0, 5:]).all()
+    assert (alphas[1] == 0).all()
 
 
 @pytest.mark.parametrize("ratio", [1.0, 0.5, math.nan])
@@ -340,8 +357,9 @@ def test_search_ladder_is_the_policy_budget():
     design = _design_for(point, 70.0, 30.0, 80.0)
     drives, (alphas,) = policy_ladder(design, [0.0], SEARCH_RAMP)
     w0 = design.resonance_at_bias(0.0)
-    want = drive_ladder(TWO_PI * 1e6, 1.02, lambda drive: alpha_for_xi3(drive, w0))
-    assert drives.tolist() == want[0].tolist() and alphas.tolist() == want[1].tolist()
+    want_drives, (want_alphas,) = drive_ladder(TWO_PI * 1e6, 1.02,
+                                               lambda drive: alpha_for_xi3(drive, w0))
+    assert drives.tolist() == want_drives.tolist() and alphas.tolist() == want_alphas.tolist()
     first = min(records, key=lambda r: r.optimal_xi3)
     budget = dataclasses.replace(SEARCH_RAMP, xi3_cap=first.optimal_xi3)
     assert policy_ladder(design, [0.0], budget)[0].tolist() == [
@@ -688,14 +706,41 @@ def test_one_shot_engines_build_no_mobius_form():
         assert "mobius" in vars(engine)
 
 
+# films of the bias-engine test: the paper device's, one whose 3.2-mA budget
+# ends each bias's current ladder at its own step, and one whose I*₂²
+# overflows, so that α ≡ 0 and its current ladders are empty
+FILMS = {"paper": NBTIN_NANOWIRE, "budget": dataclasses.replace(NBTIN_NANOWIRE, i_c=3.2e-3),
+         "unmodulated": KineticInductorModel("parabolic", l_k0=1e-9, i_star2=1e300)}
+UNEQUAL_BIASES = [0.57e-3, 0.0, 0.5e-3, 1.6e-3, 0.6e-3, 0.54e-3, 0.63e-3]
+
+
+def _one_bias_ladder(design, i_dc, policy):
+    """(drives, alphas) of ``policy``'s ramp at ``i_dc`` alone, from scalar operands."""
+    model = design.ki_model
+    if policy.mode == "xi3":
+        w0, cap = design.resonance_at_bias(i_dc), policy.xi3_cap
+        return drive_ladder(START_XI3, policy.ratio, lambda drive: alpha_for_xi3(drive, w0),
+                            None if cap is None else (lambda drive: drive <= cap))
+    if i_dc <= 0 or model.i_star2 * model.i_star2 == math.inf:
+        return np.empty(0), np.empty((1, 0))
+    return drive_ladder(START_CURRENT, policy.ratio,
+                        lambda drive: modulation_alpha(model, i_dc, drive),
+                        None if model.i_c is None else (lambda drive: i_dc + drive < model.i_c))
+
+
 @settings(max_examples=20, deadline=None)
 @given(biases=st.lists(st.one_of(st.sampled_from(BIASES), st.floats(0.0, 0.7e-3)),
                        min_size=1, max_size=5),
-       env=st.sampled_from(sorted(ENVS)), mode=st.sampled_from(["current", "xi3"]))
-def test_bias_engine_cells_equal_fresh_engines(biases, env, mode):
+       env=st.sampled_from(sorted(ENVS)), mode=st.sampled_from(["current", "xi3"]),
+       film=st.sampled_from(sorted(FILMS)), capped=st.booleans())
+@example(biases=UNEQUAL_BIASES, env="rippled", mode="current", film="budget", capped=False)
+@example(biases=UNEQUAL_BIASES, env="ideal", mode="xi3", film="budget", capped=True)
+@example(biases=UNEQUAL_BIASES, env="ideal", mode="current", film="unmodulated", capped=False)
+def test_bias_engine_cells_equal_fresh_engines(biases, env, mode, film, capped):
     # bias lists hold 0 A, duplicates and unsorted values; an engine of two
-    # grids, so that every bias holds several cells
-    design = paper_device()
+    # grids, so that every bias holds several cells.  The xi3 cap lies where
+    # α ends the 0.57-mA ladder, so it ends the ladders of lower biases
+    design = dataclasses.replace(paper_device(), ki_model=FILMS[film])
     grids = [(np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 8e6), wp)
              for wp in TWO_PI * np.array([16.8e9, 16.9e9])]
     with pytest.MonkeyPatch.context() as patch:
@@ -706,20 +751,31 @@ def test_bias_engine_cells_equal_fresh_engines(biases, env, mode):
         assert "mobius" not in vars(engine)
         engine.mobius
     assert len(builds) == 1   # one idler chain for every bias
-    policy = PumpRampPolicy(mode=mode)
-    drives, alphas = policy_ladder(design, biases, policy)
+    cap = 2.0 * design.resonance_at_bias(PAPER_DEVICE_BIAS) * math.sqrt(ALPHA_MAX)
+    policy = PumpRampPolicy(mode=mode, xi3_cap=cap if capped else None)
+    with pytest.MonkeyPatch.context() as patch:
+        ladders = []
+        patch.setattr(simulator, "drive_ladder",
+                      lambda *args: ladders.append(args) or drive_ladder(*args))
+        drives, alphas = policy_ladder(design, biases, policy)
+    assert len(ladders) == 1   # one drive sequence for every bias
     assert len(engine.cells) == len(biases) * len(grids) and len(alphas) == len(biases)
     for c in range(len(engine.cells)):
         k, grid = divmod(c, len(grids))
         ref = ReflectionEngine(design, ENVS[env], [grids[grid]], [biases[k]])
         _assert_cell_equals(engine, c, ref, _same_bits)
         # the cells of one bias share its ladder, bit for bit a fresh build's
+        # and a ladder's of that bias alone
         ref_drives, (ref_alphas,) = policy_ladder(design, [biases[k]], policy)
+        one_drives, (one_alphas,) = _one_bias_ladder(design, biases[k], policy)
+        assert _same_bits(ref_drives, one_drives) and _same_bits(ref_alphas, one_alphas)
         row = alphas[engine.ladder[c]]
         assert engine.ladder[c] == k
         assert _same_bits(drives[:ref_drives.size], ref_drives)
         assert _same_bits(row[:ref_alphas.size], ref_alphas)
         assert np.isnan(row[ref_alphas.size:]).all()
+        # no three-wave mixing without bias or modulation
+        assert (ref_alphas.size == 0) == (mode == "current" and (biases[k] == 0 or film == "unmodulated"))
         for alpha in [0.0, 0.02, *ref_alphas[-3:]]:
             assert _same_bits(engine.s11(alpha, engine.cells[c]), ref.s11(alpha))
     # the longest ladder sets the drives
@@ -774,12 +830,11 @@ def test_current_ladder_of_an_unmodulated_film_is_empty(i_star2):
     assert drives.size == 0 and alphas.shape == (2, 0)
     zeros = drive_ladder(START_CURRENT, policy.ratio,
                          lambda drive: modulation_alpha(film, 0.5e-3, drive))
-    assert zeros[0].size == 62851 and not zeros[1].any()
+    assert zeros[0].size == 62851 and zeros[1].shape == (1, 62851) and not zeros[1].any()
     wp = TWO_PI * 16e9
     grid = (np.arange(wp / 2 - TWO_PI * 1.2e9, wp / 2 + TWO_PI * 1.2e9, TWO_PI * 50e6), wp)
     engine = ReflectionEngine(design, IDEAL_ENV, [grid], [0.5e-3])
-    assert sweep(design, IDEAL_ENV, [grid], [0.5e-3], policy) == ramp(
-        engine, zeros[0], zeros[1][None])
+    assert sweep(design, IDEAL_ENV, [grid], [0.5e-3], policy) == ramp(engine, *zeros)
 
 
 @pytest.mark.parametrize("env", sorted(ENVS))
@@ -848,6 +903,24 @@ def test_pump_bias_map_equals_per_cell_builds(mode, env):
                            if rep else (0.0, 0, 0.0, 0.0))))
     assert cells == expected
     assert sum(c.bandwidth > 0 for c in cells) >= 2
+
+
+def test_lattice_map_is_the_stored_windows_with_one_ladder_per_pump(tmp_path, monkeypatch):
+    # the whole 11 x 7 lattice in one map: each pump frequency ramps its seven
+    # biases along one drive sequence, and each row equals the row of the
+    # stored window that holds it, whose corner is at most (16980 MHz, 610 uA)
+    rows = []
+    for fp, idc in itertools.product(LINE_FPS, LINE_IDCS):
+        window = WINDOWS[f"{min(fp, LINE_FPS[-2])}MHz/{min(idc, LINE_IDCS[-2])}uA"].splitlines()
+        rows += [row for row in window[1:]
+                 if row.split(",")[:2] == [str(fp * 1_000_000), f"{idc * 1e-6:.12g}"]]
+    assert len(rows) == len(LINE_FPS) * len(LINE_IDCS) == 77
+    ladders = []
+    monkeypatch.setattr(simulator, "drive_ladder",
+                        lambda *args: ladders.append(args) or drive_ladder(*args))
+    want = "\n".join([window[0]] + rows) + "\n"
+    assert _run(_map_argv(LINE_FPS, LINE_IDCS), tmp_path) == want
+    assert len(ladders) == len(LINE_FPS)
 
 
 def test_one_engine_build_per_search_row_and_per_map_pump(monkeypatch):
