@@ -872,6 +872,10 @@ def pump_bias_map(design: DesignSpec, env: Optional[EnvironmentModel],
         if not ws.size:
             raise InvalidParameter(f"signal grid of pump frequency {wp / (2 * np.pi):.6g} Hz holds "
                                    "no points: its ±1.2-GHz span rounds away in floating point")
+        if not np.all(np.diff(ws) > 0):
+            raise InvalidParameter(f"signal grid of pump frequency {wp / (2 * np.pi):.6g} Hz repeats "
+                                   f"points: its {freq_step / (2e6 * np.pi):.6g}-MHz step rounds away "
+                                   "in floating point")
         for idc, res in zip(i_dc_grid, sweep(design, env, [(ws, wp)], i_dc_grid, policy)):
             rep = res.report
             cells.append(MapCell(wp, idc, rep.bandwidth, rep.peak_count, rep.ripple_db, res.drive)

@@ -411,16 +411,22 @@ def test_map_rejects_negative_bias_before_any_build(capsys, monkeypatch):
 
 
 def test_map_names_the_pump_frequency_whose_signal_grid_is_empty(capsys):
-    # fp/2 ± 1.2 GHz is one float at this pump frequency, so the grid holds no points
-    rc = main(["map", "--preset", "paper-device",
-               "--set", "fp_span=1e300Hz:1e300Hz:1MHz",
-               "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA",
-               "--set", "idc_step=1uA"])
-    assert rc == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: signal grid of pump frequency 1e+300 Hz holds no points: "
-                            "its ±1.2-GHz span rounds away in floating point\n")
+    for fp, message in [
+        # fp/2 ± 1.2 GHz is one float at this pump frequency, so the grid holds no points
+        ("1e300Hz", "signal grid of pump frequency 1e+300 Hz holds no points: "
+                    "its ±1.2-GHz span rounds away in floating point"),
+        # the span holds points, but an ulp of fp/2 exceeds the 2-MHz step, so they repeat
+        ("1e24Hz", "signal grid of pump frequency 1e+24 Hz repeats points: "
+                   "its 2-MHz step rounds away in floating point"),
+    ]:
+        rc = main(["map", "--preset", "paper-device",
+                   "--set", f"fp_span={fp}:{fp}:1MHz",
+                   "--set", "idc_start=0.57mA", "--set", "idc_stop=0.57mA",
+                   "--set", "idc_step=1uA"])
+        assert rc == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_search_command_single_point(tmp_path):

@@ -125,7 +125,7 @@ def test_fit_output_matches_golden(key, argv, text, tmp_path):
     assert _run(argv, text, tmp_path) == _golden()[key]
 
 
-def test_golden_cases_take_704_model_evaluations(monkeypatch, tmp_path):
+def test_golden_cases_take_259_model_evaluations(monkeypatch, tmp_path):
     # the solver's iteration path: a change that moves it fails here, not
     # only where a record's twelfth digit moves
     evaluations = 0
@@ -141,7 +141,7 @@ def test_golden_cases_take_704_model_evaluations(monkeypatch, tmp_path):
     monkeypatch.setattr(lsq, "levenberg_marquardt", counted)
     for _, argv, text in _CASES:
         _run(argv, text, tmp_path)
-    assert evaluations == 704
+    assert evaluations == 259
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as k_B
 from scipy.optimize import least_squares
 
@@ -331,3 +332,53 @@ def test_fit_qubit_wide_window():
         assert res["gamma_1"] == pytest.approx(gamma_1, rel=0.01)
         assert res["gamma_phi"] == pytest.approx(gamma_phi, rel=0.05)
         assert 10 * math.log10(res["a_in"] / a_in) == pytest.approx(0.0, abs=0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g1_mhz=st.floats(1.0, 5.0), phi_over_g1=st.floats(0.01, 3.0),
+       half_widths=st.floats(1.0, 10.0), n_powers=st.integers(2, 11),
+       n_det=st.integers(5, 41), u_max=st.floats(0.1, 30.0), span_db=st.floats(3.0, 40.0))
+def test_linearized_start_is_the_generating_point_on_noise_free_grids(
+        g1_mhz, phi_over_g1, half_widths, n_powers, n_det, u_max, span_db):
+    from kipa.noise import _saturation_start
+
+    gamma_1 = TWO_PI * 1e6 * g1_mhz
+    gamma_phi = phi_over_g1 * gamma_1
+    gamma_2 = gamma_phi + gamma_1 / 2
+    # u = Ω²/(γ1·γ2) reaches u_max at the top power, -60 dBm
+    a_in = u_max * hbar * W84 * gamma_2 / (2 * 1e-9)
+    half = half_widths * gamma_2
+    rows = _synthetic_qubit_grid(gamma_1, gamma_phi, a_in, W84,
+                                 np.linspace(-60.0 - span_db, -60.0, n_powers),
+                                 np.linspace(-half, half, n_det))
+    det, pw, s21 = _columns(rows)
+    g1, gphi, om_ref = np.exp(_saturation_start(det, pw, pw / 1e-11, s21))
+    # the two linear solves are good to a few ulps of 1/γ2 and c = γ1/2γ2;
+    # γφ = γ2·(1 - c) cancels, which multiplies c's error by γ2/γφ
+    tol = 1e-12
+    assert g1 == pytest.approx(gamma_1, rel=tol)
+    assert gphi == pytest.approx(gamma_phi, rel=tol * gamma_2 / gamma_phi)
+    assert om_ref == pytest.approx(drive_strength(gamma_1, a_in * 1e-11, W84), rel=tol)
+
+
+def test_degenerate_linearization_falls_back_to_the_half_depth_start():
+    # γφ = γ1/1000 under 0.3 % noise: the linear solve reads c = γ1/2γ2 above 1,
+    # a negative γφ, so the fit starts from the lowest-power dip's width
+    from kipa.noise import _saturation_start
+
+    gamma_1 = TWO_PI * 3e6
+    gamma_phi = 1e-3 * gamma_1
+    gamma_2 = gamma_phi + gamma_1 / 2
+    a_in = 10 ** (-82 / 10)
+    rng = np.random.default_rng(26)
+    rows = _synthetic_qubit_grid(gamma_1, gamma_phi, a_in, W84, np.linspace(-95.0, -60.0, 5),
+                                 np.linspace(-4 * gamma_2, 4 * gamma_2, 21))
+    rows = [(d, p, s + complex(*rng.normal(0.0, 3e-3, 2))) for d, p, s in rows]
+    det, pw, s21 = _columns(rows)
+    g1, gphi, _ = np.exp(_saturation_start(det, pw, pw / 1e-11, s21))
+    assert gphi == pytest.approx(1e-3 * g1, rel=1e-12)
+    res = fit_qubit_saturation(det, pw, s21, omega_q=W84)
+    assert res["gamma_1"] == pytest.approx(gamma_1, rel=0.005)
+    assert res["gamma_phi"] + res["gamma_1"] / 2 == pytest.approx(gamma_2, rel=0.005)
+    assert res["gamma_phi"] < 0.01 * gamma_1
+    assert 10 * math.log10(res["a_in"] / a_in) == pytest.approx(0.0, abs=0.1)
