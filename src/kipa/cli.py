@@ -249,16 +249,9 @@ def _build_design(cfg: dict):
     missing = [k for k in ("z_quarter", "z_half", "c_shunt", "f0") if k not in cfg]
     if missing:
         raise InvalidParameter(f"inline design missing keys: {missing}")
-    kind = cfg.get("model_kind", "parabolic")
-    model = KineticInductorModel(
-        model_kind=kind,
-        l_k0=cfg.get("l_k0", 1e-9),
-        l_geo=cfg.get("l_geo", 0.0),
-        i_star2=cfg.get("i_star2", math.inf),
-        i_star4=cfg.get("i_star4"),
-        i_star_star=cfg.get("i_star_star"),
-        i_c=cfg.get("i_c"),
-    )
+    # the film keys the config leaves out take the model's defaults
+    film = {k: cfg[k] for k in ("l_geo", "i_star2", "i_star4", "i_star_star", "i_c") if k in cfg}
+    model = KineticInductorModel(cfg.get("model_kind", "parabolic"), cfg.get("l_k0", 1e-9), **film)
     return DesignSpec(
         z_quarter=cfg["z_quarter"],
         z_half=cfg["z_half"],

@@ -44,9 +44,11 @@ def levenberg_marquardt(evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray],
 
     ``tol`` is MINPACK's ftol, xtol and gtol at once: the fit converges
     when the actual and predicted relative reductions of ‖f‖² are both at
-    most tol, when the trust region is at most tol times the scaled norm of
-    x, or when the cosine between f and every column of the Jacobian is at
-    most tol.  Raises FitFailure, prefixed by ``name``, when the start
+    most tol and the actual one is at most twice the predicted one (a
+    condition dropped where the predicted one is within the actual one's
+    rounding error), when the trust region is at most tol times the scaled
+    norm of x, or when the cosine between f and every column of the Jacobian
+    is at most tol.  Raises FitFailure, prefixed by ``name``, when the start
     point is not finite or ``max_nfev`` evaluations do not converge.
     """
     if not tol >= _EPS:
@@ -117,8 +119,11 @@ def levenberg_marquardt(evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray],
                 xnorm = _norm(diag * x)
                 fnorm = fnorm1
                 first = False
-            if (abs(actred) <= tol and prered <= tol and 0.5 * ratio <= 1.0) \
-                    or delta <= tol * xnorm:
+            # ‖f‖² sums m squares to within m·ε/2, so (‖f₁‖/‖f‖)² is within (2m + 7)·ε/2
+            # and actred, 1 minus it, within (m + 4)·ε: a prered below that makes the
+            # ratio a quotient of rounding errors, and the two reductions decide alone
+            if (abs(actred) <= tol and prered <= tol
+                    and (0.5 * ratio <= 1.0 or prered <= (m + 4) * _EPS)) or delta <= tol * xnorm:
                 return LeastSquaresFit(x, f)
             if nfev >= max_nfev:
                 raise FitFailure(f"{name} did not converge",

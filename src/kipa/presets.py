@@ -79,19 +79,17 @@ _ENV_PRESETS = {
 }
 
 
-def design_preset(name: str) -> DesignSpec:
+def _preset(table: dict, what: str, name: str):
     try:
-        return _DESIGN_PRESETS[name]()
+        return table[name]()
     except KeyError:
         raise InvalidParameter(
-            f"unknown design preset {name!r}; available: {sorted(_DESIGN_PRESETS)}"
-        ) from None
+            f"unknown {what} preset {name!r}; available: {sorted(table)}") from None
+
+
+def design_preset(name: str) -> DesignSpec:
+    return _preset(_DESIGN_PRESETS, "design", name)
 
 
 def env_preset(name: str) -> EnvironmentModel:
-    try:
-        return _ENV_PRESETS[name]()
-    except KeyError:
-        raise InvalidParameter(
-            f"unknown environment preset {name!r}; available: {sorted(_ENV_PRESETS)}"
-        ) from None
+    return _preset(_ENV_PRESETS, "environment", name)

@@ -113,16 +113,10 @@ def effective_admittance(ind: ModulatedInductor, pair: SignalIdlerPair, y_idler)
     (evaluation at -ω_i) is taken here.  Accepts arrays.
     """
     lp = ind.l0_prime
-    ws, wi = pair.omega_s, pair.omega_i
-    den = 1j * wi * lp * np.conj(y_idler) - 1.0
-    scalar = np.isscalar(den) or np.asarray(den).ndim == 0
-    if scalar:
-        if den == 0:
-            raise PoleAtOperatingPoint("idler denominator vanished: oscillation threshold")
-        return complex((1.0 / (1j * ws * lp)) * (1.0 + ind.alpha / den))
+    den = 1j * pair.omega_i * lp * np.conj(y_idler) - 1.0
     if np.any(den == 0):
         raise PoleAtOperatingPoint("idler denominator vanished: oscillation threshold")
-    return (1.0 / (1j * ws * lp)) * (1.0 + ind.alpha / den)
+    return (1.0 / (1j * pair.omega_s * lp)) * (1.0 + ind.alpha / den)
 
 
 def negative_resistance(y_eff) -> float:

@@ -280,10 +280,6 @@ class ReflectionEngine:
         """20 log10 |S11| at (α, point) pairs, see :meth:`s11`."""
         return _to_db(self.s11(alpha, at))
 
-    def y_eff(self, alpha) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._y_eff(alpha, slice(None))[0]
-
     def _y_eff(self, alpha, at):
         """Y_eff and its idler denominator iω_i·l0'·Y_idler* - 1 (0 at a pole)."""
         lp = self.l0[at] * (1.0 - alpha)
@@ -888,8 +884,9 @@ def rnr_power_law(design: DesignSpec, xi3_grid: Sequence[float], omega_p: float,
     """Power-law fit of the node negative resistance against |xi3|.
 
     Evaluates R_NR = -1/Re[Y_eff] at ω_s = ω_p/2 in the ideal environment
-    for each grid value; points without gain are excluded.  Returns the
-    log-log slope (exponent), the prefactor, and the retained points.
+    over the whole grid in one call of the engine's Y_eff kernel; points with
+    α >= 1 or without gain are excluded.  Returns the log-log slope
+    (exponent), the prefactor, and the retained points.
     """
     xi3 = np.asarray(sorted(xi3_grid), dtype=float)
     if xi3.size < 2 or xi3[0] <= 0:
@@ -897,20 +894,13 @@ def rnr_power_law(design: DesignSpec, xi3_grid: Sequence[float], omega_p: float,
     if xi3[-1] / xi3[0] < np.sqrt(10.0):
         raise InvalidParameter("xi3 grid must span at least half a decade")
     engine = ReflectionEngine(design, IDEAL_ENV, [(np.array([omega_p / 2.0]), omega_p)], [i_dc])
-    rs, xs = [], []
-    for x, alpha in zip(xi3, alpha_for_xi3(xi3, design.resonance_at_bias(i_dc))):
-        if alpha >= 1:
-            continue
-        y = engine.y_eff(alpha)[0]
-        if np.isfinite(y) and y.real < 0:
-            rs.append(-1.0 / y.real)
-            xs.append(x)
+    alphas = alpha_for_xi3(xi3, design.resonance_at_bias(i_dc))
+    below = alphas < 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = engine._y_eff(alphas[below], slice(None))[0]
+    gain = np.isfinite(y) & (y.real < 0)
+    xs, rs = xi3[below][gain], -1.0 / y.real[gain]
     if len(xs) < 4:
         raise InsufficientData(f"only {len(xs)} grid points produced gain")
     slope, intercept = np.polyfit(np.log(xs), np.log(rs), 1)
-    return {
-        "exponent": float(slope),
-        "prefactor": float(np.exp(intercept)),
-        "xi3": np.array(xs),
-        "r_nr": np.array(rs),
-    }
+    return {"exponent": float(slope), "prefactor": float(np.exp(intercept)), "xi3": xs, "r_nr": rs}

@@ -104,9 +104,8 @@ def synthesize_transformer(proto: PrototypeCoefficients, z_nr: float,
         raise SynthesisInfeasible(f"vanishing bandwidth: z_parallel = epsilon*z_ref/g2 underflows "
                                   f"to 0 ohm (epsilon = {eps:.4g}, z_ref = {z_ref:.4g} ohm)")
     b, c = _half_wave_quadratic_coeffs(z_quarter, z_parallel, z0)
+    # c <= 0, so disc >= b^2 >= 0: the quadratic always has real roots
     disc = _finite("disc = b^2 - 4*c", b * b - 4.0 * c)
-    if disc < 0:
-        raise SynthesisInfeasible("half-wave quadratic has no real root")
     # stable form: compute the large-magnitude root first, the other via the product
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     roots = sorted((q, c / q) if q != 0 else (0.0, 0.0))

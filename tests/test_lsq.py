@@ -79,6 +79,26 @@ def test_agrees_with_scipy_minpack():
         assert fit.x == pytest.approx(ref.x, rel=1e-7)
 
 
+def test_reductions_at_round_off_end_the_fit():
+    # The eighth evaluation of this fit lowers ‖f‖² by a relative 8.2e-15
+    # where the linear model predicts 3.9e-15.  Both lie below (m + 4)·ε =
+    # 9.8e-15, the rounding error of the computed actual reduction, so their
+    # ratio of 2.1 is a quotient of rounding errors and the fit converges.
+    # Read as a ratio above 2, it took a ninth, rejected evaluation that
+    # ended on the step bound at the same point, under every SIMD dispatch.
+    t, evaluate = _exponential_problem(np.random.default_rng(41))
+    norms = []
+
+    def counted(x, f, jt):
+        evaluate(x, f, jt)
+        norms.append(math.sqrt(f @ f))
+
+    fit = levenberg_marquardt(counted, [1.0, 1.0, 0.0], t.size, tol=1e-10, max_nfev=800)
+    assert len(norms) == 8
+    assert 0.0 < 1.0 - (norms[-1] / norms[-2]) ** 2 <= (t.size + 4) * EPS
+    assert math.sqrt(fit.fun @ fit.fun) == norms[-1]
+
+
 def test_non_finite_trial_point_is_rejected():
     # residual log(x) - log(0.01) from x = 1: the Gauss-Newton step lands
     # at x < 0, where the residual is NaN

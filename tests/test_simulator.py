@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import pathlib
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kipa.circuits import IDEAL_ENV, DesignSpec
-from kipa.errors import InsufficientData, InvalidParameter
+from kipa.circuits import IDEAL_ENV, DesignSpec, idler_admittance
+from kipa.errors import InsufficientData, InvalidParameter, PoleAtOperatingPoint
 from kipa.material import (KineticInductorModel, PumpOperatingPoint, alpha_for_xi3,
                            pump_coefficients)
 from kipa.presets import (
@@ -18,6 +19,7 @@ from kipa.presets import (
     paper_device,
     paper_env,
 )
+from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
 from kipa import simulator
 from kipa.simulator import (
     PumpDrive,
@@ -357,6 +359,60 @@ def test_rnr_power_law_insufficient_data():
         rnr_power_law(design, grid, TWO_PI * 17.7e9, i_dc=PAPER_DEVICE_BIAS)
     with pytest.raises(InvalidParameter):
         rnr_power_law(design, TWO_PI * np.array([1e9, 2e9]), TWO_PI * 17.7e9)
+
+
+def _reference_y_eff(design, env, omega_p, i_dc, alpha):
+    """pump.effective_admittance at ω_p/2, or None at a pole."""
+    ws = omega_p / 2.0
+    ind = ModulatedInductor.from_alpha(design.inductance_at_bias(i_dc), alpha)
+    y_idler = idler_admittance(design, env, omega_p - ws)
+    try:
+        return effective_admittance(ind, SignalIdlerPair.from_pump(ws, omega_p), y_idler)
+    except PoleAtOperatingPoint:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["three-stage", "conventional"]),
+       env=st.sampled_from([IDEAL_ENV, paper_env()]),
+       fp=st.floats(15e9, 19e9), i_dc=st.sampled_from([0.0, 0.3e-3, PAPER_DEVICE_BIAS]),
+       lo=st.floats(1e7, 3e9), decades=st.floats(0.6, 2.0), n=st.integers(4, 30))
+def test_rnr_power_law_is_the_reference_admittance(kind, env, fp, i_dc, lo, decades, n):
+    # The reference builds each point's inductor through ModulatedInductor,
+    # whose α = |δl|²/4l0² comes back within a few ulps of the drawn one, so
+    # l0' = l0·(1 - α) moves by up to ~4ε·α/(1 - α) relative; Y_eff is a
+    # few operations of l0', and 1e-12/(1 - α) covers that with room for the
+    # idler denominator's conditioning (400 random draws read at most 1e-14).
+    design = paper_device()
+    if kind == "conventional":
+        design = dataclasses.replace(design, z_ki_quarter=None)
+    omega_p = TWO_PI * fp
+    grid = TWO_PI * np.geomspace(lo, lo * 10.0**decades, n)
+    alphas = alpha_for_xi3(grid, design.resonance_at_bias(i_dc))
+
+    # the kernel rnr_power_law calls, in the drawn environment
+    below = alphas < 1
+    engine = ReflectionEngine(design, env, [(np.array([omega_p / 2.0]), omega_p)], [i_dc])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = engine._y_eff(alphas[below], slice(None))[0]
+    for a, y in zip(alphas[below], kernel):
+        ref = _reference_y_eff(design, env, omega_p, i_dc, a)
+        if ref is not None:
+            assert y == pytest.approx(ref, rel=1e-12 / (1.0 - a))
+
+    # rnr_power_law, which works in the ideal environment
+    refs = {x: _reference_y_eff(design, IDEAL_ENV, omega_p, i_dc, a)
+            for x, a in zip(grid, alphas) if a < 1}
+    kept = {x: -1.0 / y.real for x, y in refs.items() if y is not None and y.real < 0}
+    if len(kept) < 4:
+        with pytest.raises(InsufficientData):
+            rnr_power_law(design, grid, omega_p, i_dc=i_dc)
+        return
+    res = rnr_power_law(design, grid, omega_p, i_dc=i_dc)
+    assert res["xi3"].tolist() == list(kept)
+    want = np.array(list(kept.values()))
+    a_kept = alpha_for_xi3(res["xi3"], design.resonance_at_bias(i_dc))
+    assert (np.abs(res["r_nr"] - want) <= 1e-12 / (1.0 - a_kept) * want).all()
 
 
 def test_bandwidth_alpha_trend_positive():

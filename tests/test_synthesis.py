@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kipa.errors import InvalidParameter, SynthesisInfeasible
 from kipa.synthesis import (
     GETSINGER_17DB,
     PrototypeCoefficients,
+    _half_wave_quadratic_coeffs,
     predict_fractional_bandwidth,
     prototype,
     synthesize_transformer,
@@ -66,6 +68,28 @@ def test_residual_is_tiny():
     assert abs(res.residual) < 1e-9 * res.z_ref**2
 
 
+_SCALES = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.tuples(_SCALES, _SCALES, _SCALES), eps=st.floats(1e-9, 0.499),
+       z_nr=_SCALES, z_ki=_SCALES, z0=_SCALES)
+def test_half_wave_discriminant_is_at_least_b_squared(g, eps, z_nr, z_ki, z0):
+    # c = -(z_quarter^2/z0)^2 <= 0, so b^2 - 4c adds a non-negative float to
+    # b^2 and rounds to no less: the quadratic always has real roots, and
+    # synthesize_transformer needs no check that it has
+    g1, g2, g3 = g
+    z_ref = eps * (z_ki**2 / z_nr) / g1
+    z_quarter, z_parallel = math.sqrt(g3 * z_ref * z0), eps * z_ref / g2
+    assume(math.isfinite(z_quarter) and z_parallel > 0)
+    try:
+        b, c = _half_wave_quadratic_coeffs(z_quarter, z_parallel, z0)
+    except SynthesisInfeasible:   # a coefficient overflows
+        return
+    assert c <= 0
+    assert b * b - 4.0 * c >= b * b
+
+
 def test_vanishing_bandwidth_flagged():
     # a bandwidth of 1e-9 still synthesizes; at 1e-300, z_parallel underflows to 0
     assert synthesize_transformer(prototype(1e-9), 60.0, 180.0, 50.0).z_half > 0
@@ -120,7 +144,7 @@ def test_round_trip_synthesis_to_simulation():
     center = np.argmin(np.abs(ws - w0))
 
     def mismatch(alpha):
-        return engine.y_eff(alpha)[center].real + 1.0 / r_nr_design
+        return engine._y_eff(alpha, slice(None))[0][center].real + 1.0 / r_nr_design
 
     alpha_design = brentq(mismatch, 1e-6, 0.4)
     gdb = engine.gain_db(alpha_design)
