@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import re
@@ -447,7 +448,7 @@ def _cmd_noise(cfg: dict) -> _Columns:
     return columns
 
 
-# ---------------------------------------------------------------- argparse
+# ---------------------------------------------------------------- command line
 
 class _Command(NamedTuple):
     run: Callable[[dict], _Columns]   # the config's output columns
@@ -475,6 +476,34 @@ _COMMANDS = {
 }
 
 
+class _Option(NamedTuple):
+    """A ``--<name> VALUE`` option that every command takes."""
+    name: str
+    help: Optional[str] = None
+    default: Optional[str] = None
+    choices: Optional[Tuple[str, ...]] = None
+    type: Optional[Callable[[str], object]] = None
+    append: bool = False           # each value is appended to a list, [] by default
+    metavar: Optional[str] = None
+
+
+_OPTIONS = (
+    _Option("config", "key = value parameter file"),
+    _Option("preset", "named design preset"),
+    _Option("out", "output path (default stdout)"),
+    _Option("format", default="csv", choices=("csv", "structured")),
+    _Option("threads", "accepted and ignored: commands run serially", type=int),
+    _Option("set", "override a config key", append=True, metavar="KEY=VALUE"),
+    # common shorthand overrides
+    _Option("idc", "dc bias, e.g. 0.57mA"),
+    _Option("fp", "pump frequency, e.g. 16.9GHz"),
+    _Option("xi3", "amplification strength as a frequency, e.g. 1.3GHz"),
+    _Option("span", "frequency span start:stop:step"),
+    _Option("input", "input data file (fit/noise commands)"),
+)
+_OPTION_FLAGS = {"--" + opt.name: opt for opt in _OPTIONS}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors as one ``error:`` line and exit code 1."""
 
@@ -484,20 +513,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value parameter file")
-    common.add_argument("--preset", help="named design preset")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=["csv", "structured"], default="csv")
-    common.add_argument("--threads", type=int,
-                        help="accepted and ignored: commands run serially")
-    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override a config key")
-    # common shorthand overrides
-    common.add_argument("--idc", help="dc bias, e.g. 0.57mA")
-    common.add_argument("--fp", help="pump frequency, e.g. 16.9GHz")
-    common.add_argument("--xi3", help="amplification strength as a frequency, e.g. 1.3GHz")
-    common.add_argument("--span", help="frequency span start:stop:step")
-    common.add_argument("--input", help="input data file (fit/noise commands)")
+    for opt in _OPTIONS:
+        common.add_argument("--" + opt.name, action="append" if opt.append else "store",
+                            default=[] if opt.append else opt.default, choices=opt.choices,
+                            type=opt.type, metavar=opt.metavar, help=opt.help)
     parser = _Parser(
         prog="kipa",
         description="Kinetic-inductance parametric amplifier design toolkit",
@@ -506,6 +525,36 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
     return parser
+
+
+def read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read without argparse.
+
+    Reads only ``<command> (--<option> <value>)...``: exact long option names,
+    each followed by a value that does not start with '-' and that passes the
+    option's choices and type.  Returns None for any other argv (help,
+    abbreviations, ``--opt=value``, a missing or rejected value, unknown or
+    positional tokens, no command), which is argparse's to parse.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    values = {opt.name: [] if opt.append else opt.default for opt in _OPTIONS}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        opt = _OPTION_FLAGS.get(flag)
+        if opt is None or value.startswith("-"):
+            return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except ValueError:
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        if opt.append:
+            values[opt.name].append(value)
+        else:
+            values[opt.name] = value
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _gather_config(args, schema) -> dict:
@@ -529,9 +578,6 @@ def _gather_config(args, schema) -> dict:
     return cfg
 
 
-_PARSER: Optional[argparse.ArgumentParser] = None
-
-
 # glibc returns freed memory at the top of the heap to the OS once it
 # exceeds M_TRIM_THRESHOLD (128 KiB until a large free raises it).  A desk
 # search row frees ~0.5 MB of temporaries, so without a higher threshold the
@@ -544,8 +590,9 @@ _M_TRIM_THRESHOLD = -1   # the option number in glibc's <malloc.h>
 _TRIM_THRESHOLD_BYTES = 64 << 20
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
-    """Raise glibc's heap trim threshold; does nothing where mallopt is absent."""
+    """Raise glibc's heap trim threshold once; does nothing where mallopt is absent."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -554,12 +601,18 @@ def _keep_freed_heap() -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; the parser is built and the heap set up on the first call."""
-    global _PARSER
-    if _PARSER is None:
-        _keep_freed_heap()
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    """Run one command; the heap is set up on the first call.
+
+    ``read_argv`` reads a command line of options and values; any other
+    (``--help``, ``--opt=value``, a usage error) goes to a parser that
+    ``build_parser`` makes for that call.
+    """
+    _keep_freed_heap()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     try:
         columns = command.run(_gather_config(args, command.schema))

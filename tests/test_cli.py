@@ -456,7 +456,7 @@ def test_help_text_is_unchanged(command, monkeypatch, capsys):
     # snapshot of every --help page, written by argparse at 80 columns
     monkeypatch.setenv("COLUMNS", "80")
     argv = [command, "--help"] if command else ["--help"]
-    for _ in range(2):  # once more on the reused parser
+    for _ in range(2):  # a second call prints the same page
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_OK
@@ -480,8 +480,14 @@ def test_reused_parser_keeps_no_state_between_calls(monkeypatch, tmp_path, capsy
     assert json.loads((tmp_path / "a.json").read_text()) == {"columns": ["n"],
                                                              "records": [{"n": 1}]}
     assert capsys.readouterr().out == "n\n2\n"
-    assert cli._PARSER is not None
-    assert cli._PARSER.parse_args(["synth"]).set == []
+    # a fresh, empty --set list on both paths: the reader's and argparse's (--opt=value)
+    assert main(["synth", "--set=z0=50ohm"]) == EXIT_OK
+    assert main(["synth"]) == EXIT_OK
+    assert seen[2:] == [{"z0": 50.0}, {}]
+    assert cli.read_argv(["synth"]).set == []
+    parser = cli.build_parser()
+    assert parser.parse_args(["synth", "--set", "z0=50ohm"]).set == ["z0=50ohm"]
+    assert parser.parse_args(["synth"]).set == []
 
 
 # The long case lists below name each case explicitly, so a case added

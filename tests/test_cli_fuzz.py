@@ -154,3 +154,76 @@ def test_fuzzed_argv_ends_in_documented_exit_code(command, items, tmp_path, caps
     monkeypatch.chdir(tmp_path)  # a fuzzed --out lands here
     argv = [command, *_PREFIX.get(command, []), *(token for item in items for token in item)]
     _run(argv, capsys)
+
+
+# ---------------------------------------------------------------- the argv reader
+
+_FLAGS = ["--" + opt.name for opt in cli._OPTIONS]
+# abbreviations, unique (--se, --pre, --x) and ambiguous (--s, --f, --i), help,
+# the end of options and unknown options: the reader leaves all of them to argparse
+_ODD_FLAGS = ["--se", "--pre", "--x", "--s", "--f", "--i", "-h", "--help", "--", "-",
+              "--bogus", "-x", "--set-", "set", "--SET"]
+_READER_VALUES = ["", "-1", "-1GHz", "xml", " 3", "3.0", "1_0", "3", "csv", "structured",
+                  "a=1", "z_ki=180ohm", "x y", "--set", "synth", "16.9GHz", "8GHz:9GHz:1GHz"]
+_READER_VALUE = st.one_of(st.sampled_from(_READER_VALUES), st.text(max_size=4))
+# one token or pair that the reader may refuse, spliced into a well-formed argv
+_ODD_ITEM = st.one_of(
+    st.tuples(st.sampled_from(_ODD_FLAGS), _READER_VALUE),              # --odd value
+    st.builds("{}={}".format, st.sampled_from(_FLAGS + _ODD_FLAGS), _READER_VALUE)
+    .map(lambda token: (token,)),                                        # --option=value
+    st.tuples(st.sampled_from(_FLAGS + _ODD_FLAGS)),                     # no value
+    st.tuples(_READER_VALUE),                                            # positional
+)
+
+
+@settings(_SETTINGS, max_examples=500)
+@given(command=st.sampled_from([*sorted(cli._COMMANDS), "", "-h", "--help", "sim", "Synth"]),
+       pairs=st.lists(st.tuples(st.sampled_from(_FLAGS), _READER_VALUE), max_size=6),
+       odd=st.one_of(st.none(), st.tuples(st.integers(0, 6), _ODD_ITEM)))
+@example(command="synth", pairs=[("--threads", " 3"), ("--set", "a=1"), ("--set", "")], odd=None)
+@example(command="noise", pairs=[("--format", "structured"), ("--threads", "1_0")], odd=None)
+@example(command="search", pairs=[], odd=(0, ("--s", "x")))
+def test_argv_reader_returns_what_argparse_returns(command, pairs, odd, capsys):
+    """Where the reader returns a namespace, argparse accepts the argv and returns the same."""
+    if odd is not None:
+        pairs = [*pairs[:odd[0]], odd[1], *pairs[odd[0]:]]
+    argv = [command, *(token for item in pairs for token in item)]
+    read = cli.read_argv(argv)
+    if read is None:
+        return
+    try:
+        parsed = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"the reader accepts {argv}, argparse exits {exc.code}: "
+                    f"{capsys.readouterr().err}")
+    assert read == parsed, argv
+
+
+def test_valid_commands_skip_argparse(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("build_parser called for a valid command line")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for command, (argv, option, valid) in sorted(_FILE_CASES.items()):
+        path = tmp_path / command
+        path.write_text(valid)
+        assert _run([*argv, option, str(path), "--out", str(tmp_path / "out")],
+                    capsys) == (cli.EXIT_OK, "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["synth", "--help"], cli.EXIT_OK),
+    (["synth", "--bogus", "1"], cli.EXIT_VALIDATION),
+    (["simulate", "--format", "xml"], cli.EXIT_VALIDATION),
+])
+def test_help_and_usage_errors_reach_argparse(argv, code, capsys, monkeypatch):
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(argv)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code and built == [argv]
