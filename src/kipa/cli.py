@@ -24,7 +24,7 @@ from . import simulator, synthesis
 from .circuits import DesignSpec, EnvironmentModel
 from .errors import ConfigError, InvalidParameter, NumericalError, ValidationError
 from .material import KineticInductorModel
-from .simulator import PumpDrive, PumpRampPolicy
+from .simulator import PumpRampPolicy
 
 TWO_PI = 2.0 * math.pi
 
@@ -282,20 +282,24 @@ def _build_env(cfg: dict) -> Optional[EnvironmentModel]:
     return EnvironmentModel(z0=cfg.get("env_z0", 50.0), terms=tuple(terms)) if inline else None
 
 
-def _build_pump(cfg: dict, design) -> PumpDrive:
+def _build_pump(cfg: dict, design) -> Tuple[float, float, float]:
+    """(α, ω_p, i_dc) of the drive, its α from the ``kipa.material`` function its ramp mode uses."""
     if "fp" not in cfg:
         raise InvalidParameter("pump frequency 'fp' is required")
-    omega_p = TWO_PI * cfg["fp"]
     i_dc = cfg.get("idc", presets.PAPER_DEVICE_BIAS if cfg.get("preset") else 0.0)
-    if "xi3" in cfg:
-        if "ip" in cfg:
-            raise InvalidParameter("give either xi3 or ip, not both")
-        return PumpDrive(xi3_mag=TWO_PI * cfg["xi3"], omega_p=omega_p, i_dc=i_dc)
+    if "xi3" in cfg and "ip" in cfg:
+        raise InvalidParameter("give either xi3 or ip, not both")
     if "ip" in cfg:
         op = material.PumpOperatingPoint(i_dc=i_dc, i_p_mag=cfg["ip"])
-        coeffs = material.pump_coefficients(design.ki_model, op, design.resonance_at_bias(i_dc))
-        return PumpDrive(xi3_mag=abs(coeffs.xi3), omega_p=omega_p, i_dc=i_dc)
-    return PumpDrive(xi3_mag=0.0, omega_p=omega_p, i_dc=i_dc)
+        design.resonance_at_bias(i_dc)   # raises where it is not finite, as for any drive
+        material.check_pump_budget(design.ki_model, op)
+        alpha = material.modulation_alpha(design.ki_model, i_dc, op.i_p_mag)
+    else:
+        xi3 = TWO_PI * cfg.get("xi3", 0.0)
+        if xi3 < 0:
+            raise InvalidParameter("xi3_mag must be >= 0")
+        alpha = material.alpha_for_xi3(xi3, design.resonance_at_bias(i_dc))
+    return alpha, TWO_PI * cfg["fp"], i_dc
 
 
 # ---------------------------------------------------------------- commands
@@ -325,10 +329,10 @@ def _hz_grid(start: float, stop: float, step: float):
 def _cmd_simulate(cfg: dict) -> _Columns:
     design = _build_design(cfg)
     env = _build_env(cfg)
-    pump = _build_pump(cfg, design)
+    alpha, omega_p, i_dc = _build_pump(cfg, design)
     start, stop, step = cfg.get("span", (7.9e9, 8.9e9, 1e6))
     freqs = TWO_PI * _hz_grid(start, stop, step)
-    profile = simulator.gain_spectrum(design, pump, env, freqs)
+    profile = simulator.gain_spectrum(design, alpha, omega_p, i_dc, env, freqs)
     return {"freq_hz": profile.freqs / TWO_PI, "re_s11": profile.s11.real,
             "im_s11": profile.s11.imag, "gain_db": profile.gain_db}
 

@@ -75,15 +75,14 @@ class KineticInductorModel:
 
 @dataclass(frozen=True)
 class PumpOperatingPoint:
-    """DC bias plus the pump tone's amplitude and phase at the modulated inductor.
+    """DC bias plus the pump tone's amplitude at the modulated inductor.
 
-    i_dc : A; i_p_mag : |I_p|, A; phi_p : pump phase, rad.  The pump
-    frequency does not enter the coefficients.
+    i_dc : A; i_p_mag : |I_p|, A.  S11 depends on |ξ3| alone, so the point
+    has no pump phase, and the pump frequency does not enter the coefficients.
     """
 
     i_dc: float
     i_p_mag: float
-    phi_p: float = 0.0
 
     def __post_init__(self):
         if self.i_dc < 0:
@@ -96,9 +95,9 @@ class PumpOperatingPoint:
 class PumpCoefficients:
     """Linearized pump coefficients at one operating point."""
 
-    delta_l: complex      # complex modulation amplitude, H
+    delta_l: float        # modulation amplitude, H
     alpha: float          # dimensionless modulation strength |dL|^2/(4 L_I^2)
-    xi3: complex          # amplification coefficient, rad/s
+    xi3: float            # amplification coefficient, rad/s (<= 0)
     kerr: float           # Kerr coefficient K, rad/s
     pump_shift: float     # pump-induced frequency shift, rad/s
     l_i: float            # inductance at the dc bias, H
@@ -130,11 +129,11 @@ def kinetic_inductance(model: KineticInductorModel, i_dc: float) -> float:
 # An α past the float range is inf, or nan for an infinite drive and I*₂; either ends a ladder.
 
 @np.errstate(over="ignore", invalid="ignore")
-def modulation_alpha(model: KineticInductorModel, i_dc: float, i_p_mag):
-    """α = (9/16)·(i_dc·|I_p|/(I*₂² + i_dc²))² for a scalar or an array of |I_p|."""
+def modulation_alpha(model: KineticInductorModel, i_dc, i_p_mag):
+    """α = (9/16)·(i_dc·|I_p|/(I*₂² + i_dc²))² over the broadcast of ``i_dc`` and |I_p|."""
     i_dc = np.float64(i_dc)
     r = i_dc * i_p_mag / (np.float64(model.i_star2)**2 + i_dc**2)
-    return (9.0 / 16.0) * (r * r)
+    return (9.0 / 16.0) * np.where(i_dc == 0, 0.0, r * r)   # 0 at zero bias, also where r is 0/0
 
 
 @np.errstate(over="ignore")
@@ -155,22 +154,25 @@ def pump_coefficients(model: KineticInductorModel, op: PumpOperatingPoint,
     """
     if not omega0 > 0:
         raise InvalidParameter("omega0 must be > 0")
-    if model.i_c is not None and not op.i_dc + op.i_p_mag < model.i_c:
-        raise SuperconductivityBreakdown(
-            f"i_dc + |I_p| = {op.i_dc + op.i_p_mag:.4g} A reaches i_c = {model.i_c:.4g} A"
-        )
+    check_pump_budget(model, op)
     l_i = kinetic_inductance(model, op.i_dc)
     i_dc, i_p, istar2 = (np.float64(v) for v in (op.i_dc, op.i_p_mag, model.i_star2))
     denom = istar2**2 + i_dc**2
     ratio = i_dc * i_p / denom if i_dc else 0.0   # 0, not 0/0, where denom underflows
-    delta_l = 1.5 * ratio * l_i * np.exp(-1j * op.phi_p)
     alpha = modulation_alpha(model, op.i_dc, op.i_p_mag)
-    xi3 = -1.5 * ratio * omega0 * np.exp(-1j * op.phi_p)
     quart = (8.0 * i_dc**2 - istar2**2) / denom**2
     kerr = 0.75 * quart * HBAR * np.float64(omega0)**2 / l_i
     pump_shift = 1.5 * quart * omega0 * i_p**2
-    return PumpCoefficients(complex(delta_l), float(alpha), complex(xi3),
+    return PumpCoefficients(float(1.5 * ratio * l_i), float(alpha), float(-1.5 * ratio * omega0),
                             float(kerr), float(pump_shift), float(l_i))
+
+
+def check_pump_budget(model: KineticInductorModel, op: PumpOperatingPoint) -> None:
+    """Raise SuperconductivityBreakdown unless i_dc + |I_p| stays below the film's i_c."""
+    if model.i_c is not None and not op.i_dc + op.i_p_mag < model.i_c:
+        raise SuperconductivityBreakdown(
+            f"i_dc + |I_p| = {op.i_dc + op.i_p_mag:.4g} A reaches i_c = {model.i_c:.4g} A"
+        )
 
 
 def pump_current_for_xi3(model: KineticInductorModel, i_dc: float, omega0: float,

@@ -141,7 +141,16 @@ def _search_row(ranges, z14, z12, z_nr, cells, policy) -> List[DesignRecord]:
     design = _design_for(ranges, z14, z12, z_nr)
     if not cells:
         return []
-    results = sweep(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells], [0.0], policy)
+    try:
+        results = sweep(design, IDEAL_ENV, [(ws, wp) for _, ws, wp in cells], [0.0], policy)
+    except InvalidParameter:   # only a failed row pays for a look at its grids
+        repeats = [wp2 for wp2, ws, _ in cells if not np.all(np.diff(ws) > 0)]
+        if repeats:
+            raise InvalidParameter(
+                f"signal grid of pump half-frequency {repeats[0] / TWO_PI:.6g} Hz repeats points: "
+                f"its {SEARCH_FREQ_STEP / (2e6 * math.pi):.6g}-MHz step rounds away in floating "
+                "point") from None
+        raise
     return [DesignRecord(z14, z12, z_nr, wp2, res.report.bandwidth, res.drive,
                          res.report.bandwidth / res.drive, ranges.omega0)
             for (wp2, _, _), res in zip(cells, results) if res.report is not None]

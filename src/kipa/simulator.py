@@ -71,27 +71,6 @@ def grid_axis(lo: float, hi: float, step: float, what: str) -> list:
     return [v for v in (lo + k * step for k in range(n + 1)) if v <= hi + 1e-9 * step]
 
 
-@dataclass(frozen=True)
-class PumpDrive:
-    """Amplification-strength drive given directly as |xi3|.
-
-    Unlike a :class:`~kipa.material.PumpOperatingPoint`, this bypasses the
-    critical-current budget: it is the natural control variable for
-    simulation sweeps where the pump current needed may exceed what the
-    film model allows.  S11 depends on |xi3| only, so a drive has no phase.
-    """
-
-    xi3_mag: float            # rad/s
-    omega_p: float            # rad/s
-    i_dc: float = 0.0         # A, sets the biased inductance
-
-    def __post_init__(self):
-        if self.xi3_mag < 0:
-            raise InvalidParameter("xi3_mag must be >= 0")
-        if not self.omega_p > 0:
-            raise InvalidParameter("omega_p must be > 0")
-
-
 @dataclass
 class GainProfile:
     freqs: np.ndarray        # angular signal frequencies, strictly increasing
@@ -295,16 +274,16 @@ def _to_db(s11: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(mag), g, np.inf)
 
 
-def gain_spectrum(design: DesignSpec, pump: PumpDrive, env: Optional[EnvironmentModel],
-                  freqs) -> GainProfile:
-    """Reflection spectrum over the angular-frequency grid ``freqs``.
+def gain_spectrum(design: DesignSpec, alpha: float, omega_p: float, i_dc: float,
+                  env: Optional[EnvironmentModel], freqs) -> GainProfile:
+    """Reflection spectrum at modulation ``alpha`` over the angular-frequency grid ``freqs``.
 
     ``env=None`` means the ideal flat environment.  Oscillation poles are
     reported as +inf gain at the affected grid points.
     """
     env = env if env is not None else IDEAL_ENV
-    engine = ReflectionEngine(design, env, [(freqs, pump.omega_p)], [pump.i_dc])
-    s11 = engine.s11(alpha_for_xi3(pump.xi3_mag, design.resonance_at_bias(pump.i_dc)))
+    engine = ReflectionEngine(design, env, [(freqs, omega_p)], [i_dc])
+    s11 = engine.s11(alpha)
     return GainProfile(freqs=np.asarray(freqs, dtype=float), s11=s11, gain_db=_to_db(s11))
 
 

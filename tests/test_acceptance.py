@@ -14,6 +14,7 @@ from scipy.signal import find_peaks
 from kipa.circuits import IDEAL_ENV
 from kipa.material import (
     PumpOperatingPoint,
+    alpha_for_xi3,
     fit_ki_curve,
     frequency_shift,
     pump_coefficients,
@@ -48,7 +49,7 @@ from kipa.search import (
     required_capacitance,
     search_designs,
 )
-from kipa.simulator import PumpDrive, bandwidth_report, gain_spectrum, rnr_power_law, sweep
+from kipa.simulator import bandwidth_report, gain_spectrum, rnr_power_law, sweep
 from kipa.synthesis import synthesize_transformer
 
 TWO_PI = 2 * math.pi
@@ -103,8 +104,8 @@ def test_criterion_4_two_peak_bandwidth_and_overpump_collapse():
     assert 340.0 <= bw_mhz <= 460.0  # 400 MHz +/- 15%
     assert rep.peak_count >= 2
     # over-pumped: the band collapses to a single central peak
-    over_pumped = PumpDrive(1.08 * xi3_opt, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS)
-    prof = gain_spectrum(design, over_pumped, IDEAL_ENV, ws)
+    over_pumped = alpha_for_xi3(1.08 * xi3_opt, design.resonance_at_bias(PAPER_DEVICE_BIAS))
+    prof = gain_spectrum(design, over_pumped, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, IDEAL_ENV, ws)
     over = bandwidth_report(prof.freqs, prof.gain_db)
     assert over.peak_count == 1
     elapsed = time.perf_counter() - t0
@@ -138,7 +139,7 @@ def test_criterion_6_nonideal_environment():
     ws = TWO_PI * np.arange(7.4e9, 9.4e9, 1e6)
 
     # (a) pump-off amplitude ripple
-    off = gain_spectrum(design, PumpDrive(0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS), env, ws)
+    off = gain_spectrum(design, 0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, env, ws)
     amp = off.gain_db.max() - off.gain_db.min()
     assert 2.5 <= amp <= 5.5  # ~4 dB +/- 1.5 dB
     minima, _ = find_peaks(-off.gain_db, prominence=0.8)
@@ -149,9 +150,10 @@ def test_criterion_6_nonideal_environment():
 
     # (b) four local maxima above threshold at high pump
     four = None
+    w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
     for xi3_ghz in np.arange(2.9, 3.35, 0.05):
-        prof = gain_spectrum(design, PumpDrive(TWO_PI * xi3_ghz * 1e9, PAPER_DEVICE_PUMP,
-                                               PAPER_DEVICE_BIAS), env, ws)
+        prof = gain_spectrum(design, alpha_for_xi3(TWO_PI * xi3_ghz * 1e9, w0), PAPER_DEVICE_PUMP,
+                             PAPER_DEVICE_BIAS, env, ws)
         rep = bandwidth_report(prof.freqs, prof.gain_db)
         if rep.peak_count == 4 and prof.gain_db.max() >= 20.0:
             four = (xi3_ghz, rep, prof.gain_db.max())
@@ -218,8 +220,8 @@ def test_criterion_8_property_suites():
         assert input_impedance(half, z_load, w0) == pytest.approx(z_load, rel=1e-12)
 
     # pump-off unitarity to 1e-9
-    prof = gain_spectrum(paper_device(), PumpDrive(0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS),
-                         None, TWO_PI * np.arange(7.4e9, 9.4e9, 5e6))
+    prof = gain_spectrum(paper_device(), 0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, None,
+                         TWO_PI * np.arange(7.4e9, 9.4e9, 5e6))
     assert np.max(np.abs(np.abs(prof.s11) - 1.0)) < 1e-9
 
     # passive idler sign theorem over 1e4 randomized cases
@@ -269,8 +271,7 @@ def test_criterion_8_property_suites():
     # alpha identity, exact
     for _ in range(300):
         op = PumpOperatingPoint(i_dc=rng.uniform(0.05e-3, 0.9e-3),
-                                i_p_mag=rng.uniform(0, 0.2e-3),
-                                phi_p=rng.uniform(0, TWO_PI))
+                                i_p_mag=rng.uniform(0, 0.2e-3))
         w_r = TWO_PI * rng.uniform(4e9, 12e9)
         c = pump_coefficients(NBTIN_NANOWIRE, op, w_r)
         assert c.alpha == pytest.approx(abs(c.xi3) ** 2 / (4 * w_r**2), rel=1e-12, abs=0.0)

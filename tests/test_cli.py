@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from kipa import cli, simulator
 from kipa.cli import (
@@ -23,9 +24,9 @@ from kipa.cli import (
     parse_span,
 )
 from kipa.errors import ConfigError, InvalidParameter
-from kipa.material import PumpOperatingPoint, frequency_shift, pump_coefficients
+from kipa.material import frequency_shift, modulation_alpha
 from kipa.presets import NBTIN_NANOWIRE, PAPER_DEVICE_BIAS, design_preset
-from kipa.simulator import MAX_GRID_POINTS, PumpDrive, gain_spectrum
+from kipa.simulator import MAX_GRID_POINTS, PumpRampPolicy, gain_spectrum
 
 TWO_PI = 2 * math.pi
 
@@ -429,6 +430,17 @@ def test_map_names_the_pump_frequency_whose_signal_grid_is_empty(capsys):
         assert captured.err == f"error: {message}\n"
 
 
+def test_search_names_the_pump_half_frequency_whose_signal_grid_repeats_points(capsys):
+    # an ulp of fp2 exceeds the 4-MHz step: the search's engine rejects the grid
+    rc = main(["search", "--set", "fp2=1e24Hz:1e24Hz:1GHz", "--set", "z14=50ohm:50ohm:10ohm",
+               "--set", "z12=50ohm:50ohm:10ohm", "--set", "znr=60ohm:60ohm:10ohm"])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: signal grid of pump half-frequency 1e+24 Hz repeats points: "
+                            "its 4-MHz step rounds away in floating point\n")
+
+
 def test_search_command_single_point(tmp_path):
     out = tmp_path / "search.csv"
     cfg = tmp_path / "search.cfg"
@@ -801,19 +813,79 @@ def test_rejected_model_input_is_one_line_validation_error(argv, message, tmp_pa
     assert captured.err == f"error: {message}\n"
 
 
-def test_simulate_at_a_pump_current_is_gain_spectrum_at_its_xi3(monkeypatch):
+def test_simulate_at_a_pump_current_is_gain_spectrum_at_its_modulation_alpha(monkeypatch):
     emitted = []
     monkeypatch.setattr(cli, "emit_results", lambda columns, fmt: emitted.append(columns) or "")
     assert main(["simulate", "--preset", "paper-device", "--fp", "16.9GHz", "--set", "ip=0.5mA",
                  "--span", "8GHz:8.002GHz:1MHz"]) == EXIT_OK
-    design, (fp, _) = design_preset("paper-device"), parse_quantity("16.9GHz")
-    coeffs = pump_coefficients(design.ki_model, PumpOperatingPoint(PAPER_DEVICE_BIAS, 0.5e-3),
-                               design.resonance_at_bias(PAPER_DEVICE_BIAS))
-    profile = gain_spectrum(design, PumpDrive(abs(coeffs.xi3), TWO_PI * fp, PAPER_DEVICE_BIAS),
-                            None, TWO_PI * (8e9 + 1e6 * np.arange(2)))
+    design, (fp, _), (ip, _) = (design_preset("paper-device"), parse_quantity("16.9GHz"),
+                                parse_quantity("0.5mA"))
+    alpha = modulation_alpha(design.ki_model, PAPER_DEVICE_BIAS, ip)
+    profile = gain_spectrum(design, alpha, TWO_PI * fp, PAPER_DEVICE_BIAS, None,
+                            TWO_PI * (8e9 + 1e6 * np.arange(2)))
     for name, want in [("freq_hz", profile.freqs / TWO_PI), ("re_s11", profile.s11.real),
                        ("im_s11", profile.s11.imag), ("gain_db", profile.gain_db)]:
         assert emitted[0][name].tobytes() == want.tobytes(), name
+
+
+_PARABOLIC_FILM = ["--set", "z_quarter=50ohm", "--set", "z_half=70ohm",
+                   "--set", "z_ki_quarter=150ohm", "--set", "c_shunt=330fF", "--set", "f0=8GHz",
+                   "--set", "l_k0=1nH", "--set", "i_star2=2mA", "--set", "i_c=0.9mA"]
+_FILMS = {"paper": ["--preset", "paper-device"], "parabolic": _PARABOLIC_FILM}
+
+
+def _simulate_alpha(monkeypatch, film, i_dc, drive_arg):
+    """(design, α) that ``simulate`` hands ``gain_spectrum`` at bias ``i_dc`` and one drive."""
+    seen = []
+
+    def spectrum(design, alpha, omega_p, bias, env, freqs):
+        seen.append((design, alpha, bias))
+        return simulator.GainProfile(freqs, np.ones(freqs.size, complex), np.zeros(freqs.size))
+
+    monkeypatch.setattr(simulator, "gain_spectrum", spectrum)
+    monkeypatch.setattr(cli, "emit_results", lambda columns, fmt: "")
+    assert main(["simulate", *_FILMS[film], "--fp", "16.9GHz", "--idc", f"{i_dc!r}A",
+                 "--set", drive_arg, "--span", "8GHz:8.001GHz:1MHz"]) == EXIT_OK
+    (design, alpha, bias), = seen
+    assert bias == i_dc
+    return design, alpha
+
+
+def _drive_arg(mode, drive):
+    """The ``--set`` argument whose parsed drive is ``drive`` (A or rad/s), or None."""
+    if mode == "current":
+        return f"ip={drive!r}A"
+    # |xi3| is given in Hz: a rad/s drive that no float times 2π gives has no argument
+    hz = drive / TWO_PI
+    found = [x for x in (hz, np.nextafter(hz, 0.0), np.nextafter(hz, np.inf)) if TWO_PI * x == drive]
+    return f"xi3={float(found[0])!r}Hz" if found else None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(film=st.sampled_from(sorted(_FILMS)), mode=st.sampled_from(["current", "xi3"]),
+       i_dc=st.floats(1e-6, 0.85e-3), step=st.integers(0, 10_000))
+def test_simulate_alpha_is_the_ladder_alpha(film, mode, i_dc, step, monkeypatch):
+    # each drive goes through the one kipa.material conversion that its ramp mode uses,
+    # so `simulate` at a drive that a ladder reached uses that step's α bit for bit
+    design, _ = _simulate_alpha(monkeypatch, film, i_dc, "xi3=0Hz")
+    drives, (alphas,) = simulator.policy_ladder(design, [i_dc], PumpRampPolicy(mode=mode))
+    assume(drives.size)
+    k = step % drives.size
+    arg = _drive_arg(mode, float(drives[k]))
+    assume(arg is not None)
+    _, alpha = _simulate_alpha(monkeypatch, film, i_dc, arg)
+    assert np.float64(alpha).tobytes() == alphas[k].tobytes()
+
+
+@pytest.mark.parametrize("i_dc, steps", [(0.51e-3, 562), (0.57e-3, 553), (0.61e-3, 547)])
+def test_simulate_alpha_is_the_ladder_alpha_at_every_paper_device_step(i_dc, steps, monkeypatch):
+    design, zero = _simulate_alpha(monkeypatch, "paper", i_dc, "ip=0A")
+    assert zero == 0.0
+    drives, (alphas,) = simulator.policy_ladder(design, [i_dc], PumpRampPolicy(mode="current"))
+    assert drives.size == steps
+    got = [_simulate_alpha(monkeypatch, "paper", i_dc, f"ip={d!r}A")[1] for d in drives.tolist()]
+    assert np.array(got).tobytes() == alphas.tobytes()
 
 
 def test_any_inline_environment_impedance_builds_the_model(tmp_path):

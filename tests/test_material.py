@@ -82,8 +82,7 @@ def test_alpha_xi3_identity_exact():
     rng = np.random.default_rng(2)
     for _ in range(100):
         op = PumpOperatingPoint(i_dc=rng.uniform(0.05e-3, 0.9e-3),
-                                i_p_mag=rng.uniform(0.0, 0.2e-3),
-                                phi_p=rng.uniform(0, 2 * math.pi))
+                                i_p_mag=rng.uniform(0.0, 0.2e-3))
         w0 = TWO_PI * rng.uniform(4e9, 12e9)
         c = pump_coefficients(QUARTIC, op, w0)
         assert c.alpha == pytest.approx(abs(c.xi3) ** 2 / (4 * w0**2), rel=1e-12, abs=0.0)
@@ -92,8 +91,8 @@ def test_alpha_xi3_identity_exact():
 
 def test_xi3_linear_in_pump_current():
     w0 = TWO_PI * 8.4e9
-    op1 = PumpOperatingPoint(0.5e-3, 0.1e-3, 0.3)
-    op2 = PumpOperatingPoint(0.5e-3, 0.2e-3, 0.3)
+    op1 = PumpOperatingPoint(0.5e-3, 0.1e-3)
+    op2 = PumpOperatingPoint(0.5e-3, 0.2e-3)
     c1 = pump_coefficients(QUARTIC, op1, w0)
     c2 = pump_coefficients(QUARTIC, op2, w0)
     assert abs(c2.xi3) / abs(c1.xi3) == pytest.approx(2.0, rel=1e-12)
@@ -104,11 +103,11 @@ def test_kerr_zero_crossing():
     model = KineticInductorModel("quartic", l_k0=0.8e-9, l_geo=0.2e-9,
                                  i_star2=3.25e-3, i_star4=1.7e-3)  # no i_c cap
     i_zero = model.i_star2 / math.sqrt(8.0)
-    op = PumpOperatingPoint(i_zero, 1e-6, 0.0)
+    op = PumpOperatingPoint(i_zero, 1e-6)
     c = pump_coefficients(model, op, TWO_PI * 8.4e9)
     assert c.kerr == pytest.approx(0.0, abs=1e-12)
     # below the crossing the Kerr coefficient is negative
-    below = pump_coefficients(model, PumpOperatingPoint(0.5 * i_zero, 1e-6, 0.0),
+    below = pump_coefficients(model, PumpOperatingPoint(0.5 * i_zero, 1e-6),
                               TWO_PI * 8.4e9)
     assert below.kerr < 0
 
@@ -117,7 +116,7 @@ def test_kerr_order_of_magnitude():
     # device-scale parameters land within a decade of the anticipated 13 Hz
     w0 = TWO_PI * 8.5e9
     l_i = kinetic_inductance(QUARTIC, 0.6e-3)
-    op = PumpOperatingPoint(0.6e-3, 1e-6, 0.0)
+    op = PumpOperatingPoint(0.6e-3, 1e-6)
     c = pump_coefficients(QUARTIC, op, w0)
     assert c.l_i == pytest.approx(l_i)
     assert 1.3 <= abs(c.kerr) / TWO_PI <= 130.0
@@ -125,8 +124,8 @@ def test_kerr_order_of_magnitude():
 
 def test_pump_shift_scales_with_pump_power():
     w0 = TWO_PI * 8.4e9
-    c1 = pump_coefficients(QUARTIC, PumpOperatingPoint(0.5e-3, 0.1e-3, 0.0), w0)
-    c2 = pump_coefficients(QUARTIC, PumpOperatingPoint(0.5e-3, 0.2e-3, 0.0), w0)
+    c1 = pump_coefficients(QUARTIC, PumpOperatingPoint(0.5e-3, 0.1e-3), w0)
+    c2 = pump_coefficients(QUARTIC, PumpOperatingPoint(0.5e-3, 0.2e-3), w0)
     assert c2.pump_shift / c1.pump_shift == pytest.approx(4.0, rel=1e-12)
 
 
@@ -139,7 +138,7 @@ def test_breakdown_guard():
 def test_pump_current_for_xi3_inverts():
     w0 = TWO_PI * 8.4e9
     ip = pump_current_for_xi3(QUARTIC, 0.6e-3, w0, TWO_PI * 138.4e6)
-    op = PumpOperatingPoint(0.6e-3, ip, 0.0)
+    op = PumpOperatingPoint(0.6e-3, ip)
     c = pump_coefficients(QUARTIC, op, w0)
     assert abs(c.xi3) == pytest.approx(TWO_PI * 138.4e6, rel=1e-12)
 

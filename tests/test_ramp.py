@@ -50,7 +50,6 @@ from kipa.simulator import (
     START_CURRENT,
     START_XI3,
     MobiusForm,
-    PumpDrive,
     PumpRampPolicy,
     RampResult,
     ReflectionEngine,
@@ -807,15 +806,50 @@ def test_an_engine_builds_without_a_finite_resonance():
     grid = (TWO_PI * np.arange(7.9e9, 8.1e9, 50e6), TWO_PI * 16.9e9)
     engine = ReflectionEngine(design, IDEAL_ENV, [grid], [0.0, 1e-3])
     assert np.isfinite(engine.s11(0.01)).all()
+    assert np.isfinite(gain_spectrum(design, 0.01, grid[1], 1e-3, None, grid[0]).s11).all()
     for needs_omega0 in (lambda: design.resonance_at_bias(1e-3),
                          lambda: policy_ladder(design, [1e-3], PumpRampPolicy(mode="current")),
-                         lambda: gain_spectrum(design, PumpDrive(0.0, grid[1]), None, grid[0]),
                          lambda: sweep(design, IDEAL_ENV, [grid], [0.0], SEARCH_RAMP)):
         with pytest.raises(SingularNetwork,
                            match="^l0 = 1e-200 H and c = 1e-200 F give no finite resonance$"):
             needs_omega0()
     with pytest.raises(InvalidParameter, match="frequency grid must be a non-empty"):
         sweep(design, IDEAL_ENV, [(np.array([]), grid[1])], [0.0], SEARCH_RAMP)
+
+
+@pytest.mark.parametrize("mode", ["current", "xi3"])
+def test_gain_spectrum_at_a_map_cells_drive_reports_what_its_ramp_did(mode):
+    # the current mode runs without the film's i_c: within it the paper device
+    # reaches 0.42 dB, and its cells report nothing
+    design = paper_device()
+    if mode == "current":
+        design = dataclasses.replace(design, ki_model=dataclasses.replace(NBTIN_NANOWIRE, i_c=None))
+    env, wp, i_dc, policy = paper_env(), TWO_PI * 16.9e9, PAPER_DEVICE_BIAS, PumpRampPolicy(mode)
+    cell, = pump_bias_map(design, env, [wp], [i_dc], policy)
+    ws = np.arange(wp / 2 - simulator.FREQ_HALF_SPAN, wp / 2 + simulator.FREQ_HALF_SPAN,
+                   simulator.MAP_FREQ_STEP)
+    res, = sweep(design, env, [(ws, wp)], [i_dc], policy)
+    rep = res.report
+    assert rep.qualified and cell == simulator.MapCell(wp, i_dc, rep.bandwidth, rep.peak_count,
+                                                       rep.ripple_db, res.drive)
+    alpha = (modulation_alpha(design.ki_model, i_dc, res.drive) if mode == "current"
+             else alpha_for_xi3(res.drive, design.resonance_at_bias(i_dc)))
+    prof = gain_spectrum(design, alpha, wp, i_dc, env, ws)
+    assert bandwidth_report(prof.freqs, prof.gain_db) == rep
+
+
+def test_gain_spectrum_at_a_search_records_drive_reports_what_its_ramp_did():
+    base = default_ranges("three-stage")
+    ranges = dataclasses.replace(base, z_quarter_range=(80.0, 80.0, 10.0),
+                                 z_half_range=(70.0, 70.0, 10.0), z_nr_range=(60.0, 60.0, 10.0))
+    record = max(search_designs(ranges), key=lambda r: r.max_bandwidth)
+    design = _design_for(ranges, 80.0, 70.0, 60.0)
+    (wp2, ws, wp), = _row_grids([record.omega_p_half])
+    res, = sweep(design, IDEAL_ENV, [(ws, wp)], [0.0], SEARCH_RAMP)
+    assert (res.report.bandwidth, res.drive) == (record.max_bandwidth, record.optimal_xi3)
+    alpha = alpha_for_xi3(record.optimal_xi3, design.resonance_at_bias(0.0))
+    prof = gain_spectrum(design, alpha, wp, 0.0, IDEAL_ENV, ws)
+    assert bandwidth_report(prof.freqs, prof.gain_db) == res.report
 
 
 @pytest.mark.parametrize("i_star2", [math.inf, 1e300, 1.5e154])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from kipa.circuits import IDEAL_ENV, DesignSpec, idler_admittance
 from kipa.errors import InsufficientData, InvalidParameter, PoleAtOperatingPoint
 from kipa.material import (KineticInductorModel, PumpOperatingPoint, alpha_for_xi3,
-                           pump_coefficients)
+                           modulation_alpha, pump_coefficients)
 from kipa.presets import (
     PAPER_DEVICE_BIAS,
     PAPER_DEVICE_PUMP,
@@ -22,7 +22,6 @@ from kipa.presets import (
 from kipa.pump import ModulatedInductor, SignalIdlerPair, effective_admittance
 from kipa import simulator
 from kipa.simulator import (
-    PumpDrive,
     PumpRampPolicy,
     ReflectionEngine,
     _edge,
@@ -44,8 +43,7 @@ def _grid(lo_hz, hi_hz, step_hz):
 def test_pump_off_unitarity():
     design = paper_device()
     freqs = _grid(7.2e9, 9.6e9, 5e6)
-    prof = gain_spectrum(design, PumpDrive(0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS),
-                         None, freqs)
+    prof = gain_spectrum(design, 0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, None, freqs)
     assert np.max(np.abs(np.abs(prof.s11) - 1.0)) < 1e-9
     assert np.max(np.abs(prof.gain_db)) < 1e-8
 
@@ -53,11 +51,9 @@ def test_pump_off_unitarity():
 def test_pump_off_unitarity_current_drive():
     design = paper_device()
     freqs = _grid(8.0e9, 8.8e9, 20e6)
-    # a current operating point reaches the network as its |xi3|, as `simulate --set ip=` does
-    op = PumpOperatingPoint(PAPER_DEVICE_BIAS, 0.0, 0.0)
-    w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
-    xi3 = abs(pump_coefficients(design.ki_model, op, w0).xi3)
-    prof = gain_spectrum(design, PumpDrive(xi3, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS), None, freqs)
+    # a pump current reaches the network as its α, as `simulate --set ip=` converts it
+    alpha = modulation_alpha(design.ki_model, PAPER_DEVICE_BIAS, 0.0)
+    prof = gain_spectrum(design, alpha, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, None, freqs)
     assert np.max(np.abs(np.abs(prof.s11) - 1.0)) < 1e-9
 
 
@@ -65,9 +61,9 @@ def test_signal_idler_symmetry():
     design = paper_device()
     wp = PAPER_DEVICE_PUMP
     delta = TWO_PI * np.linspace(1e6, 1.1e9, 301)
-    drive = PumpDrive(TWO_PI * 2.0e9, wp, PAPER_DEVICE_BIAS)
-    up = gain_spectrum(design, drive, None, wp / 2 + delta)
-    down = gain_spectrum(design, drive, None, (wp / 2 - delta)[::-1])
+    alpha = alpha_for_xi3(TWO_PI * 2.0e9, design.resonance_at_bias(PAPER_DEVICE_BIAS))
+    up = gain_spectrum(design, alpha, wp, PAPER_DEVICE_BIAS, None, wp / 2 + delta)
+    down = gain_spectrum(design, alpha, wp, PAPER_DEVICE_BIAS, None, (wp / 2 - delta)[::-1])
     np.testing.assert_allclose(up.gain_db, down.gain_db[::-1], atol=1e-6)
 
 
@@ -78,18 +74,19 @@ def test_current_drive_matches_xi3_drive():
     w0 = design.resonance_at_bias(PAPER_DEVICE_BIAS)
     xi3 = TWO_PI * 0.3e9
     ip = pump_current_for_xi3(design.ki_model, PAPER_DEVICE_BIAS, w0, xi3)
-    op = PumpOperatingPoint(PAPER_DEVICE_BIAS, ip, 0.0)
+    op = PumpOperatingPoint(PAPER_DEVICE_BIAS, ip)
     freqs = _grid(8.2e9, 8.7e9, 5e6)
     engine = ReflectionEngine(design, IDEAL_ENV, [(freqs, PAPER_DEVICE_PUMP)], [PAPER_DEVICE_BIAS])
     a = engine.gain_db(pump_coefficients(design.ki_model, op, w0).alpha)
-    b = gain_spectrum(design, PumpDrive(xi3, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS), None, freqs)
+    b = gain_spectrum(design, alpha_for_xi3(xi3, w0), PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, None,
+                      freqs)
     np.testing.assert_allclose(a, b.gain_db, atol=1e-9)
 
 
 def test_grid_validation():
     design = paper_device()
     with pytest.raises(InvalidParameter):
-        gain_spectrum(design, PumpDrive(0.0, PAPER_DEVICE_PUMP), None,
+        gain_spectrum(design, 0.0, PAPER_DEVICE_PUMP, 0.0, None,
                       _grid(16.0e9, 18.0e9, 100e6))  # idler frequency goes negative
     with pytest.raises(InvalidParameter):
         ReflectionEngine(design, IDEAL_ENV, [(np.array([]), PAPER_DEVICE_PUMP)])
@@ -280,11 +277,12 @@ def test_oscillation_points_excluded():
 
 def test_grid_refinement_stability():
     design = paper_device()
-    drive = PumpDrive(TWO_PI * 2.57e9, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS)
+    alpha = alpha_for_xi3(TWO_PI * 2.57e9, design.resonance_at_bias(PAPER_DEVICE_BIAS))
     coarse_step = 2e6
     reps = []
     for step in (coarse_step, coarse_step / 2):
-        prof = gain_spectrum(design, drive, None, _grid(7.45e9, 9.45e9, step))
+        prof = gain_spectrum(design, alpha, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, None,
+                             _grid(7.45e9, 9.45e9, step))
         reps.append(bandwidth_report(prof.freqs, prof.gain_db))
     assert abs(reps[0].bandwidth - reps[1].bandwidth) < TWO_PI * coarse_step
 
@@ -441,8 +439,8 @@ def test_bandwidth_alpha_trend_positive():
 def test_environment_four_peak_ripple_interplay():
     # with the fitted environment, pump-off gain shows dB-scale ripple
     design = paper_device()
-    prof = gain_spectrum(design, PumpDrive(0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS),
-                         paper_env(), _grid(7.4e9, 9.4e9, 2e6))
+    prof = gain_spectrum(design, 0.0, PAPER_DEVICE_PUMP, PAPER_DEVICE_BIAS, paper_env(),
+                         _grid(7.4e9, 9.4e9, 2e6))
     assert prof.gain_db.max() - prof.gain_db.min() > 2.0
     assert np.abs(prof.gain_db).max() < 10.0
 
